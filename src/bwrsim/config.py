@@ -9,12 +9,13 @@ line numbers. Presets `scenario1` (multi-UE VoIP on an unloaded upstream) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .core import MS, SEC
 from .bwr import BWR_FRAME_BYTES
-from .docsis import DocsisTimingProfile
+from .docsis import UGS, DocsisError, DocsisTimingProfile, ServiceFlow, open_window
 from .lte import LteTimingProfile, MCS_MIN, MCS_MAX
 
 MODES = ("baseline", "bwr", "both")
@@ -121,7 +122,8 @@ class SimConfig:
 
     def validate(self) -> None:
         self.lte_profile().validate()
-        self.docsis_profile().validate()
+        docsis = self.docsis_profile()
+        docsis.validate()
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.traffic_case not in TRAFFIC_CASES:
@@ -138,6 +140,8 @@ class SimConfig:
             raise ConfigError(f"eut_enb {self.eut_enb} outside 1..{self.enb_count}")
         if self.bwr_period_us % MS != 0 or self.bwr_period_us < MS:
             raise ConfigError("bwr period must be a whole number of subframes")
+        if self.ugs_period_us <= 0:
+            raise ConfigError(f"ugs_period_us must be positive, got {self.ugs_period_us}")
         if self.ugs_period_us > self.bwr_period_us:
             raise ConfigError("UGS period must not exceed the report period")
         if self.ugs_grant_bytes < BWR_FRAME_BYTES:
@@ -169,6 +173,22 @@ class SimConfig:
             raise ConfigError("video parameters must be positive")
         if self.video_burstiness < 0:
             raise ConfigError("burstiness must be >= 0")
+        if docsis.region_duration > docsis.map_interval:
+            raise ConfigError(f"contention_slots = {self.contention_slots} of "
+                              f"slot_bytes = {self.slot_bytes} overrun the MAP interval")
+        # Dry-run UGS placement in each distinct MAP window of the run: the
+        # layout repeats every lcm(UGS period, MAP interval).
+        ugs = ServiceFlow("ugs", UGS, grant_size_bytes=self.ugs_grant_bytes,
+                          grant_period=self.ugs_period_us, grant_phase=self.ugs_phase())
+        mi = docsis.map_interval
+        windows = min(math.lcm(self.ugs_period_us, mi), self.duration_us + mi) // mi
+        for k in range(windows):
+            try:
+                open_window((docsis.maps_in_advance + k) * mi, docsis, [ugs])
+            except DocsisError as exc:
+                raise ConfigError(f"ugs_grant_bytes = {self.ugs_grant_bytes} every "
+                                  f"ugs_period_us = {self.ugs_period_us} does not fit "
+                                  f"a MAP window: {exc}") from exc
 
 
 def preset(name: str) -> SimConfig:
@@ -179,11 +199,6 @@ def preset(name: str) -> SimConfig:
         return SimConfig(enb_count=4, ues_per_enb=6, traffic_case="video",
                          harq_enabled=True, eut_enb=1)
     raise ConfigError(f"unknown preset {name!r} (have: scenario1, scenario2)")
-
-
-# file key -> (section, field name, parser)
-def _ms_field(name):
-    return lambda raw: _us_from_ms(raw)
 
 
 def _us_from_ms(raw: str) -> int:
@@ -203,6 +218,7 @@ def _parse_tbs(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(","))
 
 
+# file key -> (section, field name, parser)
 _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("simulation", "duration_ms"): ("duration_us", _us_from_ms),
     ("simulation", "seed"): ("seed", int),

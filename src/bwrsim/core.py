@@ -166,23 +166,3 @@ class RngStreams:
         if label not in self._streams:
             self._streams[label] = Rng(derive_seed(self.master_seed, label))
         return self._streams[label]
-
-    @property
-    def channel(self) -> Rng:
-        return self.stream("channel")
-
-    @property
-    def harq(self) -> Rng:
-        return self.stream("harq")
-
-    @property
-    def contention(self) -> Rng:
-        return self.stream("contention")
-
-    @property
-    def traffic(self) -> Rng:
-        return self.stream("traffic")
-
-    @property
-    def phases(self) -> Rng:
-        return self.stream("phases")

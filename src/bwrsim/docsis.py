@@ -2,6 +2,9 @@
 truncated binary exponential backoff, MAP-cycle scheduling, unsolicited
 periodic grants, and byte-accurate channel occupancy.
 
+Every MAP is checked as it is built (no over-commitment, no overlap inside its
+window); no per-grant, per-MAP or per-region history is kept.
+
 The CMTS runs a MAP cycle every map_interval. The MAP generated at time m
 describes the allocation window [m + maps_in_advance*map_interval, +interval)
 and consumes requests and bandwidth reports delivered at least cmts_proc
@@ -89,7 +92,6 @@ class DocsisTimingProfile:
 class DocsisRequest:
     flow_id: str
     requested_bytes: int
-    created_at: int
     target_slot: int = -1         # absolute contention slot index
     delivered_at: int = -1
 
@@ -149,7 +151,6 @@ class Grant:
 class MapMessage:
     """One MAP: the described window and its allocations."""
 
-    generated_at: int
     window_start: int
     window_end: int
     region_start: int
@@ -161,32 +162,23 @@ class MapMessage:
 
 
 class ChannelLedger:
-    """Time-indexed record of upstream channel reservations."""
+    """Running per-kind totals of the bytes granted before the end of a run."""
 
-    def __init__(self):
-        self.entries: list[list] = []   # [start, dur, flow_id, kind, granted, used]
+    def __init__(self, end: int):
+        self.end = end
+        self.granted: dict[str, int] = {}
+        self.reservations = 0
 
     def reserve(self, grant: Grant) -> int:
-        self.entries.append([grant.start, grant.duration, grant.flow_id,
-                             grant.kind, grant.nbytes, 0])
-        return len(self.entries) - 1
+        """Count a grant; returns its reservation index."""
+        if grant.start < self.end:
+            self.granted[grant.kind] = self.granted.get(grant.kind, 0) + grant.nbytes
+        self.reservations += 1
+        return self.reservations - 1
 
-    def mark_used(self, index: int, used_bytes: int) -> None:
-        self.entries[index][5] = used_bytes
-
-    def occupancy_bps(self, *, kind: Optional[str] = None,
-                      flow_id: Optional[str] = None, until: int) -> float:
-        granted = sum(e[4] for e in self.entries
-                      if e[0] < until
-                      and (kind is None or e[3] == kind)
-                      and (flow_id is None or e[2] == flow_id))
-        return granted * 8 * 1_000_000 / until if until > 0 else 0.0
-
-    def assert_no_overlap(self) -> None:
-        spans = sorted((e[0], e[0] + e[1]) for e in self.entries)
-        for (s0, e0), (s1, _) in zip(spans, spans[1:]):
-            if s1 < e0:
-                raise DocsisError(f"channel reservations overlap at {s1}")
+    def occupancy_bps(self, kind: str) -> float:
+        granted = self.granted.get(kind, 0)
+        return granted * 8 * 1_000_000 / self.end if self.end > 0 else 0.0
 
 
 class _Window:
@@ -248,6 +240,27 @@ class _Window:
         return pieces
 
 
+def open_window(start: int, p: DocsisTimingProfile,
+                flows) -> tuple[_Window, list[Grant]]:
+    """A MAP window with its contention region and the UGS grants of flows
+    placed; DocsisError when they do not fit."""
+    end = start + p.map_interval
+    win = _Window(start, end)
+    win.reserve_exact(start, p.region_duration)
+    grants = []
+    for flow in flows:
+        if flow.kind != UGS:
+            continue
+        dur = serialization_us(flow.grant_size_bytes, p.upstream_bps)
+        first = flow.grant_phase + ceil_div(max(0, start - flow.grant_phase),
+                                            flow.grant_period) * flow.grant_period
+        for g in range(first, end, flow.grant_period):
+            actual = win.reserve_at_or_after(g, dur)
+            grants.append(Grant(flow.flow_id, actual, dur,
+                                flow.grant_size_bytes, "ugs"))
+    return win, grants
+
+
 class Cmts:
     """Termination system: consumes REQs and reports, emits MAPs, takes egress."""
 
@@ -264,7 +277,6 @@ class Cmts:
         self.req_fifo: list[tuple[int, int, str, int]] = []  # (delivered, seq, flow, bytes)
         self.bwr_fifo: list[list] = []  # [arrival, seq, lcg, flow_id, egress, bytes]
         self._seq = 0
-        self.maps: list[MapMessage] = []
         self._data_flow_by_enb: dict[int, str] = {}
 
     def register_flow(self, flow: ServiceFlow) -> None:
@@ -306,24 +318,12 @@ class Cmts:
         p = self.profile
         start = t + p.maps_in_advance * p.map_interval
         end = start + p.map_interval
-        win = _Window(start, end)
-        msg = MapMessage(t, start, end, start, p.region_duration)
+        msg = MapMessage(start, end, start, p.region_duration)
         cutoff = t - p.cmts_proc
 
-        win.reserve_exact(start, p.region_duration)
-
-        for flow in self.flows.values():
-            if flow.kind != UGS:
-                continue
-            dur = serialization_us(flow.grant_size_bytes, p.upstream_bps)
-            first = flow.grant_phase + ceil_div(max(0, start - flow.grant_phase),
-                                                flow.grant_period) * flow.grant_period
-            g = first
-            while g < end:
-                actual = win.reserve_at_or_after(g, dur)
-                self._emit_grant(msg, Grant(flow.flow_id, actual, dur,
-                                            flow.grant_size_bytes, "ugs"))
-                g += flow.grant_period
+        win, ugs_grants = open_window(start, p, self.flows.values())
+        for grant in ugs_grants:
+            self._emit_grant(msg, grant)
 
         # Report-scheduled grants go in first, at or after their egress time;
         # with differentiation on, lower LCG ids within the class go first.
@@ -365,7 +365,16 @@ class Cmts:
         granted = msg.granted_bytes()
         if granted > cap:
             raise DocsisError(f"MAP window at {start} over-committed: {granted} > {cap}")
-        self.maps.append(msg)
+        # The contention region opens the window; each grant must start after
+        # the previous reservation ends and end inside the window. Windows are
+        # disjoint, so this covers the whole channel.
+        free_from = start + p.region_duration
+        for g in sorted(msg.grants, key=lambda g: g.start):
+            if g.start < free_from:
+                raise DocsisError(f"grant at {g.start} overlaps in the MAP window at {start}")
+            free_from = g.start + g.duration
+        if free_from > end:
+            raise DocsisError(f"MAP window [{start},{end}) overruns to {free_from}")
         self.cm.on_map(msg)
         self.sim.schedule_in(p.map_interval, PRIO_SCHED, self.map_cycle)
 
@@ -394,8 +403,7 @@ class Cm:
         self.rng = contention_rng
         self.described_expiry = described_expiry
         self.flows: dict[str, ServiceFlow] = {}
-        self.ugs_queue: dict[str, list] = {}      # flow -> [(frame, report)]
-        self._resolved_regions: set[int] = set()
+        self.ugs_queue: dict[str, list[bytes]] = {}   # flow -> queued frames
         cmts.cm = self
 
     def add_flow(self, flow: ServiceFlow) -> None:
@@ -440,14 +448,11 @@ class Cm:
         region = self._region_index_at_or_after(t)
         defer = self.rng.randbelow(flow.backoff_window)
         slots = self.profile.contention_slots
-        flow.req = DocsisRequest(flow.flow_id, 0, t,
+        flow.req = DocsisRequest(flow.flow_id, 0,
                                  target_slot=region * slots + defer)
 
     def resolve_region(self, region_index: int) -> None:
         """End of a contention region: lone REQs deliver, others back off."""
-        if region_index in self._resolved_regions:
-            return
-        self._resolved_regions.add(region_index)
         p = self.profile
         slots = p.contention_slots
         lo, hi = region_index * slots, (region_index + 1) * slots
@@ -484,29 +489,29 @@ class Cm:
     # -- transmission -----------------------------------------------------------
 
     def on_grant(self, grant: Grant, ledger_idx: int) -> None:
+        """A grant's start time: ledger_idx is its reservation index."""
         if grant.kind == "ugs":
-            self._transmit_reports(grant, ledger_idx)
+            self._transmit_reports(grant)
         else:
-            self._transmit_data(grant, ledger_idx)
+            self._transmit_data(grant)
 
-    def _transmit_reports(self, grant: Grant, ledger_idx: int) -> None:
+    def _transmit_reports(self, grant: Grant) -> None:
         p = self.profile
         queue = self.ugs_queue[grant.flow_id]
         budget = grant.nbytes
         sent = 0
-        while queue and sent + len(queue[0][0]) <= budget:
-            frame, _report = queue.pop(0)
+        while queue and sent + len(queue[0]) <= budget:
+            frame = queue.pop(0)
             sent += len(frame)
             arrival = grant.start + p.propagation + p.cm_framing + serialization_us(sent, p.upstream_bps)
             self.sim.schedule_at(arrival, PRIO_CONTROL, self.cmts.on_bwr_frame,
                                  frame, grant.flow_id)
             self.collector.count("bwr_frames_sent", 1)
-        self.cmts.ledger.mark_used(ledger_idx, sent)
         if sent == 0:
             self.collector.count("ugs_idle_grants", 1)
         self.collector.count("ugs_wasted_bytes", grant.nbytes - sent)
 
-    def _transmit_data(self, grant: Grant, ledger_idx: int) -> None:
+    def _transmit_data(self, grant: Grant) -> None:
         p = self.profile
         flow = self.flows[grant.flow_id]
         budget = grant.nbytes
@@ -528,7 +533,6 @@ class Cm:
                     and pkt.cm_received == pkt.size_bytes):
                 self.sim.schedule_at(completion, PRIO_METRICS,
                                      self.cmts.on_packet_egress, pkt, completion)
-        self.cmts.ledger.mark_used(ledger_idx, sent)
         wasted = grant.nbytes - sent
         if wasted > 0:
             self.collector.count(f"wasted_{grant.kind}_grant_bytes", wasted)
@@ -536,10 +540,10 @@ class Cm:
 
     # -- report forwarding --------------------------------------------------------
 
-    def forward_report(self, flow_id: str, frame: bytes, report) -> None:
+    def forward_report(self, flow_id: str, frame: bytes) -> None:
         """Queue an encoded report on its unsolicited flow (never contends)."""
         flow = self.flows[flow_id]
         if flow.kind != UGS:
             raise DocsisError(f"flow {flow_id} cannot carry reports")
-        self.ugs_queue[flow_id].append((frame, report))
+        self.ugs_queue[flow_id].append(frame)
         self.collector.count("bwr_frames_forwarded", 1)

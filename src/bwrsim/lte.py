@@ -135,17 +135,14 @@ class Packet:
 
 @dataclass
 class LteGrant:
-    """An uplink allocation: issued now, transmitted grant_to_data later."""
+    """An uplink data allocation: issued now, transmitted grant_to_data later."""
 
     ue_id: int
     grant_bytes: int
-    issue_time: int
-    tx_time: int
-    purpose: str                      # "bsr" or "data"
     lcg_bytes: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.grant_bytes <= 0 and self.purpose == "data":
+        if self.grant_bytes <= 0:
             raise LteError("data grant must carry a positive byte count")
 
 
@@ -357,7 +354,7 @@ class Enb:
         self.demand: dict[int, list[int]] = {}    # ue -> per-LCG schedulable bytes
         self.pending: dict[int, list[int]] = {}   # ue -> granted, not yet transmitted
         # downstream hookup (set by the runner)
-        self.egress_sink = None                   # fn(enb_id, chunks, t)
+        self.egress_sink = None                   # fn(chunks, t)
         self.bwr_emitter = None                   # BwrEmitter or None
 
     def add_ue(self, ue: Ue) -> None:
@@ -429,7 +426,7 @@ class Enb:
             if left == 0:
                 break
         tx_time = t + self.profile.grant_to_data
-        grant = LteGrant(ue.ue_id, budget, t, tx_time, "data", lcg_bytes)
+        grant = LteGrant(ue.ue_id, budget, lcg_bytes)
         ue.pending_grants += 1
         self.collector.count("lte_granted_bytes", budget)
         self.sim.schedule_at(tx_time, PRIO_DATA, self._fire_grant, ue, grant)
@@ -458,6 +455,6 @@ class Enb:
             if pkt.lte_delivered == pkt.size_bytes:
                 pkt.set_stage("enb_egress", t)
         if self.egress_sink is not None:
-            self.egress_sink(self.enb_id, chunks, t)
+            self.egress_sink(chunks, t)
         if report is not None:
             self.on_bsr(ue_id, report)

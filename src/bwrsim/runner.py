@@ -3,6 +3,7 @@ runs it, and renders reports and CSV artifacts."""
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -73,12 +74,12 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     sim = Simulator()
     streams = RngStreams(cfg.seed)
     collector = Collector(mode, cfg.warmup_us)
-    ledger = ChannelLedger()
+    ledger = ChannelLedger(cfg.duration_us)
     lte_profile = cfg.lte_profile()
     docsis_profile = cfg.docsis_profile()
     cmts = Cmts(sim, docsis_profile, ledger, collector,
                 lcg_differentiation=cfg.bwr_per_lcg)
-    cm = Cm(sim, cmts, docsis_profile, collector, streams.contention,
+    cm = Cm(sim, cmts, docsis_profile, collector, streams.stream("contention"),
             cfg.described_expiry_us)
     factory = PacketFactory(Packet)
 
@@ -94,21 +95,20 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     enbs: list[Enb] = []
     ues: list[Ue] = []
     sources = []
-    phases = streams.phases
+    phases = streams.stream("phases")
     next_ue_id = 1
 
     for enb_id in range(1, cfg.enb_count + 1):
-        enb = Enb(sim, enb_id, lte_profile, collector, streams.harq,
+        enb = Enb(sim, enb_id, lte_profile, collector, streams.stream("harq"),
                   harq_enabled=cfg.harq_enabled, bler=cfg.harq_bler,
                   max_retx=cfg.harq_max_retx, tbs_table=cfg.tbs_dict())
         flow_id = data_flow_id(enb_id)
-        enb.egress_sink = (lambda fid: lambda _enb, chunks, t:
-                           cm.enqueue_chunks(fid, chunks, t))(flow_id)
+        enb.egress_sink = functools.partial(cm.enqueue_chunks, flow_id)
         if mode == "bwr" and enb_id == cfg.eut_enb:
             def forward(report, _fid=flow_id):
                 frame = encode_bwr(report)
                 cm.note_described(_fid, report.egress_time, report.total_bytes())
-                cm.forward_report(UGS_FLOW_ID, frame, report)
+                cm.forward_report(UGS_FLOW_ID, frame)
             enb.bwr_emitter = BwrEmitter(
                 enb_id, cfg.bwr_period_us,
                 lte_profile.grant_to_data + lte_profile.enb_decode,
@@ -143,16 +143,17 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
             enb.on_subframe()
         sim.schedule_in(SUBFRAME_US, PRIO_SCHED, subframe_tick)
 
+    channel = streams.stream("channel")
+
     def channel_tick():
         for ue in ues:
-            ue.channel_update(cfg.mcs_mean, cfg.mcs_sigma, streams.channel)
+            ue.channel_update(cfg.mcs_mean, cfg.mcs_sigma, channel)
         sim.schedule_in(cfg.channel_update_us, PRIO_CONTROL, channel_tick)
 
     sim.schedule_at(0, PRIO_CONTROL, channel_tick)
     sim.schedule_at(0, PRIO_SCHED, subframe_tick)
     sim.schedule_at(0, PRIO_SCHED, cmts.map_cycle)
     sim.run_until(cfg.duration_us)
-    ledger.assert_no_overlap()
     return SimRun(cfg, mode, sim, collector, ledger, cmts, cm, enbs, ues, factory)
 
 
@@ -202,7 +203,7 @@ class RunReport:
                       f"req_collisions={c.get('req_collisions', 0)}",
                       f"wasted_bwr_grant_bytes={c.get('wasted_bwr_grant_bytes', 0)}"]
             if run.mode == "bwr":
-                occ = run.ledger.occupancy_bps(kind="ugs", until=self.cfg.duration_us)
+                occ = run.ledger.occupancy_bps("ugs")
                 extras.append(f"ugs_occupancy_kbps={occ / 1000:.1f}")
             lines.append("  ".join(extras))
         if self.deltas:

@@ -14,6 +14,7 @@ from bwrsim.bwr import BandwidthReport, decode_bwr, encode_bwr
 from bwrsim.cli import main
 from bwrsim.config import SimConfig, preset
 from bwrsim.core import MS, SEC, Rng
+from bwrsim.docsis import Cm
 from bwrsim.lte import harq_grant_utilization
 from bwrsim.metrics import summarize
 from bwrsim.runner import paired_deltas, run_scenario, run_single
@@ -36,14 +37,29 @@ def scenario1_pair():
 
 @pytest.fixture(scope="module")
 def scenario2_runs():
-    runs = {}
+    """Five seeds in both modes, with every MAP each run's modem received."""
+    runs, maps = {}, {}
+    seen = []
+    on_map = Cm.on_map
+
+    def record(cm, msg):
+        seen.append(msg)
+        on_map(cm, msg)
+
     t0 = time.monotonic()
-    for seed in range(1, 6):
-        cfg = preset("scenario2")
-        cfg.seed = seed
-        runs[seed] = (run_single(cfg, "baseline"), run_single(cfg, "bwr"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Cm, "on_map", record)
+        for seed in range(1, 6):
+            cfg = preset("scenario2")
+            cfg.seed = seed
+            pair = []
+            for mode in ("baseline", "bwr"):
+                pair.append(run_single(cfg, mode))
+                maps[seed, mode] = list(seen)
+                seen.clear()
+            runs[seed] = tuple(pair)
     elapsed = time.monotonic() - t0
-    return runs, elapsed
+    return runs, elapsed, maps
 
 
 def test_c1_analytic_harq_utilization(capsys):
@@ -113,7 +129,7 @@ def test_c6_bwr_overhead(capsys):
         if period_ms == 1:
             cfg.bwr_period_us = MS
         run = run_single(cfg, "bwr")
-        occ = run.ledger.occupancy_bps(kind="ugs", until=cfg.duration_us)
+        occ = run.ledger.occupancy_bps("ugs")
         results.append((period_ms, occ, abs(occ - target) / target))
     ok = all(err <= 0.01 for _, _, err in results)
     with capsys.disabled():
@@ -132,7 +148,7 @@ def _ecdf_dominates(winner, loser, segment="docsis"):
 
 
 def test_c7_scenario2_properties(scenario2_runs, capsys):
-    runs, elapsed = scenario2_runs
+    runs, elapsed, _ = scenario2_runs
     pooled_base, pooled_bwr = [], []
     mins, max_ratios, dominance = [], [], []
     for seed, (base, bwr) in runs.items():
@@ -223,20 +239,33 @@ def test_c9c_byte_conservation(scenario1_pair, scenario2_runs, capsys):
                    f"12 ledgers checked, {len(failures)} violations")
 
 
+def _map_overlaps(m) -> bool:
+    """True when a MAP's reservations overlap or leave its window. Windows
+    are disjoint, so no MAP doing so means no channel overlap at all."""
+    spans = sorted([(m.region_start, m.region_start + m.region_duration)]
+                   + [(g.start, g.start + g.duration) for g in m.grants])
+    ends = [m.window_start] + [e for _, e in spans]
+    return any(s < e for (s, _), e in zip(spans, ends)) or ends[-1] > m.window_end
+
+
 def test_c9d_map_non_overcommitment(scenario2_runs, capsys):
+    runs, _, maps = scenario2_runs
     worst = 0.0
     windows = 0
-    for base, bwr in scenario2_runs[0].values():
+    overlapping = 0
+    for seed, (base, bwr) in runs.items():
         for run in (base, bwr):
             cap = run.cmts.profile.window_capacity_bytes()
-            for m in run.cmts.maps:
+            for m in maps[seed, run.mode]:
                 windows += 1
                 worst = max(worst, m.granted_bytes() / cap)
-            run.ledger.assert_no_overlap()
+                overlapping += _map_overlaps(m)
+    overlaps = (f"{overlapping} MAPs with channel overlaps" if overlapping
+                else "no channel overlaps")
     with capsys.disabled():
-        _criterion("C9d MAP non-overcommitment", worst <= 1.0,
+        _criterion("C9d MAP non-overcommitment", worst <= 1.0 and not overlapping,
                    f"{windows} windows, worst fill {worst * 100:.1f}% of capacity, "
-                   f"no channel overlaps")
+                   f"{overlaps}")
 
 
 def test_c9e_codec_round_trip(capsys):
@@ -264,7 +293,7 @@ def test_c9f_backoff_truncation(capsys):
     from bwrsim.metrics import Collector
     sim = Simulator()
     prof = DocsisTimingProfile()
-    cmts = Cmts(sim, prof, ChannelLedger(), Collector("baseline"))
+    cmts = Cmts(sim, prof, ChannelLedger(10 * MS), Collector("baseline"))
     cm = Cm(sim, cmts, prof, Collector("baseline"), Rng(8))
     flows = [ServiceFlow(f"f{i}", BE, owner_enb=i) for i in range(1, 13)]
     for f in flows:
@@ -276,9 +305,8 @@ def test_c9f_backoff_truncation(capsys):
         for f in flows:
             if f.req is None:
                 f.uncovered_bytes = 60
-                f.req = DocsisRequest(f.flow_id, 0, sim.now,
+                f.req = DocsisRequest(f.flow_id, 0,
                                       target_slot=region * 8 + cm.rng.randbelow(8))
-        cm._resolved_regions.discard(region)
         cm.resolve_region(region)
         overflow |= any(f.backoff_window > prof.backoff_max for f in flows)
     with capsys.disabled():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from bwrsim.bwr import (BWR_FRAME_BYTES, BWR_MODE_BULK, BWR_MODE_PER_LCG,
                         BandwidthReport, BwrCodecError, BwrEmitter, decode_bwr,
                         encode_bwr)
-from bwrsim.core import MS, PRIO_SCHED, Rng, Simulator
+from bwrsim.core import MS, PRIO_SCHED, SEC, Rng, Simulator
 from bwrsim.docsis import (BE, UGS, ChannelLedger, Cm, Cmts,
                            DocsisTimingProfile, ServiceFlow)
 from bwrsim.lte import Packet
@@ -175,42 +175,51 @@ def test_emitter_per_lcg_blocks():
 # -- transport over the unsolicited flow ---------------------------------------
 
 def build_docsis(ugs_phase=0, lcg_differentiation=False):
+    """A CMTS and modem with data and UGS flows; also returns every grant."""
     sim = Simulator()
     prof = DocsisTimingProfile()
     collector = Collector("bwr")
-    cmts = Cmts(sim, prof, ChannelLedger(), collector,
+    cmts = Cmts(sim, prof, ChannelLedger(10 * SEC), collector,
                 lcg_differentiation=lcg_differentiation)
     cm = Cm(sim, cmts, prof, collector, Rng(3))
     cm.add_flow(ServiceFlow("data", BE, owner_enb=1))
     cm.add_flow(ServiceFlow("ugs", UGS, owner_enb=1, grant_size_bytes=80,
                             grant_period=2 * MS, grant_phase=ugs_phase))
+    grants = []
+    on_map = cm.on_map
+
+    def record(msg):
+        grants.extend(msg.grants)
+        on_map(msg)
+
+    cm.on_map = record
     sim.schedule_at(0, PRIO_SCHED, cmts.map_cycle)
-    return sim, cmts, cm, collector
+    return sim, cmts, cm, collector, grants
 
 
 def test_forward_rides_next_ugs_grant():
     # ready at 13.1 ms with grants on even milliseconds: picked up at 14 ms
     # (nudged past the contention region), at the CMTS one framing time plus
     # the 80-byte serialization later
-    sim, cmts, cm, collector = build_docsis(ugs_phase=0)
+    sim, cmts, cm, collector, grants = build_docsis(ugs_phase=0)
     arrivals = []
     orig = cmts.on_bwr_frame
     cmts.on_bwr_frame = lambda frame, fid: arrivals.append(sim.now) or orig(frame, fid)
     sim.run_until(13 * MS + 100)
-    cm.forward_report("ugs", encode_bwr(report(egress=19 * MS)), report())
+    cm.forward_report("ugs", encode_bwr(report(egress=19 * MS)))
     sim.run_until(20 * MS)
     region = cmts.profile.region_duration
     assert arrivals == [14 * MS + region + 1200 + 17]
 
 
 def test_two_reports_queue_fifo():
-    sim, cmts, cm, collector = build_docsis(ugs_phase=0)
+    sim, cmts, cm, collector, grants = build_docsis(ugs_phase=0)
     arrivals = []
     orig = cmts.on_bwr_frame
     cmts.on_bwr_frame = lambda frame, fid: arrivals.append(sim.now) or orig(frame, fid)
     sim.run_until(13 * MS)
-    cm.forward_report("ugs", encode_bwr(report(egress=19 * MS, seq=1)), None)
-    cm.forward_report("ugs", encode_bwr(report(egress=21 * MS, seq=2)), None)
+    cm.forward_report("ugs", encode_bwr(report(egress=19 * MS, seq=1)))
+    cm.forward_report("ugs", encode_bwr(report(egress=21 * MS, seq=2)))
     sim.run_until(20 * MS)
     region = cmts.profile.region_duration
     # 80 B does not fit twice in one grant: strict FIFO to the next period
@@ -218,60 +227,60 @@ def test_two_reports_queue_fifo():
 
 
 def test_forward_on_best_effort_flow_rejected():
-    sim, cmts, cm, collector = build_docsis()
+    sim, cmts, cm, collector, grants = build_docsis()
     from bwrsim.docsis import DocsisError
     with pytest.raises(DocsisError):
-        cm.forward_report("data", bytes(80), None)
+        cm.forward_report("data", bytes(80))
 
 
 def test_just_in_time_grant_at_egress():
-    sim, cmts, cm, collector = build_docsis(ugs_phase=0)
+    sim, cmts, cm, collector, grants = build_docsis(ugs_phase=0)
     pkt = Packet(0, 1, 1, 300, 1, "voip")
     pkt.set_stage("ue_arrival", 0)
     sim.run_until(10 * MS)
     cm.note_described("data", 20 * MS, 300)
-    cm.forward_report("ugs", encode_bwr(report(egress=20 * MS)), None)
+    cm.forward_report("ugs", encode_bwr(report(egress=20 * MS)))
     sim.run_until(20 * MS)
     pkt.lte_delivered = 300
     cm.enqueue_chunks("data", [(pkt, 300, True)], sim.now)
     assert cm.flows["data"].req is None          # described bytes, no REQ
     sim.run_until(30 * MS)
-    grants = [e for e in cmts.ledger.entries if e[3] == "bwr"]
-    assert len(grants) == 1
-    assert grants[0][0] >= 20 * MS               # at or after egress
-    assert grants[0][0] < 22 * MS                # inside the covering window
+    bwr_grants = [g for g in grants if g.kind == "bwr"]
+    assert len(bwr_grants) == 1
+    assert bwr_grants[0].start >= 20 * MS        # at or after egress
+    assert bwr_grants[0].start < 22 * MS         # inside the covering window
     assert collector.samples[0].docsis_us < 1500
 
 
 def test_zero_total_report_schedules_nothing():
-    sim, cmts, cm, collector = build_docsis()
+    sim, cmts, cm, collector, grants = build_docsis()
     sim.run_until(10 * MS)
     cmts.on_bwr_frame(encode_bwr(report(blocks=((0, 0),) * 1 + tuple((g, 0) for g in range(1, 4)))), "ugs")
     assert cmts.bwr_fifo == []
 
 
 def test_late_report_falls_back_to_next_window():
-    sim, cmts, cm, collector = build_docsis(ugs_phase=0)
+    sim, cmts, cm, collector, grants = build_docsis(ugs_phase=0)
     sim.run_until(19 * MS)
     # egress 20 ms: the MAP covering [20, 22) was generated at 18 ms
     cmts.on_bwr_frame(encode_bwr(report(egress=20 * MS)), "ugs")
     sim.run_until(30 * MS)
-    grants = [e for e in cmts.ledger.entries if e[3] == "bwr"]
-    assert len(grants) == 1
-    assert 22 * MS <= grants[0][0] < 24 * MS     # earliest feasible window
+    bwr_grants = [g for g in grants if g.kind == "bwr"]
+    assert len(bwr_grants) == 1
+    assert 22 * MS <= bwr_grants[0].start < 24 * MS   # earliest feasible window
 
 
 def test_harq_failure_wastes_grant_data_rides_fresh_report():
-    sim, cmts, cm, collector = build_docsis(ugs_phase=0)
+    sim, cmts, cm, collector, grants = build_docsis(ugs_phase=0)
     sim.run_until(10 * MS)
     # first report: data never arrives (failed transmission)
     cm.note_described("data", 20 * MS, 300)
-    cm.forward_report("ugs", encode_bwr(report(egress=20 * MS, seq=0)), None)
+    cm.forward_report("ugs", encode_bwr(report(egress=20 * MS, seq=0)))
     sim.run_until(24 * MS)
     assert collector.counters.get("wasted_bwr_grant_bytes") == 300
     # fresh report for the retransmission, 8 ms later
     cm.note_described("data", 28 * MS, 300)
-    cm.forward_report("ugs", encode_bwr(report(egress=28 * MS, seq=1)), None)
+    cm.forward_report("ugs", encode_bwr(report(egress=28 * MS, seq=1)))
     sim.run_until(28 * MS)
     pkt = Packet(0, 1, 1, 300, 1, "voip")
     pkt.set_stage("ue_arrival", 0)
@@ -284,7 +293,7 @@ def test_harq_failure_wastes_grant_data_rides_fresh_report():
 
 
 def test_described_credit_expires():
-    sim, cmts, cm, collector = build_docsis()
+    sim, cmts, cm, collector, grants = build_docsis()
     sim.run_until(10 * MS)
     cm.note_described("data", 12 * MS, 300)
     sim.run_until(15 * MS)                       # past egress + expiry slack

@@ -4,6 +4,7 @@ from bwrsim.cli import main
 from bwrsim.config import (ConfigError, SimConfig, dump_config, parse_config,
                            preset)
 from bwrsim.core import MS, SEC
+from bwrsim.runner import run_single
 
 
 def test_scenario1_preset_matches_settings_table():
@@ -86,6 +87,41 @@ def test_semantic_error_ugs_grant_too_small(tmp_path):
     with pytest.raises(ConfigError, match="80-byte report"):
         parse_config(str(f))
 
+
+
+@pytest.mark.parametrize("period_us", [0, -2000])
+def test_validate_rejects_non_positive_ugs_period(period_us):
+    cfg = SimConfig(ugs_period_us=period_us)
+    with pytest.raises(ConfigError, match="ugs_period_us"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"ugs_grant_bytes": 5000},
+    {"ugs_grant_bytes": 10000},
+    # no grant in the first window; the second has no room for one
+    {"ugs_grant_bytes": 9000, "ugs_period_us": 3 * MS, "bwr_period_us": 4 * MS},
+], ids=["5000B", "10000B", "9000B-second-window"])
+def test_validate_rejects_ugs_grants_that_do_not_fit(overrides):
+    cfg = SimConfig(**overrides)
+    with pytest.raises(ConfigError, match="ugs_grant_bytes"):
+        cfg.validate()
+
+
+def test_validate_rejects_contention_region_longer_than_map_interval():
+    cfg = SimConfig(contention_slots=600)      # 600 x 4 us > 2 ms
+    with pytest.raises(ConfigError, match="contention_slots"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("cfg", [SimConfig(ugs_grant_bytes=4000),
+                                 preset("scenario1"), preset("scenario2")],
+                         ids=["4000B", "scenario1", "scenario2"])
+def test_accepted_ugs_layout_runs(cfg):
+    cfg.validate()
+    cfg.duration_us = 200 * MS
+    run = run_single(cfg, "bwr")
+    assert run.collector.counters["ugs_wasted_bytes"] > 0
 
 def test_validate_rejects_bad_mode():
     cfg = SimConfig(mode="sideways")

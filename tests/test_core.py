@@ -153,9 +153,9 @@ def test_stream_isolation():
     # consuming one stream never perturbs another
     s1, s2 = RngStreams(11), RngStreams(11)
     for _ in range(100):
-        s1.harq.bernoulli(0.5)
-    assert [s1.channel.uniform(0, 1) for _ in range(10)] == \
-           [s2.channel.uniform(0, 1) for _ in range(10)]
+        s1.stream("harq").bernoulli(0.5)
+    assert [s1.stream("channel").uniform(0, 1) for _ in range(10)] == \
+           [s2.stream("channel").uniform(0, 1) for _ in range(10)]
 
 
 def test_derive_seed_stable_and_distinct():

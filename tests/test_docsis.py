@@ -1,28 +1,50 @@
 import numpy as np
 import pytest
 
-from bwrsim.core import MS, PRIO_SCHED, Rng, Simulator
-from bwrsim.docsis import (BE, UGS, ChannelLedger, Cm, Cmts, DocsisRequest,
-                           DocsisTimingProfile, ServiceFlow, serialization_us)
+from bwrsim.core import MS, PRIO_SCHED, SEC, Rng, Simulator
+from bwrsim.docsis import (BE, UGS, ChannelLedger, Cm, Cmts, DocsisError,
+                           DocsisRequest, DocsisTimingProfile, Grant, ServiceFlow,
+                           _Window, serialization_us)
 from bwrsim.lte import Packet
 from bwrsim.metrics import Collector
 
 
 def build(profile=None, *, flows=("f1",), ugs=None, seed=3,
           lcg_differentiation=False):
+    """A CMTS and modem with BE flows; also returns every MAP the modem gets."""
     sim = Simulator()
     prof = profile or DocsisTimingProfile()
     prof.validate()
     collector = Collector("baseline")
-    cmts = Cmts(sim, prof, ChannelLedger(), collector,
+    cmts = Cmts(sim, prof, ChannelLedger(10 * SEC), collector,
                 lcg_differentiation=lcg_differentiation)
     cm = Cm(sim, cmts, prof, collector, Rng(seed))
     for i, fid in enumerate(flows, start=1):
         cm.add_flow(ServiceFlow(fid, BE, owner_enb=i))
     if ugs is not None:
         cm.add_flow(ugs)
+    maps = []
+    on_map = cm.on_map
+
+    def record(msg):
+        maps.append(msg)
+        on_map(msg)
+
+    cm.on_map = record
     sim.schedule_at(0, PRIO_SCHED, cmts.map_cycle)
-    return sim, cmts, cm, collector
+    return sim, cmts, cm, collector, maps
+
+
+def grants_of(maps, kind):
+    return [g for m in maps for g in m.grants if g.kind == kind]
+
+
+def map_overlaps(m) -> bool:
+    """True when a MAP's reservations overlap or leave its window."""
+    spans = sorted([(m.region_start, m.region_start + m.region_duration)]
+                   + [(g.start, g.start + g.duration) for g in m.grants])
+    ends = [m.window_start] + [e for _, e in spans]
+    return any(s < e for (s, _), e in zip(spans, ends)) or ends[-1] > m.window_end
 
 
 def packet(pid, size=60, ue=1, enb=1):
@@ -54,7 +76,7 @@ def test_profile_floor():
 def test_request_grant_floor_even_alignment():
     # arrival on an even millisecond rides the immediate contention region:
     # 4 ms request-grant + region offset + framing + serialization
-    sim, cmts, cm, collector = build()
+    sim, cmts, cm, collector, maps = build()
     pkt = packet(0)
     inject(sim, cm, "f1", pkt, 18 * MS)
     sim.run_until(40 * MS)
@@ -62,7 +84,7 @@ def test_request_grant_floor_even_alignment():
 
 
 def test_request_grant_odd_alignment_adds_one_ms():
-    sim, cmts, cm, collector = build()
+    sim, cmts, cm, collector, maps = build()
     pkt = packet(0)
     inject(sim, cm, "f1", pkt, 19 * MS)
     sim.run_until(40 * MS)
@@ -71,7 +93,7 @@ def test_request_grant_odd_alignment_adds_one_ms():
 
 def test_single_outstanding_request_piggybacks():
     # second packet arriving while the request is armed rides the same REQ
-    sim, cmts, cm, collector = build()
+    sim, cmts, cm, collector, maps = build()
     inject(sim, cm, "f1", packet(0), 18 * MS)
     inject(sim, cm, "f1", packet(1), 18 * MS)   # same instant, REQ not yet sent
     sim.run_until(19 * MS)
@@ -84,7 +106,7 @@ def test_single_outstanding_request_piggybacks():
 
 
 def test_new_request_after_delivery():
-    sim, cmts, cm, collector = build()
+    sim, cmts, cm, collector, maps = build()
     inject(sim, cm, "f1", packet(0), 18 * MS)
     sim.run_until(19 * MS)                      # REQ delivered in region at 18 ms
     inject(sim, cm, "f1", packet(1), 19 * MS)
@@ -96,7 +118,7 @@ def test_new_request_after_delivery():
 def test_ugs_flow_never_requests():
     ugs = ServiceFlow("ugs1", UGS, grant_size_bytes=80, grant_period=2 * MS,
                       grant_phase=MS)
-    sim, cmts, cm, collector = build(ugs=ugs)
+    sim, cmts, cm, collector, maps = build(ugs=ugs)
     sim.run_until(5 * MS)
     cm.enqueue_chunks("ugs1", [(packet(0), 60, True)], sim.now)
     assert cm.flows["ugs1"].req is None
@@ -107,20 +129,18 @@ def test_ugs_flow_never_requests():
 def test_ugs_grant_cadence_and_idle_waste():
     ugs = ServiceFlow("ugs1", UGS, grant_size_bytes=80, grant_period=2 * MS,
                       grant_phase=MS)
-    sim, cmts, cm, collector = build(ugs=ugs)
+    sim, cmts, cm, collector, maps = build(ugs=ugs)
     sim.run_until(2 * MS + 2 * 10 ** 6)         # a full 2 s of covered windows
-    grants = [e for e in cmts.ledger.entries
-              if e[3] == "ugs" and 2 * MS <= e[0] < 2 * MS + 2 * 10 ** 6]
+    grants = [g for g in grants_of(maps, "ugs")
+              if 2 * MS <= g.start < 2 * MS + 2 * 10 ** 6]
     assert len(grants) == 1000                  # one per 2 ms period
     assert collector.counters["ugs_idle_grants"] >= 999
-    assert all(e[5] == 0 for e in grants)       # nothing carried, all wasted
+    assert "bwr_frames_sent" not in collector.counters   # nothing carried
 
 
 def test_zero_byte_service_is_noop():
-    sim, cmts, cm, collector = build()
-    from bwrsim.docsis import Grant
-    idx = cmts.ledger.reserve(Grant("f1", 0, 0, 0, "be"))
-    cm._transmit_data(Grant("f1", 2 * MS, 13, 60, "be"), idx)
+    sim, cmts, cm, collector, maps = build()
+    cm.on_grant(Grant("f1", 2 * MS, 13, 60, "be"), 0)
     assert collector.counters.get("docsis_sent_bytes", 0) == 0
 
 
@@ -128,7 +148,7 @@ def test_fragmentation_last_byte_rule():
     # 3000 B packet over a 8 Mbps channel: window capacity 2000 B, so the
     # packet spans two grants 2 ms apart; latency runs to the last fragment
     prof = DocsisTimingProfile(upstream_bps=8_000_000)
-    sim, cmts, cm, collector = build(prof)
+    sim, cmts, cm, collector, maps = build(prof)
     pkt = packet(0, size=3000)
     inject(sim, cm, "f1", pkt, 18 * MS)
     sim.run_until(60 * MS)
@@ -140,7 +160,7 @@ def test_fragmentation_last_byte_rule():
 
 
 def test_duplicate_egress_rejected():
-    sim, cmts, cm, collector = build()
+    sim, cmts, cm, collector, maps = build()
     pkt = packet(0)
     inject(sim, cm, "f1", pkt, 18 * MS)
     sim.run_until(40 * MS)
@@ -152,7 +172,7 @@ def test_duplicate_egress_rejected():
 def test_work_conservation_single_backlogged_flow():
     # one flow, huge backlog: every window past the ramp fills to capacity
     # minus the contention region
-    sim, cmts, cm, collector = build()
+    sim, cmts, cm, collector, maps = build()
     sim.run_until(10 * MS)
     big = packet(0, size=200_000)
     cm.enqueue_chunks("f1", [(big, 200_000, True)], sim.now)
@@ -161,41 +181,58 @@ def test_work_conservation_single_backlogged_flow():
     cap = prof.window_capacity_bytes()
     region_bytes = prof.contention_slots * prof.slot_bytes
     filled = {}
-    for e in cmts.ledger.entries:
-        if e[3] == "be":
-            win = e[0] // prof.map_interval
-            filled[win] = filled.get(win, 0) + e[4]
+    for g in grants_of(maps, "be"):
+        win = g.start // prof.map_interval
+        filled[win] = filled.get(win, 0) + g.nbytes
     busy = [b for _, b in sorted(filled.items())][1:-1]   # steady-state windows
     assert busy
     assert all(b >= cap - region_bytes - 64 for b in busy)
 
 
 def test_map_windows_never_overcommit():
-    sim, cmts, cm, collector = build()
+    sim, cmts, cm, collector, maps = build()
     for i in range(40):
         inject(sim, cm, "f1", packet(i, size=5000), 10 * MS + i * 100)
     sim.run_until(100 * MS)
     cap = cmts.profile.window_capacity_bytes()
-    for m in cmts.maps:
+    assert maps
+    for m in maps:
         assert m.granted_bytes() <= cap
-    cmts.ledger.assert_no_overlap()
+        assert not map_overlaps(m)
 
 
 def test_grants_never_overlap_contention_region():
-    sim, cmts, cm, collector = build()
+    sim, cmts, cm, collector, maps = build()
     for i in range(20):
         inject(sim, cm, "f1", packet(i, size=3000), 10 * MS + i * 500)
     sim.run_until(60 * MS)
-    for m in cmts.maps:
+    for m in maps:
         r0, r1 = m.region_start, m.region_start + m.region_duration
         for g in m.grants:
             assert g.start + g.duration <= r0 or g.start >= r1
 
 
+@pytest.mark.parametrize("piece, message", [
+    (lambda win, nbytes: (win.start, nbytes), "overlaps"),
+    (lambda win, nbytes: (win.end - 1, nbytes), "overruns"),
+], ids=["on-contention-region", "past-window-end"])
+def test_overlap_raises_at_the_map(monkeypatch, piece, message):
+    # the REQ delivered at 18 ms is placed by the MAP generated at 20 ms
+    sim, cmts, cm, collector, maps = build()
+    inject(sim, cm, "f1", packet(0), 18 * MS)
+    sim.run_until(19 * MS)
+    monkeypatch.setattr(_Window, "place",
+                        lambda win, min_start, nbytes, bps: [piece(win, nbytes)])
+    with pytest.raises(DocsisError, match=message):
+        sim.run_until(40 * MS)
+    assert sim.now == 20 * MS
+    assert maps[-1].window_start == 20 * MS     # the faulty MAP never went out
+
+
 # -- contention -----------------------------------------------------------------
 
 def test_lone_request_always_delivered():
-    sim, cmts, cm, collector = build()
+    sim, cmts, cm, collector, maps = build()
     inject(sim, cm, "f1", packet(0), 18 * MS)
     sim.run_until(19 * MS)
     assert collector.counters.get("reqs_delivered") == 1
@@ -203,12 +240,12 @@ def test_lone_request_always_delivered():
 
 
 def test_forced_collision_doubles_windows():
-    sim, cmts, cm, collector = build(flows=("f1", "f2"))
+    sim, cmts, cm, collector, maps = build(flows=("f1", "f2"))
     sim.run_until(10 * MS)
     f1, f2 = cm.flows["f1"], cm.flows["f2"]
     for f in (f1, f2):
         f.uncovered_bytes = 60
-        f.req = DocsisRequest(f.flow_id, 0, sim.now, target_slot=6 * 8 + 3)
+        f.req = DocsisRequest(f.flow_id, 0, target_slot=6 * 8 + 3)
     cm.resolve_region(6)
     assert f1.backoff_window == 16 and f2.backoff_window == 16
     assert f1.req.target_slot >= 7 * 8
@@ -216,21 +253,20 @@ def test_forced_collision_doubles_windows():
 
 
 def test_backoff_truncates_and_resets():
-    sim, cmts, cm, collector = build(flows=("f1", "f2"))
+    sim, cmts, cm, collector, maps = build(flows=("f1", "f2"))
     sim.run_until(10 * MS)
     f1, f2 = cm.flows["f1"], cm.flows["f2"]
     # repeated forced collisions: 8 -> 16 -> 32 -> 64, then capped at 64
     for round_no, region in enumerate(range(6, 12)):
         for f in (f1, f2):
             f.uncovered_bytes = 60
-            f.req = DocsisRequest(f.flow_id, 0, sim.now, target_slot=region * 8)
-        cm._resolved_regions.discard(region)
+            f.req = DocsisRequest(f.flow_id, 0, target_slot=region * 8)
         cm.resolve_region(region)
         expected = min(8 * 2 ** (round_no + 1), 64)
         assert f1.backoff_window == expected
         assert f2.backoff_window == expected
     # a clean delivery resets the window to the initial value
-    f1.req = DocsisRequest("f1", 0, sim.now, target_slot=20 * 8)
+    f1.req = DocsisRequest("f1", 0, target_slot=20 * 8)
     f2.req = None
     cm.resolve_region(20)
     assert f1.req is None
@@ -260,7 +296,7 @@ def test_contention_throughput_matches_enumeration():
     assert expected == pytest.approx(8 * (7 / 8) ** 7, rel=1e-12)
 
     prof = DocsisTimingProfile()
-    sim, cmts, cm, collector = build(prof, flows=[f"f{i}" for i in range(8)])
+    sim, cmts, cm, collector, maps = build(prof, flows=[f"f{i}" for i in range(8)])
     rng = Rng(5)
     trials = 4000
     delivered_total = 0
@@ -269,10 +305,9 @@ def test_contention_throughput_matches_enumeration():
         for f in cm.flows.values():
             f.backoff_window = 8
             f.uncovered_bytes = 60
-            f.req = DocsisRequest(f.flow_id, 0, 0,
+            f.req = DocsisRequest(f.flow_id, 0,
                                   target_slot=region * 8 + rng.randbelow(8))
         before = collector.counters.get("reqs_delivered", 0)
-        cm._resolved_regions.discard(region)
         cm.resolve_region(region)
         delivered_total += collector.counters.get("reqs_delivered", 0) - before
         cmts.req_fifo.clear()
@@ -287,7 +322,7 @@ def test_contention_throughput_matches_enumeration():
 def test_lcg_differentiation_orders_blocks():
     from bwrsim.bwr import BWR_MODE_PER_LCG, BandwidthReport, encode_bwr
     prof = DocsisTimingProfile()
-    sim, cmts, cm, collector = build(prof, lcg_differentiation=True)
+    sim, cmts, cm, collector, maps = build(prof, lcg_differentiation=True)
     report = BandwidthReport(1, 0, 30 * MS,
                              ((0, 0), (1, 500), (2, 1500), (3, 0)),
                              BWR_MODE_PER_LCG)
@@ -295,15 +330,15 @@ def test_lcg_differentiation_orders_blocks():
     cmts.on_bwr_frame(encode_bwr(report), "ugs")
     assert [(e[2], e[5]) for e in cmts.bwr_fifo] == [(1, 500), (2, 1500)]
     sim.run_until(36 * MS)
-    bwr_grants = [e for e in cmts.ledger.entries if e[3] == "bwr"]
-    assert [g[4] for g in bwr_grants] == [500, 1500]   # low LCG placed first
-    assert bwr_grants[0][0] < bwr_grants[1][0]
+    bwr_grants = grants_of(maps, "bwr")
+    assert [g.nbytes for g in bwr_grants] == [500, 1500]   # low LCG placed first
+    assert bwr_grants[0].start < bwr_grants[1].start
 
 
 def test_idle_map_has_only_contention_region():
-    sim, cmts, cm, collector = build()
+    sim, cmts, cm, collector, maps = build()
     sim.run_until(10 * MS)
-    assert cmts.maps
-    for m in cmts.maps:
+    assert maps
+    for m in maps:
         assert m.grants == []
         assert m.region_duration == cmts.profile.region_duration

@@ -1,7 +1,10 @@
 """Cross-layer runs exercising both protocol stacks together."""
 
+import pytest
+
 from bwrsim.config import SimConfig, preset
 from bwrsim.core import MS, SEC
+from bwrsim.docsis import Cm
 from bwrsim.runner import run_single
 
 
@@ -124,3 +127,51 @@ def test_per_lcg_mode_matches_bulk_for_single_class_traffic():
     a = [(s.packet_id, s.docsis_us) for s in bulk.collector.retained()]
     b = [(s.packet_id, s.docsis_us) for s in split.collector.retained()]
     assert a == b
+
+
+@pytest.mark.parametrize("phase_us, duration_us, grant_at_end", [
+    (None, 2 * SEC, False),
+    (0, 2 * SEC, False),
+    (0, 2 * SEC + 32, True),      # nudged past the contention region
+    (None, 2 * SEC + MS, True),   # default phase: odd milliseconds
+])
+def test_ugs_occupancy_counts_grants_before_the_end(monkeypatch, phase_us,
+                                                    duration_us, grant_at_end):
+    maps = []
+    on_map = Cm.on_map
+
+    def record(cm, msg):
+        maps.append(msg)
+        on_map(cm, msg)
+
+    monkeypatch.setattr(Cm, "on_map", record)
+    cfg = preset("scenario1")
+    cfg.ugs_phase_us = phase_us
+    cfg.duration_us = duration_us
+    run = run_single(cfg, "bwr")
+    ugs = [g for m in maps for g in m.grants if g.kind == "ugs"]
+    assert any(g.start == duration_us for g in ugs) == grant_at_end
+    assert any(g.start > duration_us for g in ugs)
+    granted = sum(g.nbytes for g in ugs if g.start < duration_us)
+    assert run.ledger.occupancy_bps("ugs") == granted * 8 * 1_000_000 / duration_us
+
+
+def _container_sizes(run):
+    pending = {"req_fifo", "bwr_fifo"}    # demand not yet granted
+    sizes = {}
+    for owner in ("cmts", "cm", "ledger"):
+        for attr, value in vars(getattr(run, owner)).items():
+            if attr not in pending and isinstance(value, (list, dict, set, tuple)):
+                sizes[f"{owner}.{attr}"] = len(value)
+    return sizes
+
+
+def test_docsis_state_does_not_grow_with_simulated_time():
+    sizes = []
+    for seconds in (1, 4):
+        cfg = preset("scenario1")
+        cfg.duration_us = seconds * SEC
+        sizes.append(_container_sizes(run_single(cfg, "bwr")))
+    short, long = sizes
+    assert short.keys() == long.keys()
+    assert {k: v for k, v in long.items() if v > short[k]} == {}

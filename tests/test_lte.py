@@ -349,7 +349,7 @@ def test_bler_zero_first_attempt_success():
     enb = make_enb(sim, harq=True, bler=0.0)
     ue = make_ue(sim, enb)
     sink = []
-    enb.egress_sink = lambda enb_id, chunks, t: sink.append((t, sum(n for _, n, _ in chunks)))
+    enb.egress_sink = lambda chunks, t: sink.append((t, sum(n for _, n, _ in chunks)))
     drive_one_tb(sim, enb, ue)
     assert sink == [(23 * MS, 600)]
     assert enb.collector.tb_records == [(1, True)]
@@ -375,7 +375,7 @@ def test_retx_spacing_is_8ms():
         orig(proc, report)
     ue._attempt = spy
     sink = []
-    enb.egress_sink = lambda enb_id, chunks, t: sink.append(t)
+    enb.egress_sink = lambda chunks, t: sink.append(t)
     drive_one_tb(sim, enb, ue)
     assert tx_times == [21 * MS, 29 * MS, 37 * MS]
     assert all((b - a) == HARQ_RTT_US for a, b in zip(tx_times, tx_times[1:]))
@@ -392,7 +392,7 @@ def test_exhaustion_drops_block():
     enb.harq_rng = AlwaysFail()
     ue = make_ue(sim, enb)
     sink = []
-    enb.egress_sink = lambda enb_id, chunks, t: sink.append(t)
+    enb.egress_sink = lambda chunks, t: sink.append(t)
     collector = drive_one_tb(sim, enb, ue)
     sim.run_until(80 * MS)
     assert sink == []
@@ -427,7 +427,7 @@ def test_byte_conservation_through_ladder():
     enb = make_enb(sim, harq=True, bler=0.1)
     ue = make_ue(sim, enb)
     chunks_out = []
-    enb.egress_sink = lambda enb_id, chunks, t: chunks_out.extend(chunks)
+    enb.egress_sink = lambda chunks, t: chunks_out.extend(chunks)
     for i in range(20):
         ue.on_arrival(pkt(i, size=500))
     t = 0
