@@ -118,10 +118,10 @@ class BwrEmitter:
         self.forward = forward        # fn(report) -> None; CM-side handoff
         self.collector = collector
         self.sequence = 0
-        self._entries: list[tuple[int, dict[int, int]]] = []  # (egress, lcg_bytes)
+        self.entries: list[tuple[int, dict[int, int]]] = []  # (egress, lcg_bytes)
 
     def note_grant(self, lcg_bytes: dict[int, int], egress_time: int) -> None:
-        self._entries.append((egress_time, lcg_bytes))
+        self.entries.append((egress_time, lcg_bytes))
 
     def on_subframe(self, t: int) -> None:
         if t % self.period != 0:
@@ -129,10 +129,10 @@ class BwrEmitter:
         self.build(t)
 
     def build(self, t: int) -> BandwidthReport | None:
-        due = [e for e in self._entries if e[0] <= t + self.report_lead]
+        due = [e for e in self.entries if e[0] <= t + self.report_lead]
         if not due:
             return None
-        self._entries = [e for e in self._entries if e[0] > t + self.report_lead]
+        self.entries = [e for e in self.entries if e[0] > t + self.report_lead]
         egress = min(e for e, _ in due)
         if egress <= t:
             raise BwrCodecError(f"egress_time {egress} not in the future at {t}")

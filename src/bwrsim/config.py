@@ -16,7 +16,7 @@ from typing import Optional
 from .core import MS, SEC
 from .bwr import BWR_FRAME_BYTES
 from .docsis import UGS, DocsisError, DocsisTimingProfile, ServiceFlow, open_window
-from .lte import LteTimingProfile, MCS_MIN, MCS_MAX
+from .lte import LteError, LteTimingProfile, MCS_MIN, MCS_MAX
 
 MODES = ("baseline", "bwr", "both")
 TRAFFIC_CASES = ("voip", "video")
@@ -24,6 +24,23 @@ TRAFFIC_CASES = ("voip", "video")
 
 class ConfigError(Exception):
     pass
+
+
+# Timing-profile field -> the SimConfig field that sets it.
+_LTE_PROFILE = {
+    "sr_period": "sr_period_us", "sr_encode": "sr_encode_us",
+    "sr_to_bsr_grant": "sr_to_bsr_grant_us", "grant_to_bsr": "grant_to_bsr_us",
+    "bsr_to_data_grant": "bsr_to_data_grant_us", "grant_to_data": "grant_to_data_us",
+    "enb_decode": "enb_decode_us", "bsr_period": "bsr_period_us",
+}
+_DOCSIS_PROFILE = {
+    "map_interval": "map_interval_us", "maps_in_advance": "maps_in_advance",
+    "cmts_proc": "cmts_proc_us", "cm_proc": "cm_proc_us",
+    "cm_framing": "cm_framing_us", "contention_slots": "contention_slots",
+    "slot_bytes": "slot_bytes", "upstream_bps": "upstream_bps",
+    "backoff_init": "backoff_init", "backoff_max": "backoff_max",
+    "propagation": "propagation_us",
+}
 
 
 @dataclass
@@ -91,24 +108,11 @@ class SimConfig:
     # -- derived views -----------------------------------------------------
 
     def lte_profile(self) -> LteTimingProfile:
-        return LteTimingProfile(
-            sr_period=self.sr_period_us, sr_encode=self.sr_encode_us,
-            sr_to_bsr_grant=self.sr_to_bsr_grant_us,
-            grant_to_bsr=self.grant_to_bsr_us,
-            bsr_to_data_grant=self.bsr_to_data_grant_us,
-            grant_to_data=self.grant_to_data_us,
-            enb_decode=self.enb_decode_us, bsr_period=self.bsr_period_us)
+        return LteTimingProfile(**{p: getattr(self, f) for p, f in _LTE_PROFILE.items()})
 
     def docsis_profile(self) -> DocsisTimingProfile:
         return DocsisTimingProfile(
-            map_interval=self.map_interval_us,
-            maps_in_advance=self.maps_in_advance,
-            cmts_proc=self.cmts_proc_us, cm_proc=self.cm_proc_us,
-            cm_framing=self.cm_framing_us,
-            contention_slots=self.contention_slots, slot_bytes=self.slot_bytes,
-            upstream_bps=self.upstream_bps,
-            backoff_init=self.backoff_init, backoff_max=self.backoff_max,
-            propagation=self.propagation_us)
+            **{p: getattr(self, f) for p, f in _DOCSIS_PROFILE.items()})
 
     def ugs_phase(self) -> int:
         if self.ugs_phase_us is not None:
@@ -121,9 +125,15 @@ class SimConfig:
         return {MCS_MIN + i: v for i, v in enumerate(self.tbs_table)}
 
     def validate(self) -> None:
-        self.lte_profile().validate()
+        # The profiles hold the timing rules; their errors name the field.
         docsis = self.docsis_profile()
-        docsis.validate()
+        for profile, keys in ((self.lte_profile(), _LTE_PROFILE),
+                              (docsis, _DOCSIS_PROFILE)):
+            try:
+                profile.validate()
+            except (LteError, DocsisError) as exc:
+                key = keys[exc.field]
+                raise ConfigError(f"{key} = {getattr(self, key)}: {exc}") from exc
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.traffic_case not in TRAFFIC_CASES:
@@ -163,6 +173,9 @@ class SimConfig:
             raise ConfigError(f"mcs_mean must lie in [{MCS_MIN}, {MCS_MAX}]")
         if self.mcs_sigma < 0:
             raise ConfigError("mcs_sigma must be >= 0")
+        if self.channel_update_us <= 0:
+            raise ConfigError(
+                f"channel_update_us must be positive, got {self.channel_update_us}")
         if self.packet_mtu < 1:
             raise ConfigError("packet_mtu must be positive")
         if not 0 <= self.lcg_voip < 4 or not 0 <= self.lcg_video < 4:

@@ -31,59 +31,30 @@ class SchedulingError(SimError):
     """Raised when an event is scheduled before the current clock."""
 
 
-class Event:
-    """A queued callback, totally ordered by (fire_time, priority, seq)."""
-
-    __slots__ = ("fire_time", "priority", "seq", "fn", "args", "cancelled")
-
-    def __init__(self, fire_time: int, priority: int, seq: int,
-                 fn: Callable, args: tuple):
-        self.fire_time = fire_time
-        self.priority = priority
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-    @property
-    def kind(self) -> str:
-        return getattr(self.fn, "__qualname__", repr(self.fn))
-
-    def sort_key(self):
-        return (self.fire_time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event"):
-        return self.sort_key() < other.sort_key()
-
-    def __repr__(self):
-        return f"Event(t={self.fire_time}, prio={self.priority}, seq={self.seq}, kind={self.kind})"
-
-
 class Simulator:
-    """Single-threaded event loop over integer-microsecond simulated time."""
+    """Single-threaded event loop over integer-microsecond simulated time.
+
+    Heap entries are plain tuples (fire_time, priority, seq, fn, args), so
+    heapq orders them in C; seq breaks ties in scheduling order.
+    """
 
     def __init__(self):
         self.now = 0
         self.events_processed = 0
-        self._heap: list[Event] = []
+        self._heap: list[tuple] = []
         self._seq = 0
 
-    def schedule_at(self, fire_time: int, priority: int, fn: Callable, *args) -> Event:
-        """Queue fn(*args) at an absolute time; returns a handle usable with cancel()."""
+    def schedule_at(self, fire_time: int, priority: int, fn: Callable, *args) -> None:
+        """Queue fn(*args) at an absolute time."""
         if fire_time < self.now:
             raise SchedulingError(
                 f"event {getattr(fn, '__qualname__', fn)} scheduled at {fire_time} "
                 f"before current clock {self.now}")
-        ev = Event(int(fire_time), priority, self._seq, fn, args)
+        heapq.heappush(self._heap, (int(fire_time), priority, self._seq, fn, args))
         self._seq += 1
-        heapq.heappush(self._heap, ev)
-        return ev
 
-    def schedule_in(self, delay: int, priority: int, fn: Callable, *args) -> Event:
-        return self.schedule_at(self.now + delay, priority, fn, *args)
-
-    def cancel(self, event: Event) -> None:
-        event.cancelled = True
+    def schedule_in(self, delay: int, priority: int, fn: Callable, *args) -> None:
+        self.schedule_at(self.now + delay, priority, fn, *args)
 
     def run_until(self, t_end: int) -> int:
         """Process every event with fire_time <= t_end in total order.
@@ -92,12 +63,10 @@ class Simulator:
         """
         processed = 0
         heap = self._heap
-        while heap and heap[0].fire_time <= t_end:
-            ev = heapq.heappop(heap)
-            if ev.cancelled:
-                continue
-            self.now = ev.fire_time
-            ev.fn(*ev.args)
+        pop = heapq.heappop
+        while heap and heap[0][0] <= t_end:
+            self.now, _, _, fn, args = pop(heap)
+            fn(*args)
             processed += 1
         if t_end > self.now:
             self.now = t_end
@@ -105,7 +74,7 @@ class Simulator:
         return processed
 
     def pending(self) -> int:
-        return sum(1 for ev in self._heap if not ev.cancelled)
+        return len(self._heap)
 
 
 class Rng:

@@ -16,6 +16,7 @@ no earlier than r + (1 + maps_in_advance) * map_interval.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,7 +29,9 @@ UGS = "ugs"
 
 
 class DocsisError(Exception):
-    pass
+    def __init__(self, message: str, field: Optional[str] = None):
+        super().__init__(message)
+        self.field = field            # the timing-profile field at fault, if any
 
 
 def ceil_div(num: int, den: int) -> int:
@@ -57,20 +60,27 @@ class DocsisTimingProfile:
     propagation: int = 0
 
     def validate(self) -> None:
-        if self.map_interval <= 0 or self.maps_in_advance < 1:
-            raise DocsisError("map_interval must be positive with >= 1 MAP in advance")
-        if self.cmts_proc < 0 or self.cm_proc < 0 or self.propagation < 0:
-            raise DocsisError("processing/propagation times must be >= 0")
+        if self.map_interval <= 0:
+            raise DocsisError("map_interval must be positive", "map_interval")
+        if self.maps_in_advance < 1:
+            raise DocsisError("maps_in_advance must be >= 1", "maps_in_advance")
+        for name in ("cmts_proc", "cm_proc", "propagation"):
+            if getattr(self, name) < 0:
+                raise DocsisError(f"{name} must be >= 0", name)
         if self.cmts_proc >= self.map_interval:
-            raise DocsisError("cmts_proc must be shorter than the MAP interval")
+            raise DocsisError("cmts_proc must be shorter than the MAP interval",
+                              "cmts_proc")
         if self.maps_in_advance * self.map_interval < self.cm_proc:
-            raise DocsisError("MAP advance must cover CM processing lead")
-        if self.contention_slots < 1 or self.slot_bytes < 1:
-            raise DocsisError("contention region needs at least one nonempty slot")
-        if self.backoff_init < 1 or self.backoff_max < self.backoff_init:
-            raise DocsisError("backoff window bounds are inconsistent")
+            raise DocsisError("MAP advance must cover CM processing lead", "cm_proc")
+        for name in ("contention_slots", "slot_bytes"):
+            if getattr(self, name) < 1:
+                raise DocsisError(f"{name} must be >= 1", name)
+        if self.backoff_init < 1:
+            raise DocsisError("backoff_init must be >= 1", "backoff_init")
+        if self.backoff_max < self.backoff_init:
+            raise DocsisError("backoff_max must be >= backoff_init", "backoff_max")
         if self.upstream_bps <= 0:
-            raise DocsisError("upstream capacity must be positive")
+            raise DocsisError("upstream capacity must be positive", "upstream_bps")
 
     @property
     def slot_duration(self) -> int:
@@ -118,18 +128,24 @@ class ServiceFlow:
     req: Optional[DocsisRequest] = None
     backoff_window: int = 8
     # pipelined-mode suppression ledger: [egress_time, remaining_bytes]
-    described: list = field(default_factory=list)
-
-    def described_available(self, now: int, expiry_slack: int) -> int:
-        self.described = [e for e in self.described
-                          if e[1] > 0 and e[0] + expiry_slack >= now]
-        return sum(e[1] for e in self.described)
+    described: deque = field(default_factory=deque)
 
     def consume_described(self, nbytes: int, now: int, expiry_slack: int) -> int:
-        """Use up described-byte credit FIFO; returns bytes actually covered."""
-        self.described_available(now, expiry_slack)
+        """Use up described-byte credit FIFO; returns bytes actually covered.
+
+        Credit expires expiry_slack after its egress time. Spent and expired
+        entries leave from the front. Reports announce egress times in order
+        unless grant_to_data + enb_decode exceeds the HARQ round trip, so an
+        expired entry behind the front is skipped in place.
+        """
+        described = self.described
+        while described and (described[0][1] == 0
+                             or described[0][0] + expiry_slack < now):
+            described.popleft()
         covered = 0
-        for entry in self.described:
+        for entry in described:
+            if entry[0] + expiry_slack < now:
+                continue                # expired behind a later announcement
             take = min(entry[1], nbytes - covered)
             entry[1] -= take
             covered += take

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import MS, PRIO_CONTROL, PRIO_DATA, Rng, Simulator
+from .core import MS, PRIO_CONTROL, PRIO_DATA, PRIO_SCHED, Rng, Simulator
 
 NUM_LCGS = 4
 MCS_MIN = 18
@@ -35,7 +35,9 @@ DEFAULT_TBS_TABLE = {mcs: 150 * mcs for mcs in range(MCS_MIN, MCS_MAX + 1)}
 
 
 class LteError(Exception):
-    pass
+    def __init__(self, message: str, field: Optional[str] = None):
+        super().__init__(message)
+        self.field = field            # the timing-profile field at fault, if any
 
 
 @dataclass
@@ -56,11 +58,11 @@ class LteTimingProfile:
                      "bsr_to_data_grant", "grant_to_data", "enb_decode",
                      "bsr_period"):
             if getattr(self, name) <= 0:
-                raise LteError(f"timing profile field {name} must be positive")
+                raise LteError(f"{name} must be positive", name)
         if self.sr_encode < 0:
-            raise LteError("sr_encode must be >= 0")
+            raise LteError("sr_encode must be >= 0", "sr_encode")
         if self.sr_period % SUBFRAME_US != 0:
-            raise LteError("sr_period must be a whole number of subframes")
+            raise LteError("sr_period must be a whole number of subframes", "sr_period")
 
     def ladder_total(self) -> int:
         """Turnaround sum excluding the SR wait (grant ladder + decode)."""
@@ -356,6 +358,7 @@ class Enb:
         # downstream hookup (set by the runner)
         self.egress_sink = None                   # fn(chunks, t)
         self.bwr_emitter = None                   # BwrEmitter or None
+        self.wake = None                          # fn(t): wake the subframe tick at t
 
     def add_ue(self, ue: Ue) -> None:
         self.ues[ue.ue_id] = ue
@@ -384,9 +387,19 @@ class Enb:
 
     def _apply_demand(self, ue_id: int, per_lcg: list[int]) -> None:
         pend = self.pending[ue_id]
-        self.demand[ue_id] = [max(0, per_lcg[g] - pend[g]) for g in range(NUM_LCGS)]
+        demand = [max(0, per_lcg[g] - pend[g]) for g in range(NUM_LCGS)]
+        self.demand[ue_id] = demand
+        if self.wake is not None and any(demand):
+            # Control events precede a same-instant tick, so that tick serves it.
+            self.wake(-(-self.sim.now // SUBFRAME_US) * SUBFRAME_US)
 
     # -- per-subframe scheduling ------------------------------------------
+
+    def busy(self) -> bool:
+        """Whether a subframe tick could act: some UE has demand, or the
+        report emitter holds entries not yet built into a report."""
+        return (any(any(d) for d in self.demand.values())
+                or (self.bwr_emitter is not None and bool(self.bwr_emitter.entries)))
 
     def on_subframe(self) -> None:
         """Serve one transport block per subframe, round-robin over demand."""
@@ -443,6 +456,9 @@ class Enb:
         if self.bwr_emitter is not None:
             self.bwr_emitter.note_grant(dict(lcg_bytes),
                                         tx_time + self.profile.enb_decode)
+            if self.wake is not None:
+                # Decodes follow a same-instant tick: the next one reports it.
+                self.wake((self.sim.now // SUBFRAME_US + 1) * SUBFRAME_US)
 
     # -- egress ------------------------------------------------------------
 
@@ -458,3 +474,32 @@ class Enb:
             self.egress_sink(chunks, t)
         if report is not None:
             self.on_bsr(ue_id, report)
+
+
+class SubframeTick:
+    """The subframe clock shared by all eNBs: each tick runs on_subframe on
+    every eNB in order. It sleeps while no eNB is busy(), because such a tick
+    would grant nothing and build no report; an eNB that gains work wakes it
+    through Enb.wake at the first subframe boundary that can serve the work.
+    """
+
+    def __init__(self, sim: Simulator, enbs: list[Enb]):
+        self.sim = sim
+        self.enbs = enbs
+        self.asleep = True
+        for enb in enbs:
+            enb.wake = self.wake
+
+    def wake(self, t: int) -> None:
+        """Run the next tick at subframe boundary t, unless one is queued."""
+        if self.asleep:
+            self.asleep = False
+            self.sim.schedule_at(t, PRIO_SCHED, self.tick)
+
+    def tick(self) -> None:
+        for enb in self.enbs:
+            enb.on_subframe()
+        if any(enb.busy() for enb in self.enbs):
+            self.sim.schedule_in(SUBFRAME_US, PRIO_SCHED, self.tick)
+        else:
+            self.asleep = True

@@ -13,7 +13,7 @@ from .bwr import BwrEmitter, encode_bwr
 from .config import SimConfig
 from .core import PRIO_CONTROL, PRIO_SCHED, RngStreams, Simulator, derive_seed
 from .docsis import BE, UGS, ChannelLedger, Cm, Cmts, ServiceFlow
-from .lte import Enb, Packet, SUBFRAME_US, Ue
+from .lte import Enb, Packet, SUBFRAME_US, SubframeTick, Ue
 from .metrics import Collector
 from .traffic import PacketFactory, TraceSource, VideoTrace, VoipSource, read_trace, synth_video
 
@@ -138,11 +138,7 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     for source in sources:
         source.start()
 
-    def subframe_tick():
-        for enb in enbs:
-            enb.on_subframe()
-        sim.schedule_in(SUBFRAME_US, PRIO_SCHED, subframe_tick)
-
+    subframes = SubframeTick(sim, enbs)
     channel = streams.stream("channel")
 
     def channel_tick():
@@ -151,7 +147,7 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
         sim.schedule_in(cfg.channel_update_us, PRIO_CONTROL, channel_tick)
 
     sim.schedule_at(0, PRIO_CONTROL, channel_tick)
-    sim.schedule_at(0, PRIO_SCHED, subframe_tick)
+    subframes.wake(0)
     sim.schedule_at(0, PRIO_SCHED, cmts.map_cycle)
     sim.run_until(cfg.duration_us)
     return SimRun(cfg, mode, sim, collector, ledger, cmts, cm, enbs, ues, factory)

@@ -96,6 +96,24 @@ def test_validate_rejects_non_positive_ugs_period(period_us):
         cfg.validate()
 
 
+@pytest.mark.parametrize("period_us", [0, -1000])
+def test_validate_rejects_non_positive_channel_update(period_us):
+    # 0 used to hang the run (the channel tick rescheduled itself at the same
+    # instant); validate only, never run
+    cfg = SimConfig(channel_update_us=period_us)
+    with pytest.raises(ConfigError, match="channel_update_us"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("key, value", [("sr_period_us", 1500),
+                                        ("cmts_proc_us", 5000)])
+def test_validate_names_the_key_of_a_timing_profile_error(key, value):
+    cfg = preset("scenario1")
+    setattr(cfg, key, value)
+    with pytest.raises(ConfigError, match=f"{key} = {value}"):
+        cfg.validate()
+
+
 @pytest.mark.parametrize("overrides", [
     {"ugs_grant_bytes": 5000},
     {"ugs_grant_bytes": 10000},
@@ -230,3 +248,13 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     f.write_text("[simulation]\nfoo = 1\n")
     assert main(["run", "--config", str(f)]) == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_cli_timing_profile_error_exit_code(tmp_path, capsys):
+    f = tmp_path / "bad.cfg"
+    f.write_text("[docsis]\nmap_interval_ms = 0\n")
+    assert main(["run", "--preset", "scenario1", "--config", str(f),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bwrsim: error: map_interval_us = 0")
+    assert err.count("\n") == 1

@@ -54,27 +54,17 @@ def test_run_until_stops_at_boundary():
     assert sim.run_until(3 * MS) == 1
 
 
-def test_cancel_skips_event():
-    sim = Simulator()
-    fired = []
-    ev = sim.schedule_at(5, PRIO_DATA, lambda: fired.append("a"))
-    sim.cancel(ev)
-    sim.run_until(10)
-    assert fired == []
-
-
 def test_delivery_order_matches_total_order():
     # randomized schedule; observed order must sort by (time, priority, seq)
     sim = Simulator()
     rng = random.Random(7)
     log = []
     keys = []
-    for _ in range(500):
+    for seq in range(500):
         t = rng.randrange(0, 50)
         prio = rng.randrange(0, 4)
-        ev = sim.schedule_at(t, prio, lambda: None)
-        ev.fn = (lambda k: lambda: log.append(k))((t, prio, ev.seq))
-        keys.append((t, prio, ev.seq))
+        sim.schedule_at(t, prio, log.append, (t, prio, seq))
+        keys.append((t, prio, seq))
     sim.run_until(100)
     assert log == sorted(keys)
 

@@ -1,10 +1,13 @@
 """Cross-layer runs exercising both protocol stacks together."""
 
+from dataclasses import replace
+
 import pytest
 
 from bwrsim.config import SimConfig, preset
 from bwrsim.core import MS, SEC
 from bwrsim.docsis import Cm
+from bwrsim.lte import Enb
 from bwrsim.runner import run_single
 
 
@@ -175,3 +178,30 @@ def test_docsis_state_does_not_grow_with_simulated_time():
     short, long = sizes
     assert short.keys() == long.keys()
     assert {k: v for k, v in long.items() if v > short[k]} == {}
+
+
+def _outcome(cfg, mode):
+    run = run_single(cfg, mode)
+    c = run.collector
+    return c.retained(), c.counters, c.tb_records
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"map_interval_us": 1 * MS},          # every subframe is a MAP instant
+    {"harq_bler": 0.5, "bwr_per_lcg": True, "bwr_period_us": 4 * MS},
+], ids=["preset", "map-1ms", "bler-per-lcg-4ms"])
+@pytest.mark.parametrize("name", ["scenario1", "scenario2"])
+def test_sleeping_subframe_tick_matches_ticking_every_subframe(monkeypatch, name,
+                                                              overrides):
+    # The tick sleeps while every eNB is idle; a tick every subframe is the
+    # reference. Samples and counters must not change in either mode.
+    for seed in (0, 5):
+        cfg = replace(preset(name), seed=seed, duration_us=1 * SEC, **overrides)
+        for mode in ("baseline", "bwr"):
+            sleeping = _outcome(cfg, mode)
+            with monkeypatch.context() as m:
+                m.setattr(Enb, "busy", lambda self: True)
+                ticking = _outcome(cfg, mode)
+            assert sleeping == ticking, (seed, mode)
+            assert len(sleeping[0]) > 100

@@ -1,8 +1,10 @@
 import pytest
 
+from bwrsim.bwr import BwrEmitter
 from bwrsim.core import MS, Rng, Simulator
 from bwrsim.lte import (Enb, HARQ_RTT_US, LteError, LteTimingProfile,
-                        Packet, Ue, harq_grant_utilization, tbs_bytes)
+                        Packet, SubframeTick, Ue, harq_grant_utilization,
+                        tbs_bytes)
 
 
 class StubCollector:
@@ -31,6 +33,19 @@ def make_ue(sim, enb, ue_id=1, sr_phase=0):
 
 def pkt(pid=0, size=60, lcg=1, ue_id=1):
     return Packet(pid, ue_id, 1, size, lcg, "voip")
+
+
+class FailThenPass:
+    """HARQ outcome stream: the first `fails` attempts fail."""
+
+    def __init__(self, fails):
+        self.fails = fails
+
+    def bernoulli(self, p):
+        if self.fails > 0:
+            self.fails -= 1
+            return False
+        return True
 
 
 # -- analytic utilization ---------------------------------------------------
@@ -356,14 +371,6 @@ def test_bler_zero_first_attempt_success():
 
 
 def test_retx_spacing_is_8ms():
-    class FailThenPass:
-        def __init__(self, fails):
-            self.fails = fails
-        def bernoulli(self, p):
-            if self.fails > 0:
-                self.fails -= 1
-                return False
-            return True
     sim = Simulator()
     enb = make_enb(sim, harq=True, bler=0.1)
     enb.harq_rng = FailThenPass(2)
@@ -440,3 +447,60 @@ def test_byte_conservation_through_ladder():
     assert c["admitted_bytes"] == (egressed + sum(ue.buffer_bytes)
                                    + c.get("lte_inflight_bytes", 0)
                                    + c.get("harq_dropped_bytes", 0))
+
+
+# -- sleeping subframe tick ------------------------------------------------------------
+
+def start_ticks(sim, enb):
+    """Start a SubframeTick over enb at 0; returns the instants it ticks at."""
+    ticks = []
+    orig = enb.on_subframe
+    def spy():
+        ticks.append(sim.now)
+        orig()
+    enb.on_subframe = spy
+    SubframeTick(sim, [enb]).wake(0)
+    return ticks
+
+
+@pytest.mark.parametrize("report_at, served_at", [(3 * MS, 7 * MS),
+                                                  (3 * MS + 500, 8 * MS)])
+def test_sleeping_tick_serves_demand_at_the_first_boundary(report_at, served_at):
+    # demand becomes schedulable 4 ms after the report; applied exactly on a
+    # boundary it precedes that boundary's tick and is served by it
+    sim = Simulator()
+    enb = make_enb(sim)
+    make_ue(sim, enb)
+    ticks = start_ticks(sim, enb)
+    issued = []
+    orig = enb._issue_data_grant
+    def spy(ue, t):
+        issued.append(t)
+        orig(ue, t)
+    enb._issue_data_grant = spy
+    sim.run_until(report_at)
+    enb.on_bsr(1, [0, 60, 0, 0])
+    sim.run_until(20 * MS)
+    assert issued == [served_at]
+    assert ticks == [0, served_at]
+
+
+def test_retransmission_announced_at_a_boundary_wakes_the_next_tick():
+    # grant at 17 ms, first attempt at 21 ms fails at its 23 ms decode, which
+    # follows the (sleeping) 23 ms tick; the retransmission at 29 ms egresses
+    # at 31 ms and is reported by the 25 ms build, as with a tick every 1 ms
+    sim = Simulator()
+    enb = make_enb(sim, harq=True, bler=0.1)
+    enb.harq_rng = FailThenPass(1)
+    ue = make_ue(sim, enb)
+    reports = []
+    lead = enb.profile.grant_to_data + enb.profile.enb_decode
+    enb.bwr_emitter = BwrEmitter(1, MS, lead, per_lcg=False,
+                                 forward=reports.append, collector=enb.collector)
+    ticks = start_ticks(sim, enb)
+    ue.on_arrival(pkt(0, size=600))
+    sim.run_until(60 * MS)
+    assert ticks == [0, 17 * MS, 24 * MS, 25 * MS]
+    assert [(r.egress_time, r.total_bytes()) for r in reports] == [
+        (23 * MS, 600), (31 * MS, 600)]
+    assert enb.collector.tb_records == [(2, True)]
