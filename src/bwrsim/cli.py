@@ -76,7 +76,7 @@ def main(argv=None) -> int:
             print(dump_config(_load_config(args)), end="")
         elif args.command == "run":
             report = run_scenario(_load_config(args), args.out_dir)
-            print(report.render(), end="")
+            print(report.text, end="")
     except (ConfigError, ValueError, OSError) as exc:
         print(f"bwrsim: error: {exc}", file=sys.stderr)
         return 1

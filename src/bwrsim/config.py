@@ -16,7 +16,7 @@ from typing import Optional
 from .core import MS, SEC
 from .bwr import BWR_FRAME_BYTES
 from .docsis import UGS, DocsisError, DocsisTimingProfile, ServiceFlow, open_window
-from .lte import LteError, LteTimingProfile, MCS_MIN, MCS_MAX
+from .lte import HARQ_RTT_US, LteError, LteTimingProfile, MCS_MIN, MCS_MAX
 
 MODES = ("baseline", "bwr", "both")
 TRAFFIC_CASES = ("voip", "video")
@@ -162,6 +162,17 @@ class SimConfig:
             raise ConfigError("HARQ BLER must be in [0, 1)")
         if self.harq_max_retx < 0:
             raise ConfigError("max retransmissions must be >= 0")
+        # The scheduler checks a transmission's HARQ process at grant time,
+        # which holds only within one round trip; a retransmission, one round
+        # trip after its attempt, is scheduled from the decode.
+        if self.harq_enabled and self.grant_to_data_us >= HARQ_RTT_US:
+            raise ConfigError(
+                f"grant_to_data_us = {self.grant_to_data_us}: must be shorter than "
+                f"the {HARQ_RTT_US} us HARQ round trip")
+        if self.harq_enabled and self.enb_decode_us > HARQ_RTT_US:
+            raise ConfigError(
+                f"enb_decode_us = {self.enb_decode_us}: must not exceed "
+                f"the {HARQ_RTT_US} us HARQ round trip")
         if self.tbs_table is not None:
             if len(self.tbs_table) != MCS_MAX - MCS_MIN + 1:
                 raise ConfigError(f"tbs_table needs {MCS_MAX - MCS_MIN + 1} entries")

@@ -4,7 +4,9 @@ grant-utilization statistics."""
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 
 SEGMENTS = ("e2e", "lte", "docsis")
 
@@ -104,7 +106,7 @@ def summarize(samples: list[LatencySample], segment: str) -> Summary:
         raise MetricsError(f"unknown segment {segment!r}")
     if not samples:
         raise MetricsError("cannot summarize an empty sample set")
-    values = [s.value(segment) for s in samples]
+    values = list(map(attrgetter(f"{segment}_us"), samples))
     return Summary(min(values), sum(values) / len(values), max(values), len(values))
 
 
@@ -112,14 +114,13 @@ def cdf(samples: list[LatencySample], segment: str) -> list[tuple[float, float]]
     """Empirical CDF as right-continuous steps; final fraction is 1.0."""
     if not samples:
         raise MetricsError("cannot build a CDF from an empty sample set")
-    values = sorted(s.value(segment) for s in samples)
+    values = sorted(map(attrgetter(f"{segment}_us"), samples))
     n = len(values)
-    points = []
-    for i, v in enumerate(values, start=1):
-        if i < n and values[i] == v:
-            continue                      # keep the last step at each value
-        points.append((v / 1000, i / n))
-    return points
+    nexts = values[1:]
+    nexts.append(None)
+    # keep the last step at each value: the one whose next value differs
+    return [(v / 1000, i / n)
+            for i, v, nxt in zip(itertools.count(1), values, nexts) if v != nxt]
 
 
 def grant_utilization(granted_bytes: int, used_bytes: int) -> float:

@@ -4,6 +4,7 @@ runs it, and renders reports and CSV artifacts."""
 from __future__ import annotations
 
 import functools
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -155,13 +156,13 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
 
 def paired_deltas(base: SimRun, bwr: SimRun, segment: str = "docsis"):
     """Per-packet latency difference (baseline - bwr) joined on packet id."""
-    base_by_id = {s.packet_id: s for s in base.collector.retained()}
+    value = operator.attrgetter(f"{segment}_us")
+    base_by_id = {s.packet_id: value(s) for s in base.collector.retained()}
     out = []
     for s in bwr.collector.retained():
         b = base_by_id.get(s.packet_id)
         if b is not None:
-            out.append((s.packet_id, s.traffic_class,
-                        b.value(segment), s.value(segment)))
+            out.append((s.packet_id, s.traffic_class, b, value(s)))
     return out
 
 
@@ -171,6 +172,7 @@ class RunReport:
     runs: list[SimRun]
     deltas: list = field(default_factory=list)
     csv_paths: list[str] = field(default_factory=list)
+    text: str = ""          # the rendered report, set by run_scenario
 
     def render(self) -> str:
         from .config import dump_config
@@ -186,9 +188,12 @@ class RunReport:
             retained = run.collector.retained()
             lines.append(_table_row(run.mode, retained))
             if self.cfg.enb_count > 1:
-                for enb_id in range(1, self.cfg.enb_count + 1):
+                # an eNB without samples keeps its row of "-" cells
+                by_enb = {enb_id: [] for enb_id in range(1, self.cfg.enb_count + 1)}
+                for s in retained:
+                    by_enb[s.enb_id].append(s)
+                for enb_id, rows in by_enb.items():
                     tag = " eut" if enb_id == self.cfg.eut_enb else ""
-                    rows = [s for s in retained if s.enb_id == enb_id]
                     lines.append(_table_row(f"  enb{enb_id}{tag}", rows))
         lines.append("")
         for run in self.runs:
@@ -204,7 +209,7 @@ class RunReport:
             lines.append("  ".join(extras))
         if self.deltas:
             vals = [b - w for _, _, b, w in self.deltas]
-            exact = sum(1 for v in vals if v == 4000)
+            exact = vals.count(4000)
             lines.append("")
             lines.append(f"paired docsis delta: packets={len(vals)} "
                          f"mean_ms={sum(vals) / len(vals) / 1000:.3f} "
@@ -233,7 +238,8 @@ def _table_row(label: str, samples) -> str:
 
 
 def run_scenario(cfg: SimConfig, out_dir: Optional[str] = None) -> RunReport:
-    """Run the configured mode(s); write CSVs when out_dir is given."""
+    """Run the configured mode(s) and render the report once; write the CSVs
+    and report.txt when out_dir is given."""
     modes = ["baseline", "bwr"] if cfg.mode == "both" else [cfg.mode]
     runs = [run_single(cfg, mode) for mode in modes]
     deltas = paired_deltas(runs[0], runs[1]) if len(runs) == 2 else []
@@ -261,6 +267,8 @@ def run_scenario(cfg: SimConfig, out_dir: Optional[str] = None) -> RunReport:
                     w.writerow([pid, klass, f"{b / 1000:.3f}", f"{v / 1000:.3f}",
                                 f"{(b - v) / 1000:.3f}"])
             report.csv_paths.append(path)
+    report.text = report.render()
+    if out_dir is not None:
         with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
-            fh.write(report.render())
+            fh.write(report.text)
     return report

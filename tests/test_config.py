@@ -4,7 +4,7 @@ from bwrsim.cli import main
 from bwrsim.config import (ConfigError, SimConfig, dump_config, parse_config,
                            preset)
 from bwrsim.core import MS, SEC
-from bwrsim.runner import run_single
+from bwrsim.runner import run_scenario, run_single
 
 
 def test_scenario1_preset_matches_settings_table():
@@ -141,6 +141,35 @@ def test_accepted_ugs_layout_runs(cfg):
     run = run_single(cfg, "bwr")
     assert run.collector.counters["ugs_wasted_bytes"] > 0
 
+
+@pytest.mark.parametrize("key, value", [("grant_to_data_us", 8000),
+                                        ("grant_to_data_us", 9000),
+                                        ("enb_decode_us", 8001),
+                                        ("enb_decode_us", 9000)])
+def test_validate_rejects_harq_timing_beyond_the_round_trip(key, value):
+    # these used to fail mid-run (HARQ process already active; a retransmission
+    # scheduled in the past); validate only, never run
+    cfg = preset("scenario2")
+    setattr(cfg, key, value)
+    with pytest.raises(ConfigError, match=f"{key} = {value}: .* HARQ round trip"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("harq, key, value", [(True, "grant_to_data_us", 7999),
+                                              (True, "enb_decode_us", 8000),
+                                              (False, "grant_to_data_us", 9000),
+                                              (False, "enb_decode_us", 9000)])
+def test_accepted_harq_timing_runs(harq, key, value):
+    cfg = preset("scenario2")
+    cfg.harq_enabled = harq
+    setattr(cfg, key, value)
+    cfg.validate()
+    cfg.mode = "both"
+    cfg.duration_us = 300 * MS
+    report = run_scenario(cfg)
+    assert report.deltas
+
+
 def test_validate_rejects_bad_mode():
     cfg = SimConfig(mode="sideways")
     with pytest.raises(ConfigError):
@@ -257,4 +286,14 @@ def test_cli_timing_profile_error_exit_code(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("bwrsim: error: map_interval_us = 0")
+    assert err.count("\n") == 1
+
+
+def test_cli_harq_timing_error_exit_code(tmp_path, capsys):
+    f = tmp_path / "bad.cfg"
+    f.write_text("[lte-system]\ngrant_to_data_ms = 8\n")
+    assert main(["run", "--preset", "scenario2", "--config", str(f),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bwrsim: error: grant_to_data_us = 8000")
     assert err.count("\n") == 1

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bwrsim.lte import Packet
 from bwrsim.metrics import (Collector, LatencySample, MetricsError,
@@ -55,6 +57,40 @@ def test_cdf_endpoints_match_summary():
     assert pts[0][0] == s.min_ms
     assert pts[-1][0] == s.max_ms
     assert pts[-1][1] == 1.0
+
+
+# microsecond values; a narrow range draws duplicates often
+US_LISTS = st.lists(st.integers(min_value=0, max_value=60), min_size=1,
+                    max_size=40).map(lambda xs: [x * 250 for x in xs])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(values=US_LISTS)
+@example(values=[777])
+@example(values=[3000, 1000, 3000, 2000, 1000])
+def test_summarize_matches_reference(values):
+    s = summarize(samples_us(values), "docsis")
+    assert (s.min_us, s.avg_us, s.max_us, s.count) == (
+        min(values), sum(values) / len(values), max(values), len(values))
+
+
+def reference_cdf(values):
+    n = len(values)
+    return [(v / 1000, sum(1 for x in values if x <= v) / n)
+            for v in sorted(set(values))]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(values=US_LISTS)
+@example(values=[777])
+@example(values=[3000, 1000, 3000, 2000, 1000])
+def test_cdf_matches_reference(values):
+    pts = cdf(samples_us(values), "docsis")
+    assert pts == reference_cdf(values)   # exact floats, one point per distinct value
+    assert len(pts) == len(set(values))
+    assert pts[-1][1] == 1.0
+    # each segment reads its own field (e2e is docsis + 1000 us here)
+    assert cdf(samples_us(values), "e2e") == reference_cdf([v + 1000 for v in values])
 
 
 def test_cdf_empty_errors():

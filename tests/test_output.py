@@ -1,0 +1,90 @@
+"""The post-run output: the report rendered once, its eNB rows, and the bytes
+of every output file of two pinned runs."""
+
+import hashlib
+from types import SimpleNamespace
+
+import pytest
+
+from bwrsim.cli import main
+from bwrsim.config import SimConfig
+from bwrsim.metrics import Collector, LatencySample
+from bwrsim.runner import RunReport
+
+# sha256 of each file of `bwrsim run --preset P --mode both --seed 0
+# --duration-ms D`, with the out-dir in report.txt masked as "<out>"
+# (as bench/child.py does).
+PINNED = {
+    ("scenario2", 500): {
+        "cdf_docsis_baseline.csv": "c153795611c4c1b7e13a043a1f75025d8b3e4487c258db85aaf0af64b12c392d",
+        "cdf_docsis_bwr.csv": "57e9c2b9eae4e8470191d110b190b8aaa83df3b91530d1d1c4e4764b3483d1ca",
+        "cdf_e2e_baseline.csv": "7d563e6b9868d133b558ea358acc1cb9c61fbe2868905129cfb776f156e6a024",
+        "cdf_e2e_bwr.csv": "dedc27582f99b3cb1dbec33f85e465c0b6aeaed9429f192fec651a174b95fb0e",
+        "deltas.csv": "4db57febd23cc00e5a82023b1502f8f46d57694a9c96a8924c9c84e89658d7b0",
+        "report.txt": "11774908d5e13ffac0c507d8190e7002ef2629f3618512196b21168964f28bd7",
+        "samples_baseline.csv": "87b179760316bad2d4478e65f11b11306059d6dfed802470c9f309ca480344eb",
+        "samples_bwr.csv": "f510c2a36183564d84cd4d8bd953f99162271c4b2f210773cdfca2d3538a2b2b",
+    },
+    ("scenario1", 1000): {
+        "cdf_docsis_baseline.csv": "5e27d50db52313b22c996ce0343cc2f79e0da8c11bc55cf95253f759e0124eb6",
+        "cdf_docsis_bwr.csv": "585c92d207ee29941fca19318ead3574e10a48bf120df1ee53a7c2720f0b77c1",
+        "cdf_e2e_baseline.csv": "6d6941d0a4337cf06fb9da3c2617caccda1e0355df9074cf4c05b0e34979a905",
+        "cdf_e2e_bwr.csv": "ee2b94d0c9606b1e1e47ed1e6231ffb0ec3215a246ea6e02c64d23a04e129c0a",
+        "deltas.csv": "d1bdea8ceff671bf1a2a33e0ac9d00cb5aed5ef44d1f5e255f3f034ee8c1ffa2",
+        "report.txt": "57db6cd1f2147d93032ecbb7748a5f199cd8dd8e83cb7d410f798c9be774a466",
+        "samples_baseline.csv": "796370b9c6aea5fd1c0d6361b837a2e1d231cec1a69b2db972ff391e5ae117e1",
+        "samples_bwr.csv": "c481a1914575e2d2ecf26f3496f0f56797134ed35866bb1c4da84154fa1748a2",
+    },
+}
+
+
+@pytest.mark.parametrize("name, duration_ms", list(PINNED))
+def test_output_files_are_pinned(tmp_path, capsys, name, duration_ms):
+    out = tmp_path / "out"
+    assert main(["run", "--preset", name, "--mode", "both", "--seed", "0",
+                 "--duration-ms", str(duration_ms), "--out-dir", str(out)]) == 0
+    digests = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name == "report.txt":
+            data = data.replace(str(out).encode(), b"<out>")
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    assert digests == PINNED[(name, duration_ms)]
+
+
+def test_report_is_rendered_once_and_printed_as_written(tmp_path, capsys,
+                                                        monkeypatch):
+    calls = []
+    render = RunReport.render
+
+    def counted(report):
+        calls.append(report)
+        return render(report)
+
+    monkeypatch.setattr(RunReport, "render", counted)
+    out = tmp_path / "out"
+    assert main(["run", "--preset", "scenario2", "--duration-ms", "300",
+                 "--mode", "both", "--out-dir", str(out)]) == 0
+    assert len(calls) == 1
+    printed = capsys.readouterr().out
+    assert printed == (out / "report.txt").read_text(encoding="utf-8")
+    assert printed == calls[0].text
+
+
+def test_render_keeps_an_enb_without_samples_in_order():
+    cfg = SimConfig(enb_count=3, eut_enb=2, warmup_us=0)
+    collector = Collector("baseline")
+    # (enb, docsis us), interleaved; eNB 1 has none
+    for pid, (enb, docsis) in enumerate([(3, 5000), (2, 1000), (3, 7000),
+                                         (2, 3000), (2, 2000)]):
+        collector.samples.append(LatencySample(pid, pid, enb, "voip", "baseline",
+                                               0, 10_000 + docsis, 10_000, docsis))
+    run = SimpleNamespace(mode="baseline", collector=collector)
+    lines = RunReport(cfg, [run]).render().splitlines()
+    rows = [line for line in lines if line.startswith("  enb")]
+    dash = f"{'-':>8s} {'-':>8s} {'-':>8s}"
+    assert [r.split()[0] for r in rows] == ["enb1", "enb2", "enb3"]
+    assert rows[0] == f"{'  enb1':14s}  {dash}  {dash}  {dash}  {0:7d}"
+    assert rows[1].startswith(f"{'  enb2 eut':14s}  ")
+    assert rows[1].endswith(f"   1.000    2.000    3.000  {3:7d}")
+    assert rows[2].endswith(f"   5.000    6.000    7.000  {2:7d}")
