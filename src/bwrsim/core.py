@@ -125,8 +125,6 @@ class RngStreams:
     toggling one feature (e.g. HARQ) never perturbs the draws of another.
     """
 
-    LABELS = ("channel", "harq", "contention", "traffic", "phases")
-
     def __init__(self, master_seed: int):
         self.master_seed = master_seed
         self._streams: dict[str, Rng] = {}

@@ -99,18 +99,6 @@ class DocsisTimingProfile:
 
 
 @dataclass
-class DocsisRequest:
-    flow_id: str
-    requested_bytes: int
-    target_slot: int = -1         # absolute contention slot index
-    delivered_at: int = -1
-
-    def __post_init__(self):
-        if self.requested_bytes < 0:
-            raise DocsisError("requested bytes must be >= 0")
-
-
-@dataclass
 class ServiceFlow:
     """One upstream service flow: a QoS class plus its CM-side queue."""
 
@@ -125,7 +113,7 @@ class ServiceFlow:
     queue: list = field(default_factory=list)
     queue_bytes: int = 0
     uncovered_bytes: int = 0      # queued bytes not yet requested or described
-    req: Optional[DocsisRequest] = None
+    req: Optional[int] = None     # absolute contention slot of the pending REQ
     backoff_window: int = 8
     # pipelined-mode suppression ledger: [egress_time, remaining_bytes]
     described: deque = field(default_factory=deque)
@@ -281,13 +269,11 @@ class Cmts:
     """Termination system: consumes REQs and reports, emits MAPs, takes egress."""
 
     def __init__(self, sim: Simulator, profile: DocsisTimingProfile,
-                 ledger: ChannelLedger, collector, *,
-                 lcg_differentiation: bool = False):
+                 ledger: ChannelLedger, collector):
         self.sim = sim
         self.profile = profile
         self.ledger = ledger
         self.collector = collector
-        self.lcg_differentiation = lcg_differentiation
         self.cm: Optional["Cm"] = None
         self.flows: dict[str, ServiceFlow] = {}
         self.req_fifo: list[tuple[int, int, str, int]] = []  # (delivered, seq, flow, bytes)
@@ -314,18 +300,12 @@ class Cmts:
         data_flow = self._data_flow_by_enb.get(report.enb_id)
         if data_flow is None:
             raise DocsisError(f"report from enb {report.enb_id} with no data flow")
-        if self.lcg_differentiation:
-            # One demand entry per nonzero block; lower LCG ids are placed
-            # first within the report-scheduled class.
-            for lcg_id, nbytes in sorted(report.blocks):
-                if nbytes > 0:
-                    self.bwr_fifo.append([self.sim.now, self._seq, lcg_id,
-                                          data_flow, report.egress_time, nbytes])
-                    self._seq += 1
-        else:
-            self.bwr_fifo.append([self.sim.now, self._seq, 0, data_flow,
-                                  report.egress_time, total])
-            self._seq += 1
+        # One demand entry per nonzero block (a bulk report has one, LCG 0).
+        for lcg_id, nbytes in sorted(report.blocks):
+            if nbytes > 0:
+                self.bwr_fifo.append([self.sim.now, self._seq, lcg_id,
+                                      data_flow, report.egress_time, nbytes])
+                self._seq += 1
 
     # -- MAP cycle ----------------------------------------------------------
 
@@ -341,40 +321,25 @@ class Cmts:
         for grant in ugs_grants:
             self._emit_grant(msg, grant)
 
-        # Report-scheduled grants go in first, at or after their egress time;
-        # with differentiation on, lower LCG ids within the class go first.
+        # Report-scheduled grants go in first, at or after their egress time,
+        # lower LCG ids first, each LCG in report order.
         pending = []
-        order = sorted(self.bwr_fifo, key=lambda e: (e[2], e[1])) \
-            if self.lcg_differentiation else self.bwr_fifo
-        for entry in order:
+        for entry in sorted(self.bwr_fifo, key=lambda e: (e[2], e[1])):
             arrival, seq, lcg, flow_id, egress, nbytes = entry
-            if arrival > cutoff or egress >= end:
-                pending.append(entry)
-                continue
-            placed = win.place(max(egress, start), nbytes, p.upstream_bps)
-            for gstart, gbytes in placed:
-                dur = serialization_us(gbytes, p.upstream_bps)
-                self._emit_grant(msg, Grant(flow_id, gstart, dur, gbytes, "bwr"))
-                entry[5] -= gbytes
+            if arrival <= cutoff and egress < end:
+                entry[5] = self._grant(msg, win, flow_id, max(egress, start),
+                                       nbytes, "bwr")
             if entry[5] > 0:
                 pending.append(entry)
-        pending.sort(key=lambda e: e[1])
         self.bwr_fifo = pending
 
         # Best-effort demand is served in request-delivery order.
         remaining_reqs = []
         for delivered, seq, flow_id, nbytes in self.req_fifo:
-            if delivered > cutoff or nbytes == 0:
+            if delivered <= cutoff:
+                nbytes = self._grant(msg, win, flow_id, start, nbytes, "be")
+            if nbytes > 0:
                 remaining_reqs.append((delivered, seq, flow_id, nbytes))
-                continue
-            placed = win.place(start, nbytes, p.upstream_bps)
-            left = nbytes
-            for gstart, gbytes in placed:
-                dur = serialization_us(gbytes, p.upstream_bps)
-                self._emit_grant(msg, Grant(flow_id, gstart, dur, gbytes, "be"))
-                left -= gbytes
-            if left > 0:
-                remaining_reqs.append((delivered, seq, flow_id, left))
         self.req_fifo = remaining_reqs
 
         cap = p.window_capacity_bytes()
@@ -393,6 +358,17 @@ class Cmts:
             raise DocsisError(f"MAP window [{start},{end}) overruns to {free_from}")
         self.cm.on_map(msg)
         self.sim.schedule_in(p.map_interval, PRIO_SCHED, self.map_cycle)
+
+    def _grant(self, msg: MapMessage, win: _Window, flow_id: str, min_start: int,
+               nbytes: int, kind: str) -> int:
+        """Grant up to nbytes of free window time at or after min_start;
+        returns the bytes left."""
+        bps = self.profile.upstream_bps
+        for gstart, gbytes in win.place(min_start, nbytes, bps):
+            self._emit_grant(msg, Grant(flow_id, gstart, serialization_us(gbytes, bps),
+                                        gbytes, kind))
+            nbytes -= gbytes
+        return nbytes
 
     def _emit_grant(self, msg: MapMessage, grant: Grant) -> None:
         msg.grants.append(grant)
@@ -464,8 +440,7 @@ class Cm:
         region = self._region_index_at_or_after(t)
         defer = self.rng.randbelow(flow.backoff_window)
         slots = self.profile.contention_slots
-        flow.req = DocsisRequest(flow.flow_id, 0,
-                                 target_slot=region * slots + defer)
+        flow.req = region * slots + defer
 
     def resolve_region(self, region_index: int) -> None:
         """End of a contention region: lone REQs deliver, others back off."""
@@ -473,20 +448,17 @@ class Cm:
         slots = p.contention_slots
         lo, hi = region_index * slots, (region_index + 1) * slots
         region_start = region_index * p.map_interval
-        contenders = [f for f in self.flows.values()
-                      if f.req is not None and lo <= f.req.target_slot < hi]
         by_slot: dict[int, list[ServiceFlow]] = {}
-        for f in contenders:
-            by_slot.setdefault(f.req.target_slot - lo, []).append(f)
+        for f in self.flows.values():
+            if f.req is not None and lo <= f.req < hi:
+                by_slot.setdefault(f.req - lo, []).append(f)
         for slot in sorted(by_slot):
             group = by_slot[slot]
             if len(group) == 1:
                 flow = group[0]
-                flow.req.requested_bytes = flow.uncovered_bytes
-                flow.req.delivered_at = region_start + slot * p.slot_duration
+                self.cmts.on_req_delivered(flow.flow_id, flow.uncovered_bytes,
+                                           region_start + slot * p.slot_duration)
                 flow.uncovered_bytes = 0
-                self.cmts.on_req_delivered(flow.flow_id, flow.req.requested_bytes,
-                                           flow.req.delivered_at)
                 self.collector.count("reqs_delivered", 1)
                 flow.req = None
                 flow.backoff_window = p.backoff_init
@@ -494,7 +466,7 @@ class Cm:
                 for flow in group:
                     flow.backoff_window = min(flow.backoff_window * 2, p.backoff_max)
                     defer = self.rng.randbelow(flow.backoff_window)
-                    flow.req.target_slot = (region_index + 1) * slots + defer
+                    flow.req = (region_index + 1) * slots + defer
                     self.collector.count("req_collisions", 1)
 
     def on_map(self, msg: MapMessage) -> None:

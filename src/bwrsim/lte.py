@@ -17,7 +17,7 @@ only. The eNB serves one transport block (one UE) per subframe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import MS, PRIO_CONTROL, PRIO_DATA, PRIO_SCHED, Rng, Simulator
@@ -135,19 +135,6 @@ class Packet:
         setattr(self, name, t)
 
 
-@dataclass
-class LteGrant:
-    """An uplink data allocation: issued now, transmitted grant_to_data later."""
-
-    ue_id: int
-    grant_bytes: int
-    lcg_bytes: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.grant_bytes <= 0:
-            raise LteError("data grant must carry a positive byte count")
-
-
 class HarqProcess:
     """One synchronous HARQ process: retransmissions exactly 8 ms apart."""
 
@@ -229,13 +216,13 @@ class Ue:
 
     # -- transmission -----------------------------------------------------
 
-    def transmit(self, grant: LteGrant) -> None:
+    def transmit(self, grant_bytes: int) -> None:
         """Fire an UL grant: drain buffers into one transport block."""
         t = self.sim.now
         self.pending_grants -= 1
-        chunks, lcg_bytes, total = self._drain(grant.grant_bytes)
+        chunks, lcg_bytes, total = self._drain(grant_bytes)
         if total == 0:
-            self.enb.collector.count("lte_grant_unused_bytes", grant.grant_bytes)
+            self.enb.collector.count("lte_grant_unused_bytes", grant_bytes)
             return
         self.sent_since_report += total
         # Buffer state rides along with the transport block (refreshed at
@@ -304,7 +291,7 @@ class Ue:
         if proc.attempt < self.enb.max_retx:
             proc.attempt += 1
             self.enb.note_retx(proc.lcg_bytes, proc.next_tx)
-            self.sim.schedule_at(proc.next_tx, PRIO_DATA, self._retransmit, proc)
+            self.sim.schedule_at(proc.next_tx, PRIO_DATA, self._attempt, proc, None)
             # The piggybacked buffer report still reaches the scheduler.
             if report is not None:
                 self.enb.on_bsr(self.ue_id, report)
@@ -320,9 +307,6 @@ class Ue:
                 self.enb.collector.count("dropped_packets", 1)
         if report is not None:
             self.enb.on_bsr(self.ue_id, report)
-
-    def _retransmit(self, proc: HarqProcess) -> None:
-        self._attempt(proc, None)
 
     # -- channel ----------------------------------------------------------
 
@@ -371,12 +355,10 @@ class Enb:
     def on_sr(self, ue_id: int) -> None:
         if ue_id not in self.ues:
             raise LteError(f"SR from unknown ue {ue_id}")
-        issue = self.sim.now + self.profile.sr_to_bsr_grant
-        self.sim.schedule_at(issue, PRIO_CONTROL, self._issue_bsr_grant, ue_id)
-
-    def _issue_bsr_grant(self, ue_id: int) -> None:
-        ue = self.ues[ue_id]
-        self.sim.schedule_in(self.profile.grant_to_bsr, PRIO_CONTROL, ue.emit_bsr)
+        # The BSR grant is issued sr_to_bsr_grant after the SR; the BSR it
+        # carries reaches the eNB grant_to_bsr later.
+        self.sim.schedule_in(self.profile.sr_to_bsr_grant + self.profile.grant_to_bsr,
+                             PRIO_CONTROL, self.ues[ue_id].emit_bsr)
 
     def on_bsr(self, ue_id: int, per_lcg: list[int]) -> None:
         """A buffer report arrived; it becomes schedulable after processing."""
@@ -439,17 +421,16 @@ class Enb:
             if left == 0:
                 break
         tx_time = t + self.profile.grant_to_data
-        grant = LteGrant(ue.ue_id, budget, lcg_bytes)
         ue.pending_grants += 1
         self.collector.count("lte_granted_bytes", budget)
-        self.sim.schedule_at(tx_time, PRIO_DATA, self._fire_grant, ue, grant)
+        self.sim.schedule_at(tx_time, PRIO_DATA, self._fire_grant, ue, budget, lcg_bytes)
         if self.bwr_emitter is not None:
             self.bwr_emitter.note_grant(lcg_bytes, tx_time + self.profile.enb_decode)
 
-    def _fire_grant(self, ue: Ue, grant: LteGrant) -> None:
-        for g, nbytes in grant.lcg_bytes.items():
+    def _fire_grant(self, ue: Ue, grant_bytes: int, lcg_bytes: dict[int, int]) -> None:
+        for g, nbytes in lcg_bytes.items():
             self.pending[ue.ue_id][g] = max(0, self.pending[ue.ue_id][g] - nbytes)
-        ue.transmit(grant)
+        ue.transmit(grant_bytes)
 
     def note_retx(self, lcg_bytes: dict[int, int], tx_time: int) -> None:
         """A failed block retransmits at a known future time; announce it."""

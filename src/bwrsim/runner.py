@@ -78,8 +78,7 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     ledger = ChannelLedger(cfg.duration_us)
     lte_profile = cfg.lte_profile()
     docsis_profile = cfg.docsis_profile()
-    cmts = Cmts(sim, docsis_profile, ledger, collector,
-                lcg_differentiation=cfg.bwr_per_lcg)
+    cmts = Cmts(sim, docsis_profile, ledger, collector)
     cm = Cm(sim, cmts, docsis_profile, collector, streams.stream("contention"),
             cfg.described_expiry_us)
     factory = PacketFactory(Packet)

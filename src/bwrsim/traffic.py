@@ -159,14 +159,13 @@ class TraceSource:
     """Replays a video trace from a randomized start offset, looping forever."""
 
     def __init__(self, sim: Simulator, factory: PacketFactory, ue, lcg: int,
-                 trace: VideoTrace, start_offset: int, mtu: int, t0: int = 0):
+                 trace: VideoTrace, start_offset: int, mtu: int):
         self.sim = sim
         self.factory = factory
         self.ue = ue
         self.lcg = lcg
         self.trace = trace
         self.mtu = mtu
-        self.t0 = t0
         self.start_offset = start_offset % trace.duration
         self._idx = 0
         self._loop = 0
@@ -180,7 +179,7 @@ class TraceSource:
 
     def _emission_time(self) -> int:
         off = self.trace.records[self._idx][0]
-        return self.t0 + self._loop * self.trace.duration + off - self.start_offset
+        return self._loop * self.trace.duration + off - self.start_offset
 
     def start(self) -> None:
         self.sim.schedule_at(self._emission_time(), PRIO_DATA, self._emit)

@@ -287,8 +287,8 @@ def test_c9e_codec_round_trip(capsys):
 
 def test_c9f_backoff_truncation(capsys):
     # sustained forced contention: windows must stay within the cap
-    from bwrsim.docsis import (BE, ChannelLedger, Cm, Cmts, DocsisRequest,
-                               DocsisTimingProfile, ServiceFlow)
+    from bwrsim.docsis import (BE, ChannelLedger, Cm, Cmts, DocsisTimingProfile,
+                               ServiceFlow)
     from bwrsim.core import Simulator, PRIO_SCHED
     from bwrsim.metrics import Collector
     sim = Simulator()
@@ -305,8 +305,7 @@ def test_c9f_backoff_truncation(capsys):
         for f in flows:
             if f.req is None:
                 f.uncovered_bytes = 60
-                f.req = DocsisRequest(f.flow_id, 0,
-                                      target_slot=region * 8 + cm.rng.randbelow(8))
+                f.req = region * 8 + cm.rng.randbelow(8)
         cm.resolve_region(region)
         overflow |= any(f.backoff_window > prof.backoff_max for f in flows)
     with capsys.disabled():

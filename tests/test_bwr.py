@@ -174,13 +174,12 @@ def test_emitter_per_lcg_blocks():
 
 # -- transport over the unsolicited flow ---------------------------------------
 
-def build_docsis(ugs_phase=0, lcg_differentiation=False):
+def build_docsis(ugs_phase=0):
     """A CMTS and modem with data and UGS flows; also returns every grant."""
     sim = Simulator()
     prof = DocsisTimingProfile()
     collector = Collector("bwr")
-    cmts = Cmts(sim, prof, ChannelLedger(10 * SEC), collector,
-                lcg_differentiation=lcg_differentiation)
+    cmts = Cmts(sim, prof, ChannelLedger(10 * SEC), collector)
     cm = Cm(sim, cmts, prof, collector, Rng(3))
     cm.add_flow(ServiceFlow("data", BE, owner_enb=1))
     cm.add_flow(ServiceFlow("ugs", UGS, owner_enb=1, grant_size_bytes=80,

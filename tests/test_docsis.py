@@ -3,21 +3,19 @@ import pytest
 
 from bwrsim.core import MS, PRIO_SCHED, SEC, Rng, Simulator
 from bwrsim.docsis import (BE, UGS, ChannelLedger, Cm, Cmts, DocsisError,
-                           DocsisRequest, DocsisTimingProfile, Grant, ServiceFlow,
-                           _Window, serialization_us)
+                           DocsisTimingProfile, Grant, ServiceFlow, _Window,
+                           serialization_us)
 from bwrsim.lte import Packet
 from bwrsim.metrics import Collector
 
 
-def build(profile=None, *, flows=("f1",), ugs=None, seed=3,
-          lcg_differentiation=False):
+def build(profile=None, *, flows=("f1",), ugs=None, seed=3):
     """A CMTS and modem with BE flows; also returns every MAP the modem gets."""
     sim = Simulator()
     prof = profile or DocsisTimingProfile()
     prof.validate()
     collector = Collector("baseline")
-    cmts = Cmts(sim, prof, ChannelLedger(10 * SEC), collector,
-                lcg_differentiation=lcg_differentiation)
+    cmts = Cmts(sim, prof, ChannelLedger(10 * SEC), collector)
     cm = Cm(sim, cmts, prof, collector, Rng(seed))
     for i, fid in enumerate(flows, start=1):
         cm.add_flow(ServiceFlow(fid, BE, owner_enb=i))
@@ -245,10 +243,10 @@ def test_forced_collision_doubles_windows():
     f1, f2 = cm.flows["f1"], cm.flows["f2"]
     for f in (f1, f2):
         f.uncovered_bytes = 60
-        f.req = DocsisRequest(f.flow_id, 0, target_slot=6 * 8 + 3)
+        f.req = 6 * 8 + 3
     cm.resolve_region(6)
     assert f1.backoff_window == 16 and f2.backoff_window == 16
-    assert f1.req.target_slot >= 7 * 8
+    assert f1.req >= 7 * 8
     assert collector.counters["req_collisions"] == 2
 
 
@@ -260,17 +258,27 @@ def test_backoff_truncates_and_resets():
     for round_no, region in enumerate(range(6, 12)):
         for f in (f1, f2):
             f.uncovered_bytes = 60
-            f.req = DocsisRequest(f.flow_id, 0, target_slot=region * 8)
+            f.req = region * 8
         cm.resolve_region(region)
         expected = min(8 * 2 ** (round_no + 1), 64)
         assert f1.backoff_window == expected
         assert f2.backoff_window == expected
     # a clean delivery resets the window to the initial value
-    f1.req = DocsisRequest("f1", 0, target_slot=20 * 8)
+    f1.req = 20 * 8
     f2.req = None
     cm.resolve_region(20)
     assert f1.req is None
     assert f1.backoff_window == cmts.profile.backoff_init
+
+
+def test_zero_byte_request_gets_no_grant_and_leaves_the_fifo():
+    sim, cmts, cm, collector, maps = build()
+    sim.run_until(10 * MS)
+    cmts.on_req_delivered("f1", 0, sim.now)
+    # the MAPs at 12 and 14 ms both come after the request's cutoff
+    sim.run_until(14 * MS)
+    assert cmts.req_fifo == []
+    assert [g for m in maps for g in m.grants] == []
 
 
 def enumeration_expected_singletons(n_flows, n_slots):
@@ -305,8 +313,7 @@ def test_contention_throughput_matches_enumeration():
         for f in cm.flows.values():
             f.backoff_window = 8
             f.uncovered_bytes = 60
-            f.req = DocsisRequest(f.flow_id, 0,
-                                  target_slot=region * 8 + rng.randbelow(8))
+            f.req = region * 8 + rng.randbelow(8)
         before = collector.counters.get("reqs_delivered", 0)
         cm.resolve_region(region)
         delivered_total += collector.counters.get("reqs_delivered", 0) - before
@@ -322,7 +329,7 @@ def test_contention_throughput_matches_enumeration():
 def test_lcg_differentiation_orders_blocks():
     from bwrsim.bwr import BWR_MODE_PER_LCG, BandwidthReport, encode_bwr
     prof = DocsisTimingProfile()
-    sim, cmts, cm, collector, maps = build(prof, lcg_differentiation=True)
+    sim, cmts, cm, collector, maps = build(prof)
     report = BandwidthReport(1, 0, 30 * MS,
                              ((0, 0), (1, 500), (2, 1500), (3, 0)),
                              BWR_MODE_PER_LCG)

@@ -205,3 +205,19 @@ def test_sleeping_subframe_tick_matches_ticking_every_subframe(monkeypatch, name
                 ticking = _outcome(cfg, mode)
             assert sleeping == ticking, (seed, mode)
             assert len(sleeping[0]) > 100
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("name", ["scenario1", "scenario2"])
+def test_lte_segment_is_the_same_in_both_modes(name, seed):
+    # BWR changes only the DOCSIS side: a packet retained in both modes has
+    # the same LTE-only latency, and nearly every packet pairs.
+    cfg = replace(preset(name), seed=seed, duration_us=1 * SEC)
+    base, bwr = (run_single(cfg, mode).collector.retained()
+                 for mode in ("baseline", "bwr"))
+    lte_base = {s.packet_id: s.lte_us for s in base}
+    paired = [(lte_base[s.packet_id], s.lte_us) for s in bwr
+              if s.packet_id in lte_base]
+    assert [p for p in paired if p[0] != p[1]] == []
+    assert len(paired) >= 0.99 * min(len(base), len(bwr))
+    assert len(paired) > 100

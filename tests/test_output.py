@@ -12,10 +12,11 @@ from bwrsim.metrics import Collector, LatencySample
 from bwrsim.runner import RunReport
 
 # sha256 of each file of `bwrsim run --preset P --mode both --seed 0
-# --duration-ms D`, with the out-dir in report.txt masked as "<out>"
-# (as bench/child.py does).
+# --duration-ms D [--config C]`, where C holds the config text of the key
+# (no --config when it is empty), with the out-dir in report.txt masked as
+# "<out>" (as bench/child.py does).
 PINNED = {
-    ("scenario2", 500): {
+    ("scenario2", 500, ""): {
         "cdf_docsis_baseline.csv": "c153795611c4c1b7e13a043a1f75025d8b3e4487c258db85aaf0af64b12c392d",
         "cdf_docsis_bwr.csv": "57e9c2b9eae4e8470191d110b190b8aaa83df3b91530d1d1c4e4764b3483d1ca",
         "cdf_e2e_baseline.csv": "7d563e6b9868d133b558ea358acc1cb9c61fbe2868905129cfb776f156e6a024",
@@ -25,7 +26,7 @@ PINNED = {
         "samples_baseline.csv": "87b179760316bad2d4478e65f11b11306059d6dfed802470c9f309ca480344eb",
         "samples_bwr.csv": "f510c2a36183564d84cd4d8bd953f99162271c4b2f210773cdfca2d3538a2b2b",
     },
-    ("scenario1", 1000): {
+    ("scenario1", 1000, ""): {
         "cdf_docsis_baseline.csv": "5e27d50db52313b22c996ce0343cc2f79e0da8c11bc55cf95253f759e0124eb6",
         "cdf_docsis_bwr.csv": "585c92d207ee29941fca19318ead3574e10a48bf120df1ee53a7c2720f0b77c1",
         "cdf_e2e_baseline.csv": "6d6941d0a4337cf06fb9da3c2617caccda1e0355df9074cf4c05b0e34979a905",
@@ -35,21 +36,54 @@ PINNED = {
         "samples_baseline.csv": "796370b9c6aea5fd1c0d6361b837a2e1d231cec1a69b2db972ff391e5ae117e1",
         "samples_bwr.csv": "c481a1914575e2d2ecf26f3496f0f56797134ed35866bb1c4da84154fa1748a2",
     },
+    # per-LCG reports and HARQ retransmissions
+    ("scenario2", 500, "[enb]\nbwr_per_lcg = on\n[lte-system]\nharq_bler = 0.5\n"): {
+        "cdf_docsis_baseline.csv": "93b95862b9fcb3c69ddb87ed21c535168fb7717960de9597594b3b110897e3f2",
+        "cdf_docsis_bwr.csv": "7c56efd4aaf9fd849ae360dbdd582fe83dacf2c038c9922bfa71b050e7e0a18d",
+        "cdf_e2e_baseline.csv": "8eb280ca426166302cc0884d8f8827e92593a7d08e80dcc79ca3fd500f261837",
+        "cdf_e2e_bwr.csv": "15547de958b4012d10ebb25c3991b964501b4949c3e61ef94bfb7eae7d4f341b",
+        "deltas.csv": "50df53496471f50fb7cb8b8c0aaf29a70cd066c5836f41042ca025dda0d2afdc",
+        "report.txt": "ecf0d25c6ce03c144ac075e95ba9cd64df0096a4df6ce6a0b05a5bc1580659b9",
+        "samples_baseline.csv": "88a19477f643a65d6d884b2df136d50de2fb0055bc2677c620297f45c2e99b3a",
+        "samples_bwr.csv": "c58610755fa6b50620d0d812d55cd36c8e626958e4ff044785e29c19102fee73",
+    },
+    # HARQ off: each transport block decodes once
+    ("scenario1", 1000, "[lte-system]\nharq = off\n"): {
+        "cdf_docsis_baseline.csv": "beea7ff74543fbcc132751617da183f831121f0c4ac23fab28e9ef0260440099",
+        "cdf_docsis_bwr.csv": "39faefa72aa255d4ff27302fc0a8822bff522d90e9f7981bbae4d9e9edea3502",
+        "cdf_e2e_baseline.csv": "527a44dd7d09217300cdc6f3af53a2a06537dbfe0c7ff6c659a9c2db3fce15c5",
+        "cdf_e2e_bwr.csv": "3622018c11c84bc22ee39c30698d90c6a9fd5c1d6392a39f4df9a42ebc003093",
+        "deltas.csv": "74c52083d4f9e13042253bacbbacfc664c6ddde7d1914ed0a4576d1b647c39b0",
+        "report.txt": "09a1d6e56904d13cba2d13f722d3eed9f54641b1860730718d842334b50c24c6",
+        "samples_baseline.csv": "8fa9cb72d1f3c44405151034b5f292da24ee998e21b3bc774fa219c6ad297dc6",
+        "samples_bwr.csv": "e6c57ccfc5c906b1def4de15f89a5343d83c1dd774410285aa7958e8c77585a0",
+    },
 }
 
 
-@pytest.mark.parametrize("name, duration_ms", list(PINNED))
-def test_output_files_are_pinned(tmp_path, capsys, name, duration_ms):
+def _pinned_id(name, duration_ms, config):
+    settings = [line.replace(" ", "") for line in config.splitlines() if "=" in line]
+    return "-".join([name, str(duration_ms), *settings])
+
+
+@pytest.mark.parametrize("name, duration_ms, config",
+                         [pytest.param(*key, id=_pinned_id(*key)) for key in PINNED])
+def test_output_files_are_pinned(tmp_path, capsys, name, duration_ms, config):
     out = tmp_path / "out"
-    assert main(["run", "--preset", name, "--mode", "both", "--seed", "0",
-                 "--duration-ms", str(duration_ms), "--out-dir", str(out)]) == 0
+    argv = ["run", "--preset", name, "--mode", "both", "--seed", "0",
+            "--duration-ms", str(duration_ms), "--out-dir", str(out)]
+    if config:
+        path = tmp_path / "extra.cfg"
+        path.write_text(config, encoding="utf-8")
+        argv += ["--config", str(path)]
+    assert main(argv) == 0
     digests = {}
     for path in sorted(out.iterdir()):
         data = path.read_bytes()
         if path.name == "report.txt":
             data = data.replace(str(out).encode(), b"<out>")
         digests[path.name] = hashlib.sha256(data).hexdigest()
-    assert digests == PINNED[(name, duration_ms)]
+    assert digests == PINNED[(name, duration_ms, config)]
 
 
 def test_report_is_rendered_once_and_printed_as_written(tmp_path, capsys,
