@@ -195,6 +195,10 @@ class SimConfig:
             raise ConfigError("voip parameters must be positive")
         if self.video_rate_bps <= 0 or self.video_frame_period_us <= 0:
             raise ConfigError("video parameters must be positive")
+        if (self.traffic_case == "video" and self.trace_path is None
+                and self.trace_duration_us < self.video_frame_period_us):
+            raise ConfigError(f"trace_duration_us = {self.trace_duration_us}: shorter than "
+                              f"video_frame_period_us = {self.video_frame_period_us}")
         if self.video_burstiness < 0:
             raise ConfigError("burstiness must be >= 0")
         if docsis.region_duration > docsis.map_interval:

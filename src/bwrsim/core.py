@@ -20,7 +20,6 @@ PRIO_CONTROL = 0   # control-plane deliveries: SR, BSR, BWR, demand updates
 PRIO_SCHED = 1     # periodic scheduler ticks: eNB subframe, CMTS MAP cycle
 PRIO_DATA = 2      # data-plane arrivals: TB decode, CM ingress
 PRIO_SERVICE = 3   # channel service: granted transmissions leave the CM
-PRIO_METRICS = 4   # sampling and end-of-pipeline bookkeeping
 
 
 class SimError(Exception):

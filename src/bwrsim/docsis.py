@@ -20,8 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import (MS, PRIO_CONTROL, PRIO_SCHED, PRIO_SERVICE, PRIO_METRICS,
-                   Rng, Simulator)
+from .core import MS, PRIO_CONTROL, PRIO_SCHED, PRIO_SERVICE, Rng, Simulator
 from .bwr import decode_bwr
 
 BE = "be"
@@ -157,8 +156,7 @@ class MapMessage:
 
     window_start: int
     window_end: int
-    region_start: int
-    region_duration: int
+    region_duration: int       # the contention region opens the window
     grants: list[Grant] = field(default_factory=list)
 
     def granted_bytes(self) -> int:
@@ -166,7 +164,8 @@ class MapMessage:
 
 
 class ChannelLedger:
-    """Running per-kind totals of the bytes granted before the end of a run."""
+    """Running per-kind totals of the bytes granted before the end of a run,
+    which is also the last instant a packet may egress."""
 
     def __init__(self, end: int):
         self.end = end
@@ -314,7 +313,7 @@ class Cmts:
         p = self.profile
         start = t + p.maps_in_advance * p.map_interval
         end = start + p.map_interval
-        msg = MapMessage(start, end, start, p.region_duration)
+        msg = MapMessage(start, end, p.region_duration)
         cutoff = t - p.cmts_proc
 
         win, ugs_grants = open_window(start, p, self.flows.values())
@@ -412,7 +411,7 @@ class Cm:
         flow = self.flows.get(flow_id)
         if flow is None:
             raise DocsisError(f"unknown service flow {flow_id}")
-        for pkt, nbytes, _completes in chunks:
+        for pkt, nbytes in chunks:
             flow.queue.append([pkt, nbytes])
             flow.queue_bytes += nbytes
             pkt.cm_received += nbytes
@@ -471,7 +470,7 @@ class Cm:
 
     def on_map(self, msg: MapMessage) -> None:
         region_index = msg.window_start // self.profile.map_interval
-        self.sim.schedule_at(msg.region_start + msg.region_duration, PRIO_CONTROL,
+        self.sim.schedule_at(msg.window_start + msg.region_duration, PRIO_CONTROL,
                              self.resolve_region, region_index)
 
     # -- transmission -----------------------------------------------------------
@@ -501,6 +500,7 @@ class Cm:
 
     def _transmit_data(self, grant: Grant) -> None:
         p = self.profile
+        end = self.cmts.ledger.end
         flow = self.flows[grant.flow_id]
         budget = grant.nbytes
         sent = 0
@@ -515,12 +515,11 @@ class Cm:
             pkt.docsis_egressed += take
             if entry[1] == 0:
                 flow.queue.pop(0)
-            completion = (grant.start + p.propagation + p.cm_framing
-                          + serialization_us(sent, p.upstream_bps))
-            if (pkt.docsis_egressed == pkt.size_bytes
-                    and pkt.cm_received == pkt.size_bytes):
-                self.sim.schedule_at(completion, PRIO_METRICS,
-                                     self.cmts.on_packet_egress, pkt, completion)
+            if pkt.docsis_egressed == pkt.size_bytes:     # its last byte
+                completion = (grant.start + p.propagation + p.cm_framing
+                              + serialization_us(sent, p.upstream_bps))
+                if completion <= end:
+                    self.cmts.on_packet_egress(pkt, completion)
         wasted = grant.nbytes - sent
         if wasted > 0:
             self.collector.count(f"wasted_{grant.kind}_grant_bytes", wasted)

@@ -146,7 +146,7 @@ class HarqProcess:
         self.tb_bytes = tb_bytes
         self.attempt = 0
         self.next_tx = first_tx
-        self.chunks = chunks          # [(packet, nbytes, completes_packet)]
+        self.chunks = chunks          # [(packet, nbytes)]
         self.lcg_bytes = lcg_bytes
 
 
@@ -262,10 +262,9 @@ class Ue:
                 total += take
                 self.buffer_bytes[lcg] -= take
                 lcg_bytes[lcg] = lcg_bytes.get(lcg, 0) + take
-                completes = entry[1] == 0
-                chunks.append((entry[0], take, completes))
+                chunks.append((entry[0], take))
                 entry[0].ue_remaining -= take
-                if completes:
+                if entry[1] == 0:
                     queue.pop(0)
             if budget == 0:
                 break
@@ -301,7 +300,7 @@ class Ue:
         self.enb.collector.record_tb(attempts=proc.attempt + 1, success=False)
         self.enb.collector.count("lte_inflight_bytes", -proc.tb_bytes)
         self.enb.collector.count("harq_dropped_bytes", proc.tb_bytes)
-        for pkt, nbytes, _ in proc.chunks:
+        for pkt, _ in proc.chunks:
             if not pkt.dropped:
                 pkt.dropped = True
                 self.enb.collector.count("dropped_packets", 1)
@@ -447,7 +446,7 @@ class Enb:
         t = self.sim.now
         self.collector.count("lte_inflight_bytes", -total)
         self.collector.count("lte_egressed_bytes", total)
-        for pkt, nbytes, _completes in chunks:
+        for pkt, nbytes in chunks:
             pkt.lte_delivered += nbytes
             if pkt.lte_delivered == pkt.size_bytes:
                 pkt.set_stage("enb_egress", t)

@@ -27,9 +27,6 @@ class LatencySample:
     lte_us: int
     docsis_us: int
 
-    def value(self, segment: str) -> int:
-        return getattr(self, f"{segment}_us")
-
 
 @dataclass(frozen=True)
 class Summary:
@@ -52,26 +49,25 @@ class Summary:
 
 
 class Collector:
-    """Run-scoped sink for samples, counters, and transport-block records."""
+    """Run-scoped sink for counters, transport-block totals, and the samples
+    of packets that arrived after the warm-up (all else stays bounded)."""
 
     def __init__(self, mode: str, warmup_us: int = 0):
         self.mode = mode
         self.warmup_us = warmup_us
         self.samples: list[LatencySample] = []
         self.counters: dict[str, int] = {}
-        self.tb_records: list[tuple[int, bool]] = []   # (attempts, success)
-        self._seen_packets: set[int] = set()
+        self.tb_blocks = 0
+        self.tb_carried = 0.0     # running sum of 1/attempts over carried blocks
 
     def count(self, key: str, delta: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + delta
 
     def record_tb(self, *, attempts: int, success: bool) -> None:
-        self.tb_records.append((attempts, success))
+        self.tb_blocks += 1
+        self.tb_carried += (1.0 / attempts) if success else 0.0
 
     def record_egress(self, pkt) -> None:
-        if pkt.id in self._seen_packets:
-            raise MetricsError(f"duplicate egress for packet {pkt.id}")
-        self._seen_packets.add(pkt.id)
         if pkt.dropped:
             return
         e2e = pkt.cmts_egress - pkt.ue_arrival
@@ -81,13 +77,14 @@ class Collector:
             raise MetricsError(f"inconsistent stage times on packet {pkt.id}")
         self.count("docsis_egressed_bytes", pkt.size_bytes)
         self.count("egressed_packets", 1)
-        self.samples.append(LatencySample(
-            pkt.id, pkt.ue_id, pkt.enb_id, pkt.traffic_class, self.mode,
-            pkt.ue_arrival, e2e, lte, doc))
+        if pkt.ue_arrival >= self.warmup_us:
+            self.samples.append(LatencySample(
+                pkt.id, pkt.ue_id, pkt.enb_id, pkt.traffic_class, self.mode,
+                pkt.ue_arrival, e2e, lte, doc))
 
     def retained(self) -> list[LatencySample]:
-        """Samples past the warm-up window (by packet arrival time)."""
-        return [s for s in self.samples if s.arrival_us >= self.warmup_us]
+        """Samples past the warm-up window (by packet arrival time), not a copy."""
+        return self.samples
 
     def mean_tb_grant_utilization(self) -> float:
         """Per-block mean of (carried attempts / granted attempts).
@@ -95,10 +92,9 @@ class Collector:
         Each attempt consumes one equal-size grant; only a successful block
         carries data, on exactly one attempt. Exhausted blocks contribute 0.
         """
-        if not self.tb_records:
+        if not self.tb_blocks:
             raise MetricsError("no transport blocks recorded")
-        return sum((1.0 / attempts) if success else 0.0
-                   for attempts, success in self.tb_records) / len(self.tb_records)
+        return self.tb_carried / self.tb_blocks
 
 
 def summarize(samples: list[LatencySample], segment: str) -> Summary:

@@ -11,7 +11,7 @@ from typing import Optional
 
 from . import metrics
 from .bwr import BwrEmitter, encode_bwr
-from .config import SimConfig
+from .config import ConfigError, SimConfig
 from .core import PRIO_CONTROL, PRIO_SCHED, RngStreams, Simulator, derive_seed
 from .docsis import BE, UGS, ChannelLedger, Cm, Cmts, ServiceFlow
 from .lte import Enb, Packet, SUBFRAME_US, SubframeTick, Ue
@@ -39,7 +39,6 @@ class SimRun:
     cm: Cm
     enbs: list[Enb]
     ues: list[Ue]
-    factory: PacketFactory
 
     def eut_samples(self):
         return [s for s in self.collector.retained() if s.enb_id == self.cfg.eut_enb]
@@ -61,7 +60,10 @@ class SimRun:
 
 def _build_trace(cfg: SimConfig) -> VideoTrace:
     if cfg.trace_path is not None:
-        return read_trace(cfg.trace_path)
+        try:
+            return read_trace(cfg.trace_path)
+        except ValueError as exc:             # TrafficError or a bad number
+            raise ConfigError(f"trace_path = {cfg.trace_path}: {exc}") from exc
     return synth_video(cfg.video_rate_bps, cfg.video_frame_period_us,
                        cfg.video_burstiness, derive_seed(cfg.seed, "trace"),
                        cfg.trace_duration_us)
@@ -150,7 +152,7 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     subframes.wake(0)
     sim.schedule_at(0, PRIO_SCHED, cmts.map_cycle)
     sim.run_until(cfg.duration_us)
-    return SimRun(cfg, mode, sim, collector, ledger, cmts, cm, enbs, ues, factory)
+    return SimRun(cfg, mode, sim, collector, ledger, cmts, cm, enbs, ues)
 
 
 def paired_deltas(base: SimRun, bwr: SimRun, segment: str = "docsis"):

@@ -17,7 +17,7 @@ from .core import MS, PRIO_DATA, Rng, Simulator
 TRACE_HEADER = "#bwr-trace v1"
 
 
-class TrafficError(Exception):
+class TrafficError(ValueError):
     pass
 
 

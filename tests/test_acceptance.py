@@ -7,6 +7,7 @@ inside the per-run wall-time budget it asserts.
 
 import bisect
 import time
+from operator import attrgetter
 
 import pytest
 
@@ -139,8 +140,9 @@ def test_c6_bwr_overhead(capsys):
 
 
 def _ecdf_dominates(winner, loser, segment="docsis"):
-    wv = sorted(s.value(segment) for s in winner)
-    lv = sorted(s.value(segment) for s in loser)
+    value = attrgetter(f"{segment}_us")
+    wv = sorted(map(value, winner))
+    lv = sorted(map(value, loser))
     for x in sorted(set(wv) | set(lv)):
         if bisect.bisect_right(wv, x) / len(wv) < bisect.bisect_right(lv, x) / len(lv):
             return False
@@ -179,7 +181,7 @@ def test_c8_wasted_grant_convergence(capsys):
     cfg = preset("scenario1")
     cfg.duration_us = 80 * SEC                 # ~24k transport blocks
     run = run_single(cfg, "bwr")
-    blocks = len(run.collector.tb_records)
+    blocks = run.collector.tb_blocks
     util = run.collector.mean_tb_grant_utilization()
     target = 1 - harq_grant_utilization(4, 0.1)
     ok = blocks >= 10_000 and abs((1 - util) - target) <= 0.01
@@ -242,7 +244,7 @@ def test_c9c_byte_conservation(scenario1_pair, scenario2_runs, capsys):
 def _map_overlaps(m) -> bool:
     """True when a MAP's reservations overlap or leave its window. Windows
     are disjoint, so no MAP doing so means no channel overlap at all."""
-    spans = sorted([(m.region_start, m.region_start + m.region_duration)]
+    spans = sorted([(m.window_start, m.window_start + m.region_duration)]
                    + [(g.start, g.start + g.duration) for g in m.grants])
     ends = [m.window_start] + [e for _, e in spans]
     return any(s < e for (s, _), e in zip(spans, ends)) or ends[-1] > m.window_end

@@ -241,7 +241,7 @@ def test_just_in_time_grant_at_egress():
     cm.forward_report("ugs", encode_bwr(report(egress=20 * MS)))
     sim.run_until(20 * MS)
     pkt.lte_delivered = 300
-    cm.enqueue_chunks("data", [(pkt, 300, True)], sim.now)
+    cm.enqueue_chunks("data", [(pkt, 300)], sim.now)
     assert cm.flows["data"].req is None          # described bytes, no REQ
     sim.run_until(30 * MS)
     bwr_grants = [g for g in grants if g.kind == "bwr"]
@@ -284,7 +284,7 @@ def test_harq_failure_wastes_grant_data_rides_fresh_report():
     pkt = Packet(0, 1, 1, 300, 1, "voip")
     pkt.set_stage("ue_arrival", 0)
     pkt.lte_delivered = 300
-    cm.enqueue_chunks("data", [(pkt, 300, True)], sim.now)
+    cm.enqueue_chunks("data", [(pkt, 300)], sim.now)
     assert cm.flows["data"].req is None          # described credit still held
     sim.run_until(36 * MS)
     assert len(collector.samples) == 1
@@ -299,5 +299,5 @@ def test_described_credit_expires():
     pkt = Packet(0, 1, 1, 300, 1, "voip")
     pkt.set_stage("ue_arrival", 0)
     pkt.lte_delivered = 300
-    cm.enqueue_chunks("data", [(pkt, 300, True)], sim.now)
+    cm.enqueue_chunks("data", [(pkt, 300)], sim.now)
     assert cm.flows["data"].req is not None      # credit gone, REQ armed

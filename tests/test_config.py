@@ -289,6 +289,37 @@ def test_cli_timing_profile_error_exit_code(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_synthetic_trace_shorter_than_a_frame_rejected(tmp_path):
+    f = tmp_path / "short.cfg"
+    f.write_text("[traffic]\ncase = video\ntrace_duration_ms = 10\n")
+    with pytest.raises(ConfigError, match="trace_duration_us = 10000"):
+        parse_config(str(f))
+    # a trace file or VoIP traffic does not use the synthetic trace
+    SimConfig(traffic_case="video", trace_duration_us=10 * MS,
+              trace_path=str(f)).validate()
+    SimConfig(traffic_case="voip", trace_duration_us=10 * MS).validate()
+
+
+def test_cli_malformed_trace_file_exit_code(tmp_path, capsys):
+    trace = tmp_path / "bad.trace"
+    trace.write_text("#bwr-trace v1\n0,1000\n33,1000\n33,1000\n")
+    f = tmp_path / "bad.cfg"
+    f.write_text(f"[traffic]\ncase = video\ntrace_path = {trace}\n")
+    assert main(["run", "--preset", "scenario2", "--config", str(f),
+                 "--duration-ms", "300", "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bwrsim: error: trace_path = {trace}: ")
+    assert err.count("\n") == 1
+
+
+def test_cli_synth_trace_zero_frame_period_exit_code(tmp_path, capsys):
+    assert main(["synth-trace", "--rate-kbps", "1000", "--duration-ms", "1000",
+                 "--frame-period-ms", "0", "--out", str(tmp_path / "x.trace")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bwrsim: error: ")
+    assert err.count("\n") == 1
+
+
 def test_cli_harq_timing_error_exit_code(tmp_path, capsys):
     f = tmp_path / "bad.cfg"
     f.write_text("[lte-system]\ngrant_to_data_ms = 8\n")

@@ -5,17 +5,17 @@ from bwrsim.core import MS, PRIO_SCHED, SEC, Rng, Simulator
 from bwrsim.docsis import (BE, UGS, ChannelLedger, Cm, Cmts, DocsisError,
                            DocsisTimingProfile, Grant, ServiceFlow, _Window,
                            serialization_us)
-from bwrsim.lte import Packet
+from bwrsim.lte import LteError, Packet
 from bwrsim.metrics import Collector
 
 
-def build(profile=None, *, flows=("f1",), ugs=None, seed=3):
+def build(profile=None, *, flows=("f1",), ugs=None, seed=3, end=10 * SEC):
     """A CMTS and modem with BE flows; also returns every MAP the modem gets."""
     sim = Simulator()
     prof = profile or DocsisTimingProfile()
     prof.validate()
     collector = Collector("baseline")
-    cmts = Cmts(sim, prof, ChannelLedger(10 * SEC), collector)
+    cmts = Cmts(sim, prof, ChannelLedger(end), collector)
     cm = Cm(sim, cmts, prof, collector, Rng(seed))
     for i, fid in enumerate(flows, start=1):
         cm.add_flow(ServiceFlow(fid, BE, owner_enb=i))
@@ -39,7 +39,7 @@ def grants_of(maps, kind):
 
 def map_overlaps(m) -> bool:
     """True when a MAP's reservations overlap or leave its window."""
-    spans = sorted([(m.region_start, m.region_start + m.region_duration)]
+    spans = sorted([(m.window_start, m.window_start + m.region_duration)]
                    + [(g.start, g.start + g.duration) for g in m.grants])
     ends = [m.window_start] + [e for _, e in spans]
     return any(s < e for (s, _), e in zip(spans, ends)) or ends[-1] > m.window_end
@@ -55,7 +55,7 @@ def packet(pid, size=60, ue=1, enb=1):
 def inject(sim, cm, fid, pkt, t):
     """Deliver a whole packet to the modem at time t."""
     sim.run_until(t)
-    cm.enqueue_chunks(fid, [(pkt, pkt.size_bytes, True)], t)
+    cm.enqueue_chunks(fid, [(pkt, pkt.size_bytes)], t)
 
 
 def test_serialization_arithmetic():
@@ -118,7 +118,7 @@ def test_ugs_flow_never_requests():
                       grant_phase=MS)
     sim, cmts, cm, collector, maps = build(ugs=ugs)
     sim.run_until(5 * MS)
-    cm.enqueue_chunks("ugs1", [(packet(0), 60, True)], sim.now)
+    cm.enqueue_chunks("ugs1", [(packet(0), 60)], sim.now)
     assert cm.flows["ugs1"].req is None
     sim.run_until(20 * MS)
     assert cm.flows["ugs1"].req is None
@@ -162,9 +162,23 @@ def test_duplicate_egress_rejected():
     pkt = packet(0)
     inject(sim, cm, "f1", pkt, 18 * MS)
     sim.run_until(40 * MS)
-    from bwrsim.metrics import MetricsError
-    with pytest.raises(MetricsError):
-        collector.record_egress(pkt)
+    assert collector.counters["egressed_packets"] == 1
+    with pytest.raises(LteError):
+        cmts.on_packet_egress(pkt, sim.now)
+    assert collector.counters["egressed_packets"] == 1
+
+
+@pytest.mark.parametrize("end, sampled", [(23_245, True), (23_244, False)])
+def test_egress_cut_off_at_the_end_of_the_run(end, sampled):
+    # the last byte completes at 18 ms + 5245 us; the packet egresses at its
+    # grant when that is no later than the ledger's end, the run's last instant
+    sim, cmts, cm, collector, maps = build(end=end)
+    pkt = packet(0)
+    inject(sim, cm, "f1", pkt, 18 * MS)
+    sim.run_until(end)
+    assert collector.counters.get("docsis_sent_bytes") == 60
+    assert len(collector.samples) == collector.counters.get("egressed_packets", 0) == sampled
+    assert pkt.cmts_egress == (23_245 if sampled else -1)
 
 
 def test_work_conservation_single_backlogged_flow():
@@ -173,7 +187,7 @@ def test_work_conservation_single_backlogged_flow():
     sim, cmts, cm, collector, maps = build()
     sim.run_until(10 * MS)
     big = packet(0, size=200_000)
-    cm.enqueue_chunks("f1", [(big, 200_000, True)], sim.now)
+    cm.enqueue_chunks("f1", [(big, 200_000)], sim.now)
     sim.run_until(40 * MS)
     prof = cmts.profile
     cap = prof.window_capacity_bytes()
@@ -205,7 +219,7 @@ def test_grants_never_overlap_contention_region():
         inject(sim, cm, "f1", packet(i, size=3000), 10 * MS + i * 500)
     sim.run_until(60 * MS)
     for m in maps:
-        r0, r1 = m.region_start, m.region_start + m.region_duration
+        r0, r1 = m.window_start, m.window_start + m.region_duration
         for g in m.grants:
             assert g.start + g.duration <= r0 or g.start >= r1
 

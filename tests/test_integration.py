@@ -23,7 +23,8 @@ def test_no_requests_when_everything_is_described():
 
 def test_high_bler_drops_are_counted_and_excluded():
     cfg = SimConfig(enb_count=1, ues_per_enb=6, traffic_case="voip",
-                    harq_enabled=True, harq_bler=0.6, duration_us=1 * SEC)
+                    harq_enabled=True, harq_bler=0.6, duration_us=1 * SEC,
+                    warmup_us=0)
     run = run_single(cfg, "baseline")
     c = run.collector.counters
     # 0.6^5 ~ 7.8% of blocks exhaust all five attempts
@@ -160,11 +161,12 @@ def test_ugs_occupancy_counts_grants_before_the_end(monkeypatch, phase_us,
 
 
 def _container_sizes(run):
-    pending = {"req_fifo", "bwr_fifo"}    # demand not yet granted
+    exempt = {"req_fifo", "bwr_fifo",     # demand not yet granted
+              "samples"}                  # the result: one per retained packet
     sizes = {}
-    for owner in ("cmts", "cm", "ledger"):
+    for owner in ("cmts", "cm", "ledger", "collector"):
         for attr, value in vars(getattr(run, owner)).items():
-            if attr not in pending and isinstance(value, (list, dict, set, tuple)):
+            if attr not in exempt and isinstance(value, (list, dict, set, tuple)):
                 sizes[f"{owner}.{attr}"] = len(value)
     return sizes
 
@@ -183,7 +185,7 @@ def test_docsis_state_does_not_grow_with_simulated_time():
 def _outcome(cfg, mode):
     run = run_single(cfg, mode)
     c = run.collector
-    return c.retained(), c.counters, c.tb_records
+    return c.retained(), c.counters, c.tb_blocks, c.tb_carried
 
 
 @pytest.mark.parametrize("overrides", [

@@ -364,7 +364,7 @@ def test_bler_zero_first_attempt_success():
     enb = make_enb(sim, harq=True, bler=0.0)
     ue = make_ue(sim, enb)
     sink = []
-    enb.egress_sink = lambda chunks, t: sink.append((t, sum(n for _, n, _ in chunks)))
+    enb.egress_sink = lambda chunks, t: sink.append((t, sum(n for _, n in chunks)))
     drive_one_tb(sim, enb, ue)
     assert sink == [(23 * MS, 600)]
     assert enb.collector.tb_records == [(1, True)]
@@ -443,7 +443,7 @@ def test_byte_conservation_through_ladder():
         t += MS
         sim.run_until(t)
     c = enb.collector.counters
-    egressed = sum(n for _, n, _ in chunks_out)
+    egressed = sum(n for _, n in chunks_out)
     assert c["admitted_bytes"] == (egressed + sum(ue.buffer_bytes)
                                    + c.get("lte_inflight_bytes", 0)
                                    + c.get("harq_dropped_bytes", 0))

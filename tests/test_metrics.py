@@ -2,7 +2,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bwrsim.lte import Packet
+from bwrsim.core import SEC, Simulator
+from bwrsim.docsis import ChannelLedger, Cmts, DocsisTimingProfile
+from bwrsim.lte import LteError, Packet
 from bwrsim.metrics import (Collector, LatencySample, MetricsError,
                             bwr_overhead_bps, cdf, grant_utilization,
                             summarize, write_cdf_csv, write_samples_csv)
@@ -108,12 +110,15 @@ def test_segment_additivity_enforced():
 
 
 def test_duplicate_packet_rejected():
+    # a second egress fails on the stage stamp, before the collector sees it
     collector = Collector("baseline")
+    cmts = Cmts(Simulator(), DocsisTimingProfile(), ChannelLedger(SEC), collector)
     p = Packet(1, 1, 1, 60, 1, "voip")
-    p.ue_arrival, p.cm_arrival, p.cmts_egress = 0, 20_000, 25_245
-    collector.record_egress(p)
-    with pytest.raises(MetricsError):
-        collector.record_egress(p)
+    p.ue_arrival, p.cm_arrival = 0, 20_000
+    cmts.on_packet_egress(p, 25_245)
+    with pytest.raises(LteError):
+        cmts.on_packet_egress(p, 25_245)
+    assert len(collector.samples) == collector.counters["egressed_packets"] == 1
 
 
 def test_dropped_packet_not_sampled():
@@ -126,10 +131,15 @@ def test_dropped_packet_not_sampled():
 
 
 def test_warmup_exclusion():
+    # every egress is counted; only packets arriving after the warm-up are kept
     collector = Collector("baseline", warmup_us=100_000)
     for arrival in (0, 99_999, 100_000, 150_000):
-        collector.samples.append(sample(arrival, arrival=arrival))
+        p = Packet(arrival, 1, 1, 60, 1, "voip")
+        p.ue_arrival, p.cm_arrival, p.cmts_egress = arrival, arrival + 1, arrival + 2
+        collector.record_egress(p)
     assert [s.arrival_us for s in collector.retained()] == [100_000, 150_000]
+    assert collector.retained() is collector.samples
+    assert collector.counters["egressed_packets"] == 4
 
 
 def test_grant_utilization_values():
