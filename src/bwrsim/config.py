@@ -15,8 +15,9 @@ from typing import Optional
 
 from .core import MS, SEC
 from .bwr import BWR_FRAME_BYTES
-from .docsis import UGS, DocsisError, DocsisTimingProfile, ServiceFlow, open_window
-from .lte import HARQ_RTT_US, LteError, LteTimingProfile, MCS_MIN, MCS_MAX
+from .docsis import UGS, DocsisError, ServiceFlow, open_window, region_duration
+from .lte import HARQ_RTT_US, MCS_MIN, MCS_MAX, SUBFRAME_US
+from .traffic import read_trace
 
 MODES = ("baseline", "bwr", "both")
 TRAFFIC_CASES = ("voip", "video")
@@ -26,24 +27,8 @@ class ConfigError(Exception):
     pass
 
 
-# Timing-profile field -> the SimConfig field that sets it.
-_LTE_PROFILE = {
-    "sr_period": "sr_period_us", "sr_encode": "sr_encode_us",
-    "sr_to_bsr_grant": "sr_to_bsr_grant_us", "grant_to_bsr": "grant_to_bsr_us",
-    "bsr_to_data_grant": "bsr_to_data_grant_us", "grant_to_data": "grant_to_data_us",
-    "enb_decode": "enb_decode_us", "bsr_period": "bsr_period_us",
-}
-_DOCSIS_PROFILE = {
-    "map_interval": "map_interval_us", "maps_in_advance": "maps_in_advance",
-    "cmts_proc": "cmts_proc_us", "cm_proc": "cm_proc_us",
-    "cm_framing": "cm_framing_us", "contention_slots": "contention_slots",
-    "slot_bytes": "slot_bytes", "upstream_bps": "upstream_bps",
-    "backoff_init": "backoff_init", "backoff_max": "backoff_max",
-    "propagation": "propagation_us",
-}
-
-
-@dataclass
+# Slots make field reads fast: the components read them in per-event code.
+@dataclass(slots=True)
 class SimConfig:
     # [simulation]
     duration_us: int = 2 * SEC
@@ -54,7 +39,7 @@ class SimConfig:
     map_interval_us: int = 2 * MS
     maps_in_advance: int = 1
     cmts_proc_us: int = 500
-    cm_proc_us: int = 500
+    cm_proc_us: int = 500                   # folded into the MAP advance; validated only
     cm_framing_us: int = 1200
     upstream_bps: int = 39_000_000
     contention_slots: int = 8
@@ -68,12 +53,12 @@ class SimConfig:
     described_expiry_us: int = 2 * MS
     # [lte-system]
     sr_period_us: int = 5 * MS
-    sr_encode_us: int = 500
+    sr_encode_us: int = 500                 # floor between data arrival and SR
     sr_to_bsr_grant_us: int = 4 * MS
     grant_to_bsr_us: int = 4 * MS
     bsr_to_data_grant_us: int = 4 * MS
     grant_to_data_us: int = 4 * MS
-    enb_decode_us: int = 2 * MS
+    enb_decode_us: int = 2 * MS             # within the 1.5-2.5 ms estimate
     bsr_period_us: int = 10 * MS
     mcs_mean: float = 22.0
     mcs_sigma: float = 2.0
@@ -107,13 +92,6 @@ class SimConfig:
 
     # -- derived views -----------------------------------------------------
 
-    def lte_profile(self) -> LteTimingProfile:
-        return LteTimingProfile(**{p: getattr(self, f) for p, f in _LTE_PROFILE.items()})
-
-    def docsis_profile(self) -> DocsisTimingProfile:
-        return DocsisTimingProfile(
-            **{p: getattr(self, f) for p, f in _DOCSIS_PROFILE.items()})
-
     def ugs_phase(self) -> int:
         if self.ugs_phase_us is not None:
             return self.ugs_phase_us % self.ugs_period_us
@@ -124,16 +102,37 @@ class SimConfig:
             return None
         return {MCS_MIN + i: v for i, v in enumerate(self.tbs_table)}
 
+    def _invalid(self, key: str, rule: str) -> ConfigError:
+        return ConfigError(f"{key} = {getattr(self, key)}: {rule}")
+
     def validate(self) -> None:
-        # The profiles hold the timing rules; their errors name the field.
-        docsis = self.docsis_profile()
-        for profile, keys in ((self.lte_profile(), _LTE_PROFILE),
-                              (docsis, _DOCSIS_PROFILE)):
-            try:
-                profile.validate()
-            except (LteError, DocsisError) as exc:
-                key = keys[exc.field]
-                raise ConfigError(f"{key} = {getattr(self, key)}: {exc}") from exc
+        for key in ("sr_period_us", "sr_to_bsr_grant_us", "grant_to_bsr_us",
+                    "bsr_to_data_grant_us", "grant_to_data_us", "enb_decode_us",
+                    "bsr_period_us"):
+            if getattr(self, key) <= 0:
+                raise self._invalid(key, "must be positive")
+        if self.sr_encode_us < 0:
+            raise self._invalid("sr_encode_us", "must be >= 0")
+        if self.sr_period_us % SUBFRAME_US != 0:
+            raise self._invalid("sr_period_us", "must be a whole number of subframes")
+        if self.map_interval_us <= 0:
+            raise self._invalid("map_interval_us", "must be positive")
+        if self.maps_in_advance < 1:
+            raise self._invalid("maps_in_advance", "must be >= 1")
+        for key in ("cmts_proc_us", "cm_proc_us", "propagation_us"):
+            if getattr(self, key) < 0:
+                raise self._invalid(key, "must be >= 0")
+        if self.cmts_proc_us >= self.map_interval_us:
+            raise self._invalid("cmts_proc_us", "must be shorter than the MAP interval")
+        if self.maps_in_advance * self.map_interval_us < self.cm_proc_us:
+            raise self._invalid("cm_proc_us", "MAP advance must cover CM processing lead")
+        for key in ("contention_slots", "slot_bytes", "backoff_init"):
+            if getattr(self, key) < 1:
+                raise self._invalid(key, "must be >= 1")
+        if self.backoff_max < self.backoff_init:
+            raise self._invalid("backoff_max", "must be >= backoff_init")
+        if self.upstream_bps <= 0:
+            raise self._invalid("upstream_bps", "must be positive")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.traffic_case not in TRAFFIC_CASES:
@@ -151,7 +150,7 @@ class SimConfig:
         if self.bwr_period_us % MS != 0 or self.bwr_period_us < MS:
             raise ConfigError("bwr period must be a whole number of subframes")
         if self.ugs_period_us <= 0:
-            raise ConfigError(f"ugs_period_us must be positive, got {self.ugs_period_us}")
+            raise self._invalid("ugs_period_us", "must be positive")
         if self.ugs_period_us > self.bwr_period_us:
             raise ConfigError("UGS period must not exceed the report period")
         if self.ugs_grant_bytes < BWR_FRAME_BYTES:
@@ -166,13 +165,11 @@ class SimConfig:
         # which holds only within one round trip; a retransmission, one round
         # trip after its attempt, is scheduled from the decode.
         if self.harq_enabled and self.grant_to_data_us >= HARQ_RTT_US:
-            raise ConfigError(
-                f"grant_to_data_us = {self.grant_to_data_us}: must be shorter than "
-                f"the {HARQ_RTT_US} us HARQ round trip")
+            raise self._invalid("grant_to_data_us", f"must be shorter than the "
+                                f"{HARQ_RTT_US} us HARQ round trip")
         if self.harq_enabled and self.enb_decode_us > HARQ_RTT_US:
-            raise ConfigError(
-                f"enb_decode_us = {self.enb_decode_us}: must not exceed "
-                f"the {HARQ_RTT_US} us HARQ round trip")
+            raise self._invalid("enb_decode_us", f"must not exceed the "
+                                f"{HARQ_RTT_US} us HARQ round trip")
         if self.tbs_table is not None:
             if len(self.tbs_table) != MCS_MAX - MCS_MIN + 1:
                 raise ConfigError(f"tbs_table needs {MCS_MAX - MCS_MIN + 1} entries")
@@ -185,8 +182,7 @@ class SimConfig:
         if self.mcs_sigma < 0:
             raise ConfigError("mcs_sigma must be >= 0")
         if self.channel_update_us <= 0:
-            raise ConfigError(
-                f"channel_update_us must be positive, got {self.channel_update_us}")
+            raise self._invalid("channel_update_us", "must be positive")
         if self.packet_mtu < 1:
             raise ConfigError("packet_mtu must be positive")
         if not 0 <= self.lcg_voip < 4 or not 0 <= self.lcg_video < 4:
@@ -197,26 +193,47 @@ class SimConfig:
             raise ConfigError("video parameters must be positive")
         if (self.traffic_case == "video" and self.trace_path is None
                 and self.trace_duration_us < self.video_frame_period_us):
-            raise ConfigError(f"trace_duration_us = {self.trace_duration_us}: shorter than "
-                              f"video_frame_period_us = {self.video_frame_period_us}")
+            raise self._invalid("trace_duration_us", f"shorter than video_frame_period_us"
+                                f" = {self.video_frame_period_us}")
         if self.video_burstiness < 0:
             raise ConfigError("burstiness must be >= 0")
-        if docsis.region_duration > docsis.map_interval:
+        if region_duration(self) > self.map_interval_us:
             raise ConfigError(f"contention_slots = {self.contention_slots} of "
                               f"slot_bytes = {self.slot_bytes} overrun the MAP interval")
         # Dry-run UGS placement in each distinct MAP window of the run: the
         # layout repeats every lcm(UGS period, MAP interval).
         ugs = ServiceFlow("ugs", UGS, grant_size_bytes=self.ugs_grant_bytes,
                           grant_period=self.ugs_period_us, grant_phase=self.ugs_phase())
-        mi = docsis.map_interval
+        mi = self.map_interval_us
         windows = min(math.lcm(self.ugs_period_us, mi), self.duration_us + mi) // mi
         for k in range(windows):
             try:
-                open_window((docsis.maps_in_advance + k) * mi, docsis, [ugs])
+                open_window((self.maps_in_advance + k) * mi, self, [ugs])
             except DocsisError as exc:
                 raise ConfigError(f"ugs_grant_bytes = {self.ugs_grant_bytes} every "
                                   f"ugs_period_us = {self.ugs_period_us} does not fit "
                                   f"a MAP window: {exc}") from exc
+        if self.cm_framing_us < 0:
+            raise self._invalid("cm_framing_us", "must be >= 0")
+        if self.arrival_phase_us is not None and self.arrival_phase_us < 0:
+            raise self._invalid("arrival_phase_us", "must be >= 0")
+        # A report covers the grants issued since the previous build. Each must
+        # still be ahead of its egress, grant_to_data_us + enb_decode_us after
+        # the grant; a retransmission is announced one HARQ round trip ahead.
+        lead = self.grant_to_data_us + self.enb_decode_us
+        if self.bwr_period_us - SUBFRAME_US >= lead:
+            raise self._invalid("bwr_period_us", f"must be shorter than one subframe plus "
+                                f"grant_to_data_us + enb_decode_us = {lead}, or a grant "
+                                f"can egress before the report that announces it")
+        if self.harq_enabled and self.bwr_period_us >= HARQ_RTT_US:
+            raise self._invalid("bwr_period_us", f"must be shorter than the {HARQ_RTT_US} us "
+                                f"HARQ round trip, or a retransmission can egress before "
+                                f"the report that announces it")
+        if self.traffic_case == "video" and self.trace_path is not None:
+            try:
+                read_trace(self.trace_path)
+            except (OSError, ValueError) as exc:
+                raise self._invalid("trace_path", str(exc)) from exc
 
 
 def preset(name: str) -> SimConfig:

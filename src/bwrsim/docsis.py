@@ -5,32 +5,34 @@ periodic grants, and byte-accurate channel occupancy.
 Every MAP is checked as it is built (no over-commitment, no overlap inside its
 window); no per-grant, per-MAP or per-region history is kept.
 
-The CMTS runs a MAP cycle every map_interval. The MAP generated at time m
-describes the allocation window [m + maps_in_advance*map_interval, +interval)
-and consumes requests and bandwidth reports delivered at least cmts_proc
-before m. Every window opens with a contention region; unsolicited grants sit
-at their phase-locked instants; report-scheduled grants are placed before
+The CMTS and the CM read their timing from the run's SimConfig. The CMTS runs
+a MAP cycle every map_interval_us. The MAP generated at time m describes the
+allocation window [m + maps_in_advance*map_interval_us, +map_interval_us) and
+consumes requests and bandwidth reports delivered at least cmts_proc_us before
+m. Every window opens with a contention region; unsolicited grants sit at
+their phase-locked instants; report-scheduled grants are placed before
 best-effort grants. A request delivered at r therefore reaches a usable grant
-no earlier than r + (1 + maps_in_advance) * map_interval.
+no earlier than r + (1 + maps_in_advance) * map_interval_us.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .core import MS, PRIO_CONTROL, PRIO_SCHED, PRIO_SERVICE, Rng, Simulator
+from .core import PRIO_CONTROL, PRIO_SCHED, PRIO_SERVICE, Rng, Simulator
 from .bwr import decode_bwr
+
+if TYPE_CHECKING:
+    from .config import SimConfig
 
 BE = "be"
 UGS = "ugs"
 
 
 class DocsisError(Exception):
-    def __init__(self, message: str, field: Optional[str] = None):
-        super().__init__(message)
-        self.field = field            # the timing-profile field at fault, if any
+    pass
 
 
 def ceil_div(num: int, den: int) -> int:
@@ -42,59 +44,19 @@ def serialization_us(nbytes: int, bps: int) -> int:
     return ceil_div(nbytes * 8 * 1_000_000, bps)
 
 
-@dataclass
-class DocsisTimingProfile:
-    """Upstream scheduling constants, times in microseconds."""
+def slot_duration(cfg: SimConfig) -> int:
+    """Wire time of one contention slot."""
+    return serialization_us(cfg.slot_bytes, cfg.upstream_bps)
 
-    map_interval: int = 2 * MS
-    maps_in_advance: int = 1
-    cmts_proc: int = 500
-    cm_proc: int = 500            # folded into the MAP advance; validated only
-    cm_framing: int = 1_200
-    contention_slots: int = 8
-    slot_bytes: int = 16
-    upstream_bps: int = 39_000_000
-    backoff_init: int = 8
-    backoff_max: int = 64
-    propagation: int = 0
 
-    def validate(self) -> None:
-        if self.map_interval <= 0:
-            raise DocsisError("map_interval must be positive", "map_interval")
-        if self.maps_in_advance < 1:
-            raise DocsisError("maps_in_advance must be >= 1", "maps_in_advance")
-        for name in ("cmts_proc", "cm_proc", "propagation"):
-            if getattr(self, name) < 0:
-                raise DocsisError(f"{name} must be >= 0", name)
-        if self.cmts_proc >= self.map_interval:
-            raise DocsisError("cmts_proc must be shorter than the MAP interval",
-                              "cmts_proc")
-        if self.maps_in_advance * self.map_interval < self.cm_proc:
-            raise DocsisError("MAP advance must cover CM processing lead", "cm_proc")
-        for name in ("contention_slots", "slot_bytes"):
-            if getattr(self, name) < 1:
-                raise DocsisError(f"{name} must be >= 1", name)
-        if self.backoff_init < 1:
-            raise DocsisError("backoff_init must be >= 1", "backoff_init")
-        if self.backoff_max < self.backoff_init:
-            raise DocsisError("backoff_max must be >= backoff_init", "backoff_max")
-        if self.upstream_bps <= 0:
-            raise DocsisError("upstream capacity must be positive", "upstream_bps")
+def region_duration(cfg: SimConfig) -> int:
+    """Length of the contention region that opens every MAP window."""
+    return cfg.contention_slots * slot_duration(cfg)
 
-    @property
-    def slot_duration(self) -> int:
-        return serialization_us(self.slot_bytes, self.upstream_bps)
 
-    @property
-    def region_duration(self) -> int:
-        return self.contention_slots * self.slot_duration
-
-    def window_capacity_bytes(self) -> int:
-        return self.map_interval * self.upstream_bps // 8_000_000
-
-    def req_grant_floor(self) -> int:
-        """Shortest request-to-grant time: one cycle + the MAP advance."""
-        return (1 + self.maps_in_advance) * self.map_interval
+def window_capacity_bytes(cfg: SimConfig) -> int:
+    """Bytes the upstream carries in one MAP window."""
+    return cfg.map_interval_us * cfg.upstream_bps // 8_000_000
 
 
 @dataclass
@@ -109,7 +71,7 @@ class ServiceFlow:
     grant_period: int = 0
     grant_phase: int = 0
     # CM-side queue of (packet, remaining_bytes) in arrival order
-    queue: list = field(default_factory=list)
+    queue: deque = field(default_factory=deque)
     queue_bytes: int = 0
     uncovered_bytes: int = 0      # queued bytes not yet requested or described
     req: Optional[int] = None     # absolute contention slot of the pending REQ
@@ -122,7 +84,7 @@ class ServiceFlow:
 
         Credit expires expiry_slack after its egress time. Spent and expired
         entries leave from the front. Reports announce egress times in order
-        unless grant_to_data + enb_decode exceeds the HARQ round trip, so an
+        unless grant_to_data_us + enb_decode_us exceeds the HARQ round trip, so an
         expired entry behind the front is skipped in place.
         """
         described = self.described
@@ -243,18 +205,18 @@ class _Window:
         return pieces
 
 
-def open_window(start: int, p: DocsisTimingProfile,
+def open_window(start: int, cfg: SimConfig,
                 flows) -> tuple[_Window, list[Grant]]:
     """A MAP window with its contention region and the UGS grants of flows
     placed; DocsisError when they do not fit."""
-    end = start + p.map_interval
+    end = start + cfg.map_interval_us
     win = _Window(start, end)
-    win.reserve_exact(start, p.region_duration)
+    win.reserve_exact(start, region_duration(cfg))
     grants = []
     for flow in flows:
         if flow.kind != UGS:
             continue
-        dur = serialization_us(flow.grant_size_bytes, p.upstream_bps)
+        dur = serialization_us(flow.grant_size_bytes, cfg.upstream_bps)
         first = flow.grant_phase + ceil_div(max(0, start - flow.grant_phase),
                                             flow.grant_period) * flow.grant_period
         for g in range(first, end, flow.grant_period):
@@ -267,10 +229,10 @@ def open_window(start: int, p: DocsisTimingProfile,
 class Cmts:
     """Termination system: consumes REQs and reports, emits MAPs, takes egress."""
 
-    def __init__(self, sim: Simulator, profile: DocsisTimingProfile,
-                 ledger: ChannelLedger, collector):
+    def __init__(self, sim: Simulator, cfg: SimConfig, ledger: ChannelLedger,
+                 collector):
         self.sim = sim
-        self.profile = profile
+        self.cfg = cfg
         self.ledger = ledger
         self.collector = collector
         self.cm: Optional["Cm"] = None
@@ -310,13 +272,14 @@ class Cmts:
 
     def map_cycle(self) -> None:
         t = self.sim.now
-        p = self.profile
-        start = t + p.maps_in_advance * p.map_interval
-        end = start + p.map_interval
-        msg = MapMessage(start, end, p.region_duration)
-        cutoff = t - p.cmts_proc
+        cfg = self.cfg
+        start = t + cfg.maps_in_advance * cfg.map_interval_us
+        end = start + cfg.map_interval_us
+        region = region_duration(cfg)
+        msg = MapMessage(start, end, region)
+        cutoff = t - cfg.cmts_proc_us
 
-        win, ugs_grants = open_window(start, p, self.flows.values())
+        win, ugs_grants = open_window(start, cfg, self.flows.values())
         for grant in ugs_grants:
             self._emit_grant(msg, grant)
 
@@ -341,14 +304,14 @@ class Cmts:
                 remaining_reqs.append((delivered, seq, flow_id, nbytes))
         self.req_fifo = remaining_reqs
 
-        cap = p.window_capacity_bytes()
+        cap = window_capacity_bytes(cfg)
         granted = msg.granted_bytes()
         if granted > cap:
             raise DocsisError(f"MAP window at {start} over-committed: {granted} > {cap}")
         # The contention region opens the window; each grant must start after
         # the previous reservation ends and end inside the window. Windows are
         # disjoint, so this covers the whole channel.
-        free_from = start + p.region_duration
+        free_from = start + region
         for g in sorted(msg.grants, key=lambda g: g.start):
             if g.start < free_from:
                 raise DocsisError(f"grant at {g.start} overlaps in the MAP window at {start}")
@@ -356,13 +319,13 @@ class Cmts:
         if free_from > end:
             raise DocsisError(f"MAP window [{start},{end}) overruns to {free_from}")
         self.cm.on_map(msg)
-        self.sim.schedule_in(p.map_interval, PRIO_SCHED, self.map_cycle)
+        self.sim.schedule_in(cfg.map_interval_us, PRIO_SCHED, self.map_cycle)
 
     def _grant(self, msg: MapMessage, win: _Window, flow_id: str, min_start: int,
                nbytes: int, kind: str) -> int:
         """Grant up to nbytes of free window time at or after min_start;
         returns the bytes left."""
-        bps = self.profile.upstream_bps
+        bps = self.cfg.upstream_bps
         for gstart, gbytes in win.place(min_start, nbytes, bps):
             self._emit_grant(msg, Grant(flow_id, gstart, serialization_us(gbytes, bps),
                                         gbytes, kind))
@@ -385,24 +348,23 @@ class Cmts:
 class Cm:
     """Cable modem: flow queues, request arming, contention, transmission."""
 
-    def __init__(self, sim: Simulator, cmts: Cmts, profile: DocsisTimingProfile,
-                 collector, contention_rng: Rng, described_expiry: int = 2 * MS):
+    def __init__(self, sim: Simulator, cmts: Cmts, cfg: SimConfig, collector,
+                 contention_rng: Rng):
         self.sim = sim
         self.cmts = cmts
-        self.profile = profile
+        self.cfg = cfg
         self.collector = collector
         self.rng = contention_rng
-        self.described_expiry = described_expiry
         self.flows: dict[str, ServiceFlow] = {}
-        self.ugs_queue: dict[str, list[bytes]] = {}   # flow -> queued frames
+        self.ugs_queue: dict[str, deque[bytes]] = {}   # flow -> queued frames
         cmts.cm = self
 
     def add_flow(self, flow: ServiceFlow) -> None:
-        flow.backoff_window = self.profile.backoff_init
+        flow.backoff_window = self.cfg.backoff_init
         self.flows[flow.flow_id] = flow
         self.cmts.register_flow(flow)
         if flow.kind == UGS:
-            self.ugs_queue[flow.flow_id] = []
+            self.ugs_queue[flow.flow_id] = deque()
 
     # -- ingress from the LTE side -------------------------------------------
 
@@ -419,7 +381,7 @@ class Cm:
             # so the stage is set by byte count, not by drain order.
             if pkt.cm_received == pkt.size_bytes:
                 pkt.set_stage("cm_arrival", t)
-            covered = flow.consume_described(nbytes, t, self.described_expiry)
+            covered = flow.consume_described(nbytes, t, self.cfg.described_expiry_us)
             flow.uncovered_bytes += nbytes - covered
         if flow.kind == BE and flow.req is None and flow.uncovered_bytes > 0:
             self._arm_request(flow, t)
@@ -431,22 +393,22 @@ class Cm:
     # -- contention ------------------------------------------------------------
 
     def _region_index_at_or_after(self, t: int) -> int:
-        p = self.profile
-        first = p.maps_in_advance       # earliest window any MAP can describe
-        return max(first, ceil_div(t, p.map_interval))
+        cfg = self.cfg
+        first = cfg.maps_in_advance     # earliest window any MAP can describe
+        return max(first, ceil_div(t, cfg.map_interval_us))
 
     def _arm_request(self, flow: ServiceFlow, t: int) -> None:
         region = self._region_index_at_or_after(t)
         defer = self.rng.randbelow(flow.backoff_window)
-        slots = self.profile.contention_slots
+        slots = self.cfg.contention_slots
         flow.req = region * slots + defer
 
     def resolve_region(self, region_index: int) -> None:
         """End of a contention region: lone REQs deliver, others back off."""
-        p = self.profile
-        slots = p.contention_slots
+        cfg = self.cfg
+        slots = cfg.contention_slots
         lo, hi = region_index * slots, (region_index + 1) * slots
-        region_start = region_index * p.map_interval
+        region_start = region_index * cfg.map_interval_us
         by_slot: dict[int, list[ServiceFlow]] = {}
         for f in self.flows.values():
             if f.req is not None and lo <= f.req < hi:
@@ -456,20 +418,20 @@ class Cm:
             if len(group) == 1:
                 flow = group[0]
                 self.cmts.on_req_delivered(flow.flow_id, flow.uncovered_bytes,
-                                           region_start + slot * p.slot_duration)
+                                           region_start + slot * slot_duration(cfg))
                 flow.uncovered_bytes = 0
                 self.collector.count("reqs_delivered", 1)
                 flow.req = None
-                flow.backoff_window = p.backoff_init
+                flow.backoff_window = cfg.backoff_init
             else:
                 for flow in group:
-                    flow.backoff_window = min(flow.backoff_window * 2, p.backoff_max)
+                    flow.backoff_window = min(flow.backoff_window * 2, cfg.backoff_max)
                     defer = self.rng.randbelow(flow.backoff_window)
                     flow.req = (region_index + 1) * slots + defer
                     self.collector.count("req_collisions", 1)
 
     def on_map(self, msg: MapMessage) -> None:
-        region_index = msg.window_start // self.profile.map_interval
+        region_index = msg.window_start // self.cfg.map_interval_us
         self.sim.schedule_at(msg.window_start + msg.region_duration, PRIO_CONTROL,
                              self.resolve_region, region_index)
 
@@ -483,14 +445,15 @@ class Cm:
             self._transmit_data(grant)
 
     def _transmit_reports(self, grant: Grant) -> None:
-        p = self.profile
+        cfg = self.cfg
         queue = self.ugs_queue[grant.flow_id]
         budget = grant.nbytes
         sent = 0
         while queue and sent + len(queue[0]) <= budget:
-            frame = queue.pop(0)
+            frame = queue.popleft()
             sent += len(frame)
-            arrival = grant.start + p.propagation + p.cm_framing + serialization_us(sent, p.upstream_bps)
+            arrival = (grant.start + cfg.propagation_us + cfg.cm_framing_us
+                       + serialization_us(sent, cfg.upstream_bps))
             self.sim.schedule_at(arrival, PRIO_CONTROL, self.cmts.on_bwr_frame,
                                  frame, grant.flow_id)
             self.collector.count("bwr_frames_sent", 1)
@@ -499,7 +462,7 @@ class Cm:
         self.collector.count("ugs_wasted_bytes", grant.nbytes - sent)
 
     def _transmit_data(self, grant: Grant) -> None:
-        p = self.profile
+        cfg = self.cfg
         end = self.cmts.ledger.end
         flow = self.flows[grant.flow_id]
         budget = grant.nbytes
@@ -514,10 +477,10 @@ class Cm:
             flow.queue_bytes -= take
             pkt.docsis_egressed += take
             if entry[1] == 0:
-                flow.queue.pop(0)
+                flow.queue.popleft()
             if pkt.docsis_egressed == pkt.size_bytes:     # its last byte
-                completion = (grant.start + p.propagation + p.cm_framing
-                              + serialization_us(sent, p.upstream_bps))
+                completion = (grant.start + cfg.propagation_us + cfg.cm_framing_us
+                              + serialization_us(sent, cfg.upstream_bps))
                 if completion <= end:
                     self.cmts.on_packet_egress(pkt, completion)
         wasted = grant.nbytes - sent

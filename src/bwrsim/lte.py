@@ -2,14 +2,15 @@
 scheduling, slow-fading MCS evolution, transport-block sizing, and synchronous
 HARQ with fixed 8 ms retransmission spacing.
 
-Control-plane timing follows a fixed turnaround ladder:
+Control-plane timing follows a fixed turnaround ladder, read from the run's
+SimConfig:
 
-    arrival -> SR opportunity (sr_phase grid, >= arrival + sr_encode)
-    SR      -> BSR grant issued        (+ sr_to_bsr_grant)
-    grant   -> BSR delivered at eNB    (+ grant_to_bsr)
-    BSR     -> demand schedulable      (+ bsr_to_data_grant)
-    tick    -> data grant issued; UL transmission (+ grant_to_data)
-    UL tx   -> decoded, egressed to CM (+ enb_decode)
+    arrival -> SR opportunity (sr_phase grid, >= arrival + sr_encode_us)
+    SR      -> BSR grant issued        (+ sr_to_bsr_grant_us)
+    grant   -> BSR delivered at eNB    (+ grant_to_bsr_us)
+    BSR     -> demand schedulable      (+ bsr_to_data_grant_us)
+    tick    -> data grant issued; UL transmission (+ grant_to_data_us)
+    UL tx   -> decoded, egressed to CM (+ enb_decode_us)
 
 All control signaling is error-free; HARQ applies to data transport blocks
 only. The eNB serves one transport block (one UE) per subframe.
@@ -17,10 +18,14 @@ only. The eNB serves one transport block (one UE) per subframe.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .core import MS, PRIO_CONTROL, PRIO_DATA, PRIO_SCHED, Rng, Simulator
+
+if TYPE_CHECKING:
+    from .config import SimConfig
 
 NUM_LCGS = 4
 MCS_MIN = 18
@@ -30,44 +35,12 @@ HARQ_RTT_US = 8 * MS
 SUBFRAME_US = MS
 
 # Default MCS -> transport block bytes per subframe: linear 150 B per index.
-# Replaceable through SimConfig for standard-derived tables.
+# Replaceable through SimConfig.tbs_table for standard-derived tables.
 DEFAULT_TBS_TABLE = {mcs: 150 * mcs for mcs in range(MCS_MIN, MCS_MAX + 1)}
 
 
 class LteError(Exception):
-    def __init__(self, message: str, field: Optional[str] = None):
-        super().__init__(message)
-        self.field = field            # the timing-profile field at fault, if any
-
-
-@dataclass
-class LteTimingProfile:
-    """Uplink control-plane turnaround times, in microseconds."""
-
-    sr_period: int = 5 * MS
-    sr_encode: int = 500          # floor between data arrival and SR transmission
-    sr_to_bsr_grant: int = 4 * MS
-    grant_to_bsr: int = 4 * MS
-    bsr_to_data_grant: int = 4 * MS
-    grant_to_data: int = 4 * MS
-    enb_decode: int = 2 * MS      # configurable within the 1.5-2.5 ms estimate
-    bsr_period: int = 10 * MS
-
-    def validate(self) -> None:
-        for name in ("sr_period", "sr_to_bsr_grant", "grant_to_bsr",
-                     "bsr_to_data_grant", "grant_to_data", "enb_decode",
-                     "bsr_period"):
-            if getattr(self, name) <= 0:
-                raise LteError(f"{name} must be positive", name)
-        if self.sr_encode < 0:
-            raise LteError("sr_encode must be >= 0", "sr_encode")
-        if self.sr_period % SUBFRAME_US != 0:
-            raise LteError("sr_period must be a whole number of subframes", "sr_period")
-
-    def ladder_total(self) -> int:
-        """Turnaround sum excluding the SR wait (grant ladder + decode)."""
-        return (self.sr_to_bsr_grant + self.grant_to_bsr
-                + self.bsr_to_data_grant + self.grant_to_data + self.enb_decode)
+    pass
 
 
 def tbs_bytes(mcs: int, table: Optional[dict[int, int]] = None) -> int:
@@ -110,7 +83,6 @@ class Packet:
     cmts_egress: int = -1
     dropped: bool = False
     # transport bookkeeping
-    ue_remaining: int = 0         # bytes not yet drained into a transport block
     lte_delivered: int = 0        # bytes decoded at the eNB
     cm_received: int = 0          # bytes that have reached the CM
     docsis_egressed: int = 0      # bytes that have fully crossed the upstream
@@ -120,7 +92,6 @@ class Packet:
             raise LteError("packet size must be positive")
         if not 0 <= self.lcg < NUM_LCGS:
             raise LteError(f"lcg {self.lcg} outside [0, {NUM_LCGS})")
-        self.ue_remaining = self.size_bytes
 
     def set_stage(self, name: str, t: int) -> None:
         prev = -1
@@ -153,15 +124,14 @@ class HarqProcess:
 class Ue:
     """User equipment: per-LCG buffers, SR arming, transmission, HARQ."""
 
-    def __init__(self, sim: Simulator, ue_id: int, enb: "Enb",
-                 profile: LteTimingProfile, sr_phase: int):
+    def __init__(self, sim: Simulator, ue_id: int, enb: "Enb", sr_phase: int):
         self.sim = sim
         self.ue_id = ue_id
         self.enb = enb
-        self.profile = profile
+        self.cfg = enb.cfg
         self.sr_phase = sr_phase
         self.mcs = 22
-        self.buffers: list[list] = [[] for _ in range(NUM_LCGS)]  # [packet, remaining]
+        self.buffers = [deque() for _ in range(NUM_LCGS)]  # [packet, remaining]
         self.buffer_bytes = [0] * NUM_LCGS
         self.pending_sr = False
         self.pending_grants = 0       # issued, not yet transmitted
@@ -190,8 +160,8 @@ class Ue:
 
     def _arm_sr(self, t: int) -> None:
         self.pending_sr = True
-        ready = t + self.profile.sr_encode
-        period, phase = self.profile.sr_period, self.sr_phase
+        ready = t + self.cfg.sr_encode_us
+        period, phase = self.cfg.sr_period_us, self.sr_phase
         k = -((phase - ready) // period)          # ceil((ready - phase) / period)
         sr_time = phase + k * period
         self.sim.schedule_at(sr_time, PRIO_CONTROL, self.enb.on_sr, self.ue_id)
@@ -226,15 +196,15 @@ class Ue:
             return
         self.sent_since_report += total
         # Buffer state rides along with the transport block (refreshed at
-        # most every bsr_period when the occupancy is unchanged).
+        # most every bsr_period_us when the occupancy is unchanged).
         report = None
         changed = sum(self.buffer_bytes) != max(0, self.last_report_total - self.sent_since_report)
         stale = (self.last_report_time < 0
-                 or t - self.last_report_time >= self.profile.bsr_period)
+                 or t - self.last_report_time >= self.cfg.bsr_period_us)
         if changed or stale:
             self._record_report()
             report = self.buffer_snapshot()
-        if self.enb.harq_enabled:
+        if self.cfg.harq_enabled:
             pid = (t // SUBFRAME_US) % HARQ_PROCESSES
             proc = HarqProcess(pid, total, t, chunks, lcg_bytes)
             if pid in self.harq:
@@ -244,7 +214,7 @@ class Ue:
         else:
             self.enb.collector.count("lte_inflight_bytes", total)
             self.enb.collector.record_tb(attempts=1, success=True)
-            self.sim.schedule_in(self.profile.enb_decode, PRIO_DATA,
+            self.sim.schedule_in(self.cfg.enb_decode_us, PRIO_DATA,
                                  self.enb.on_tb_decoded, self.ue_id, chunks,
                                  lcg_bytes, total, report)
 
@@ -263,9 +233,8 @@ class Ue:
                 self.buffer_bytes[lcg] -= take
                 lcg_bytes[lcg] = lcg_bytes.get(lcg, 0) + take
                 chunks.append((entry[0], take))
-                entry[0].ue_remaining -= take
                 if entry[1] == 0:
-                    queue.pop(0)
+                    queue.popleft()
             if budget == 0:
                 break
         return chunks, lcg_bytes, total
@@ -276,8 +245,8 @@ class Ue:
         proc.next_tx = t + HARQ_RTT_US
         if proc.attempt == 0:
             self.enb.collector.count("lte_inflight_bytes", proc.tb_bytes)
-        ok = self.enb.harq_rng.bernoulli(1.0 - self.enb.bler)
-        self.sim.schedule_in(self.profile.enb_decode, PRIO_DATA,
+        ok = self.enb.harq_rng.bernoulli(1.0 - self.cfg.harq_bler)
+        self.sim.schedule_in(self.cfg.enb_decode_us, PRIO_DATA,
                              self._on_decode, proc, ok, report)
 
     def _on_decode(self, proc: HarqProcess, ok: bool, report) -> None:
@@ -287,7 +256,7 @@ class Ue:
             self.enb.on_tb_decoded(self.ue_id, proc.chunks, proc.lcg_bytes,
                                    proc.tb_bytes, report)
             return
-        if proc.attempt < self.enb.max_retx:
+        if proc.attempt < self.cfg.harq_max_retx:
             proc.attempt += 1
             self.enb.note_retx(proc.lcg_bytes, proc.next_tx)
             self.sim.schedule_at(proc.next_tx, PRIO_DATA, self._attempt, proc, None)
@@ -321,18 +290,14 @@ class Ue:
 class Enb:
     """Base station: demand ledger, round-robin grant scheduler, BWR builder."""
 
-    def __init__(self, sim: Simulator, enb_id: int, profile: LteTimingProfile,
-                 collector, harq_rng: Rng, *, harq_enabled: bool, bler: float,
-                 max_retx: int, tbs_table: Optional[dict[int, int]] = None):
+    def __init__(self, sim: Simulator, enb_id: int, cfg: SimConfig, collector,
+                 harq_rng: Rng):
         self.sim = sim
         self.enb_id = enb_id
-        self.profile = profile
+        self.cfg = cfg
         self.collector = collector
         self.harq_rng = harq_rng
-        self.harq_enabled = harq_enabled
-        self.bler = bler
-        self.max_retx = max_retx
-        self.tbs_table = tbs_table
+        self.tbs_table = cfg.tbs_dict()
         self.ues: dict[int, Ue] = {}
         self.ue_order: list[int] = []
         self.rr_index = -1
@@ -354,16 +319,16 @@ class Enb:
     def on_sr(self, ue_id: int) -> None:
         if ue_id not in self.ues:
             raise LteError(f"SR from unknown ue {ue_id}")
-        # The BSR grant is issued sr_to_bsr_grant after the SR; the BSR it
-        # carries reaches the eNB grant_to_bsr later.
-        self.sim.schedule_in(self.profile.sr_to_bsr_grant + self.profile.grant_to_bsr,
+        # The BSR grant is issued sr_to_bsr_grant_us after the SR; the BSR it
+        # carries reaches the eNB grant_to_bsr_us later.
+        self.sim.schedule_in(self.cfg.sr_to_bsr_grant_us + self.cfg.grant_to_bsr_us,
                              PRIO_CONTROL, self.ues[ue_id].emit_bsr)
 
     def on_bsr(self, ue_id: int, per_lcg: list[int]) -> None:
         """A buffer report arrived; it becomes schedulable after processing."""
         if ue_id not in self.ues:
             raise LteError(f"BSR from unknown ue {ue_id}")
-        self.sim.schedule_in(self.profile.bsr_to_data_grant, PRIO_CONTROL,
+        self.sim.schedule_in(self.cfg.bsr_to_data_grant_us, PRIO_CONTROL,
                              self._apply_demand, ue_id, list(per_lcg))
 
     def _apply_demand(self, ue_id: int, per_lcg: list[int]) -> None:
@@ -393,8 +358,8 @@ class Enb:
             ue = self.ues[order[idx]]
             if sum(self.demand[ue.ue_id]) <= 0:
                 continue
-            if self.harq_enabled:
-                pid = ((t + self.profile.grant_to_data) // SUBFRAME_US) % HARQ_PROCESSES
+            if self.cfg.harq_enabled:
+                pid = ((t + self.cfg.grant_to_data_us) // SUBFRAME_US) % HARQ_PROCESSES
                 if pid in ue.harq:
                     continue
             served = idx
@@ -419,12 +384,12 @@ class Enb:
                 left -= take
             if left == 0:
                 break
-        tx_time = t + self.profile.grant_to_data
+        tx_time = t + self.cfg.grant_to_data_us
         ue.pending_grants += 1
         self.collector.count("lte_granted_bytes", budget)
         self.sim.schedule_at(tx_time, PRIO_DATA, self._fire_grant, ue, budget, lcg_bytes)
         if self.bwr_emitter is not None:
-            self.bwr_emitter.note_grant(lcg_bytes, tx_time + self.profile.enb_decode)
+            self.bwr_emitter.note_grant(lcg_bytes, tx_time + self.cfg.enb_decode_us)
 
     def _fire_grant(self, ue: Ue, grant_bytes: int, lcg_bytes: dict[int, int]) -> None:
         for g, nbytes in lcg_bytes.items():
@@ -435,7 +400,7 @@ class Enb:
         """A failed block retransmits at a known future time; announce it."""
         if self.bwr_emitter is not None:
             self.bwr_emitter.note_grant(dict(lcg_bytes),
-                                        tx_time + self.profile.enb_decode)
+                                        tx_time + self.cfg.enb_decode_us)
             if self.wake is not None:
                 # Decodes follow a same-instant tick: the next one reports it.
                 self.wake((self.sim.now // SUBFRAME_US + 1) * SUBFRAME_US)

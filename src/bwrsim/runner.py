@@ -11,7 +11,7 @@ from typing import Optional
 
 from . import metrics
 from .bwr import BwrEmitter, encode_bwr
-from .config import ConfigError, SimConfig
+from .config import SimConfig
 from .core import PRIO_CONTROL, PRIO_SCHED, RngStreams, Simulator, derive_seed
 from .docsis import BE, UGS, ChannelLedger, Cm, Cmts, ServiceFlow
 from .lte import Enb, Packet, SUBFRAME_US, SubframeTick, Ue
@@ -60,10 +60,7 @@ class SimRun:
 
 def _build_trace(cfg: SimConfig) -> VideoTrace:
     if cfg.trace_path is not None:
-        try:
-            return read_trace(cfg.trace_path)
-        except ValueError as exc:             # TrafficError or a bad number
-            raise ConfigError(f"trace_path = {cfg.trace_path}: {exc}") from exc
+        return read_trace(cfg.trace_path)
     return synth_video(cfg.video_rate_bps, cfg.video_frame_period_us,
                        cfg.video_burstiness, derive_seed(cfg.seed, "trace"),
                        cfg.trace_duration_us)
@@ -78,11 +75,8 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     streams = RngStreams(cfg.seed)
     collector = Collector(mode, cfg.warmup_us)
     ledger = ChannelLedger(cfg.duration_us)
-    lte_profile = cfg.lte_profile()
-    docsis_profile = cfg.docsis_profile()
-    cmts = Cmts(sim, docsis_profile, ledger, collector)
-    cm = Cm(sim, cmts, docsis_profile, collector, streams.stream("contention"),
-            cfg.described_expiry_us)
+    cmts = Cmts(sim, cfg, ledger, collector)
+    cm = Cm(sim, cmts, cfg, collector, streams.stream("contention"))
     factory = PacketFactory(Packet)
 
     for enb_id in range(1, cfg.enb_count + 1):
@@ -101,9 +95,7 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     next_ue_id = 1
 
     for enb_id in range(1, cfg.enb_count + 1):
-        enb = Enb(sim, enb_id, lte_profile, collector, streams.stream("harq"),
-                  harq_enabled=cfg.harq_enabled, bler=cfg.harq_bler,
-                  max_retx=cfg.harq_max_retx, tbs_table=cfg.tbs_dict())
+        enb = Enb(sim, enb_id, cfg, collector, streams.stream("harq"))
         flow_id = data_flow_id(enb_id)
         enb.egress_sink = functools.partial(cm.enqueue_chunks, flow_id)
         if mode == "bwr" and enb_id == cfg.eut_enb:
@@ -112,8 +104,7 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
                 cm.note_described(_fid, report.egress_time, report.total_bytes())
                 cm.forward_report(UGS_FLOW_ID, frame)
             enb.bwr_emitter = BwrEmitter(
-                enb_id, cfg.bwr_period_us,
-                lte_profile.grant_to_data + lte_profile.enb_decode,
+                enb_id, cfg.bwr_period_us, cfg.grant_to_data_us + cfg.enb_decode_us,
                 per_lcg=cfg.bwr_per_lcg, forward=forward, collector=collector)
         enbs.append(enb)
         for _ in range(cfg.ues_per_enb):
@@ -121,7 +112,7 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
                 sr_phase = cfg.sr_phase_us
             else:
                 sr_phase = phases.randbelow(cfg.sr_period_us // SUBFRAME_US) * SUBFRAME_US
-            ue = Ue(sim, next_ue_id, enb, lte_profile, sr_phase)
+            ue = Ue(sim, next_ue_id, enb, sr_phase)
             enb.add_ue(ue)
             ues.append(ue)
             next_ue_id += 1

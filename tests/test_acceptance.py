@@ -15,10 +15,12 @@ from bwrsim.bwr import BandwidthReport, decode_bwr, encode_bwr
 from bwrsim.cli import main
 from bwrsim.config import SimConfig, preset
 from bwrsim.core import MS, SEC, Rng
-from bwrsim.docsis import Cm
+from bwrsim.docsis import Cm, window_capacity_bytes
 from bwrsim.lte import harq_grant_utilization
 from bwrsim.metrics import summarize
 from bwrsim.runner import paired_deltas, run_scenario, run_single
+
+from run_checks import conservation_failures
 
 
 def _criterion(name, ok, detail):
@@ -230,12 +232,7 @@ def test_c9c_byte_conservation(scenario1_pair, scenario2_runs, capsys):
     failures = []
     for run in [scenario1_pair[0], scenario1_pair[1],
                 *[r for pair in scenario2_runs[0].values() for r in pair]]:
-        c = run.conservation()
-        if c["admitted"] != (c["ue_buffered"] + c["lte_inflight"]
-                             + c["lte_egressed"] + c["harq_dropped"]):
-            failures.append(("lte", run.mode, c))
-        if c["lte_egressed"] != c["cm_queued"] + c["docsis_sent"]:
-            failures.append(("docsis", run.mode, c))
+        failures += conservation_failures(run)
     with capsys.disabled():
         _criterion("C9c byte conservation", not failures,
                    f"12 ledgers checked, {len(failures)} violations")
@@ -257,7 +254,7 @@ def test_c9d_map_non_overcommitment(scenario2_runs, capsys):
     overlapping = 0
     for seed, (base, bwr) in runs.items():
         for run in (base, bwr):
-            cap = run.cmts.profile.window_capacity_bytes()
+            cap = window_capacity_bytes(run.cfg)
             for m in maps[seed, run.mode]:
                 windows += 1
                 worst = max(worst, m.granted_bytes() / cap)
@@ -289,14 +286,13 @@ def test_c9e_codec_round_trip(capsys):
 
 def test_c9f_backoff_truncation(capsys):
     # sustained forced contention: windows must stay within the cap
-    from bwrsim.docsis import (BE, ChannelLedger, Cm, Cmts, DocsisTimingProfile,
-                               ServiceFlow)
+    from bwrsim.docsis import BE, ChannelLedger, Cm, Cmts, ServiceFlow
     from bwrsim.core import Simulator, PRIO_SCHED
     from bwrsim.metrics import Collector
     sim = Simulator()
-    prof = DocsisTimingProfile()
-    cmts = Cmts(sim, prof, ChannelLedger(10 * MS), Collector("baseline"))
-    cm = Cm(sim, cmts, prof, Collector("baseline"), Rng(8))
+    cfg = SimConfig()
+    cmts = Cmts(sim, cfg, ChannelLedger(10 * MS), Collector("baseline"))
+    cm = Cm(sim, cmts, cfg, Collector("baseline"), Rng(8))
     flows = [ServiceFlow(f"f{i}", BE, owner_enb=i) for i in range(1, 13)]
     for f in flows:
         cm.add_flow(f)
@@ -309,11 +305,11 @@ def test_c9f_backoff_truncation(capsys):
                 f.uncovered_bytes = 60
                 f.req = region * 8 + cm.rng.randbelow(8)
         cm.resolve_region(region)
-        overflow |= any(f.backoff_window > prof.backoff_max for f in flows)
+        overflow |= any(f.backoff_window > cfg.backoff_max for f in flows)
     with capsys.disabled():
         _criterion("C9f backoff truncation", not overflow,
                    f"294 contention rounds with 12 flows, windows within "
-                   f"[{prof.backoff_init}, {prof.backoff_max}]")
+                   f"[{cfg.backoff_init}, {cfg.backoff_max}]")
 
 
 def test_scenario_wall_time(scenario1_pair, capsys):

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 from bwrsim.bwr import (BWR_FRAME_BYTES, BWR_MODE_BULK, BWR_MODE_PER_LCG,
                         BandwidthReport, BwrCodecError, BwrEmitter, decode_bwr,
                         encode_bwr)
+from bwrsim.config import SimConfig
 from bwrsim.core import MS, PRIO_SCHED, SEC, Rng, Simulator
-from bwrsim.docsis import (BE, UGS, ChannelLedger, Cm, Cmts,
-                           DocsisTimingProfile, ServiceFlow)
+from bwrsim.docsis import (BE, UGS, ChannelLedger, Cm, Cmts, ServiceFlow,
+                           region_duration)
 from bwrsim.lte import Packet
 from bwrsim.metrics import Collector
 
@@ -177,10 +178,10 @@ def test_emitter_per_lcg_blocks():
 def build_docsis(ugs_phase=0):
     """A CMTS and modem with data and UGS flows; also returns every grant."""
     sim = Simulator()
-    prof = DocsisTimingProfile()
+    cfg = SimConfig()
     collector = Collector("bwr")
-    cmts = Cmts(sim, prof, ChannelLedger(10 * SEC), collector)
-    cm = Cm(sim, cmts, prof, collector, Rng(3))
+    cmts = Cmts(sim, cfg, ChannelLedger(10 * SEC), collector)
+    cm = Cm(sim, cmts, cfg, collector, Rng(3))
     cm.add_flow(ServiceFlow("data", BE, owner_enb=1))
     cm.add_flow(ServiceFlow("ugs", UGS, owner_enb=1, grant_size_bytes=80,
                             grant_period=2 * MS, grant_phase=ugs_phase))
@@ -207,7 +208,7 @@ def test_forward_rides_next_ugs_grant():
     sim.run_until(13 * MS + 100)
     cm.forward_report("ugs", encode_bwr(report(egress=19 * MS)))
     sim.run_until(20 * MS)
-    region = cmts.profile.region_duration
+    region = region_duration(cmts.cfg)
     assert arrivals == [14 * MS + region + 1200 + 17]
 
 
@@ -220,7 +221,7 @@ def test_two_reports_queue_fifo():
     cm.forward_report("ugs", encode_bwr(report(egress=19 * MS, seq=1)))
     cm.forward_report("ugs", encode_bwr(report(egress=21 * MS, seq=2)))
     sim.run_until(20 * MS)
-    region = cmts.profile.region_duration
+    region = region_duration(cmts.cfg)
     # 80 B does not fit twice in one grant: strict FIFO to the next period
     assert arrivals == [14 * MS + region + 1217, 16 * MS + region + 1217]
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from bwrsim.cli import main
@@ -105,13 +107,49 @@ def test_validate_rejects_non_positive_channel_update(period_us):
         cfg.validate()
 
 
-@pytest.mark.parametrize("key, value", [("sr_period_us", 1500),
-                                        ("cmts_proc_us", 5000)])
+@pytest.mark.parametrize("key, value", [
+    ("sr_period_us", 1500), ("sr_encode_us", -1), ("sr_to_bsr_grant_us", 0),
+    ("grant_to_bsr_us", 0), ("bsr_to_data_grant_us", 0), ("grant_to_data_us", 0),
+    ("enb_decode_us", 0), ("bsr_period_us", 0), ("map_interval_us", 0),
+    ("maps_in_advance", 0), ("cmts_proc_us", 5000), ("cm_proc_us", 5000),
+    ("propagation_us", -1), ("contention_slots", 0), ("slot_bytes", 0),
+    ("upstream_bps", 0), ("backoff_init", 0), ("backoff_max", 4),
+    # these two used to pass validate() and fail mid-run
+    ("cm_framing_us", -2000), ("arrival_phase_us", -5),
+])
 def test_validate_names_the_key_of_a_timing_profile_error(key, value):
     cfg = preset("scenario1")
     setattr(cfg, key, value)
-    with pytest.raises(ConfigError, match=f"{key} = {value}"):
+    with pytest.raises(ConfigError, match=f"^{key} = {value}: "):
         cfg.validate()
+
+
+@pytest.mark.parametrize("harq, period_us, g2d_us, decode_us", [
+    (False, 4 * MS, MS, MS),          # a grant 1 ms after a build egresses at 3 ms
+    (False, 8 * MS, 3 * MS, 4 * MS),
+    (True, 8 * MS, 4 * MS, 4 * MS),   # a retransmission announced at a build
+])
+def test_validate_rejects_report_period_beyond_the_lead(harq, period_us, g2d_us,
+                                                        decode_us):
+    # these used to fail mid-run in bwr mode: BwrCodecError, egress_time not
+    # in the future; validate only, never run
+    cfg = SimConfig(harq_enabled=harq, bwr_period_us=period_us,
+                    grant_to_data_us=g2d_us, enb_decode_us=decode_us)
+    with pytest.raises(ConfigError, match=f"^bwr_period_us = {period_us}: "):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("harq, period_us, g2d_us, decode_us", [
+    (False, 4 * MS, 1500, 1600),
+    (True, 7 * MS, 4 * MS, 4 * MS),
+    (False, 8 * MS, 4 * MS, 4 * MS),
+])
+def test_accepted_report_period_runs(harq, period_us, g2d_us, decode_us):
+    cfg = replace(preset("scenario1"), harq_enabled=harq, harq_bler=0.5,
+                  bwr_period_us=period_us, grant_to_data_us=g2d_us,
+                  enb_decode_us=decode_us, duration_us=500 * MS)
+    cfg.validate()
+    assert run_single(cfg, "bwr").collector.counters["bwr_reports_built"] > 0
 
 
 @pytest.mark.parametrize("overrides", [
@@ -289,14 +327,41 @@ def test_cli_timing_profile_error_exit_code(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_cli_negative_cm_framing_exit_code(tmp_path, capsys):
+    f = tmp_path / "bad.cfg"
+    f.write_text("[docsis]\ncm_framing_ms = -2\n")
+    assert main(["run", "--preset", "scenario1", "--config", str(f),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bwrsim: error: cm_framing_us = -2000: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["print-config", "run"])
+def test_cli_missing_trace_file_exit_code(tmp_path, capsys, command):
+    trace = tmp_path / "none.trace"
+    f = tmp_path / "missing.cfg"
+    f.write_text(f"[traffic]\ncase = video\ntrace_path = {trace}\n")
+    args = [command, "--preset", "scenario2", "--config", str(f)]
+    if command == "run":
+        args += ["--out-dir", str(tmp_path / "out")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bwrsim: error: trace_path = {trace}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_synthetic_trace_shorter_than_a_frame_rejected(tmp_path):
     f = tmp_path / "short.cfg"
     f.write_text("[traffic]\ncase = video\ntrace_duration_ms = 10\n")
     with pytest.raises(ConfigError, match="trace_duration_us = 10000"):
         parse_config(str(f))
     # a trace file or VoIP traffic does not use the synthetic trace
+    trace = tmp_path / "ok.trace"
+    trace.write_text("#bwr-trace v1\n0,1000\n33,1000\n")
     SimConfig(traffic_case="video", trace_duration_us=10 * MS,
-              trace_path=str(f)).validate()
+              trace_path=str(trace)).validate()
     SimConfig(traffic_case="voip", trace_duration_us=10 * MS).validate()
 
 

@@ -1,0 +1,104 @@
+"""A gate over drawn configurations: every config that SimConfig.validate()
+accepts runs in both modes and passes the shared run checks.
+
+Draws span the ranges below, on top of either preset; one draw in two also
+sets one key to a value outside its range, which validate() must reject.
+"""
+
+from dataclasses import replace
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bwrsim.config import ConfigError, preset
+from bwrsim.core import MS
+from bwrsim.runner import run_scenario
+
+from run_checks import report_failures
+
+ms = st.integers(1, 9).map(lambda n: n * MS)
+
+IN_RANGE = {
+    "duration_us": st.integers(100, 300).map(lambda n: n * MS),
+    "enb_count": st.integers(1, 4),
+    "ues_per_enb": st.integers(1, 6),
+    "harq_enabled": st.booleans(),
+    "harq_bler": st.floats(0.0, 0.9),
+    "harq_max_retx": st.integers(0, 4),
+    "bwr_per_lcg": st.booleans(),
+    "map_interval_us": st.sampled_from([MS, 2 * MS, 3 * MS, 4 * MS]),
+    "maps_in_advance": st.integers(1, 3),
+    "cmts_proc_us": st.integers(0, 1500),
+    "cm_framing_us": st.integers(0, 3000),
+    "upstream_bps": st.integers(5, 100).map(lambda n: n * 1_000_000),
+    "contention_slots": st.integers(1, 16),
+    "ugs_period_us": st.sampled_from([MS, 2 * MS, 4 * MS]),
+    "bwr_period_us": st.sampled_from([MS, 2 * MS, 4 * MS]),
+    "ugs_phase_us": st.integers(0, 4 * MS),
+    "sr_period_us": ms,
+    "sr_to_bsr_grant_us": ms,
+    "grant_to_bsr_us": ms,
+    "bsr_to_data_grant_us": ms,
+    "grant_to_data_us": ms,
+    "enb_decode_us": ms,
+    "packet_mtu": st.integers(200, 1500),
+    "voip_bytes": st.integers(20, 300),
+    "voip_period_us": st.sampled_from([10 * MS, 20 * MS, 40 * MS]),
+}
+
+OUT_OF_RANGE = {
+    "duration_us": [0, -MS],
+    "enb_count": [0, -1],
+    "ues_per_enb": [0],
+    "harq_bler": [1.0, -0.1],
+    "harq_max_retx": [-1],
+    "map_interval_us": [0, -MS],
+    "maps_in_advance": [0],
+    "cmts_proc_us": [-1, 2 * MS],
+    "cm_framing_us": [-1, -2 * MS],
+    "upstream_bps": [0, -1],
+    "contention_slots": [0, 600],
+    "ugs_period_us": [0, 8 * MS],
+    "bwr_period_us": [0, 1500],
+    "sr_period_us": [0, 1500],
+    "sr_to_bsr_grant_us": [0, -MS],
+    "grant_to_bsr_us": [0],
+    "bsr_to_data_grant_us": [0],
+    "grant_to_data_us": [0, 8 * MS],
+    "enb_decode_us": [0, 9 * MS],
+    "packet_mtu": [0],
+    "voip_bytes": [0],
+    "voip_period_us": [0],
+    "arrival_phase_us": [-5],
+}
+
+
+@st.composite
+def configs(draw):
+    cfg = preset(draw(st.sampled_from(["scenario1", "scenario2"])))
+    cfg = replace(cfg, mode="both", warmup_us=20 * MS,
+                  **{key: draw(values) for key, values in IN_RANGE.items()})
+    cfg.eut_enb = draw(st.integers(1, cfg.enb_count))
+    bad = draw(st.none() | st.sampled_from(sorted(OUT_OF_RANGE)))
+    if bad is not None:
+        setattr(cfg, bad, draw(st.sampled_from(OUT_OF_RANGE[bad])))
+    return cfg
+
+
+def outputs(report):
+    return (report.text,
+            [(run.collector.retained(), run.collector.counters,
+              run.sim.events_processed) for run in report.runs])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs())
+def test_every_accepted_config_runs_clean(cfg):
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    report = run_scenario(cfg)
+    assert report_failures(report) == []
+    assert outputs(run_scenario(cfg)) == outputs(report)

@@ -1,22 +1,23 @@
 import numpy as np
 import pytest
 
+from bwrsim.config import SimConfig
 from bwrsim.core import MS, PRIO_SCHED, SEC, Rng, Simulator
-from bwrsim.docsis import (BE, UGS, ChannelLedger, Cm, Cmts, DocsisError,
-                           DocsisTimingProfile, Grant, ServiceFlow, _Window,
-                           serialization_us)
+from bwrsim.docsis import (BE, UGS, ChannelLedger, Cm, Cmts, DocsisError, Grant,
+                           ServiceFlow, _Window, region_duration, serialization_us,
+                           window_capacity_bytes)
 from bwrsim.lte import LteError, Packet
 from bwrsim.metrics import Collector
 
 
-def build(profile=None, *, flows=("f1",), ugs=None, seed=3, end=10 * SEC):
+def build(cfg=None, *, flows=("f1",), ugs=None, seed=3, end=10 * SEC):
     """A CMTS and modem with BE flows; also returns every MAP the modem gets."""
     sim = Simulator()
-    prof = profile or DocsisTimingProfile()
-    prof.validate()
+    cfg = cfg or SimConfig()
+    cfg.validate()
     collector = Collector("baseline")
-    cmts = Cmts(sim, prof, ChannelLedger(end), collector)
-    cm = Cm(sim, cmts, prof, collector, Rng(seed))
+    cmts = Cmts(sim, cfg, ChannelLedger(end), collector)
+    cm = Cm(sim, cmts, cfg, collector, Rng(seed))
     for i, fid in enumerate(flows, start=1):
         cm.add_flow(ServiceFlow(fid, BE, owner_enb=i))
     if ugs is not None:
@@ -66,9 +67,10 @@ def test_serialization_arithmetic():
 
 
 def test_profile_floor():
-    p = DocsisTimingProfile()
-    assert p.req_grant_floor() == 4 * MS
-    assert p.window_capacity_bytes() == 9750
+    cfg = SimConfig()
+    # shortest request-to-grant time: one MAP cycle plus the MAP advance
+    assert (1 + cfg.maps_in_advance) * cfg.map_interval_us == 4 * MS
+    assert window_capacity_bytes(cfg) == 9750
 
 
 def test_request_grant_floor_even_alignment():
@@ -145,14 +147,14 @@ def test_zero_byte_service_is_noop():
 def test_fragmentation_last_byte_rule():
     # 3000 B packet over a 8 Mbps channel: window capacity 2000 B, so the
     # packet spans two grants 2 ms apart; latency runs to the last fragment
-    prof = DocsisTimingProfile(upstream_bps=8_000_000)
-    sim, cmts, cm, collector, maps = build(prof)
+    cfg = SimConfig(upstream_bps=8_000_000)
+    sim, cmts, cm, collector, maps = build(cfg)
     pkt = packet(0, size=3000)
     inject(sim, cm, "f1", pkt, 18 * MS)
     sim.run_until(60 * MS)
     assert len(collector.samples) == 1
     s = collector.samples[0]
-    first_possible = 4 * MS + prof.cm_framing   # if it fit one grant
+    first_possible = 4 * MS + cfg.cm_framing_us  # if it fit one grant
     assert s.docsis_us > first_possible + 2 * MS  # second window was needed
     assert pkt.docsis_egressed == 3000
 
@@ -189,12 +191,12 @@ def test_work_conservation_single_backlogged_flow():
     big = packet(0, size=200_000)
     cm.enqueue_chunks("f1", [(big, 200_000)], sim.now)
     sim.run_until(40 * MS)
-    prof = cmts.profile
-    cap = prof.window_capacity_bytes()
-    region_bytes = prof.contention_slots * prof.slot_bytes
+    cfg = cmts.cfg
+    cap = window_capacity_bytes(cfg)
+    region_bytes = cfg.contention_slots * cfg.slot_bytes
     filled = {}
     for g in grants_of(maps, "be"):
-        win = g.start // prof.map_interval
+        win = g.start // cfg.map_interval_us
         filled[win] = filled.get(win, 0) + g.nbytes
     busy = [b for _, b in sorted(filled.items())][1:-1]   # steady-state windows
     assert busy
@@ -206,7 +208,7 @@ def test_map_windows_never_overcommit():
     for i in range(40):
         inject(sim, cm, "f1", packet(i, size=5000), 10 * MS + i * 100)
     sim.run_until(100 * MS)
-    cap = cmts.profile.window_capacity_bytes()
+    cap = window_capacity_bytes(cmts.cfg)
     assert maps
     for m in maps:
         assert m.granted_bytes() <= cap
@@ -282,7 +284,7 @@ def test_backoff_truncates_and_resets():
     f2.req = None
     cm.resolve_region(20)
     assert f1.req is None
-    assert f1.backoff_window == cmts.profile.backoff_init
+    assert f1.backoff_window == cmts.cfg.backoff_init
 
 
 def test_zero_byte_request_gets_no_grant_and_leaves_the_fifo():
@@ -317,8 +319,7 @@ def test_contention_throughput_matches_enumeration():
     expected = enumeration_expected_singletons(8, 8)
     assert expected == pytest.approx(8 * (7 / 8) ** 7, rel=1e-12)
 
-    prof = DocsisTimingProfile()
-    sim, cmts, cm, collector, maps = build(prof, flows=[f"f{i}" for i in range(8)])
+    sim, cmts, cm, collector, maps = build(flows=[f"f{i}" for i in range(8)])
     rng = Rng(5)
     trials = 4000
     delivered_total = 0
@@ -342,8 +343,7 @@ def test_contention_throughput_matches_enumeration():
 
 def test_lcg_differentiation_orders_blocks():
     from bwrsim.bwr import BWR_MODE_PER_LCG, BandwidthReport, encode_bwr
-    prof = DocsisTimingProfile()
-    sim, cmts, cm, collector, maps = build(prof)
+    sim, cmts, cm, collector, maps = build()
     report = BandwidthReport(1, 0, 30 * MS,
                              ((0, 0), (1, 500), (2, 1500), (3, 0)),
                              BWR_MODE_PER_LCG)
@@ -362,4 +362,4 @@ def test_idle_map_has_only_contention_region():
     assert maps
     for m in maps:
         assert m.grants == []
-        assert m.region_duration == cmts.profile.region_duration
+        assert m.region_duration == region_duration(cmts.cfg)

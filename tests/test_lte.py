@@ -1,10 +1,10 @@
 import pytest
 
 from bwrsim.bwr import BwrEmitter
+from bwrsim.config import ConfigError, SimConfig
 from bwrsim.core import MS, Rng, Simulator
-from bwrsim.lte import (Enb, HARQ_RTT_US, LteError, LteTimingProfile,
-                        Packet, SubframeTick, Ue, harq_grant_utilization,
-                        tbs_bytes)
+from bwrsim.lte import (Enb, HARQ_RTT_US, LteError, Packet, SubframeTick, Ue,
+                        harq_grant_utilization, tbs_bytes)
 
 
 class StubCollector:
@@ -20,13 +20,13 @@ class StubCollector:
 
 
 def make_enb(sim, *, harq=False, bler=0.0, seed=1, decode=2 * MS):
-    profile = LteTimingProfile(enb_decode=decode)
-    return Enb(sim, 1, profile, StubCollector(), Rng(seed),
-               harq_enabled=harq, bler=bler, max_retx=4)
+    cfg = SimConfig(enb_decode_us=decode, harq_enabled=harq, harq_bler=bler,
+                    harq_max_retx=4)
+    return Enb(sim, 1, cfg, StubCollector(), Rng(seed))
 
 
 def make_ue(sim, enb, ue_id=1, sr_phase=0):
-    ue = Ue(sim, ue_id, enb, enb.profile, sr_phase)
+    ue = Ue(sim, ue_id, enb, sr_phase)
     enb.add_ue(ue)
     return ue
 
@@ -91,18 +91,19 @@ def test_tbs_custom_table():
     assert tbs_bytes(20, table) == 300
 
 
-# -- timing profile -----------------------------------------------------------
+# -- timing settings ----------------------------------------------------------
 
 def test_profile_defaults_consistent():
-    p = LteTimingProfile()
-    p.validate()
-    assert p.ladder_total() == 18 * MS
+    cfg = SimConfig()
+    cfg.validate()
+    # grant ladder plus decode, without the SR wait
+    assert (cfg.sr_to_bsr_grant_us + cfg.grant_to_bsr_us + cfg.bsr_to_data_grant_us
+            + cfg.grant_to_data_us + cfg.enb_decode_us) == 18 * MS
 
 
 def test_profile_rejects_nonpositive():
-    p = LteTimingProfile(grant_to_data=0)
-    with pytest.raises(LteError):
-        p.validate()
+    with pytest.raises(ConfigError, match=r"^grant_to_data_us = 0: "):
+        SimConfig(grant_to_data_us=0).validate()
 
 
 # -- packet stages ------------------------------------------------------------
@@ -494,7 +495,7 @@ def test_retransmission_announced_at_a_boundary_wakes_the_next_tick():
     enb.harq_rng = FailThenPass(1)
     ue = make_ue(sim, enb)
     reports = []
-    lead = enb.profile.grant_to_data + enb.profile.enb_decode
+    lead = enb.cfg.grant_to_data_us + enb.cfg.enb_decode_us
     enb.bwr_emitter = BwrEmitter(1, MS, lead, per_lcg=False,
                                  forward=reports.append, collector=enb.collector)
     ticks = start_ticks(sim, enb)
