@@ -219,16 +219,21 @@ class SimConfig:
             raise self._invalid("arrival_phase_us", "must be >= 0")
         # A report covers the grants issued since the previous build. Each must
         # still be ahead of its egress, grant_to_data_us + enb_decode_us after
-        # the grant; a retransmission is announced one HARQ round trip ahead.
+        # the grant. A retransmission is announced at a decode, lead after a
+        # subframe, one HARQ round trip before its egress; the next build
+        # follows that decode by up to the period less the lead's fraction of
+        # a subframe.
         lead = self.grant_to_data_us + self.enb_decode_us
         if self.bwr_period_us - SUBFRAME_US >= lead:
             raise self._invalid("bwr_period_us", f"must be shorter than one subframe plus "
                                 f"grant_to_data_us + enb_decode_us = {lead}, or a grant "
                                 f"can egress before the report that announces it")
-        if self.harq_enabled and self.bwr_period_us >= HARQ_RTT_US:
+        if (self.harq_enabled and self.harq_bler > 0 and self.harq_max_retx > 0
+                and self.bwr_period_us - lead % SUBFRAME_US >= HARQ_RTT_US):
             raise self._invalid("bwr_period_us", f"must be shorter than the {HARQ_RTT_US} us "
-                                f"HARQ round trip, or a retransmission can egress before "
-                                f"the report that announces it")
+                                f"HARQ round trip plus {lead % SUBFRAME_US} us, or a "
+                                f"retransmission can egress before the report that "
+                                f"announces it")
         if self.traffic_case == "video" and self.trace_path is not None:
             try:
                 read_trace(self.trace_path)

@@ -18,30 +18,26 @@ def conservation_failures(run) -> list[str]:
     return fails
 
 
-def cross_mode_failures(base, bwr, min_paired: float = 0.0) -> list[str]:
+def lte_pairs(base, bwr) -> list[tuple[int, int]]:
+    """(baseline, bwr) LTE-only latency of each packet retained in both modes."""
+    lte_base = {s.packet_id: s.lte_us for s in base.collector.retained()}
+    return [(lte_base[s.packet_id], s.lte_us) for s in bwr.collector.retained()
+            if s.packet_id in lte_base]
+
+
+def cross_mode_failures(base, bwr) -> list[str]:
     """Reports change only the DOCSIS side: a packet retained in both modes
-    has the same LTE-only latency. min_paired is the least share of the
-    smaller sample set that must pair."""
-    base_samples, bwr_samples = base.collector.retained(), bwr.collector.retained()
-    lte_base = {s.packet_id: s.lte_us for s in base_samples}
-    paired = mismatched = 0
-    for s in bwr_samples:
-        b = lte_base.get(s.packet_id)
-        if b is not None:
-            paired += 1
-            mismatched += b != s.lte_us
-    fails = []
+    has the same LTE-only latency."""
+    paired = lte_pairs(base, bwr)
+    mismatched = sum(b != w for b, w in paired)
     if mismatched:
-        fails.append(f"cross-mode: {mismatched}/{paired} packets differ in "
-                     f"LTE-only latency")
-    if paired < min_paired * min(len(base_samples), len(bwr_samples)):
-        fails.append(f"cross-mode: only {paired} of "
-                     f"{len(base_samples)}/{len(bwr_samples)} packets paired")
-    return fails
+        return [f"cross-mode: {mismatched}/{len(paired)} packets differ in "
+                f"LTE-only latency"]
+    return []
 
 
-def report_failures(report, min_paired: float = 0.0) -> list[str]:
+def report_failures(report) -> list[str]:
     """Every check above on a baseline+bwr report."""
     base, bwr = report.runs
     return (conservation_failures(base) + conservation_failures(bwr)
-            + cross_mode_failures(base, bwr, min_paired))
+            + cross_mode_failures(base, bwr))

@@ -128,6 +128,7 @@ def test_validate_names_the_key_of_a_timing_profile_error(key, value):
     (False, 4 * MS, MS, MS),          # a grant 1 ms after a build egresses at 3 ms
     (False, 8 * MS, 3 * MS, 4 * MS),
     (True, 8 * MS, 4 * MS, 4 * MS),   # a retransmission announced at a build
+    (True, 9 * MS, 4 * MS, 4500),     # ... or half a subframe after one
 ])
 def test_validate_rejects_report_period_beyond_the_lead(harq, period_us, g2d_us,
                                                         decode_us):
@@ -139,15 +140,20 @@ def test_validate_rejects_report_period_beyond_the_lead(harq, period_us, g2d_us,
         cfg.validate()
 
 
-@pytest.mark.parametrize("harq, period_us, g2d_us, decode_us", [
-    (False, 4 * MS, 1500, 1600),
-    (True, 7 * MS, 4 * MS, 4 * MS),
-    (False, 8 * MS, 4 * MS, 4 * MS),
+@pytest.mark.parametrize("harq, bler, max_retx, period_us, g2d_us, decode_us", [
+    (False, 0.5, 4, 4 * MS, 1500, 1600),
+    (True, 0.5, 4, 7 * MS, 4 * MS, 4 * MS),
+    (False, 0.5, 4, 8 * MS, 4 * MS, 4 * MS),
+    (True, 0.5, 4, 8 * MS, 4 * MS, 4500),   # decodes fall half a subframe after a build
+    (True, 0.5, 4, 8 * MS, 3500, 4 * MS),   # the lead rule covers retransmissions
+    (True, 0.0, 4, 8 * MS, 4 * MS, 4 * MS),  # no block is retransmitted
+    (True, 0.5, 0, 8 * MS, 4 * MS, 4 * MS),
 ])
-def test_accepted_report_period_runs(harq, period_us, g2d_us, decode_us):
-    cfg = replace(preset("scenario1"), harq_enabled=harq, harq_bler=0.5,
-                  bwr_period_us=period_us, grant_to_data_us=g2d_us,
-                  enb_decode_us=decode_us, duration_us=500 * MS)
+def test_accepted_report_period_runs(harq, bler, max_retx, period_us, g2d_us, decode_us):
+    cfg = replace(preset("scenario1"), harq_enabled=harq, harq_bler=bler,
+                  harq_max_retx=max_retx, bwr_period_us=period_us,
+                  grant_to_data_us=g2d_us, enb_decode_us=decode_us,
+                  duration_us=500 * MS)
     cfg.validate()
     assert run_single(cfg, "bwr").collector.counters["bwr_reports_built"] > 0
 

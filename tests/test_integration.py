@@ -10,7 +10,7 @@ from bwrsim.docsis import Cm
 from bwrsim.lte import Enb
 from bwrsim.runner import run_single
 
-from run_checks import cross_mode_failures
+from run_checks import cross_mode_failures, lte_pairs
 
 
 def test_no_requests_when_everything_is_described():
@@ -218,5 +218,8 @@ def test_lte_segment_is_the_same_in_both_modes(name, seed):
     # the same LTE-only latency, and nearly every packet pairs.
     cfg = replace(preset(name), seed=seed, duration_us=1 * SEC)
     base, bwr = (run_single(cfg, mode) for mode in ("baseline", "bwr"))
-    assert cross_mode_failures(base, bwr, min_paired=0.99) == []
-    assert min(len(run.collector.retained()) for run in (base, bwr)) > 100
+    paired = lte_pairs(base, bwr)
+    assert cross_mode_failures(base, bwr) == []
+    assert len(paired) >= 0.99 * min(len(run.collector.retained())
+                                     for run in (base, bwr))
+    assert len(paired) > 100
