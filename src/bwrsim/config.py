@@ -1,6 +1,9 @@
 """Run configuration: typed settings with scenario presets and a small
 section/key=value file format.
 
+Each SimConfig field declares, once, its default, its file section, its file
+key and its unit; the parser and `dump_config` read those declarations.
+
 Files are UTF-8 text: `[section]` headers, `key = value` lines, `#` comments.
 Unset keys keep their defaults; unknown sections or keys are rejected with
 line numbers. Presets `scenario1` (multi-UE VoIP on an unloaded upstream) and
@@ -10,12 +13,13 @@ line numbers. Presets `scenario1` (multi-UE VoIP on an unloaded upstream) and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Optional
+from dataclasses import dataclass, field, fields, replace
+from itertools import groupby
+from typing import Any, Callable, NamedTuple, Optional
 
 from .core import MS, SEC
 from .bwr import BWR_FRAME_BYTES
-from .docsis import UGS, DocsisError, ServiceFlow, open_window, region_duration
+from .docsis import DocsisError, open_window, region_duration
 from .lte import HARQ_RTT_US, MCS_MIN, MCS_MAX, SUBFRAME_US
 from .traffic import read_trace
 
@@ -27,68 +31,110 @@ class ConfigError(Exception):
     pass
 
 
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("on", "true", "yes", "1"):
+        return True
+    if low in ("off", "false", "no", "0"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+class _Unit(NamedTuple):
+    """How a setting reads from and prints to the file format."""
+
+    parse: Callable[[str], Any]
+    format: Callable[[Any], str]
+
+
+# Printed text re-parses to the same value: 15 significant digits hold every
+# integer count of microseconds or bit/s below 10**15 exactly.
+_MS = _Unit(lambda raw: round(float(raw) * 1000), lambda us: f"{us / 1000:.15g}")
+_MBPS = _Unit(lambda raw: round(float(raw) * 1e6), lambda bps: f"{bps / 1e6:.15g}")
+_KBPS = _Unit(lambda raw: float(raw) * 1000, lambda bps: repr(bps / 1000))
+_INT = _Unit(int, str)
+_FLOAT = _Unit(float, str)
+_STR = _Unit(str, str)
+_ON_OFF = _Unit(_parse_bool, lambda on: "on" if on else "off")
+_TBS = _Unit(lambda raw: tuple(int(part) for part in raw.split(",")),
+             lambda table: ",".join(map(str, table)))
+
+
+def _section(name: str):
+    """Declares the fields of one file section: key, unit, default."""
+    def setting(key: str, unit: _Unit, default):
+        return field(default=default,
+                     metadata={"section": name, "key": key, "unit": unit})
+    return setting
+
+
+_simulation = _section("simulation")
+_docsis = _section("docsis")
+_lte = _section("lte-system")
+_enb = _section("enb")
+_traffic = _section("traffic")
+
+
 # Slots make field reads fast: the components read them in per-event code.
 @dataclass(slots=True)
 class SimConfig:
-    # [simulation]
-    duration_us: int = 2 * SEC
-    seed: int = 1
-    warmup_us: int = 100 * MS
-    mode: str = "baseline"
-    # [docsis]
-    map_interval_us: int = 2 * MS
-    maps_in_advance: int = 1
-    cmts_proc_us: int = 500
-    cm_proc_us: int = 500                   # folded into the MAP advance; validated only
-    cm_framing_us: int = 1200
-    upstream_bps: int = 39_000_000
-    contention_slots: int = 8
-    slot_bytes: int = 16
-    backoff_init: int = 8
-    backoff_max: int = 64
-    propagation_us: int = 0
-    ugs_period_us: int = 2 * MS
-    ugs_phase_us: Optional[int] = None      # default: half the UGS period
-    ugs_grant_bytes: int = BWR_FRAME_BYTES
-    described_expiry_us: int = 2 * MS
-    # [lte-system]
-    sr_period_us: int = 5 * MS
-    sr_encode_us: int = 500                 # floor between data arrival and SR
-    sr_to_bsr_grant_us: int = 4 * MS
-    grant_to_bsr_us: int = 4 * MS
-    bsr_to_data_grant_us: int = 4 * MS
-    grant_to_data_us: int = 4 * MS
-    enb_decode_us: int = 2 * MS             # within the 1.5-2.5 ms estimate
-    bsr_period_us: int = 10 * MS
-    mcs_mean: float = 22.0
-    mcs_sigma: float = 2.0
-    channel_update_us: int = 10 * MS
-    harq_enabled: bool = True
-    harq_bler: float = 0.1
-    harq_max_retx: int = 4
-    tbs_table: Optional[tuple[int, ...]] = None   # 9 entries for MCS 18..26
-    # [enb]
-    enb_count: int = 1
-    ues_per_enb: int = 6
-    cm_count: int = 1
-    eut_enb: int = 1
-    bwr_period_us: int = 2 * MS
-    bwr_per_lcg: bool = False
-    # [traffic]
-    traffic_case: str = "voip"
-    voip_bytes: int = 60
-    voip_period_us: int = 20 * MS
-    video_rate_bps: float = 31_000_000 / 24   # per UE
-    video_frame_period_us: int = 33 * MS
-    video_burstiness: float = 0.5
-    trace_path: Optional[str] = None
-    trace_duration_us: int = 4 * SEC
-    packet_mtu: int = 1400
-    lcg_voip: int = 1
-    lcg_video: int = 2
+    duration_us: int = _simulation("duration_ms", _MS, 2 * SEC)
+    seed: int = _simulation("seed", _INT, 1)
+    warmup_us: int = _simulation("warmup_ms", _MS, 100 * MS)
+    mode: str = _simulation("mode", _STR, "baseline")
+    map_interval_us: int = _docsis("map_interval_ms", _MS, 2 * MS)
+    maps_in_advance: int = _docsis("maps_in_advance", _INT, 1)
+    cmts_proc_us: int = _docsis("cmts_proc_ms", _MS, 500)
+    # folded into the MAP advance; validated only
+    cm_proc_us: int = _docsis("cm_proc_ms", _MS, 500)
+    cm_framing_us: int = _docsis("cm_framing_ms", _MS, 1200)
+    upstream_bps: int = _docsis("upstream_mbps", _MBPS, 39_000_000)
+    contention_slots: int = _docsis("contention_slots", _INT, 8)
+    slot_bytes: int = _docsis("slot_bytes", _INT, 16)
+    backoff_init: int = _docsis("backoff_init", _INT, 8)
+    backoff_max: int = _docsis("backoff_max", _INT, 64)
+    propagation_us: int = _docsis("propagation_ms", _MS, 0)
+    ugs_period_us: int = _docsis("ugs_period_ms", _MS, 2 * MS)
+    # default: half the UGS period
+    ugs_phase_us: Optional[int] = _docsis("ugs_phase_ms", _MS, None)
+    ugs_grant_bytes: int = _docsis("ugs_grant_bytes", _INT, BWR_FRAME_BYTES)
+    described_expiry_us: int = _docsis("described_expiry_ms", _MS, 2 * MS)
+    sr_period_us: int = _lte("sr_period_ms", _MS, 5 * MS)
+    sr_encode_us: int = _lte("sr_encode_ms", _MS, 500)  # floor between data arrival and SR
+    sr_to_bsr_grant_us: int = _lte("sr_to_bsr_grant_ms", _MS, 4 * MS)
+    grant_to_bsr_us: int = _lte("grant_to_bsr_ms", _MS, 4 * MS)
+    bsr_to_data_grant_us: int = _lte("bsr_to_data_grant_ms", _MS, 4 * MS)
+    grant_to_data_us: int = _lte("grant_to_data_ms", _MS, 4 * MS)
+    enb_decode_us: int = _lte("enb_decode_ms", _MS, 2 * MS)  # within the 1.5-2.5 ms estimate
+    bsr_period_us: int = _lte("bsr_period_ms", _MS, 10 * MS)
+    mcs_mean: float = _lte("mcs_mean", _FLOAT, 22.0)
+    mcs_sigma: float = _lte("mcs_sigma", _FLOAT, 2.0)
+    channel_update_us: int = _lte("channel_update_ms", _MS, 10 * MS)
+    harq_enabled: bool = _lte("harq", _ON_OFF, True)
+    harq_bler: float = _lte("harq_bler", _FLOAT, 0.1)
+    harq_max_retx: int = _lte("harq_max_retx", _INT, 4)
+    # 9 entries for MCS 18..26
+    tbs_table: Optional[tuple[int, ...]] = _lte("tbs_table", _TBS, None)
+    enb_count: int = _enb("count", _INT, 1)
+    ues_per_enb: int = _enb("ues_per_enb", _INT, 6)
+    cm_count: int = _enb("cm_count", _INT, 1)
+    eut_enb: int = _enb("eut", _INT, 1)
+    bwr_period_us: int = _enb("bwr_period_ms", _MS, 2 * MS)
+    bwr_per_lcg: bool = _enb("bwr_per_lcg", _ON_OFF, False)
+    traffic_case: str = _traffic("case", _STR, "voip")
+    voip_bytes: int = _traffic("voip_bytes", _INT, 60)
+    voip_period_us: int = _traffic("voip_period_ms", _MS, 20 * MS)
+    video_rate_bps: float = _traffic("video_rate_kbps", _KBPS, 31_000_000 / 24)  # per UE
+    video_frame_period_us: int = _traffic("video_frame_period_ms", _MS, 33 * MS)
+    video_burstiness: float = _traffic("video_burstiness", _FLOAT, 0.5)
+    trace_path: Optional[str] = _traffic("trace_path", _STR, None)
+    trace_duration_us: int = _traffic("trace_duration_ms", _MS, 4 * SEC)
+    packet_mtu: int = _traffic("packet_mtu", _INT, 1400)
+    lcg_voip: int = _traffic("lcg_voip", _INT, 1)
+    lcg_video: int = _traffic("lcg_video", _INT, 2)
     # test hooks: force phases instead of drawing them
-    sr_phase_us: Optional[int] = None
-    arrival_phase_us: Optional[int] = None
+    sr_phase_us: Optional[int] = _traffic("sr_phase_ms", _MS, None)
+    arrival_phase_us: Optional[int] = _traffic("arrival_phase_ms", _MS, None)
 
     # -- derived views -----------------------------------------------------
 
@@ -134,33 +180,33 @@ class SimConfig:
         if self.upstream_bps <= 0:
             raise self._invalid("upstream_bps", "must be positive")
         if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise self._invalid("mode", f"must be one of {MODES}")
         if self.traffic_case not in TRAFFIC_CASES:
-            raise ConfigError(f"traffic case must be one of {TRAFFIC_CASES}")
+            raise self._invalid("traffic_case", f"must be one of {TRAFFIC_CASES}")
         if self.duration_us <= 0:
-            raise ConfigError("duration must be positive")
+            raise self._invalid("duration_us", "must be positive")
         if self.warmup_us < 0 or self.warmup_us >= self.duration_us:
-            raise ConfigError("warmup must be >= 0 and shorter than the run")
-        if self.enb_count < 1 or self.ues_per_enb < 1:
-            raise ConfigError("need at least one eNB and one UE")
+            raise self._invalid("warmup_us", "must be >= 0 and shorter than the run")
+        for key in ("enb_count", "ues_per_enb"):
+            if getattr(self, key) < 1:
+                raise self._invalid(key, "must be >= 1")
         if self.cm_count != 1:
-            raise ConfigError("exactly one CM is supported")
+            raise self._invalid("cm_count", "exactly one CM is supported")
         if not 1 <= self.eut_enb <= self.enb_count:
-            raise ConfigError(f"eut_enb {self.eut_enb} outside 1..{self.enb_count}")
+            raise self._invalid("eut_enb", f"outside 1..{self.enb_count}")
         if self.bwr_period_us % MS != 0 or self.bwr_period_us < MS:
-            raise ConfigError("bwr period must be a whole number of subframes")
+            raise self._invalid("bwr_period_us", "must be a whole number of subframes")
         if self.ugs_period_us <= 0:
             raise self._invalid("ugs_period_us", "must be positive")
         if self.ugs_period_us > self.bwr_period_us:
-            raise ConfigError("UGS period must not exceed the report period")
+            raise self._invalid("ugs_period_us", "must not exceed the report period")
         if self.ugs_grant_bytes < BWR_FRAME_BYTES:
-            raise ConfigError(
-                f"UGS grant of {self.ugs_grant_bytes} B cannot carry an "
-                f"{BWR_FRAME_BYTES}-byte report")
+            raise self._invalid("ugs_grant_bytes",
+                                f"cannot carry an {BWR_FRAME_BYTES}-byte report")
         if not 0 <= self.harq_bler < 1:
-            raise ConfigError("HARQ BLER must be in [0, 1)")
+            raise self._invalid("harq_bler", "must be in [0, 1)")
         if self.harq_max_retx < 0:
-            raise ConfigError("max retransmissions must be >= 0")
+            raise self._invalid("harq_max_retx", "must be >= 0")
         # The scheduler checks a transmission's HARQ process at grant time,
         # which holds only within one round trip; a retransmission, one round
         # trip after its attempt, is scheduled from the decode.
@@ -172,47 +218,46 @@ class SimConfig:
                                 f"{HARQ_RTT_US} us HARQ round trip")
         if self.tbs_table is not None:
             if len(self.tbs_table) != MCS_MAX - MCS_MIN + 1:
-                raise ConfigError(f"tbs_table needs {MCS_MAX - MCS_MIN + 1} entries")
+                raise self._invalid("tbs_table", f"needs {MCS_MAX - MCS_MIN + 1} entries")
             if any(b <= 0 for b in self.tbs_table):
-                raise ConfigError("tbs_table entries must be positive")
+                raise self._invalid("tbs_table", "entries must be positive")
             if any(a > b for a, b in zip(self.tbs_table, self.tbs_table[1:])):
-                raise ConfigError("tbs_table must be non-decreasing")
+                raise self._invalid("tbs_table", "must be non-decreasing")
         if not MCS_MIN <= self.mcs_mean <= MCS_MAX:
-            raise ConfigError(f"mcs_mean must lie in [{MCS_MIN}, {MCS_MAX}]")
+            raise self._invalid("mcs_mean", f"must lie in [{MCS_MIN}, {MCS_MAX}]")
         if self.mcs_sigma < 0:
-            raise ConfigError("mcs_sigma must be >= 0")
+            raise self._invalid("mcs_sigma", "must be >= 0")
         if self.channel_update_us <= 0:
             raise self._invalid("channel_update_us", "must be positive")
         if self.packet_mtu < 1:
-            raise ConfigError("packet_mtu must be positive")
-        if not 0 <= self.lcg_voip < 4 or not 0 <= self.lcg_video < 4:
-            raise ConfigError("LCG ids must be in 0..3")
-        if self.voip_bytes <= 0 or self.voip_period_us <= 0:
-            raise ConfigError("voip parameters must be positive")
-        if self.video_rate_bps <= 0 or self.video_frame_period_us <= 0:
-            raise ConfigError("video parameters must be positive")
+            raise self._invalid("packet_mtu", "must be positive")
+        for key in ("lcg_voip", "lcg_video"):
+            if not 0 <= getattr(self, key) < 4:
+                raise self._invalid(key, "must be in 0..3")
+        for key in ("voip_bytes", "voip_period_us", "video_rate_bps",
+                    "video_frame_period_us"):
+            if getattr(self, key) <= 0:
+                raise self._invalid(key, "must be positive")
         if (self.traffic_case == "video" and self.trace_path is None
                 and self.trace_duration_us < self.video_frame_period_us):
             raise self._invalid("trace_duration_us", f"shorter than video_frame_period_us"
                                 f" = {self.video_frame_period_us}")
         if self.video_burstiness < 0:
-            raise ConfigError("burstiness must be >= 0")
+            raise self._invalid("video_burstiness", "must be >= 0")
         if region_duration(self) > self.map_interval_us:
-            raise ConfigError(f"contention_slots = {self.contention_slots} of "
-                              f"slot_bytes = {self.slot_bytes} overrun the MAP interval")
+            raise self._invalid("contention_slots", f"with slot_bytes = {self.slot_bytes}, "
+                                f"the contention region overruns the MAP interval")
         # Dry-run UGS placement in each distinct MAP window of the run: the
         # layout repeats every lcm(UGS period, MAP interval).
-        ugs = ServiceFlow("ugs", UGS, grant_size_bytes=self.ugs_grant_bytes,
-                          grant_period=self.ugs_period_us, grant_phase=self.ugs_phase())
         mi = self.map_interval_us
         windows = min(math.lcm(self.ugs_period_us, mi), self.duration_us + mi) // mi
         for k in range(windows):
             try:
-                open_window((self.maps_in_advance + k) * mi, self, [ugs])
+                open_window((self.maps_in_advance + k) * mi, self, "ugs")
             except DocsisError as exc:
-                raise ConfigError(f"ugs_grant_bytes = {self.ugs_grant_bytes} every "
-                                  f"ugs_period_us = {self.ugs_period_us} does not fit "
-                                  f"a MAP window: {exc}") from exc
+                raise self._invalid("ugs_grant_bytes", f"a grant every ugs_period_us = "
+                                    f"{self.ugs_period_us} does not fit a MAP window: "
+                                    f"{exc}") from exc
         if self.cm_framing_us < 0:
             raise self._invalid("cm_framing_us", "must be >= 0")
         if self.arrival_phase_us is not None and self.arrival_phase_us < 0:
@@ -251,81 +296,9 @@ def preset(name: str) -> SimConfig:
     raise ConfigError(f"unknown preset {name!r} (have: scenario1, scenario2)")
 
 
-def _us_from_ms(raw: str) -> int:
-    return round(float(raw) * 1000)
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("on", "true", "yes", "1"):
-        return True
-    if low in ("off", "false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
-def _parse_tbs(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.split(","))
-
-
-# file key -> (section, field name, parser)
-_SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
-    ("simulation", "duration_ms"): ("duration_us", _us_from_ms),
-    ("simulation", "seed"): ("seed", int),
-    ("simulation", "warmup_ms"): ("warmup_us", _us_from_ms),
-    ("simulation", "mode"): ("mode", str),
-    ("docsis", "map_interval_ms"): ("map_interval_us", _us_from_ms),
-    ("docsis", "maps_in_advance"): ("maps_in_advance", int),
-    ("docsis", "cmts_proc_ms"): ("cmts_proc_us", _us_from_ms),
-    ("docsis", "cm_proc_ms"): ("cm_proc_us", _us_from_ms),
-    ("docsis", "cm_framing_ms"): ("cm_framing_us", _us_from_ms),
-    ("docsis", "upstream_mbps"): ("upstream_bps", lambda r: round(float(r) * 1e6)),
-    ("docsis", "contention_slots"): ("contention_slots", int),
-    ("docsis", "slot_bytes"): ("slot_bytes", int),
-    ("docsis", "backoff_init"): ("backoff_init", int),
-    ("docsis", "backoff_max"): ("backoff_max", int),
-    ("docsis", "propagation_ms"): ("propagation_us", _us_from_ms),
-    ("docsis", "ugs_period_ms"): ("ugs_period_us", _us_from_ms),
-    ("docsis", "ugs_phase_ms"): ("ugs_phase_us", _us_from_ms),
-    ("docsis", "ugs_grant_bytes"): ("ugs_grant_bytes", int),
-    ("docsis", "described_expiry_ms"): ("described_expiry_us", _us_from_ms),
-    ("lte-system", "sr_period_ms"): ("sr_period_us", _us_from_ms),
-    ("lte-system", "sr_encode_ms"): ("sr_encode_us", _us_from_ms),
-    ("lte-system", "sr_to_bsr_grant_ms"): ("sr_to_bsr_grant_us", _us_from_ms),
-    ("lte-system", "grant_to_bsr_ms"): ("grant_to_bsr_us", _us_from_ms),
-    ("lte-system", "bsr_to_data_grant_ms"): ("bsr_to_data_grant_us", _us_from_ms),
-    ("lte-system", "grant_to_data_ms"): ("grant_to_data_us", _us_from_ms),
-    ("lte-system", "enb_decode_ms"): ("enb_decode_us", _us_from_ms),
-    ("lte-system", "bsr_period_ms"): ("bsr_period_us", _us_from_ms),
-    ("lte-system", "mcs_mean"): ("mcs_mean", float),
-    ("lte-system", "mcs_sigma"): ("mcs_sigma", float),
-    ("lte-system", "channel_update_ms"): ("channel_update_us", _us_from_ms),
-    ("lte-system", "harq"): ("harq_enabled", _parse_bool),
-    ("lte-system", "harq_bler"): ("harq_bler", float),
-    ("lte-system", "harq_max_retx"): ("harq_max_retx", int),
-    ("lte-system", "tbs_table"): ("tbs_table", _parse_tbs),
-    ("enb", "count"): ("enb_count", int),
-    ("enb", "ues_per_enb"): ("ues_per_enb", int),
-    ("enb", "cm_count"): ("cm_count", int),
-    ("enb", "eut"): ("eut_enb", int),
-    ("enb", "bwr_period_ms"): ("bwr_period_us", _us_from_ms),
-    ("enb", "bwr_per_lcg"): ("bwr_per_lcg", _parse_bool),
-    ("traffic", "case"): ("traffic_case", str),
-    ("traffic", "voip_bytes"): ("voip_bytes", int),
-    ("traffic", "voip_period_ms"): ("voip_period_us", _us_from_ms),
-    ("traffic", "video_rate_kbps"): ("video_rate_bps", lambda r: float(r) * 1000),
-    ("traffic", "video_frame_period_ms"): ("video_frame_period_us", _us_from_ms),
-    ("traffic", "video_burstiness"): ("video_burstiness", float),
-    ("traffic", "trace_path"): ("trace_path", str),
-    ("traffic", "trace_duration_ms"): ("trace_duration_us", _us_from_ms),
-    ("traffic", "packet_mtu"): ("packet_mtu", int),
-    ("traffic", "lcg_voip"): ("lcg_voip", int),
-    ("traffic", "lcg_video"): ("lcg_video", int),
-    ("traffic", "sr_phase_ms"): ("sr_phase_us", _us_from_ms),
-    ("traffic", "arrival_phase_ms"): ("arrival_phase_us", _us_from_ms),
-}
-
-_SECTIONS = sorted({section for section, _ in _SCHEMA})
+# (section, file key) -> the field that declares it
+_BY_KEY = {(f.metadata["section"], f.metadata["key"]): f for f in fields(SimConfig)}
+_SECTIONS = {section for section, _ in _BY_KEY}
 
 
 def parse_config(path: str, base: Optional[SimConfig] = None) -> SimConfig:
@@ -337,7 +310,7 @@ def parse_config(path: str, base: Optional[SimConfig] = None) -> SimConfig:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if line.startswith("[") and line.endswith("]"):
+            if line[0] == "[" and line[-1] == "]":
                 section = line[1:-1].strip()
                 if section not in _SECTIONS:
                     raise ConfigError(f"{path}:{lineno}: unknown section [{section}]")
@@ -347,12 +320,11 @@ def parse_config(path: str, base: Optional[SimConfig] = None) -> SimConfig:
             if section is None:
                 raise ConfigError(f"{path}:{lineno}: key outside any [section]")
             key, value = (part.strip() for part in line.split("=", 1))
-            entry = _SCHEMA.get((section, key))
-            if entry is None:
+            f = _BY_KEY.get((section, key))
+            if f is None:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [{section}]")
-            field_name, parser = entry
             try:
-                setattr(cfg, field_name, parser(value))
+                setattr(cfg, f.name, f.metadata["unit"].parse(value))
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     cfg.validate()
@@ -360,33 +332,14 @@ def parse_config(path: str, base: Optional[SimConfig] = None) -> SimConfig:
 
 
 def dump_config(cfg: SimConfig) -> str:
-    """Render the effective configuration in the file format."""
-    by_field = {fname: (section, key) for (section, key), (fname, _) in _SCHEMA.items()}
-    lines: dict[str, list[str]] = {s: [] for s in _SECTIONS}
-    for f in fields(cfg):
-        loc = by_field.get(f.name)
-        if loc is None:
-            continue
-        section, key = loc
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        if key.endswith("_ms") or key in ("map_interval_ms",):
-            text = f"{value / 1000:g}"
-        elif key == "upstream_mbps":
-            text = f"{value / 1e6:g}"
-        elif key == "video_rate_kbps":
-            text = repr(value / 1000)            # full precision round-trip
-        elif isinstance(value, bool):
-            text = "on" if value else "off"
-        elif isinstance(value, tuple):
-            text = ",".join(str(v) for v in value)
-        else:
-            text = str(value)
-        lines[section].append(f"{key} = {text}")
+    """Render the effective configuration in the file format; unset optional
+    settings are left out."""
     out = []
-    for section in ("simulation", "docsis", "lte-system", "enb", "traffic"):
+    for section, group in groupby(fields(cfg), lambda f: f.metadata["section"]):
         out.append(f"[{section}]")
-        out.extend(lines[section])
+        for f in group:
+            value = getattr(cfg, f.name)
+            if value is not None:
+                out.append(f"{f.metadata['key']} = {f.metadata['unit'].format(value)}")
         out.append("")
     return "\n".join(out)

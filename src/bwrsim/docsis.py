@@ -66,10 +66,6 @@ class ServiceFlow:
     flow_id: str
     kind: str                     # BE or UGS
     owner_enb: int = -1
-    # UGS provisioning
-    grant_size_bytes: int = 0
-    grant_period: int = 0
-    grant_phase: int = 0
     # CM-side queue of (packet, remaining_bytes) in arrival order
     queue: deque = field(default_factory=deque)
     queue_bytes: int = 0
@@ -206,23 +202,21 @@ class _Window:
 
 
 def open_window(start: int, cfg: SimConfig,
-                flows) -> tuple[_Window, list[Grant]]:
-    """A MAP window with its contention region and the UGS grants of flows
-    placed; DocsisError when they do not fit."""
+                ugs_flow_id: Optional[str]) -> tuple[_Window, list[Grant]]:
+    """A MAP window with its contention region and, when there is a UGS flow,
+    the unsolicited grants the config provisions for it placed; DocsisError
+    when they do not fit."""
     end = start + cfg.map_interval_us
     win = _Window(start, end)
     win.reserve_exact(start, region_duration(cfg))
     grants = []
-    for flow in flows:
-        if flow.kind != UGS:
-            continue
-        dur = serialization_us(flow.grant_size_bytes, cfg.upstream_bps)
-        first = flow.grant_phase + ceil_div(max(0, start - flow.grant_phase),
-                                            flow.grant_period) * flow.grant_period
-        for g in range(first, end, flow.grant_period):
+    if ugs_flow_id is not None:
+        size, period, phase = cfg.ugs_grant_bytes, cfg.ugs_period_us, cfg.ugs_phase()
+        dur = serialization_us(size, cfg.upstream_bps)
+        first = phase + ceil_div(max(0, start - phase), period) * period
+        for g in range(first, end, period):
             actual = win.reserve_at_or_after(g, dur)
-            grants.append(Grant(flow.flow_id, actual, dur,
-                                flow.grant_size_bytes, "ugs"))
+            grants.append(Grant(ugs_flow_id, actual, dur, size, "ugs"))
     return win, grants
 
 
@@ -236,22 +230,22 @@ class Cmts:
         self.ledger = ledger
         self.collector = collector
         self.cm: Optional["Cm"] = None
-        self.flows: dict[str, ServiceFlow] = {}
-        self.req_fifo: list[tuple[int, int, str, int]] = []  # (delivered, seq, flow, bytes)
+        self.req_fifo: list[tuple[int, str, int]] = []  # (delivered, flow, bytes)
         self.bwr_fifo: list[list] = []  # [arrival, seq, lcg, flow_id, egress, bytes]
         self._seq = 0
         self._data_flow_by_enb: dict[int, str] = {}
+        self._ugs_flow_id: Optional[str] = None
 
     def register_flow(self, flow: ServiceFlow) -> None:
-        self.flows[flow.flow_id] = flow
-        if flow.kind == BE and flow.owner_enb >= 0:
+        if flow.kind == UGS:
+            self._ugs_flow_id = flow.flow_id
+        elif flow.owner_enb >= 0:
             self._data_flow_by_enb[flow.owner_enb] = flow.flow_id
 
     def on_req_delivered(self, flow_id: str, nbytes: int, delivered_at: int) -> None:
-        self.req_fifo.append((delivered_at, self._seq, flow_id, nbytes))
-        self._seq += 1
+        self.req_fifo.append((delivered_at, flow_id, nbytes))
 
-    def on_bwr_frame(self, frame: bytes, flow_id: str) -> None:
+    def on_bwr_frame(self, frame: bytes) -> None:
         """A bandwidth report reached the CMTS over the unsolicited flow."""
         report = decode_bwr(frame)
         total = sum(b for _, b in report.blocks)
@@ -279,7 +273,7 @@ class Cmts:
         msg = MapMessage(start, end, region)
         cutoff = t - cfg.cmts_proc_us
 
-        win, ugs_grants = open_window(start, cfg, self.flows.values())
+        win, ugs_grants = open_window(start, cfg, self._ugs_flow_id)
         for grant in ugs_grants:
             self._emit_grant(msg, grant)
 
@@ -297,11 +291,11 @@ class Cmts:
 
         # Best-effort demand is served in request-delivery order.
         remaining_reqs = []
-        for delivered, seq, flow_id, nbytes in self.req_fifo:
+        for delivered, flow_id, nbytes in self.req_fifo:
             if delivered <= cutoff:
                 nbytes = self._grant(msg, win, flow_id, start, nbytes, "be")
             if nbytes > 0:
-                remaining_reqs.append((delivered, seq, flow_id, nbytes))
+                remaining_reqs.append((delivered, flow_id, nbytes))
         self.req_fifo = remaining_reqs
 
         cap = window_capacity_bytes(cfg)
@@ -454,8 +448,7 @@ class Cm:
             sent += len(frame)
             arrival = (grant.start + cfg.propagation_us + cfg.cm_framing_us
                        + serialization_us(sent, cfg.upstream_bps))
-            self.sim.schedule_at(arrival, PRIO_CONTROL, self.cmts.on_bwr_frame,
-                                 frame, grant.flow_id)
+            self.sim.schedule_at(arrival, PRIO_CONTROL, self.cmts.on_bwr_frame, frame)
             self.collector.count("bwr_frames_sent", 1)
         if sent == 0:
             self.collector.count("ugs_idle_grants", 1)

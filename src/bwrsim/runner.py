@@ -3,15 +3,15 @@ runs it, and renders reports and CSV artifacts."""
 
 from __future__ import annotations
 
+import csv
 import functools
-import operator
 import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import metrics
 from .bwr import BwrEmitter, encode_bwr
-from .config import SimConfig
+from .config import SimConfig, dump_config
 from .core import PRIO_CONTROL, PRIO_SCHED, RngStreams, Simulator, derive_seed
 from .docsis import BE, UGS, ChannelLedger, Cm, Cmts, ServiceFlow
 from .lte import Enb, Packet, SUBFRAME_US, SubframeTick, Ue
@@ -37,7 +37,6 @@ class SimRun:
     ledger: ChannelLedger
     cmts: Cmts
     cm: Cm
-    enbs: list[Enb]
     ues: list[Ue]
 
     def eut_samples(self):
@@ -82,10 +81,7 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     for enb_id in range(1, cfg.enb_count + 1):
         cm.add_flow(ServiceFlow(data_flow_id(enb_id), BE, owner_enb=enb_id))
     if mode == "bwr":
-        cm.add_flow(ServiceFlow(UGS_FLOW_ID, UGS, owner_enb=cfg.eut_enb,
-                                grant_size_bytes=cfg.ugs_grant_bytes,
-                                grant_period=cfg.ugs_period_us,
-                                grant_phase=cfg.ugs_phase()))
+        cm.add_flow(ServiceFlow(UGS_FLOW_ID, UGS, owner_enb=cfg.eut_enb))
 
     trace = _build_trace(cfg) if cfg.traffic_case == "video" else None
     enbs: list[Enb] = []
@@ -143,18 +139,17 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     subframes.wake(0)
     sim.schedule_at(0, PRIO_SCHED, cmts.map_cycle)
     sim.run_until(cfg.duration_us)
-    return SimRun(cfg, mode, sim, collector, ledger, cmts, cm, enbs, ues)
+    return SimRun(cfg, mode, sim, collector, ledger, cmts, cm, ues)
 
 
-def paired_deltas(base: SimRun, bwr: SimRun, segment: str = "docsis"):
-    """Per-packet latency difference (baseline - bwr) joined on packet id."""
-    value = operator.attrgetter(f"{segment}_us")
-    base_by_id = {s.packet_id: value(s) for s in base.collector.retained()}
+def paired_deltas(base: SimRun, bwr: SimRun):
+    """Per-packet DOCSIS-only latency (baseline, bwr) joined on packet id."""
+    base_by_id = {s.packet_id: s.docsis_us for s in base.collector.retained()}
     out = []
     for s in bwr.collector.retained():
         b = base_by_id.get(s.packet_id)
         if b is not None:
-            out.append((s.packet_id, s.traffic_class, b, value(s)))
+            out.append((s.packet_id, s.traffic_class, b, s.docsis_us))
     return out
 
 
@@ -167,7 +162,6 @@ class RunReport:
     text: str = ""          # the rendered report, set by run_scenario
 
     def render(self) -> str:
-        from .config import dump_config
         lines = ["bwrsim run report", "=" * 60]
         dur_s = self.cfg.duration_us / 1_000_000
         lines.append(f"seed={self.cfg.seed} duration={dur_s:g}s "
@@ -249,10 +243,9 @@ def run_scenario(cfg: SimConfig, out_dir: Optional[str] = None) -> RunReport:
                     metrics.write_cdf_csv(path, metrics.cdf(retained, segment))
                     report.csv_paths.append(path)
         if deltas:
-            import csv as _csv
             path = os.path.join(out_dir, "deltas.csv")
             with open(path, "w", newline="", encoding="utf-8") as fh:
-                w = _csv.writer(fh)
+                w = csv.writer(fh)
                 w.writerow(["packet_id", "class", "baseline_docsis_ms",
                             "bwr_docsis_ms", "delta_ms"])
                 for pid, klass, b, v in deltas:

@@ -178,13 +178,12 @@ def test_emitter_per_lcg_blocks():
 def build_docsis(ugs_phase=0):
     """A CMTS and modem with data and UGS flows; also returns every grant."""
     sim = Simulator()
-    cfg = SimConfig()
+    cfg = SimConfig(ugs_grant_bytes=80, ugs_period_us=2 * MS, ugs_phase_us=ugs_phase)
     collector = Collector("bwr")
     cmts = Cmts(sim, cfg, ChannelLedger(10 * SEC), collector)
     cm = Cm(sim, cmts, cfg, collector, Rng(3))
     cm.add_flow(ServiceFlow("data", BE, owner_enb=1))
-    cm.add_flow(ServiceFlow("ugs", UGS, owner_enb=1, grant_size_bytes=80,
-                            grant_period=2 * MS, grant_phase=ugs_phase))
+    cm.add_flow(ServiceFlow("ugs", UGS, owner_enb=1))
     grants = []
     on_map = cm.on_map
 
@@ -204,7 +203,7 @@ def test_forward_rides_next_ugs_grant():
     sim, cmts, cm, collector, grants = build_docsis(ugs_phase=0)
     arrivals = []
     orig = cmts.on_bwr_frame
-    cmts.on_bwr_frame = lambda frame, fid: arrivals.append(sim.now) or orig(frame, fid)
+    cmts.on_bwr_frame = lambda frame: arrivals.append(sim.now) or orig(frame)
     sim.run_until(13 * MS + 100)
     cm.forward_report("ugs", encode_bwr(report(egress=19 * MS)))
     sim.run_until(20 * MS)
@@ -216,7 +215,7 @@ def test_two_reports_queue_fifo():
     sim, cmts, cm, collector, grants = build_docsis(ugs_phase=0)
     arrivals = []
     orig = cmts.on_bwr_frame
-    cmts.on_bwr_frame = lambda frame, fid: arrivals.append(sim.now) or orig(frame, fid)
+    cmts.on_bwr_frame = lambda frame: arrivals.append(sim.now) or orig(frame)
     sim.run_until(13 * MS)
     cm.forward_report("ugs", encode_bwr(report(egress=19 * MS, seq=1)))
     cm.forward_report("ugs", encode_bwr(report(egress=21 * MS, seq=2)))
@@ -255,7 +254,7 @@ def test_just_in_time_grant_at_egress():
 def test_zero_total_report_schedules_nothing():
     sim, cmts, cm, collector, grants = build_docsis()
     sim.run_until(10 * MS)
-    cmts.on_bwr_frame(encode_bwr(report(blocks=((0, 0),) * 1 + tuple((g, 0) for g in range(1, 4)))), "ugs")
+    cmts.on_bwr_frame(encode_bwr(report(blocks=((0, 0),) * 1 + tuple((g, 0) for g in range(1, 4)))))
     assert cmts.bwr_fifo == []
 
 
@@ -263,7 +262,7 @@ def test_late_report_falls_back_to_next_window():
     sim, cmts, cm, collector, grants = build_docsis(ugs_phase=0)
     sim.run_until(19 * MS)
     # egress 20 ms: the MAP covering [20, 22) was generated at 18 ms
-    cmts.on_bwr_frame(encode_bwr(report(egress=20 * MS)), "ugs")
+    cmts.on_bwr_frame(encode_bwr(report(egress=20 * MS)))
     sim.run_until(30 * MS)
     bwr_grants = [g for g in grants if g.kind == "bwr"]
     assert len(bwr_grants) == 1

@@ -1,4 +1,5 @@
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import pytest
 
@@ -116,11 +117,21 @@ def test_validate_rejects_non_positive_channel_update(period_us):
     ("upstream_bps", 0), ("backoff_init", 0), ("backoff_max", 4),
     # these two used to pass validate() and fail mid-run
     ("cm_framing_us", -2000), ("arrival_phase_us", -5),
+    # rules whose message did not start with the key
+    ("mode", "sideways"), ("traffic_case", "fax"), ("duration_us", 0),
+    ("warmup_us", -1), ("enb_count", 0), ("ues_per_enb", 0), ("cm_count", 2),
+    ("eut_enb", 2), ("bwr_period_us", 1500), ("ugs_period_us", 4 * MS),
+    ("ugs_grant_bytes", 64), ("ugs_grant_bytes", 5000), ("harq_bler", 1.0),
+    ("harq_max_retx", -1), ("tbs_table", (1, 2, 3)), ("mcs_mean", 30.0),
+    ("mcs_sigma", -1.0), ("packet_mtu", 0), ("lcg_voip", 4), ("lcg_video", -1),
+    ("voip_bytes", 0), ("voip_period_us", 0), ("video_rate_bps", 0),
+    ("video_frame_period_us", 0), ("video_burstiness", -0.5),
+    ("contention_slots", 600),
 ])
 def test_validate_names_the_key_of_a_timing_profile_error(key, value):
     cfg = preset("scenario1")
     setattr(cfg, key, value)
-    with pytest.raises(ConfigError, match=f"^{key} = {value}: "):
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{key} = {value}: ")):
         cfg.validate()
 
 
@@ -229,11 +240,19 @@ def test_validate_rejects_eut_out_of_range():
 def test_dump_parse_round_trip(tmp_path):
     cfg = preset("scenario2")
     cfg.seed = 42
+    # more than six significant digits in ms and in Mb/s
+    cfg.duration_us = 1_234_567
+    cfg.upstream_bps = 39_123_456
     text = dump_config(cfg)
     f = tmp_path / "echo.cfg"
     f.write_text(text)
     back = parse_config(str(f))
     assert back == cfg
+
+
+def test_every_field_declares_one_file_key():
+    keys = [(f.metadata["section"], f.metadata["key"]) for f in fields(SimConfig)]
+    assert len(set(keys)) == len(keys)
 
 
 def test_ugs_phase_default_is_half_period():

@@ -1,17 +1,23 @@
 """A gate over drawn configurations: every config that SimConfig.validate()
-accepts runs in both modes and passes the shared run checks.
+accepts runs in both modes and passes the shared run checks; it also survives
+the file format, and a tick every subframe gives the same results as the
+sleeping tick. A config it rejects is named by a field in the message.
 
 Draws span the ranges below, on top of either preset; one draw in two also
 sets one key to a value outside its range, which validate() must reject.
 """
 
-from dataclasses import replace
+import os
+import tempfile
+from dataclasses import fields, replace
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bwrsim.config import ConfigError, preset
+from bwrsim.config import ConfigError, SimConfig, dump_config, parse_config, preset
 from bwrsim.core import MS
+from bwrsim.lte import Enb
 from bwrsim.runner import run_scenario
 
 from run_checks import report_failures
@@ -85,10 +91,28 @@ def configs(draw):
     return cfg
 
 
+FIELDS = {f.name for f in fields(SimConfig)}
+
+
 def outputs(report):
     return (report.text,
             [(run.collector.retained(), run.collector.counters,
               run.sim.events_processed) for run in report.runs])
+
+
+def outcomes(report):
+    """Retained samples, counters and transport-block totals of each run."""
+    return [(c.retained(), c.counters, c.tb_blocks, c.tb_carried)
+            for c in (run.collector for run in report.runs)]
+
+
+def reparsed(cfg):
+    """cfg written out by dump_config and read back by parse_config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "echo.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dump_config(cfg))
+        return parse_config(path)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
@@ -97,8 +121,13 @@ def outputs(report):
 def test_every_accepted_config_runs_clean(cfg):
     try:
         cfg.validate()
-    except ConfigError:
+    except ConfigError as exc:
+        assert str(exc).split(" = ", 1)[0] in FIELDS, str(exc)
         return
+    assert reparsed(cfg) == cfg
     report = run_scenario(cfg)
     assert report_failures(report) == []
     assert outputs(run_scenario(cfg)) == outputs(report)
+    # the reference for the tick that sleeps while every eNB is idle
+    with mock.patch.object(Enb, "busy", lambda self: True):
+        assert outcomes(run_scenario(cfg)) == outcomes(report)

@@ -100,7 +100,7 @@ def test_single_outstanding_request_piggybacks():
     flow = cm.flows["f1"]
     delivered = [r for r in cmts.req_fifo]
     assert len(delivered) == 1
-    assert delivered[0][3] == 120               # both packets in one REQ
+    assert delivered[0][2] == 120               # both packets in one REQ
     sim.run_until(40 * MS)
     assert len(collector.samples) == 2
 
@@ -116,9 +116,8 @@ def test_new_request_after_delivery():
 
 
 def test_ugs_flow_never_requests():
-    ugs = ServiceFlow("ugs1", UGS, grant_size_bytes=80, grant_period=2 * MS,
-                      grant_phase=MS)
-    sim, cmts, cm, collector, maps = build(ugs=ugs)
+    cfg = SimConfig(ugs_grant_bytes=80, ugs_period_us=2 * MS, ugs_phase_us=MS)
+    sim, cmts, cm, collector, maps = build(cfg, ugs=ServiceFlow("ugs1", UGS))
     sim.run_until(5 * MS)
     cm.enqueue_chunks("ugs1", [(packet(0), 60)], sim.now)
     assert cm.flows["ugs1"].req is None
@@ -127,9 +126,8 @@ def test_ugs_flow_never_requests():
 
 
 def test_ugs_grant_cadence_and_idle_waste():
-    ugs = ServiceFlow("ugs1", UGS, grant_size_bytes=80, grant_period=2 * MS,
-                      grant_phase=MS)
-    sim, cmts, cm, collector, maps = build(ugs=ugs)
+    cfg = SimConfig(ugs_grant_bytes=80, ugs_period_us=2 * MS, ugs_phase_us=MS)
+    sim, cmts, cm, collector, maps = build(cfg, ugs=ServiceFlow("ugs1", UGS))
     sim.run_until(2 * MS + 2 * 10 ** 6)         # a full 2 s of covered windows
     grants = [g for g in grants_of(maps, "ugs")
               if 2 * MS <= g.start < 2 * MS + 2 * 10 ** 6]
@@ -348,7 +346,7 @@ def test_lcg_differentiation_orders_blocks():
                              ((0, 0), (1, 500), (2, 1500), (3, 0)),
                              BWR_MODE_PER_LCG)
     sim.run_until(25 * MS)
-    cmts.on_bwr_frame(encode_bwr(report), "ugs")
+    cmts.on_bwr_frame(encode_bwr(report))
     assert [(e[2], e[5]) for e in cmts.bwr_fifo] == [(1, 500), (2, 1500)]
     sim.run_until(36 * MS)
     bwr_grants = grants_of(maps, "bwr")
