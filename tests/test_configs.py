@@ -1,7 +1,8 @@
 """A gate over drawn configurations: every config that SimConfig.validate()
-accepts runs in both modes and passes the shared run checks; it also survives
-the file format, and a tick every subframe gives the same results as the
-sleeping tick. A config it rejects is named by a field in the message.
+accepts runs in both modes and passes the shared run checks, gives the same
+results with a tick every subframe as with the sleeping tick, and re-parses
+from its printed text to an equal config. The message of a config that
+validate() rejects starts with the field at fault.
 
 Draws span the ranges below, on top of either preset; one draw in two also
 sets one key to a value outside its range, which validate() must reject.
