@@ -19,15 +19,18 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 BWR_MAGIC = b"BW"
 BWR_VERSION = 1
 BWR_FRAME_BYTES = 80
 BWR_MODE_BULK = 0
 BWR_MODE_PER_LCG = 1
-_HEADER = struct.Struct(">2sBHHQB")
-_BLOCK = struct.Struct(">BI")
-_PAD = BWR_FRAME_BYTES - _HEADER.size - 4 * _BLOCK.size
+_FIELDS = ">2sBHHQB" + "BI" * 4          # the header, then 4 blocks
+_BODY = struct.calcsize(_FIELDS)
+_ZEROS = bytes(BWR_FRAME_BYTES - _BODY)
+# The padding packs as zeros and unpacks unread; decode_bwr checks it.
+_FRAME = struct.Struct(f"{_FIELDS}{len(_ZEROS)}x")
 
 
 class BwrCodecError(ValueError):
@@ -67,34 +70,25 @@ class BandwidthReport:
 
 
 def encode_bwr(report: BandwidthReport) -> bytes:
-    frame = _HEADER.pack(BWR_MAGIC, report.version, report.enb_id,
-                         report.sequence, report.egress_time, report.mode)
-    for lcg_id, nbytes in report.blocks:
-        frame += _BLOCK.pack(lcg_id, nbytes)
-    frame += bytes(_PAD)
-    assert len(frame) == BWR_FRAME_BYTES
-    return frame
+    return _FRAME.pack(BWR_MAGIC, report.version, report.enb_id, report.sequence,
+                       report.egress_time, report.mode, *chain(*report.blocks))
 
 
 def decode_bwr(frame: bytes) -> BandwidthReport:
     if len(frame) != BWR_FRAME_BYTES:
         raise BwrCodecError(f"length: expected {BWR_FRAME_BYTES} bytes, got {len(frame)}")
-    magic, version, enb_id, sequence, egress_time, mode = _HEADER.unpack_from(frame, 0)
+    fields = _FRAME.unpack(frame)
+    magic, version, enb_id, sequence, egress_time, mode = fields[:6]
     if magic != BWR_MAGIC:
         raise BwrCodecError(f"magic: expected {BWR_MAGIC!r}, got {magic!r}")
     if version != BWR_VERSION:
         raise BwrCodecError(f"version: {version} unsupported")
     if mode not in (BWR_MODE_BULK, BWR_MODE_PER_LCG):
         raise BwrCodecError(f"mode: {mode} unknown")
-    blocks = []
-    off = _HEADER.size
-    for _ in range(4):
-        lcg_id, nbytes = _BLOCK.unpack_from(frame, off)
-        blocks.append((lcg_id, nbytes))
-        off += _BLOCK.size
-    if any(frame[off:]):
+    if frame[_BODY:] != _ZEROS:
         raise BwrCodecError("padding: trailing bytes must be zero")
-    return BandwidthReport(enb_id, sequence, egress_time, tuple(blocks), mode)
+    return BandwidthReport(enb_id, sequence, egress_time,
+                           tuple(zip(fields[6::2], fields[7::2])), mode)
 
 
 class BwrEmitter:

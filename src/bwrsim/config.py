@@ -40,6 +40,31 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _exp_shift(text: str, places: int) -> str:
+    """A decimal text for text * 10**places, exactly: its exponent moves."""
+    digits, _, exp = text.lower().partition("e")
+    return f"{digits}e{int(exp or 0) + places}"
+
+
+def _kbps(raw: str) -> float:
+    """A kb/s text as b/s: the float nearest 1000 times its decimal value,
+    which float(raw) * 1000 can miss by an ulp."""
+    kbps = float(raw)                   # rejects what float() rejects
+    return float(_exp_shift(raw, 3)) if math.isfinite(kbps) else kbps * 1000
+
+
+def _kbps_text(bps: float) -> str:
+    """The shortest kb/s text that _kbps reads back as bps: the shortest
+    digits of bps, as repr prints them, with the point moved three places."""
+    text = repr(bps)
+    if "e" in text:                     # below 1e-4 or from 1e16 b/s on
+        return _exp_shift(text, -3)
+    sign = "-" if bps < 0 else ""
+    whole, frac = text.lstrip("-").split(".")
+    whole = whole.rjust(4, "0")
+    return f"{sign}{whole[:-3]}.{(whole[-3:] + frac).rstrip('0') or '0'}"
+
+
 class _Unit(NamedTuple):
     """How a setting reads from and prints to the file format."""
 
@@ -51,7 +76,7 @@ class _Unit(NamedTuple):
 # integer count of microseconds or bit/s below 10**15 exactly.
 _MS = _Unit(lambda raw: round(float(raw) * 1000), lambda us: f"{us / 1000:.15g}")
 _MBPS = _Unit(lambda raw: round(float(raw) * 1e6), lambda bps: f"{bps / 1e6:.15g}")
-_KBPS = _Unit(lambda raw: float(raw) * 1000, lambda bps: repr(bps / 1000))
+_KBPS = _Unit(_kbps, _kbps_text)
 _INT = _Unit(int, str)
 _FLOAT = _Unit(float, str)
 _STR = _Unit(str, str)
@@ -238,6 +263,8 @@ class SimConfig:
                     "video_frame_period_us"):
             if getattr(self, key) <= 0:
                 raise self._invalid(key, "must be positive")
+        if not math.isfinite(self.video_rate_bps):
+            raise self._invalid("video_rate_bps", "must be finite")
         if (self.traffic_case == "video" and self.trace_path is None
                 and self.trace_duration_us < self.video_frame_period_us):
             raise self._invalid("trace_duration_us", f"shorter than video_frame_period_us"

@@ -13,10 +13,16 @@ m. Every window opens with a contention region; unsolicited grants sit at
 their phase-locked instants; report-scheduled grants are placed before
 best-effort grants. A request delivered at r therefore reaches a usable grant
 no earlier than r + (1 + maps_in_advance) * map_interval_us.
+
+A quiet upstream costs only its MAPs: the CM resolves a contention region only
+when a REQ is put into it, and the CMTS lays out a window's contention region
+and unsolicited grants once per window phase, then shifts that layout to each
+MAP's window.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
@@ -145,10 +151,11 @@ class ChannelLedger:
 class _Window:
     """Placement state for one MAP window."""
 
-    def __init__(self, start: int, end: int):
+    def __init__(self, start: int, end: int,
+                 occupied: Optional[list[tuple[int, int]]] = None):
         self.start = start
         self.end = end
-        self.occupied: list[tuple[int, int]] = []   # (start, end), sorted
+        self.occupied = occupied if occupied is not None else []  # (start, end), sorted
 
     def reserve_exact(self, start: int, dur: int) -> None:
         end = start + dur
@@ -235,10 +242,21 @@ class Cmts:
         self._seq = 0
         self._data_flow_by_enb: dict[int, str] = {}
         self._ugs_flow_id: Optional[str] = None
+        self._lead = cfg.maps_in_advance * cfg.map_interval_us
+        self._region = region_duration(cfg)
+        self._capacity = window_capacity_bytes(cfg)
+        self._ugs_duration = serialization_us(cfg.ugs_grant_bytes, cfg.upstream_bps)
+        # A window's layout repeats with its start modulo this period, because
+        # UGS grants recur every ugs_period_us and windows every map_interval_us.
+        self._layout_period = math.lcm(cfg.ugs_period_us, cfg.map_interval_us)
+        # start % _layout_period -> (reserved spans, UGS grant starts), both
+        # as offsets from the window start
+        self._layouts: dict[int, tuple[list[tuple[int, int]], list[int]]] = {}
 
     def register_flow(self, flow: ServiceFlow) -> None:
         if flow.kind == UGS:
             self._ugs_flow_id = flow.flow_id
+            self._layouts.clear()
         elif flow.owner_enb >= 0:
             self._data_flow_by_enb[flow.owner_enb] = flow.flow_id
 
@@ -267,45 +285,46 @@ class Cmts:
     def map_cycle(self) -> None:
         t = self.sim.now
         cfg = self.cfg
-        start = t + cfg.maps_in_advance * cfg.map_interval_us
+        start = t + self._lead
         end = start + cfg.map_interval_us
-        region = region_duration(cfg)
-        msg = MapMessage(start, end, region)
+        msg = MapMessage(start, end, self._region)
         cutoff = t - cfg.cmts_proc_us
 
-        win, ugs_grants = open_window(start, cfg, self._ugs_flow_id)
+        win, ugs_grants = self._open_window(start)
         for grant in ugs_grants:
             self._emit_grant(msg, grant)
 
         # Report-scheduled grants go in first, at or after their egress time,
         # lower LCG ids first, each LCG in report order.
-        pending = []
-        for entry in sorted(self.bwr_fifo, key=lambda e: (e[2], e[1])):
-            arrival, seq, lcg, flow_id, egress, nbytes = entry
-            if arrival <= cutoff and egress < end:
-                entry[5] = self._grant(msg, win, flow_id, max(egress, start),
-                                       nbytes, "bwr")
-            if entry[5] > 0:
-                pending.append(entry)
-        self.bwr_fifo = pending
+        if self.bwr_fifo:
+            pending = []
+            for entry in sorted(self.bwr_fifo, key=lambda e: (e[2], e[1])):
+                arrival, seq, lcg, flow_id, egress, nbytes = entry
+                if arrival <= cutoff and egress < end:
+                    entry[5] = self._grant(msg, win, flow_id, max(egress, start),
+                                           nbytes, "bwr")
+                if entry[5] > 0:
+                    pending.append(entry)
+            self.bwr_fifo = pending
 
         # Best-effort demand is served in request-delivery order.
-        remaining_reqs = []
-        for delivered, flow_id, nbytes in self.req_fifo:
-            if delivered <= cutoff:
-                nbytes = self._grant(msg, win, flow_id, start, nbytes, "be")
-            if nbytes > 0:
-                remaining_reqs.append((delivered, flow_id, nbytes))
-        self.req_fifo = remaining_reqs
+        if self.req_fifo:
+            remaining_reqs = []
+            for delivered, flow_id, nbytes in self.req_fifo:
+                if delivered <= cutoff:
+                    nbytes = self._grant(msg, win, flow_id, start, nbytes, "be")
+                if nbytes > 0:
+                    remaining_reqs.append((delivered, flow_id, nbytes))
+            self.req_fifo = remaining_reqs
 
-        cap = window_capacity_bytes(cfg)
+        cap = self._capacity
         granted = msg.granted_bytes()
         if granted > cap:
             raise DocsisError(f"MAP window at {start} over-committed: {granted} > {cap}")
         # The contention region opens the window; each grant must start after
         # the previous reservation ends and end inside the window. Windows are
         # disjoint, so this covers the whole channel.
-        free_from = start + region
+        free_from = start + self._region
         for g in sorted(msg.grants, key=lambda g: g.start):
             if g.start < free_from:
                 raise DocsisError(f"grant at {g.start} overlaps in the MAP window at {start}")
@@ -314,6 +333,21 @@ class Cmts:
             raise DocsisError(f"MAP window [{start},{end}) overruns to {free_from}")
         self.cm.on_map(msg)
         self.sim.schedule_in(cfg.map_interval_us, PRIO_SCHED, self.map_cycle)
+
+    def _open_window(self, start: int) -> tuple[_Window, list[Grant]]:
+        """open_window for this CMTS's UGS flow, laid out once per window
+        phase and shifted to start."""
+        key = start % self._layout_period
+        if key not in self._layouts:
+            win, grants = open_window(start, self.cfg, self._ugs_flow_id)
+            self._layouts[key] = ([(s - start, e - start) for s, e in win.occupied],
+                                  [g.start - start for g in grants])
+        spans, ugs_starts = self._layouts[key]
+        win = _Window(start, start + self.cfg.map_interval_us,
+                      [(start + s, start + e) for s, e in spans])
+        dur, size = self._ugs_duration, self.cfg.ugs_grant_bytes
+        return win, [Grant(self._ugs_flow_id, start + s, dur, size, "ugs")
+                     for s in ugs_starts]
 
     def _grant(self, msg: MapMessage, win: _Window, flow_id: str, min_start: int,
                nbytes: int, kind: str) -> int:
@@ -351,6 +385,13 @@ class Cm:
         self.rng = contention_rng
         self.flows: dict[str, ServiceFlow] = {}
         self.ugs_queue: dict[str, deque[bytes]] = {}   # flow -> queued frames
+        self._slot_us = slot_duration(cfg)
+        self._region_us = region_duration(cfg)
+        # Regions whose resolve_region is queued. A resolve can share its
+        # instant with other control-plane events; none of them touches the
+        # contention state (on_bwr_frame, the only DOCSIS one, touches only
+        # the CMTS's report FIFO), so their order does not matter.
+        self._queued_regions: set[int] = set()
         cmts.cm = self
 
     def add_flow(self, flow: ServiceFlow) -> None:
@@ -386,19 +427,32 @@ class Cm:
 
     # -- contention ------------------------------------------------------------
 
-    def _region_index_at_or_after(self, t: int) -> int:
-        cfg = self.cfg
-        first = cfg.maps_in_advance     # earliest window any MAP can describe
-        return max(first, ceil_div(t, cfg.map_interval_us))
-
     def _arm_request(self, flow: ServiceFlow, t: int) -> None:
-        region = self._region_index_at_or_after(t)
-        defer = self.rng.randbelow(flow.backoff_window)
+        """Arm a REQ from the first region at or after t that a MAP can
+        describe (window maps_in_advance is the earliest)."""
+        cfg = self.cfg
+        self._defer(flow, max(cfg.maps_in_advance, ceil_div(t, cfg.map_interval_us)))
+
+    def _defer(self, flow: ServiceFlow, region_index: int) -> None:
+        """Put the flow's REQ in a random slot of its backoff window, counted
+        from the first slot of region_index. The window can span several
+        regions, so the REQ lands in the region its slot falls in."""
         slots = self.cfg.contention_slots
-        flow.req = region * slots + defer
+        flow.req = region_index * slots + self.rng.randbelow(flow.backoff_window)
+        self._queue_region(flow.req // slots)
+
+    def _queue_region(self, region_index: int) -> None:
+        """Resolve a region that holds a REQ at the end of its contention
+        slots, with one event however many REQs it holds."""
+        if region_index not in self._queued_regions:
+            self._queued_regions.add(region_index)
+            self.sim.schedule_at(region_index * self.cfg.map_interval_us
+                                 + self._region_us, PRIO_CONTROL,
+                                 self.resolve_region, region_index)
 
     def resolve_region(self, region_index: int) -> None:
         """End of a contention region: lone REQs deliver, others back off."""
+        self._queued_regions.discard(region_index)
         cfg = self.cfg
         slots = cfg.contention_slots
         lo, hi = region_index * slots, (region_index + 1) * slots
@@ -412,7 +466,7 @@ class Cm:
             if len(group) == 1:
                 flow = group[0]
                 self.cmts.on_req_delivered(flow.flow_id, flow.uncovered_bytes,
-                                           region_start + slot * slot_duration(cfg))
+                                           region_start + slot * self._slot_us)
                 flow.uncovered_bytes = 0
                 self.collector.count("reqs_delivered", 1)
                 flow.req = None
@@ -420,14 +474,12 @@ class Cm:
             else:
                 for flow in group:
                     flow.backoff_window = min(flow.backoff_window * 2, cfg.backoff_max)
-                    defer = self.rng.randbelow(flow.backoff_window)
-                    flow.req = (region_index + 1) * slots + defer
+                    self._defer(flow, region_index + 1)
                     self.collector.count("req_collisions", 1)
 
     def on_map(self, msg: MapMessage) -> None:
-        region_index = msg.window_start // self.cfg.map_interval_us
-        self.sim.schedule_at(msg.window_start + msg.region_duration, PRIO_CONTROL,
-                             self.resolve_region, region_index)
+        """A MAP reached the modem. Its contention region needs no event of
+        its own: a region is resolved only when a REQ is put into it."""
 
     # -- transmission -----------------------------------------------------------
 

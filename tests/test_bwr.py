@@ -67,6 +67,38 @@ def test_decode_padding_error():
         decode_bwr(bytes(frame))
 
 
+def test_decode_mode_error():
+    frame = bytearray(encode_bwr(report()))
+    frame[15] = 2
+    with pytest.raises(BwrCodecError, match="mode: 2 unknown"):
+        decode_bwr(bytes(frame))
+
+
+EXTREME_HEX = (
+    "4257" "01" "ffff" "ffff" "ffffffffffffffff" "01"
+    "ff" "ffffffff" "00" "00000000" "ff" "00000001" "03" "ffffffff"
+    + "00" * 44
+)
+
+
+def test_extreme_frame_is_pinned():
+    r = report(egress=2 ** 64 - 1, enb=0xFFFF, seq=0xFFFF, mode=BWR_MODE_PER_LCG,
+               blocks=((0xFF, 0xFFFFFFFF), (0, 0), (0xFF, 1), (3, 0xFFFFFFFF)))
+    frame = encode_bwr(r)
+    assert frame.hex() == EXTREME_HEX
+    assert decode_bwr(frame) == r
+
+
+@pytest.mark.parametrize("mode", [BWR_MODE_BULK, BWR_MODE_PER_LCG])
+def test_round_trip_at_every_field_extreme(mode):
+    r = report(egress=2 ** 64 - 1, enb=0xFFFF, seq=0xFFFF, mode=mode,
+               blocks=[(0xFF, 0xFFFFFFFF)] * 4)
+    frame = encode_bwr(r)
+    assert len(frame) == BWR_FRAME_BYTES
+    assert decode_bwr(frame) == r
+    assert encode_bwr(decode_bwr(frame)) == frame
+
+
 def test_zero_blocks_valid():
     r = report(blocks=((0, 0), (1, 0), (2, 0), (3, 0)))
     assert decode_bwr(encode_bwr(r)).total_bytes() == 0

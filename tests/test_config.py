@@ -2,6 +2,8 @@ import re
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwrsim.cli import main
 from bwrsim.config import (ConfigError, SimConfig, dump_config, parse_config,
@@ -127,6 +129,8 @@ def test_validate_rejects_non_positive_channel_update(period_us):
     ("voip_bytes", 0), ("voip_period_us", 0), ("video_rate_bps", 0),
     ("video_frame_period_us", 0), ("video_burstiness", -0.5),
     ("contention_slots", 600),
+    # these two used to pass validate() and fail mid-run
+    ("video_rate_bps", float("nan")), ("video_rate_bps", float("inf")),
 ])
 def test_validate_names_the_key_of_a_timing_profile_error(key, value):
     cfg = preset("scenario1")
@@ -248,6 +252,27 @@ def test_dump_parse_round_trip(tmp_path):
     f.write_text(text)
     back = parse_config(str(f))
     assert back == cfg
+
+
+VIDEO_RATE = next(f for f in fields(SimConfig) if f.name == "video_rate_bps")
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(st.floats(1e3, 1e8, exclude_max=True))
+def test_video_rate_text_re_parses_to_the_same_rate(bps):
+    unit = VIDEO_RATE.metadata["unit"]
+    assert unit.parse(unit.format(bps)) == bps
+
+
+@pytest.mark.parametrize("text, bps", [
+    ("1291.6666666666667", 31_000_000 / 24),
+    ("64.1", 64_100.0),               # float("64.1") * 1000 is 64099.99999999999
+    ("128.3", 128_300.0),             # and float("128.3") * 1000 128300.00000000001
+])
+def test_video_rate_text_reads_as_its_exact_value(text, bps):
+    unit = VIDEO_RATE.metadata["unit"]
+    assert unit.parse(text) == bps
+    assert unit.format(bps) == text
 
 
 def test_every_field_declares_one_file_key():

@@ -1,8 +1,13 @@
 """A gate over drawn configurations: every config that SimConfig.validate()
 accepts runs in both modes and passes the shared run checks, gives the same
-results with a tick every subframe as with the sleeping tick, and re-parses
-from its printed text to an equal config. The message of a config that
-validate() rejects starts with the field at fault.
+results on the reference paths as on the fast ones, and re-parses from its
+printed text to an equal config. The message of a config that validate()
+rejects starts with the field at fault.
+
+The reference run patches each fast path back to its slow twin: a tick every
+subframe instead of the sleeping tick, a resolve_region event for every MAP
+window instead of one per region that holds a REQ, and a MAP window laid out
+afresh by open_window instead of once per window phase.
 
 Draws span the ranges below, on top of either preset; one draw in two also
 sets one key to a value outside its range, which validate() must reject.
@@ -10,6 +15,7 @@ sets one key to a value outside its range, which validate() must reject.
 
 import os
 import tempfile
+from contextlib import ExitStack
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -17,7 +23,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bwrsim.config import ConfigError, SimConfig, dump_config, parse_config, preset
-from bwrsim.core import MS
+from bwrsim.core import MS, PRIO_CONTROL
+from bwrsim.docsis import Cm, Cmts, open_window
 from bwrsim.lte import Enb
 from bwrsim.runner import run_scenario
 
@@ -107,6 +114,20 @@ def outcomes(report):
             for c in (run.collector for run in report.runs)]
 
 
+def resolve_every_region(cm, msg):
+    cm.sim.schedule_at(msg.window_start + msg.region_duration, PRIO_CONTROL,
+                       cm.resolve_region, msg.window_start // cm.cfg.map_interval_us)
+
+
+REFERENCE_PATHS = {
+    (Enb, "busy"): lambda enb: True,
+    (Cm, "_queue_region"): lambda cm, region_index: None,
+    (Cm, "on_map"): resolve_every_region,
+    (Cmts, "_open_window"): lambda cmts, start: open_window(start, cmts.cfg,
+                                                            cmts._ugs_flow_id),
+}
+
+
 def reparsed(cfg):
     """cfg written out by dump_config and read back by parse_config."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -129,6 +150,7 @@ def test_every_accepted_config_runs_clean(cfg):
     report = run_scenario(cfg)
     assert report_failures(report) == []
     assert outputs(run_scenario(cfg)) == outputs(report)
-    # the reference for the tick that sleeps while every eNB is idle
-    with mock.patch.object(Enb, "busy", lambda self: True):
+    with ExitStack() as stack:
+        for (cls, name), reference in REFERENCE_PATHS.items():
+            stack.enter_context(mock.patch.object(cls, name, reference))
         assert outcomes(run_scenario(cfg)) == outcomes(report)

@@ -285,6 +285,48 @@ def test_backoff_truncates_and_resets():
     assert f1.backoff_window == cmts.cfg.backoff_init
 
 
+def test_deferred_request_is_delivered_in_the_region_it_lands_in():
+    # after a collision the backoff window is 64 slots, eight regions of 8:
+    # a REQ can land several regions ahead and is delivered there
+    cfg = SimConfig(backoff_init=32, backoff_max=64)
+    sim, cmts, cm, collector, maps = build(cfg, flows=("f1", "f2"))
+    delivered = []
+    cmts.on_req_delivered = lambda fid, nbytes, t: delivered.append((t, fid))
+    sim.run_until(10 * MS)
+    f1, f2 = cm.flows["f1"], cm.flows["f2"]
+    for f in (f1, f2):
+        f.uncovered_bytes = 60
+        f.req = 6 * 8 + 3
+    cm.resolve_region(6)
+    landed = {f.flow_id: divmod(f.req, 8) for f in (f1, f2)}
+    assert landed["f1"] != landed["f2"]
+    assert max(region for region, _ in landed.values()) >= 6 + 3
+    sim.run_until(40 * MS)
+    slot_us = serialization_us(cfg.slot_bytes, cfg.upstream_bps)
+    assert delivered == sorted((region * cfg.map_interval_us + slot * slot_us, fid)
+                               for fid, (region, slot) in landed.items())
+    assert f1.req is None and f2.req is None
+
+
+def test_only_regions_holding_a_request_are_resolved():
+    sim, cmts, cm, collector, maps = build()
+    resolved = []
+    resolve = cm.resolve_region
+
+    def record(region_index):
+        resolved.append(region_index)
+        resolve(region_index)
+
+    cm.resolve_region = record
+    sim.run_until(100 * MS)
+    assert len(maps) > 50
+    assert resolved == []                       # no REQ, no region to resolve
+    inject(sim, cm, "f1", packet(0), 100 * MS)
+    sim.run_until(200 * MS)
+    assert resolved == [50]                     # the region at 100 ms, once
+    assert collector.counters["reqs_delivered"] == 1
+
+
 def test_zero_byte_request_gets_no_grant_and_leaves_the_fifo():
     sim, cmts, cm, collector, maps = build()
     sim.run_until(10 * MS)
