@@ -19,7 +19,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from .core import MS, SEC
 from .bwr import BWR_FRAME_BYTES
-from .docsis import DocsisError, open_window, region_duration
+from .docsis import UGS, DocsisError, ServiceFlow, open_window, region_duration
 from .lte import HARQ_RTT_US, MCS_MIN, MCS_MAX, SUBFRAME_US
 from .traffic import read_trace
 
@@ -280,7 +280,7 @@ class SimConfig:
         windows = min(math.lcm(self.ugs_period_us, mi), self.duration_us + mi) // mi
         for k in range(windows):
             try:
-                open_window((self.maps_in_advance + k) * mi, self, "ugs")
+                open_window((self.maps_in_advance + k) * mi, self, ServiceFlow("ugs", UGS))
             except DocsisError as exc:
                 raise self._invalid("ugs_grant_bytes", f"a grant every ugs_period_us = "
                                     f"{self.ugs_period_us} does not fit a MAP window: "

@@ -107,7 +107,7 @@ class ServiceFlow:
 
 @dataclass
 class Grant:
-    flow_id: str
+    flow: ServiceFlow
     start: int
     duration: int
     nbytes: int
@@ -209,7 +209,7 @@ class _Window:
 
 
 def open_window(start: int, cfg: SimConfig,
-                ugs_flow_id: Optional[str]) -> tuple[_Window, list[Grant]]:
+                ugs_flow: Optional[ServiceFlow]) -> tuple[_Window, list[Grant]]:
     """A MAP window with its contention region and, when there is a UGS flow,
     the unsolicited grants the config provisions for it placed; DocsisError
     when they do not fit."""
@@ -217,13 +217,13 @@ def open_window(start: int, cfg: SimConfig,
     win = _Window(start, end)
     win.reserve_exact(start, region_duration(cfg))
     grants = []
-    if ugs_flow_id is not None:
+    if ugs_flow is not None:
         size, period, phase = cfg.ugs_grant_bytes, cfg.ugs_period_us, cfg.ugs_phase()
         dur = serialization_us(size, cfg.upstream_bps)
         first = phase + ceil_div(max(0, start - phase), period) * period
         for g in range(first, end, period):
             actual = win.reserve_at_or_after(g, dur)
-            grants.append(Grant(ugs_flow_id, actual, dur, size, "ugs"))
+            grants.append(Grant(ugs_flow, actual, dur, size, "ugs"))
     return win, grants
 
 
@@ -237,11 +237,11 @@ class Cmts:
         self.ledger = ledger
         self.collector = collector
         self.cm: Optional["Cm"] = None
-        self.req_fifo: list[tuple[int, str, int]] = []  # (delivered, flow, bytes)
-        self.bwr_fifo: list[list] = []  # [arrival, seq, lcg, flow_id, egress, bytes]
+        self.req_fifo: list[tuple[int, ServiceFlow, int]] = []  # (delivered, flow, bytes)
+        self.bwr_fifo: list[list] = []  # [arrival, seq, lcg, flow, egress, bytes]
         self._seq = 0
-        self._data_flow_by_enb: dict[int, str] = {}
-        self._ugs_flow_id: Optional[str] = None
+        self._data_flow_by_enb: dict[int, ServiceFlow] = {}
+        self._ugs_flow: Optional[ServiceFlow] = None
         self._lead = cfg.maps_in_advance * cfg.map_interval_us
         self._region = region_duration(cfg)
         self._capacity = window_capacity_bytes(cfg)
@@ -255,13 +255,13 @@ class Cmts:
 
     def register_flow(self, flow: ServiceFlow) -> None:
         if flow.kind == UGS:
-            self._ugs_flow_id = flow.flow_id
+            self._ugs_flow = flow
             self._layouts.clear()
         elif flow.owner_enb >= 0:
-            self._data_flow_by_enb[flow.owner_enb] = flow.flow_id
+            self._data_flow_by_enb[flow.owner_enb] = flow
 
-    def on_req_delivered(self, flow_id: str, nbytes: int, delivered_at: int) -> None:
-        self.req_fifo.append((delivered_at, flow_id, nbytes))
+    def on_req_delivered(self, flow: ServiceFlow, nbytes: int, delivered_at: int) -> None:
+        self.req_fifo.append((delivered_at, flow, nbytes))
 
     def on_bwr_frame(self, frame: bytes) -> None:
         """A bandwidth report reached the CMTS over the unsolicited flow."""
@@ -299,9 +299,9 @@ class Cmts:
         if self.bwr_fifo:
             pending = []
             for entry in sorted(self.bwr_fifo, key=lambda e: (e[2], e[1])):
-                arrival, seq, lcg, flow_id, egress, nbytes = entry
+                arrival, seq, lcg, flow, egress, nbytes = entry
                 if arrival <= cutoff and egress < end:
-                    entry[5] = self._grant(msg, win, flow_id, max(egress, start),
+                    entry[5] = self._grant(msg, win, flow, max(egress, start),
                                            nbytes, "bwr")
                 if entry[5] > 0:
                     pending.append(entry)
@@ -310,11 +310,11 @@ class Cmts:
         # Best-effort demand is served in request-delivery order.
         if self.req_fifo:
             remaining_reqs = []
-            for delivered, flow_id, nbytes in self.req_fifo:
+            for delivered, flow, nbytes in self.req_fifo:
                 if delivered <= cutoff:
-                    nbytes = self._grant(msg, win, flow_id, start, nbytes, "be")
+                    nbytes = self._grant(msg, win, flow, start, nbytes, "be")
                 if nbytes > 0:
-                    remaining_reqs.append((delivered, flow_id, nbytes))
+                    remaining_reqs.append((delivered, flow, nbytes))
             self.req_fifo = remaining_reqs
 
         cap = self._capacity
@@ -339,23 +339,23 @@ class Cmts:
         phase and shifted to start."""
         key = start % self._layout_period
         if key not in self._layouts:
-            win, grants = open_window(start, self.cfg, self._ugs_flow_id)
+            win, grants = open_window(start, self.cfg, self._ugs_flow)
             self._layouts[key] = ([(s - start, e - start) for s, e in win.occupied],
                                   [g.start - start for g in grants])
         spans, ugs_starts = self._layouts[key]
         win = _Window(start, start + self.cfg.map_interval_us,
                       [(start + s, start + e) for s, e in spans])
         dur, size = self._ugs_duration, self.cfg.ugs_grant_bytes
-        return win, [Grant(self._ugs_flow_id, start + s, dur, size, "ugs")
+        return win, [Grant(self._ugs_flow, start + s, dur, size, "ugs")
                      for s in ugs_starts]
 
-    def _grant(self, msg: MapMessage, win: _Window, flow_id: str, min_start: int,
+    def _grant(self, msg: MapMessage, win: _Window, flow: ServiceFlow, min_start: int,
                nbytes: int, kind: str) -> int:
         """Grant up to nbytes of free window time at or after min_start;
         returns the bytes left."""
         bps = self.cfg.upstream_bps
         for gstart, gbytes in win.place(min_start, nbytes, bps):
-            self._emit_grant(msg, Grant(flow_id, gstart, serialization_us(gbytes, bps),
+            self._emit_grant(msg, Grant(flow, gstart, serialization_us(gbytes, bps),
                                         gbytes, kind))
             nbytes -= gbytes
         return nbytes
@@ -374,7 +374,8 @@ class Cmts:
 
 
 class Cm:
-    """Cable modem: flow queues, request arming, contention, transmission."""
+    """Cable modem: flow queues, request arming, contention, transmission,
+    and the report frames waiting for an unsolicited grant."""
 
     def __init__(self, sim: Simulator, cmts: Cmts, cfg: SimConfig, collector,
                  contention_rng: Rng):
@@ -384,7 +385,7 @@ class Cm:
         self.collector = collector
         self.rng = contention_rng
         self.flows: dict[str, ServiceFlow] = {}
-        self.ugs_queue: dict[str, deque[bytes]] = {}   # flow -> queued frames
+        self.report_frames: deque[bytes] = deque()
         self._slot_us = slot_duration(cfg)
         self._region_us = region_duration(cfg)
         # Regions whose resolve_region is queued. A resolve can share its
@@ -398,16 +399,11 @@ class Cm:
         flow.backoff_window = self.cfg.backoff_init
         self.flows[flow.flow_id] = flow
         self.cmts.register_flow(flow)
-        if flow.kind == UGS:
-            self.ugs_queue[flow.flow_id] = deque()
 
     # -- ingress from the LTE side -------------------------------------------
 
-    def enqueue_chunks(self, flow_id: str, chunks, t: int) -> None:
+    def enqueue_chunks(self, flow: ServiceFlow, chunks, t: int) -> None:
         """Transport-block bytes handed over by the base station."""
-        flow = self.flows.get(flow_id)
-        if flow is None:
-            raise DocsisError(f"unknown service flow {flow_id}")
         for pkt, nbytes in chunks:
             flow.queue.append([pkt, nbytes])
             flow.queue_bytes += nbytes
@@ -421,9 +417,9 @@ class Cm:
         if flow.kind == BE and flow.req is None and flow.uncovered_bytes > 0:
             self._arm_request(flow, t)
 
-    def note_described(self, flow_id: str, egress_time: int, nbytes: int) -> None:
+    def note_described(self, flow: ServiceFlow, egress_time: int, nbytes: int) -> None:
         """Bytes announced by a forwarded report will not be requested."""
-        self.flows[flow_id].described.append([egress_time, nbytes])
+        flow.described.append([egress_time, nbytes])
 
     # -- contention ------------------------------------------------------------
 
@@ -465,7 +461,7 @@ class Cm:
             group = by_slot[slot]
             if len(group) == 1:
                 flow = group[0]
-                self.cmts.on_req_delivered(flow.flow_id, flow.uncovered_bytes,
+                self.cmts.on_req_delivered(flow, flow.uncovered_bytes,
                                            region_start + slot * self._slot_us)
                 flow.uncovered_bytes = 0
                 self.collector.count("reqs_delivered", 1)
@@ -492,7 +488,7 @@ class Cm:
 
     def _transmit_reports(self, grant: Grant) -> None:
         cfg = self.cfg
-        queue = self.ugs_queue[grant.flow_id]
+        queue = self.report_frames
         budget = grant.nbytes
         sent = 0
         while queue and sent + len(queue[0]) <= budget:
@@ -509,7 +505,7 @@ class Cm:
     def _transmit_data(self, grant: Grant) -> None:
         cfg = self.cfg
         end = self.cmts.ledger.end
-        flow = self.flows[grant.flow_id]
+        flow = grant.flow
         budget = grant.nbytes
         sent = 0
         while flow.queue and budget > 0:
@@ -535,10 +531,8 @@ class Cm:
 
     # -- report forwarding --------------------------------------------------------
 
-    def forward_report(self, flow_id: str, frame: bytes) -> None:
-        """Queue an encoded report on its unsolicited flow (never contends)."""
-        flow = self.flows[flow_id]
-        if flow.kind != UGS:
-            raise DocsisError(f"flow {flow_id} cannot carry reports")
-        self.ugs_queue[flow_id].append(frame)
+    def forward_report(self, frame: bytes) -> None:
+        """Queue an encoded report for the next unsolicited grant (never
+        contends)."""
+        self.report_frames.append(frame)
         self.collector.count("bwr_frames_forwarded", 1)

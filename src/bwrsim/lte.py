@@ -134,7 +134,8 @@ class Ue:
         self.buffers = [deque() for _ in range(NUM_LCGS)]  # [packet, remaining]
         self.buffer_bytes = [0] * NUM_LCGS
         self.pending_sr = False
-        self.pending_grants = 0       # issued, not yet transmitted
+        self.demand = [0] * NUM_LCGS   # per-LCG bytes the eNB may still grant
+        self.granted = [0] * NUM_LCGS  # per-LCG bytes granted, not yet sent
         self.last_report_total = 0    # bytes covered by the latest BSR
         self.sent_since_report = 0
         self.last_report_time = -1
@@ -153,7 +154,7 @@ class Ue:
             self._arm_sr(t)
 
     def _needs_sr(self) -> bool:
-        if self.pending_sr or self.pending_grants > 0:
+        if self.pending_sr or any(self.granted):
             return False
         covered = max(0, self.last_report_total - self.sent_since_report)
         return covered == 0
@@ -164,7 +165,7 @@ class Ue:
         period, phase = self.cfg.sr_period_us, self.sr_phase
         k = -((phase - ready) // period)          # ceil((ready - phase) / period)
         sr_time = phase + k * period
-        self.sim.schedule_at(sr_time, PRIO_CONTROL, self.enb.on_sr, self.ue_id)
+        self.sim.schedule_at(sr_time, PRIO_CONTROL, self.enb.on_sr, self)
 
     # -- reporting --------------------------------------------------------
 
@@ -177,7 +178,7 @@ class Ue:
         self._record_report()
         if sum(self.buffer_bytes) == 0:
             return                    # zero report: nothing to transmit
-        self.enb.on_bsr(self.ue_id, self.buffer_snapshot())
+        self.enb.on_bsr(self, self.buffer_snapshot())
 
     def _record_report(self) -> None:
         self.last_report_total = sum(self.buffer_bytes)
@@ -189,7 +190,6 @@ class Ue:
     def transmit(self, grant_bytes: int) -> None:
         """Fire an UL grant: drain buffers into one transport block."""
         t = self.sim.now
-        self.pending_grants -= 1
         chunks, lcg_bytes, total = self._drain(grant_bytes)
         if total == 0:
             self.enb.collector.count("lte_grant_unused_bytes", grant_bytes)
@@ -215,7 +215,7 @@ class Ue:
             self.enb.collector.count("lte_inflight_bytes", total)
             self.enb.collector.record_tb(attempts=1, success=True)
             self.sim.schedule_in(self.cfg.enb_decode_us, PRIO_DATA,
-                                 self.enb.on_tb_decoded, self.ue_id, chunks,
+                                 self.enb.on_tb_decoded, self, chunks,
                                  lcg_bytes, total, report)
 
     def _drain(self, budget: int):
@@ -253,7 +253,7 @@ class Ue:
         if ok:
             del self.harq[proc.process_id]
             self.enb.collector.record_tb(attempts=proc.attempt + 1, success=True)
-            self.enb.on_tb_decoded(self.ue_id, proc.chunks, proc.lcg_bytes,
+            self.enb.on_tb_decoded(self, proc.chunks, proc.lcg_bytes,
                                    proc.tb_bytes, report)
             return
         if proc.attempt < self.cfg.harq_max_retx:
@@ -262,7 +262,7 @@ class Ue:
             self.sim.schedule_at(proc.next_tx, PRIO_DATA, self._attempt, proc, None)
             # The piggybacked buffer report still reaches the scheduler.
             if report is not None:
-                self.enb.on_bsr(self.ue_id, report)
+                self.enb.on_bsr(self, report)
             return
         # Retransmission budget exhausted: the block is lost.
         del self.harq[proc.process_id]
@@ -274,7 +274,7 @@ class Ue:
                 pkt.dropped = True
                 self.enb.collector.count("dropped_packets", 1)
         if report is not None:
-            self.enb.on_bsr(self.ue_id, report)
+            self.enb.on_bsr(self, report)
 
     # -- channel ----------------------------------------------------------
 
@@ -288,7 +288,8 @@ class Ue:
 
 
 class Enb:
-    """Base station: demand ledger, round-robin grant scheduler, BWR builder."""
+    """Base station: round-robin grant scheduler over its UEs' demand, BWR
+    builder."""
 
     def __init__(self, sim: Simulator, enb_id: int, cfg: SimConfig, collector,
                  harq_rng: Rng):
@@ -298,43 +299,33 @@ class Enb:
         self.collector = collector
         self.harq_rng = harq_rng
         self.tbs_table = cfg.tbs_dict()
-        self.ues: dict[int, Ue] = {}
-        self.ue_order: list[int] = []
+        self.ues: list[Ue] = []                   # round-robin order
         self.rr_index = -1
-        self.demand: dict[int, list[int]] = {}    # ue -> per-LCG schedulable bytes
-        self.pending: dict[int, list[int]] = {}   # ue -> granted, not yet transmitted
         # downstream hookup (set by the runner)
         self.egress_sink = None                   # fn(chunks, t)
         self.bwr_emitter = None                   # BwrEmitter or None
         self.wake = None                          # fn(t): wake the subframe tick at t
 
     def add_ue(self, ue: Ue) -> None:
-        self.ues[ue.ue_id] = ue
-        self.ue_order.append(ue.ue_id)
-        self.demand[ue.ue_id] = [0] * NUM_LCGS
-        self.pending[ue.ue_id] = [0] * NUM_LCGS
+        self.ues.append(ue)
 
     # -- control ladder ---------------------------------------------------
 
-    def on_sr(self, ue_id: int) -> None:
-        if ue_id not in self.ues:
-            raise LteError(f"SR from unknown ue {ue_id}")
+    def on_sr(self, ue: Ue) -> None:
         # The BSR grant is issued sr_to_bsr_grant_us after the SR; the BSR it
         # carries reaches the eNB grant_to_bsr_us later.
         self.sim.schedule_in(self.cfg.sr_to_bsr_grant_us + self.cfg.grant_to_bsr_us,
-                             PRIO_CONTROL, self.ues[ue_id].emit_bsr)
+                             PRIO_CONTROL, ue.emit_bsr)
 
-    def on_bsr(self, ue_id: int, per_lcg: list[int]) -> None:
+    def on_bsr(self, ue: Ue, per_lcg: list[int]) -> None:
         """A buffer report arrived; it becomes schedulable after processing."""
-        if ue_id not in self.ues:
-            raise LteError(f"BSR from unknown ue {ue_id}")
         self.sim.schedule_in(self.cfg.bsr_to_data_grant_us, PRIO_CONTROL,
-                             self._apply_demand, ue_id, list(per_lcg))
+                             self._apply_demand, ue, list(per_lcg))
 
-    def _apply_demand(self, ue_id: int, per_lcg: list[int]) -> None:
-        pend = self.pending[ue_id]
-        demand = [max(0, per_lcg[g] - pend[g]) for g in range(NUM_LCGS)]
-        self.demand[ue_id] = demand
+    def _apply_demand(self, ue: Ue, per_lcg: list[int]) -> None:
+        granted = ue.granted
+        demand = [max(0, per_lcg[g] - granted[g]) for g in range(NUM_LCGS)]
+        ue.demand = demand
         if self.wake is not None and any(demand):
             # Control events precede a same-instant tick, so that tick serves it.
             self.wake(-(-self.sim.now // SUBFRAME_US) * SUBFRAME_US)
@@ -344,19 +335,19 @@ class Enb:
     def busy(self) -> bool:
         """Whether a subframe tick could act: some UE has demand, or the
         report emitter holds entries not yet built into a report."""
-        return (any(any(d) for d in self.demand.values())
+        return (any(any(ue.demand) for ue in self.ues)
                 or (self.bwr_emitter is not None and bool(self.bwr_emitter.entries)))
 
     def on_subframe(self) -> None:
         """Serve one transport block per subframe, round-robin over demand."""
         t = self.sim.now
-        order = self.ue_order
-        n = len(order)
+        ues = self.ues
+        n = len(ues)
         served = None
         for step in range(1, n + 1):
             idx = (self.rr_index + step) % n
-            ue = self.ues[order[idx]]
-            if sum(self.demand[ue.ue_id]) <= 0:
+            ue = ues[idx]
+            if sum(ue.demand) <= 0:
                 continue
             if self.cfg.harq_enabled:
                 pid = ((t + self.cfg.grant_to_data_us) // SUBFRAME_US) % HARQ_PROCESSES
@@ -371,7 +362,7 @@ class Enb:
             self.bwr_emitter.on_subframe(t)
 
     def _issue_data_grant(self, ue: Ue, t: int) -> None:
-        demand = self.demand[ue.ue_id]
+        demand, granted = ue.demand, ue.granted
         budget = min(sum(demand), tbs_bytes(ue.mcs, self.tbs_table))
         lcg_bytes: dict[int, int] = {}
         left = budget
@@ -379,21 +370,21 @@ class Enb:
             take = min(demand[g], left)
             if take > 0:
                 demand[g] -= take
-                self.pending[ue.ue_id][g] += take
+                granted[g] += take
                 lcg_bytes[g] = take
                 left -= take
             if left == 0:
                 break
         tx_time = t + self.cfg.grant_to_data_us
-        ue.pending_grants += 1
         self.collector.count("lte_granted_bytes", budget)
         self.sim.schedule_at(tx_time, PRIO_DATA, self._fire_grant, ue, budget, lcg_bytes)
         if self.bwr_emitter is not None:
             self.bwr_emitter.note_grant(lcg_bytes, tx_time + self.cfg.enb_decode_us)
 
     def _fire_grant(self, ue: Ue, grant_bytes: int, lcg_bytes: dict[int, int]) -> None:
+        granted = ue.granted
         for g, nbytes in lcg_bytes.items():
-            self.pending[ue.ue_id][g] = max(0, self.pending[ue.ue_id][g] - nbytes)
+            granted[g] -= nbytes
         ue.transmit(grant_bytes)
 
     def note_retx(self, lcg_bytes: dict[int, int], tx_time: int) -> None:
@@ -407,7 +398,7 @@ class Enb:
 
     # -- egress ------------------------------------------------------------
 
-    def on_tb_decoded(self, ue_id: int, chunks, lcg_bytes, total: int, report) -> None:
+    def on_tb_decoded(self, ue: Ue, chunks, lcg_bytes, total: int, report) -> None:
         t = self.sim.now
         self.collector.count("lte_inflight_bytes", -total)
         self.collector.count("lte_egressed_bytes", total)
@@ -418,7 +409,7 @@ class Enb:
         if self.egress_sink is not None:
             self.egress_sink(chunks, t)
         if report is not None:
-            self.on_bsr(ue_id, report)
+            self.on_bsr(ue, report)
 
 
 class SubframeTick:

@@ -19,13 +19,6 @@ from .metrics import Collector
 from .traffic import PacketFactory, TraceSource, VideoTrace, VoipSource, read_trace, synth_video
 
 
-def data_flow_id(enb_id: int) -> str:
-    return f"enb{enb_id}-data"
-
-
-UGS_FLOW_ID = "bwr-ugs"
-
-
 @dataclass
 class SimRun:
     """One completed simulation instance and handles into its state."""
@@ -78,10 +71,12 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     cm = Cm(sim, cmts, cfg, collector, streams.stream("contention"))
     factory = PacketFactory(Packet)
 
-    for enb_id in range(1, cfg.enb_count + 1):
-        cm.add_flow(ServiceFlow(data_flow_id(enb_id), BE, owner_enb=enb_id))
+    data_flows = [ServiceFlow(f"enb{enb_id}-data", BE, owner_enb=enb_id)
+                  for enb_id in range(1, cfg.enb_count + 1)]
+    for flow in data_flows:
+        cm.add_flow(flow)
     if mode == "bwr":
-        cm.add_flow(ServiceFlow(UGS_FLOW_ID, UGS, owner_enb=cfg.eut_enb))
+        cm.add_flow(ServiceFlow("bwr-ugs", UGS, owner_enb=cfg.eut_enb))
 
     trace = _build_trace(cfg) if cfg.traffic_case == "video" else None
     enbs: list[Enb] = []
@@ -90,15 +85,14 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     phases = streams.stream("phases")
     next_ue_id = 1
 
-    for enb_id in range(1, cfg.enb_count + 1):
+    for enb_id, flow in enumerate(data_flows, start=1):
         enb = Enb(sim, enb_id, cfg, collector, streams.stream("harq"))
-        flow_id = data_flow_id(enb_id)
-        enb.egress_sink = functools.partial(cm.enqueue_chunks, flow_id)
+        enb.egress_sink = functools.partial(cm.enqueue_chunks, flow)
         if mode == "bwr" and enb_id == cfg.eut_enb:
-            def forward(report, _fid=flow_id):
+            def forward(report, _flow=flow):
                 frame = encode_bwr(report)
-                cm.note_described(_fid, report.egress_time, report.total_bytes())
-                cm.forward_report(UGS_FLOW_ID, frame)
+                cm.note_described(_flow, report.egress_time, report.total_bytes())
+                cm.forward_report(frame)
             enb.bwr_emitter = BwrEmitter(
                 enb_id, cfg.bwr_period_us, cfg.grant_to_data_us + cfg.enb_decode_us,
                 per_lcg=cfg.bwr_per_lcg, forward=forward, collector=collector)

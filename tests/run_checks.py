@@ -1,8 +1,9 @@
 """What a correct run is: the checks that every test of whole runs shares.
 
 They are the benchmark's correctness gate (`check_outputs` in bench/child.py)
-stated once for the tests. Each returns a list of failures, empty when the
-run passes.
+stated once for the tests. Each `*_failures` check returns a list of
+failures, empty when the run passes. `map_overlaps` checks one MAP, and
+`record_maps` collects the MAPs a modem receives for such checks.
 """
 
 
@@ -16,6 +17,15 @@ def conservation_failures(run) -> list[str]:
     if c["lte_egressed"] != c["cm_queued"] + c["docsis_sent"]:
         fails.append(f"{run.mode}: DOCSIS byte conservation {c}")
     return fails
+
+
+def lte_ledger_failures(run) -> list[str]:
+    """No UE ends a run with negative demand or granted bytes: a grant's
+    bytes leave `granted` once, when the grant fires."""
+    bad = [ue.ue_id for ue in run.ues if min(ue.demand) < 0 or min(ue.granted) < 0]
+    if bad:
+        return [f"{run.mode}: negative LTE demand or granted bytes on ues {bad}"]
+    return []
 
 
 def lte_pairs(base, bwr) -> list[tuple[int, int]]:
@@ -40,4 +50,30 @@ def report_failures(report) -> list[str]:
     """Every check above on a baseline+bwr report."""
     base, bwr = report.runs
     return (conservation_failures(base) + conservation_failures(bwr)
+            + lte_ledger_failures(base) + lte_ledger_failures(bwr)
             + cross_mode_failures(base, bwr))
+
+
+def map_overlaps(m) -> bool:
+    """True when a MAP's reservations overlap or leave its window. Windows
+    are disjoint, so no MAP doing so means no channel overlap at all."""
+    spans = sorted([(m.window_start, m.window_start + m.region_duration)]
+                   + [(g.start, g.start + g.duration) for g in m.grants])
+    ends = [m.window_start] + [e for _, e in spans]
+    return any(s < e for (s, _), e in zip(spans, ends)) or ends[-1] > m.window_end
+
+
+def record_maps(target, patch=setattr) -> list:
+    """Wrap `on_map` of one modem or of the Cm class so that every MAP it
+    receives is also appended to the returned list. Patch the class with a
+    monkeypatch's setattr as `patch`, so that the wrapper goes when the test
+    ends."""
+    maps = []
+    on_map = target.on_map
+
+    def record(*args):              # (msg) on a modem, (cm, msg) on the class
+        maps.append(args[-1])
+        on_map(*args)
+
+    patch(target, "on_map", record)
+    return maps

@@ -20,7 +20,7 @@ from bwrsim.lte import harq_grant_utilization
 from bwrsim.metrics import summarize
 from bwrsim.runner import paired_deltas, run_scenario, run_single
 
-from run_checks import conservation_failures
+from run_checks import conservation_failures, map_overlaps, record_maps
 
 
 def _criterion(name, ok, detail):
@@ -42,16 +42,9 @@ def scenario1_pair():
 def scenario2_runs():
     """Five seeds in both modes, with every MAP each run's modem received."""
     runs, maps = {}, {}
-    seen = []
-    on_map = Cm.on_map
-
-    def record(cm, msg):
-        seen.append(msg)
-        on_map(cm, msg)
-
     t0 = time.monotonic()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Cm, "on_map", record)
+        seen = record_maps(Cm, mp.setattr)
         for seed in range(1, 6):
             cfg = preset("scenario2")
             cfg.seed = seed
@@ -238,15 +231,6 @@ def test_c9c_byte_conservation(scenario1_pair, scenario2_runs, capsys):
                    f"12 ledgers checked, {len(failures)} violations")
 
 
-def _map_overlaps(m) -> bool:
-    """True when a MAP's reservations overlap or leave its window. Windows
-    are disjoint, so no MAP doing so means no channel overlap at all."""
-    spans = sorted([(m.window_start, m.window_start + m.region_duration)]
-                   + [(g.start, g.start + g.duration) for g in m.grants])
-    ends = [m.window_start] + [e for _, e in spans]
-    return any(s < e for (s, _), e in zip(spans, ends)) or ends[-1] > m.window_end
-
-
 def test_c9d_map_non_overcommitment(scenario2_runs, capsys):
     runs, _, maps = scenario2_runs
     worst = 0.0
@@ -258,7 +242,7 @@ def test_c9d_map_non_overcommitment(scenario2_runs, capsys):
             for m in maps[seed, run.mode]:
                 windows += 1
                 worst = max(worst, m.granted_bytes() / cap)
-                overlapping += _map_overlaps(m)
+                overlapping += map_overlaps(m)
     overlaps = (f"{overlapping} MAPs with channel overlaps" if overlapping
                 else "no channel overlaps")
     with capsys.disabled():

@@ -124,7 +124,7 @@ REFERENCE_PATHS = {
     (Cm, "_queue_region"): lambda cm, region_index: None,
     (Cm, "on_map"): resolve_every_region,
     (Cmts, "_open_window"): lambda cmts, start: open_window(start, cmts.cfg,
-                                                            cmts._ugs_flow_id),
+                                                            cmts._ugs_flow),
 }
 
 

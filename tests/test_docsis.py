@@ -9,6 +9,8 @@ from bwrsim.docsis import (BE, UGS, ChannelLedger, Cm, Cmts, DocsisError, Grant,
 from bwrsim.lte import LteError, Packet
 from bwrsim.metrics import Collector
 
+from run_checks import map_overlaps, record_maps
+
 
 def build(cfg=None, *, flows=("f1",), ugs=None, seed=3, end=10 * SEC):
     """A CMTS and modem with BE flows; also returns every MAP the modem gets."""
@@ -22,28 +24,13 @@ def build(cfg=None, *, flows=("f1",), ugs=None, seed=3, end=10 * SEC):
         cm.add_flow(ServiceFlow(fid, BE, owner_enb=i))
     if ugs is not None:
         cm.add_flow(ugs)
-    maps = []
-    on_map = cm.on_map
-
-    def record(msg):
-        maps.append(msg)
-        on_map(msg)
-
-    cm.on_map = record
+    maps = record_maps(cm)
     sim.schedule_at(0, PRIO_SCHED, cmts.map_cycle)
     return sim, cmts, cm, collector, maps
 
 
 def grants_of(maps, kind):
     return [g for m in maps for g in m.grants if g.kind == kind]
-
-
-def map_overlaps(m) -> bool:
-    """True when a MAP's reservations overlap or leave its window."""
-    spans = sorted([(m.window_start, m.window_start + m.region_duration)]
-                   + [(g.start, g.start + g.duration) for g in m.grants])
-    ends = [m.window_start] + [e for _, e in spans]
-    return any(s < e for (s, _), e in zip(spans, ends)) or ends[-1] > m.window_end
 
 
 def packet(pid, size=60, ue=1, enb=1):
@@ -54,9 +41,9 @@ def packet(pid, size=60, ue=1, enb=1):
 
 
 def inject(sim, cm, fid, pkt, t):
-    """Deliver a whole packet to the modem at time t."""
+    """Deliver a whole packet to the modem's flow fid at time t."""
     sim.run_until(t)
-    cm.enqueue_chunks(fid, [(pkt, pkt.size_bytes)], t)
+    cm.enqueue_chunks(cm.flows[fid], [(pkt, pkt.size_bytes)], t)
 
 
 def test_serialization_arithmetic():
@@ -119,7 +106,7 @@ def test_ugs_flow_never_requests():
     cfg = SimConfig(ugs_grant_bytes=80, ugs_period_us=2 * MS, ugs_phase_us=MS)
     sim, cmts, cm, collector, maps = build(cfg, ugs=ServiceFlow("ugs1", UGS))
     sim.run_until(5 * MS)
-    cm.enqueue_chunks("ugs1", [(packet(0), 60)], sim.now)
+    cm.enqueue_chunks(cm.flows["ugs1"], [(packet(0), 60)], sim.now)
     assert cm.flows["ugs1"].req is None
     sim.run_until(20 * MS)
     assert cm.flows["ugs1"].req is None
@@ -138,7 +125,7 @@ def test_ugs_grant_cadence_and_idle_waste():
 
 def test_zero_byte_service_is_noop():
     sim, cmts, cm, collector, maps = build()
-    cm.on_grant(Grant("f1", 2 * MS, 13, 60, "be"), 0)
+    cm.on_grant(Grant(cm.flows["f1"], 2 * MS, 13, 60, "be"), 0)
     assert collector.counters.get("docsis_sent_bytes", 0) == 0
 
 
@@ -187,7 +174,7 @@ def test_work_conservation_single_backlogged_flow():
     sim, cmts, cm, collector, maps = build()
     sim.run_until(10 * MS)
     big = packet(0, size=200_000)
-    cm.enqueue_chunks("f1", [(big, 200_000)], sim.now)
+    cm.enqueue_chunks(cm.flows["f1"], [(big, 200_000)], sim.now)
     sim.run_until(40 * MS)
     cfg = cmts.cfg
     cap = window_capacity_bytes(cfg)
@@ -291,7 +278,7 @@ def test_deferred_request_is_delivered_in_the_region_it_lands_in():
     cfg = SimConfig(backoff_init=32, backoff_max=64)
     sim, cmts, cm, collector, maps = build(cfg, flows=("f1", "f2"))
     delivered = []
-    cmts.on_req_delivered = lambda fid, nbytes, t: delivered.append((t, fid))
+    cmts.on_req_delivered = lambda flow, nbytes, t: delivered.append((t, flow.flow_id))
     sim.run_until(10 * MS)
     f1, f2 = cm.flows["f1"], cm.flows["f2"]
     for f in (f1, f2):
@@ -330,7 +317,7 @@ def test_only_regions_holding_a_request_are_resolved():
 def test_zero_byte_request_gets_no_grant_and_leaves_the_fifo():
     sim, cmts, cm, collector, maps = build()
     sim.run_until(10 * MS)
-    cmts.on_req_delivered("f1", 0, sim.now)
+    cmts.on_req_delivered(cm.flows["f1"], 0, sim.now)
     # the MAPs at 12 and 14 ms both come after the request's cutoff
     sim.run_until(14 * MS)
     assert cmts.req_fifo == []

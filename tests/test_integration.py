@@ -10,7 +10,7 @@ from bwrsim.docsis import Cm
 from bwrsim.lte import Enb
 from bwrsim.runner import run_single
 
-from run_checks import cross_mode_failures, lte_pairs
+from run_checks import cross_mode_failures, lte_pairs, record_maps
 
 
 def test_no_requests_when_everything_is_described():
@@ -143,14 +143,7 @@ def test_per_lcg_mode_matches_bulk_for_single_class_traffic():
 ])
 def test_ugs_occupancy_counts_grants_before_the_end(monkeypatch, phase_us,
                                                     duration_us, grant_at_end):
-    maps = []
-    on_map = Cm.on_map
-
-    def record(cm, msg):
-        maps.append(msg)
-        on_map(cm, msg)
-
-    monkeypatch.setattr(Cm, "on_map", record)
+    maps = record_maps(Cm, monkeypatch.setattr)
     cfg = preset("scenario1")
     cfg.ugs_phase_us = phase_us
     cfg.duration_us = duration_us

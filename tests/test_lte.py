@@ -139,7 +139,7 @@ def test_sr_fires_at_next_opportunity():
     enb = make_enb(sim)
     ue = make_ue(sim, enb)
     captured = []
-    enb.on_sr = lambda ue_id: captured.append((sim.now, ue_id))
+    enb.on_sr = lambda ue: captured.append((sim.now, ue.ue_id))
     ue.on_arrival(pkt())
     sim.run_until(20 * MS)
     assert captured == [(5 * MS, 1)]
@@ -152,7 +152,7 @@ def test_sr_wait_range_over_phases():
             enb = make_enb(sim)
             ue = make_ue(sim, enb, sr_phase=phase_ms * MS)
             times = []
-            enb.on_sr = lambda ue_id: times.append(sim.now)
+            enb.on_sr = lambda ue: times.append(sim.now)
             sim.run_until(arrival)
             ue.on_arrival(pkt())
             sim.run_until(arrival + 20 * MS)
@@ -161,12 +161,22 @@ def test_sr_wait_range_over_phases():
 
 
 def test_no_sr_while_grant_pending():
+    # a grant issued for reported demand holds off the SR until it fires;
+    # after that no report covers the buffer, and an arrival arms one
     sim = Simulator()
     enb = make_enb(sim)
     ue = make_ue(sim, enb)
-    ue.pending_grants = 1
-    ue.on_arrival(pkt())
+    enb.on_bsr(ue, [0, 60, 0, 0])
+    sim.run_until(enb.cfg.bsr_to_data_grant_us)
+    enb.on_subframe()
+    assert ue.granted == [0, 60, 0, 0]
+    ue.on_arrival(pkt(0))
     assert not ue.pending_sr
+    sim.run_until(sim.now + enb.cfg.grant_to_data_us)   # the grant fires
+    assert ue.granted == [0, 0, 0, 0]
+    assert ue.buffer_bytes == [0, 0, 0, 0]
+    ue.on_arrival(pkt(1))
+    assert ue.pending_sr
 
 
 def test_no_duplicate_sr():
@@ -200,16 +210,9 @@ def test_sr_to_bsr_delivery_times():
     ue.on_arrival(pkt())            # SR at 5 ms (phase 0)
     seen = []
     orig = enb.on_bsr
-    enb.on_bsr = lambda ue_id, per_lcg: seen.append((sim.now, list(per_lcg)))
+    enb.on_bsr = lambda ue, per_lcg: seen.append((sim.now, list(per_lcg)))
     sim.run_until(20 * MS)
     assert seen == [(13 * MS, [0, 60, 0, 0])]
-
-
-def test_sr_from_unknown_ue_rejected():
-    sim = Simulator()
-    enb = make_enb(sim)
-    with pytest.raises(LteError):
-        enb.on_sr(99)
 
 
 def test_two_srs_independent_grants():
@@ -218,7 +221,7 @@ def test_two_srs_independent_grants():
     ue1 = make_ue(sim, enb, ue_id=1)
     ue2 = make_ue(sim, enb, ue_id=2)
     seen = []
-    enb.on_bsr = lambda ue_id, per_lcg: seen.append((sim.now, ue_id))
+    enb.on_bsr = lambda ue, per_lcg: seen.append((sim.now, ue.ue_id))
     ue1.on_arrival(pkt(0, ue_id=1))
     ue2.on_arrival(pkt(1, ue_id=2))
     sim.run_until(20 * MS)
@@ -240,7 +243,7 @@ def test_zero_bsr_suppressed():
     enb = make_enb(sim)
     ue = make_ue(sim, enb)
     seen = []
-    enb.on_bsr = lambda ue_id, per_lcg: seen.append(per_lcg)
+    enb.on_bsr = lambda ue, per_lcg: seen.append(per_lcg)
     ue.emit_bsr()
     assert seen == []
 
@@ -265,7 +268,7 @@ def test_round_robin_rotation():
     enb = make_enb(sim)
     for uid in range(1, 7):
         ue = make_ue(sim, enb, ue_id=uid)
-        enb.demand[uid] = [0, 10_000, 0, 0]
+        ue.demand = [0, 10_000, 0, 0]
     grants = run_subframes(sim, enb, 6)
     assert [uid for _, uid in grants] == [1, 2, 3, 4, 5, 6]
 
@@ -274,8 +277,8 @@ def test_round_robin_fairness():
     sim = Simulator()
     enb = make_enb(sim)
     for uid in range(1, 5):
-        make_ue(sim, enb, ue_id=uid)
-        enb.demand[uid] = [10 ** 7, 0, 0, 0]
+        ue = make_ue(sim, enb, ue_id=uid)
+        ue.demand = [10 ** 7, 0, 0, 0]
     grants = run_subframes(sim, enb, 42)
     counts = {}
     for _, uid in grants:
@@ -288,13 +291,13 @@ def test_grant_segmentation():
     sim = Simulator()
     enb = make_enb(sim)
     ue = make_ue(sim, enb)
-    enb.demand[1] = [5000, 0, 0, 0]
+    ue.demand = [5000, 0, 0, 0]
     sizes = []
     orig = enb._issue_data_grant
     def spy(ue_, t):
-        before = sum(enb.demand[1])
+        before = sum(ue.demand)
         orig(ue_, t)
-        sizes.append(before - sum(enb.demand[1]))
+        sizes.append(before - sum(ue.demand))
     enb._issue_data_grant = spy
     for _ in range(3):
         enb.on_subframe()
@@ -305,11 +308,11 @@ def test_grant_segmentation():
 def test_under_capacity_single_grant():
     sim = Simulator()
     enb = make_enb(sim)
-    make_ue(sim, enb)
-    enb.demand[1] = [0, 60, 0, 0]
+    ue = make_ue(sim, enb)
+    ue.demand = [0, 60, 0, 0]
     enb.on_subframe()
-    assert sum(enb.demand[1]) == 0
-    assert enb.pending[1][1] == 60
+    assert sum(ue.demand) == 0
+    assert ue.granted[1] == 60
 
 
 # -- channel updates ---------------------------------------------------------------
@@ -471,7 +474,7 @@ def test_sleeping_tick_serves_demand_at_the_first_boundary(report_at, served_at)
     # boundary it precedes that boundary's tick and is served by it
     sim = Simulator()
     enb = make_enb(sim)
-    make_ue(sim, enb)
+    ue = make_ue(sim, enb)
     ticks = start_ticks(sim, enb)
     issued = []
     orig = enb._issue_data_grant
@@ -480,7 +483,7 @@ def test_sleeping_tick_serves_demand_at_the_first_boundary(report_at, served_at)
         orig(ue, t)
     enb._issue_data_grant = spy
     sim.run_until(report_at)
-    enb.on_bsr(1, [0, 60, 0, 0])
+    enb.on_bsr(ue, [0, 60, 0, 0])
     sim.run_until(20 * MS)
     assert issued == [served_at]
     assert ticks == [0, served_at]
