@@ -535,4 +535,3 @@ class Cm:
         """Queue an encoded report for the next unsolicited grant (never
         contends)."""
         self.report_frames.append(frame)
-        self.collector.count("bwr_frames_forwarded", 1)

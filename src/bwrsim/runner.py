@@ -6,7 +6,10 @@ from __future__ import annotations
 import csv
 import functools
 import os
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import sub
 from typing import Optional
 
 from . import metrics
@@ -32,8 +35,8 @@ class SimRun:
     cm: Cm
     ues: list[Ue]
 
-    def eut_samples(self):
-        return [s for s in self.collector.retained() if s.enb_id == self.cfg.eut_enb]
+    def eut_samples(self) -> metrics.Samples:
+        return self.collector.retained().select(self.cfg.eut_enb)
 
     def conservation(self) -> dict[str, int]:
         c = self.collector.counters
@@ -136,14 +139,41 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     return SimRun(cfg, mode, sim, collector, ledger, cmts, cm, ues)
 
 
-def paired_deltas(base: SimRun, bwr: SimRun):
-    """Per-packet DOCSIS-only latency (baseline, bwr) joined on packet id."""
-    base_by_id = {s.packet_id: s.docsis_us for s in base.collector.retained()}
-    out = []
-    for s in bwr.collector.retained():
-        b = base_by_id.get(s.packet_id)
-        if b is not None:
-            out.append((s.packet_id, s.traffic_class, b, s.docsis_us))
+class PairedDeltas:
+    """Per-packet DOCSIS-only latency in baseline and in bwr, as columns.
+    Iterating yields (packet id, class, baseline us, bwr us) tuples."""
+
+    def __init__(self, classes: list[str]):
+        self.classes = classes              # traffic class of each code
+        self.class_code = bytearray()
+        self.packet_id = array("q")
+        self.base_us = array("q")
+        self.bwr_us = array("q")
+
+    def __len__(self) -> int:
+        return len(self.packet_id)
+
+    def __iter__(self):
+        return zip(self.packet_id, map(self.classes.__getitem__, self.class_code),
+                   self.base_us, self.bwr_us)
+
+
+def paired_deltas(base: SimRun, bwr: SimRun) -> PairedDeltas:
+    """Per-packet DOCSIS-only latency (baseline, bwr) joined on packet id, in
+    bwr's order. Packet ids are dense, so the join looks baseline up in an
+    array indexed by id (-1: not retained)."""
+    b, w = base.collector.retained(), bwr.collector.retained()
+    base_us = array("q", [-1]) * (max(chain(b.packet_id, w.packet_id), default=-1) + 1)
+    for pid, us in zip(b.packet_id, b.docsis_us):
+        base_us[pid] = us
+    out = PairedDeltas(list(w.classes))
+    for pid, code, us in zip(w.packet_id, w.class_code, w.docsis_us):
+        b_us = base_us[pid]
+        if b_us >= 0:
+            out.packet_id.append(pid)
+            out.class_code.append(code)
+            out.base_us.append(b_us)
+            out.bwr_us.append(us)
     return out
 
 
@@ -151,7 +181,7 @@ def paired_deltas(base: SimRun, bwr: SimRun):
 class RunReport:
     cfg: SimConfig
     runs: list[SimRun]
-    deltas: list = field(default_factory=list)
+    deltas: PairedDeltas | list = field(default_factory=list)
     csv_paths: list[str] = field(default_factory=list)
     text: str = ""          # the rendered report, set by run_scenario
 
@@ -169,12 +199,10 @@ class RunReport:
             lines.append(_table_row(run.mode, retained))
             if self.cfg.enb_count > 1:
                 # an eNB without samples keeps its row of "-" cells
-                by_enb = {enb_id: [] for enb_id in range(1, self.cfg.enb_count + 1)}
-                for s in retained:
-                    by_enb[s.enb_id].append(s)
-                for enb_id, rows in by_enb.items():
+                for enb_id in range(1, self.cfg.enb_count + 1):
                     tag = " eut" if enb_id == self.cfg.eut_enb else ""
-                    lines.append(_table_row(f"  enb{enb_id}{tag}", rows))
+                    lines.append(_table_row(f"  enb{enb_id}{tag}",
+                                            retained.select(enb_id)))
         lines.append("")
         for run in self.runs:
             c = run.collector.counters
@@ -188,7 +216,7 @@ class RunReport:
                 extras.append(f"ugs_occupancy_kbps={occ / 1000:.1f}")
             lines.append("  ".join(extras))
         if self.deltas:
-            vals = [b - w for _, _, b, w in self.deltas]
+            vals = array("q", map(sub, self.deltas.base_us, self.deltas.bwr_us))
             exact = vals.count(4000)
             lines.append("")
             lines.append(f"paired docsis delta: packets={len(vals)} "

@@ -1,10 +1,16 @@
 """What a correct run is: the checks that every test of whole runs shares.
 
 They are the benchmark's correctness gate (`check_outputs` in bench/child.py)
-stated once for the tests. Each `*_failures` check returns a list of
-failures, empty when the run passes. `map_overlaps` checks one MAP, and
-`record_maps` collects the MAPs a modem receives for such checks.
+stated once for the tests, plus the row-based reference of the columnar
+result processing. Each `*_failures` check returns a list of failures, empty
+when the run passes. `map_overlaps` checks one MAP, and `record_maps`
+collects the MAPs a modem receives for such checks.
 """
+
+import itertools
+from operator import attrgetter
+
+from bwrsim.metrics import SEGMENTS, Summary, cdf, summarize
 
 
 def conservation_failures(run) -> list[str]:
@@ -46,12 +52,59 @@ def cross_mode_failures(base, bwr) -> list[str]:
     return []
 
 
+def reference_summary(rows, segment) -> Summary:
+    """`summarize` over LatencySample rows, one Python object per sample."""
+    values = list(map(attrgetter(f"{segment}_us"), rows))
+    return Summary(min(values), sum(values) / len(values), max(values), len(values))
+
+
+def reference_cdf(rows, segment) -> list[tuple[float, float]]:
+    """`cdf` over LatencySample rows."""
+    values = sorted(map(attrgetter(f"{segment}_us"), rows))
+    n = len(values)
+    nexts = values[1:]
+    nexts.append(None)
+    return [(v / 1000, i / n)
+            for i, v, nxt in zip(itertools.count(1), values, nexts) if v != nxt]
+
+
+def reference_deltas(base_rows, bwr_rows) -> list[tuple]:
+    """`paired_deltas` as a dict join on packet id over LatencySample rows."""
+    base_by_id = {s.packet_id: s.docsis_us for s in base_rows}
+    return [(s.packet_id, s.traffic_class, base_by_id[s.packet_id], s.docsis_us)
+            for s in bwr_rows if s.packet_id in base_by_id]
+
+
+def columnar_failures(report) -> list[str]:
+    """The summaries, per-eNB selections, CDFs and paired deltas taken from
+    the sample columns equal their row-based references."""
+    fails = []
+    rows_of = []
+    for run in report.runs:
+        store = run.collector.retained()
+        rows = list(store)
+        rows_of.append(rows)
+        for enb_id in range(1, report.cfg.enb_count + 1):
+            if list(store.select(enb_id)) != [s for s in rows if s.enb_id == enb_id]:
+                fails.append(f"{run.mode}: samples of enb{enb_id} differ")
+        if not rows:
+            continue
+        for segment in SEGMENTS:
+            if summarize(store, segment) != reference_summary(rows, segment):
+                fails.append(f"{run.mode}: {segment} summary differs")
+            if cdf(store, segment) != reference_cdf(rows, segment):
+                fails.append(f"{run.mode}: {segment} CDF differs")
+    if list(report.deltas) != reference_deltas(*rows_of):
+        fails.append("paired deltas differ from the join on packet id")
+    return fails
+
+
 def report_failures(report) -> list[str]:
     """Every check above on a baseline+bwr report."""
     base, bwr = report.runs
     return (conservation_failures(base) + conservation_failures(bwr)
             + lte_ledger_failures(base) + lte_ledger_failures(bwr)
-            + cross_mode_failures(base, bwr))
+            + cross_mode_failures(base, bwr) + columnar_failures(report))
 
 
 def map_overlaps(m) -> bool:

@@ -273,7 +273,7 @@ def test_just_in_time_grant_at_egress():
     assert len(grants) == 1
     assert grants[0].start >= 20 * MS            # at or after egress
     assert grants[0].start < 22 * MS             # inside the covering window
-    assert collector.samples[0].docsis_us < 1500
+    assert list(collector.samples)[0].docsis_us < 1500
 
 
 def test_zero_total_report_schedules_nothing():
@@ -313,7 +313,7 @@ def test_harq_failure_wastes_grant_data_rides_fresh_report():
     assert cm.flows["data"].req is None          # described credit still held
     sim.run_until(36 * MS)
     assert len(collector.samples) == 1
-    assert collector.samples[0].docsis_us < 2500
+    assert list(collector.samples)[0].docsis_us < 2500
 
 
 def test_described_credit_expires():

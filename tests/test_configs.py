@@ -104,13 +104,14 @@ FIELDS = {f.name for f in fields(SimConfig)}
 
 def outputs(report):
     return (report.text,
-            [(run.collector.retained(), run.collector.counters,
+            [(list(run.collector.retained()), run.collector.counters,
               run.sim.events_processed) for run in report.runs])
 
 
 def outcomes(report):
-    """Retained samples, counters and transport-block totals of each run."""
-    return [(c.retained(), c.counters, c.tb_blocks, c.tb_carried)
+    """Retained samples (row by row), counters and transport-block totals of
+    each run."""
+    return [(list(c.retained()), c.counters, c.tb_blocks, c.tb_carried)
             for c in (run.collector for run in report.runs)]
 
 

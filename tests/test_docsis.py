@@ -67,7 +67,7 @@ def test_request_grant_floor_even_alignment():
     pkt = packet(0)
     inject(sim, cm, "f1", pkt, 18 * MS)
     sim.run_until(40 * MS)
-    assert collector.samples[0].docsis_us == 5245
+    assert list(collector.samples)[0].docsis_us == 5245
 
 
 def test_request_grant_odd_alignment_adds_one_ms():
@@ -75,7 +75,7 @@ def test_request_grant_odd_alignment_adds_one_ms():
     pkt = packet(0)
     inject(sim, cm, "f1", pkt, 19 * MS)
     sim.run_until(40 * MS)
-    assert collector.samples[0].docsis_us == 6245
+    assert list(collector.samples)[0].docsis_us == 6245
 
 
 def test_single_outstanding_request_piggybacks():
@@ -138,7 +138,7 @@ def test_fragmentation_last_byte_rule():
     inject(sim, cm, "f1", pkt, 18 * MS)
     sim.run_until(60 * MS)
     assert len(collector.samples) == 1
-    s = collector.samples[0]
+    s = list(collector.samples)[0]
     first_possible = 4 * MS + cfg.cm_framing_us  # if it fit one grant
     assert s.docsis_us > first_possible + 2 * MS  # second window was needed
     assert pkt.docsis_egressed == 3000

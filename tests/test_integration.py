@@ -85,10 +85,8 @@ def test_background_flows_unaffected_by_pipelining_gain():
     bwr = run_single(cfg, "bwr")
     from bwrsim.metrics import summarize
     for enb_id in (2, 3, 4):
-        mb = summarize([s for s in base.collector.retained() if s.enb_id == enb_id],
-                       "docsis")
-        mw = summarize([s for s in bwr.collector.retained() if s.enb_id == enb_id],
-                       "docsis")
+        mb = summarize(base.collector.retained().select(enb_id), "docsis")
+        mw = summarize(bwr.collector.retained().select(enb_id), "docsis")
         # background traffic keeps contending: no pipelining floor for them
         assert mw.min_us > 4_000
         assert mb.min_us > 4_000
@@ -156,8 +154,7 @@ def test_ugs_occupancy_counts_grants_before_the_end(monkeypatch, phase_us,
 
 
 def _container_sizes(run):
-    exempt = {"req_fifo", "bwr_fifo",     # demand not yet granted
-              "samples"}                  # the result: one per retained packet
+    exempt = {"req_fifo", "bwr_fifo"}     # demand not yet granted
     sizes = {}
     for owner in ("cmts", "cm", "ledger", "collector"):
         for attr, value in vars(getattr(run, owner)).items():
@@ -180,7 +177,7 @@ def test_docsis_state_does_not_grow_with_simulated_time():
 def _outcome(cfg, mode):
     run = run_single(cfg, mode)
     c = run.collector
-    return c.retained(), c.counters, c.tb_blocks, c.tb_carried
+    return list(c.retained()), c.counters, c.tb_blocks, c.tb_carried
 
 
 @pytest.mark.parametrize("overrides", [

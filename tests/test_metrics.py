@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -6,21 +9,18 @@ from bwrsim.core import SEC, Simulator
 from bwrsim.config import SimConfig
 from bwrsim.docsis import ChannelLedger, Cmts
 from bwrsim.lte import LteError, Packet
-from bwrsim.metrics import (Collector, LatencySample, MetricsError,
-                            bwr_overhead_bps, cdf, grant_utilization,
+from bwrsim.metrics import (Collector, MetricsError, cdf, grant_utilization,
                             summarize, write_cdf_csv, write_samples_csv)
 
-
-def sample(pid=0, e2e=11_445, lte=6_200, docsis=5_245, arrival=0):
-    return LatencySample(pid, 1, 1, "voip", "baseline", arrival, e2e, lte, docsis)
+from egress import record
 
 
-def samples_us(values, segment="docsis"):
-    out = []
-    for i, v in enumerate(values):
-        kw = {"e2e": v + 1000, "lte": 1000, "docsis": v}
-        out.append(sample(i, kw["e2e"], kw["lte"], kw["docsis"]))
-    return out
+def samples_us(values):
+    """A store of one sample per value: docsis-only us, 1 ms lte-only."""
+    collector = Collector("baseline")
+    for pid, v in enumerate(values):
+        record(collector, pid, lte=1000, docsis=v)
+    return collector.retained()
 
 
 def test_summary_arithmetic():
@@ -37,7 +37,7 @@ def test_summary_single_sample():
 
 def test_summary_empty_errors():
     with pytest.raises(MetricsError):
-        summarize([], "docsis")
+        summarize(samples_us([]), "docsis")
     with pytest.raises(MetricsError):
         summarize(samples_us([1]), "bogus")
 
@@ -98,7 +98,7 @@ def test_cdf_matches_reference(values):
 
 def test_cdf_empty_errors():
     with pytest.raises(MetricsError):
-        cdf([], "docsis")
+        cdf(samples_us([]), "docsis")
 
 
 def test_segment_additivity_enforced():
@@ -106,7 +106,7 @@ def test_segment_additivity_enforced():
     p = Packet(1, 1, 1, 60, 1, "voip")
     p.ue_arrival, p.cm_arrival, p.cmts_egress = 0, 20_000, 25_245
     collector.record_egress(p)
-    s = collector.samples[0]
+    [s] = collector.retained()
     assert s.e2e_us == s.lte_us + s.docsis_us
 
 
@@ -128,7 +128,7 @@ def test_dropped_packet_not_sampled():
     p.ue_arrival, p.cm_arrival, p.cmts_egress = 0, 20_000, 25_245
     p.dropped = True
     collector.record_egress(p)
-    assert collector.samples == []
+    assert list(collector.retained()) == []
 
 
 def test_warmup_exclusion():
@@ -138,9 +138,12 @@ def test_warmup_exclusion():
         p = Packet(arrival, 1, 1, 60, 1, "voip")
         p.ue_arrival, p.cm_arrival, p.cmts_egress = arrival, arrival + 1, arrival + 2
         collector.record_egress(p)
-    assert [s.arrival_us for s in collector.retained()] == [100_000, 150_000]
-    assert collector.retained() is collector.samples
+    retained = collector.retained()
+    assert [s.arrival_us for s in retained] == [100_000, 150_000]
     assert collector.counters["egressed_packets"] == 4
+    # the collector's own store, not a copy: a later egress shows in it
+    record(collector, 4, lte=1, docsis=1, arrival=200_000)
+    assert list(retained.arrival_us) == [100_000, 150_000, 200_000]
 
 
 def test_grant_utilization_values():
@@ -150,11 +153,45 @@ def test_grant_utilization_values():
         grant_utilization(10, 20)
 
 
-def test_overhead_values():
-    assert bwr_overhead_bps(80, 1000) == pytest.approx(640_000)
-    assert bwr_overhead_bps(80, 2000) == pytest.approx(320_000)
-    with pytest.raises(MetricsError):
-        bwr_overhead_bps(80, 0)
+def _reachable(obj) -> int:
+    """How many objects the garbage collector reaches from obj, types aside."""
+    seen, stack = {}, [obj]
+    while stack:
+        o = stack.pop()
+        if id(o) not in seen and not isinstance(o, type):
+            seen[id(o)] = o
+            stack.extend(gc.get_referents(o))
+    return len(seen)
+
+
+def _egress_many(collector, first, n):
+    for pid in range(first, first + n):
+        record(collector, pid, ue=pid % 24, enb=pid % 4 + 1, arrival=pid * 997,
+               lte=20_000 + pid % 7_000, docsis=5_000 + pid % 11_000)
+
+
+def test_a_retained_sample_costs_under_80_bytes():
+    collector = Collector("baseline")
+    _egress_many(collector, 0, 1)         # the first sample sets up the store
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _egress_many(collector, 1, 10_000)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(collector.retained()) == 10_001
+    assert grown / 10_000 <= 80
+
+
+def test_the_sample_store_holds_no_object_per_sample():
+    stores = []
+    for n in (10, 10_000):
+        collector = Collector("baseline")
+        _egress_many(collector, 0, n)
+        stores.append(collector.retained())
+    assert [len(s) for s in stores] == [10, 10_000]
+    assert _reachable(stores[0]) == _reachable(stores[1])
 
 
 def test_mean_tb_utilization():

@@ -8,8 +8,10 @@ import pytest
 
 from bwrsim.cli import main
 from bwrsim.config import SimConfig
-from bwrsim.metrics import Collector, LatencySample
+from bwrsim.metrics import Collector
 from bwrsim.runner import RunReport
+
+from egress import record
 
 # sha256 of each file of `bwrsim run --preset P --mode both --seed 0
 # --duration-ms D [--config C]`, where C holds the config text of the key
@@ -111,8 +113,7 @@ def test_render_keeps_an_enb_without_samples_in_order():
     # (enb, docsis us), interleaved; eNB 1 has none
     for pid, (enb, docsis) in enumerate([(3, 5000), (2, 1000), (3, 7000),
                                          (2, 3000), (2, 2000)]):
-        collector.samples.append(LatencySample(pid, pid, enb, "voip", "baseline",
-                                               0, 10_000 + docsis, 10_000, docsis))
+        record(collector, pid, ue=pid, enb=enb, lte=10_000, docsis=docsis)
     run = SimpleNamespace(mode="baseline", collector=collector)
     lines = RunReport(cfg, [run]).render().splitlines()
     rows = [line for line in lines if line.startswith("  enb")]
