@@ -127,9 +127,10 @@ class BwrEmitter:
         if not due:
             return None
         self.entries = [e for e in self.entries if e[0] > t + self.report_lead]
-        egress = min(e for e, _ in due)
-        if egress <= t:
-            raise BwrCodecError(f"egress_time {egress} not in the future at {t}")
+        # The latest egress: the report's grant waits for every byte it covers.
+        first, egress = min(e for e, _ in due), max(e for e, _ in due)
+        if first <= t:
+            raise BwrCodecError(f"egress_time {first} not in the future at {t}")
         per_lcg = [0, 0, 0, 0]
         for _, lcg_bytes in due:
             for lcg, nbytes in lcg_bytes.items():

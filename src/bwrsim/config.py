@@ -19,7 +19,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from .core import MS, SEC
 from .bwr import BWR_FRAME_BYTES
-from .docsis import UGS, DocsisError, ServiceFlow, open_window, region_duration
+from .docsis import DocsisError, region_duration, window_layouts
 from .lte import HARQ_RTT_US, MCS_MIN, MCS_MAX, SUBFRAME_US
 from .traffic import read_trace
 
@@ -81,8 +81,6 @@ _INT = _Unit(int, str)
 _FLOAT = _Unit(float, str)
 _STR = _Unit(str, str)
 _ON_OFF = _Unit(_parse_bool, lambda on: "on" if on else "off")
-_TBS = _Unit(lambda raw: tuple(int(part) for part in raw.split(",")),
-             lambda table: ",".join(map(str, table)))
 
 
 def _section(name: str):
@@ -138,8 +136,6 @@ class SimConfig:
     harq_enabled: bool = _lte("harq", _ON_OFF, True)
     harq_bler: float = _lte("harq_bler", _FLOAT, 0.1)
     harq_max_retx: int = _lte("harq_max_retx", _INT, 4)
-    # 9 entries for MCS 18..26
-    tbs_table: Optional[tuple[int, ...]] = _lte("tbs_table", _TBS, None)
     enb_count: int = _enb("count", _INT, 1)
     ues_per_enb: int = _enb("ues_per_enb", _INT, 6)
     cm_count: int = _enb("cm_count", _INT, 1)
@@ -157,9 +153,6 @@ class SimConfig:
     packet_mtu: int = _traffic("packet_mtu", _INT, 1400)
     lcg_voip: int = _traffic("lcg_voip", _INT, 1)
     lcg_video: int = _traffic("lcg_video", _INT, 2)
-    # test hooks: force phases instead of drawing them
-    sr_phase_us: Optional[int] = _traffic("sr_phase_ms", _MS, None)
-    arrival_phase_us: Optional[int] = _traffic("arrival_phase_ms", _MS, None)
 
     # -- derived views -----------------------------------------------------
 
@@ -167,11 +160,6 @@ class SimConfig:
         if self.ugs_phase_us is not None:
             return self.ugs_phase_us % self.ugs_period_us
         return self.ugs_period_us // 2
-
-    def tbs_dict(self) -> Optional[dict[int, int]]:
-        if self.tbs_table is None:
-            return None
-        return {MCS_MIN + i: v for i, v in enumerate(self.tbs_table)}
 
     def _invalid(self, key: str, rule: str) -> ConfigError:
         return ConfigError(f"{key} = {getattr(self, key)}: {rule}")
@@ -241,13 +229,6 @@ class SimConfig:
         if self.harq_enabled and self.enb_decode_us > HARQ_RTT_US:
             raise self._invalid("enb_decode_us", f"must not exceed the "
                                 f"{HARQ_RTT_US} us HARQ round trip")
-        if self.tbs_table is not None:
-            if len(self.tbs_table) != MCS_MAX - MCS_MIN + 1:
-                raise self._invalid("tbs_table", f"needs {MCS_MAX - MCS_MIN + 1} entries")
-            if any(b <= 0 for b in self.tbs_table):
-                raise self._invalid("tbs_table", "entries must be positive")
-            if any(a > b for a, b in zip(self.tbs_table, self.tbs_table[1:])):
-                raise self._invalid("tbs_table", "must be non-decreasing")
         if not MCS_MIN <= self.mcs_mean <= MCS_MAX:
             raise self._invalid("mcs_mean", f"must lie in [{MCS_MIN}, {MCS_MAX}]")
         if self.mcs_sigma < 0:
@@ -274,21 +255,15 @@ class SimConfig:
         if region_duration(self) > self.map_interval_us:
             raise self._invalid("contention_slots", f"with slot_bytes = {self.slot_bytes}, "
                                 f"the contention region overruns the MAP interval")
-        # Dry-run UGS placement in each distinct MAP window of the run: the
-        # layout repeats every lcm(UGS period, MAP interval).
-        mi = self.map_interval_us
-        windows = min(math.lcm(self.ugs_period_us, mi), self.duration_us + mi) // mi
-        for k in range(windows):
-            try:
-                open_window((self.maps_in_advance + k) * mi, self, ServiceFlow("ugs", UGS))
-            except DocsisError as exc:
-                raise self._invalid("ugs_grant_bytes", f"a grant every ugs_period_us = "
-                                    f"{self.ugs_period_us} does not fit a MAP window: "
-                                    f"{exc}") from exc
+        # Dry-run UGS placement in each distinct MAP window of the run.
+        try:
+            window_layouts(self)
+        except DocsisError as exc:
+            raise self._invalid("ugs_grant_bytes", f"a grant every ugs_period_us = "
+                                f"{self.ugs_period_us} does not fit a MAP window: "
+                                f"{exc}") from exc
         if self.cm_framing_us < 0:
             raise self._invalid("cm_framing_us", "must be >= 0")
-        if self.arrival_phase_us is not None and self.arrival_phase_us < 0:
-            raise self._invalid("arrival_phase_us", "must be >= 0")
         # A report covers the grants issued since the previous build. Each must
         # still be ahead of its egress, grant_to_data_us + enb_decode_us after
         # the grant. A retransmission is announced at a decode, lead after a

@@ -16,8 +16,8 @@ no earlier than r + (1 + maps_in_advance) * map_interval_us.
 
 A quiet upstream costs only its MAPs: the CM resolves a contention region only
 when a REQ is put into it, and the CMTS lays out a window's contention region
-and unsolicited grants once per window phase, then shifts that layout to each
-MAP's window.
+and unsolicited grants once per distinct window (see window_layouts), then
+shifts that layout to each MAP's window.
 """
 
 from __future__ import annotations
@@ -227,6 +227,23 @@ def open_window(start: int, cfg: SimConfig,
     return win, grants
 
 
+def window_layouts(cfg: SimConfig) -> list[tuple[list[tuple[int, int]], list[int]]]:
+    """Each distinct MAP window of a run with a UGS flow, the first MAP's
+    first, as (reserved spans, UGS grant starts) offset from its start;
+    DocsisError when the grants do not fit. The layouts repeat every
+    lcm(ugs_period_us, map_interval_us), so window k takes entry k mod their
+    count; a run shorter than that lays out only its own windows."""
+    mi = cfg.map_interval_us
+    flow = ServiceFlow("ugs", UGS)
+    layouts = []
+    for k in range(min(math.lcm(cfg.ugs_period_us, mi), cfg.duration_us + mi) // mi):
+        start = (cfg.maps_in_advance + k) * mi
+        win, grants = open_window(start, cfg, flow)
+        layouts.append(([(s - start, e - start) for s, e in win.occupied],
+                        [g.start - start for g in grants]))
+    return layouts
+
+
 class Cmts:
     """Termination system: consumes REQs and reports, emits MAPs, takes egress."""
 
@@ -246,17 +263,13 @@ class Cmts:
         self._region = region_duration(cfg)
         self._capacity = window_capacity_bytes(cfg)
         self._ugs_duration = serialization_us(cfg.ugs_grant_bytes, cfg.upstream_bps)
-        # A window's layout repeats with its start modulo this period, because
-        # UGS grants recur every ugs_period_us and windows every map_interval_us.
-        self._layout_period = math.lcm(cfg.ugs_period_us, cfg.map_interval_us)
-        # start % _layout_period -> (reserved spans, UGS grant starts), both
-        # as offsets from the window start
-        self._layouts: dict[int, tuple[list[tuple[int, int]], list[int]]] = {}
+        # Without a UGS flow every window holds its contention region alone.
+        self._layouts = [([(0, self._region)], [])]
 
     def register_flow(self, flow: ServiceFlow) -> None:
         if flow.kind == UGS:
             self._ugs_flow = flow
-            self._layouts.clear()
+            self._layouts = window_layouts(self.cfg)
         elif flow.owner_enb >= 0:
             self._data_flow_by_enb[flow.owner_enb] = flow
 
@@ -266,9 +279,8 @@ class Cmts:
     def on_bwr_frame(self, frame: bytes) -> None:
         """A bandwidth report reached the CMTS over the unsolicited flow."""
         report = decode_bwr(frame)
-        total = sum(b for _, b in report.blocks)
         self.collector.count("bwr_frames_received", 1)
-        if total == 0:
+        if report.total_bytes() == 0:
             return
         data_flow = self._data_flow_by_enb.get(report.enb_id)
         if data_flow is None:
@@ -335,15 +347,12 @@ class Cmts:
         self.sim.schedule_in(cfg.map_interval_us, PRIO_SCHED, self.map_cycle)
 
     def _open_window(self, start: int) -> tuple[_Window, list[Grant]]:
-        """open_window for this CMTS's UGS flow, laid out once per window
-        phase and shifted to start."""
-        key = start % self._layout_period
-        if key not in self._layouts:
-            win, grants = open_window(start, self.cfg, self._ugs_flow)
-            self._layouts[key] = ([(s - start, e - start) for s, e in win.occupied],
-                                  [g.start - start for g in grants])
-        spans, ugs_starts = self._layouts[key]
-        win = _Window(start, start + self.cfg.map_interval_us,
+        """open_window for this CMTS's UGS flow: the window's entry of
+        window_layouts, shifted to start."""
+        mi = self.cfg.map_interval_us
+        layouts = self._layouts
+        spans, ugs_starts = layouts[(start - self._lead) // mi % len(layouts)]
+        win = _Window(start, start + mi,
                       [(start + s, start + e) for s, e in spans])
         dur, size = self._ugs_duration, self.cfg.ugs_grant_bytes
         return win, [Grant(self._ugs_flow, start + s, dur, size, "ugs")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .core import MS, PRIO_CONTROL, PRIO_DATA, PRIO_SCHED, Rng, Simulator
 
@@ -34,8 +34,7 @@ HARQ_PROCESSES = 8
 HARQ_RTT_US = 8 * MS
 SUBFRAME_US = MS
 
-# Default MCS -> transport block bytes per subframe: linear 150 B per index.
-# Replaceable through SimConfig.tbs_table for standard-derived tables.
+# MCS -> transport block bytes per subframe: linear 150 B per index.
 DEFAULT_TBS_TABLE = {mcs: 150 * mcs for mcs in range(MCS_MIN, MCS_MAX + 1)}
 
 
@@ -43,12 +42,11 @@ class LteError(Exception):
     pass
 
 
-def tbs_bytes(mcs: int, table: Optional[dict[int, int]] = None) -> int:
+def tbs_bytes(mcs: int) -> int:
     """Transport block capacity in bytes for one subframe at the given MCS."""
-    tab = table if table is not None else DEFAULT_TBS_TABLE
-    if mcs not in tab:
+    if mcs not in DEFAULT_TBS_TABLE:
         raise LteError(f"mcs {mcs} outside supported range [{MCS_MIN}, {MCS_MAX}]")
-    return tab[mcs]
+    return DEFAULT_TBS_TABLE[mcs]
 
 
 def harq_grant_utilization(n_max: int, bler: float) -> float:
@@ -64,7 +62,7 @@ def harq_grant_utilization(n_max: int, bler: float) -> float:
     return sum((1.0 / (k + 1)) * (1.0 - bler) * bler ** k for k in range(n_max + 1))
 
 
-_PKT_SEQ_FIELDS = ("ue_arrival", "enb_egress", "cm_arrival", "cmts_egress")
+_PKT_SEQ_FIELDS = ("ue_arrival", "cm_arrival", "cmts_egress")
 
 
 @dataclass
@@ -78,12 +76,10 @@ class Packet:
     lcg: int
     traffic_class: str
     ue_arrival: int = -1
-    enb_egress: int = -1
     cm_arrival: int = -1
     cmts_egress: int = -1
     dropped: bool = False
     # transport bookkeeping
-    lte_delivered: int = 0        # bytes decoded at the eNB
     cm_received: int = 0          # bytes that have reached the CM
     docsis_egressed: int = 0      # bytes that have fully crossed the upstream
 
@@ -169,16 +165,13 @@ class Ue:
 
     # -- reporting --------------------------------------------------------
 
-    def buffer_snapshot(self) -> list[int]:
-        return list(self.buffer_bytes)
-
     def emit_bsr(self) -> None:
         """Standalone BSR on a BSR-purpose grant (end of the SR ladder)."""
         self.pending_sr = False
         self._record_report()
         if sum(self.buffer_bytes) == 0:
             return                    # zero report: nothing to transmit
-        self.enb.on_bsr(self, self.buffer_snapshot())
+        self.enb.on_bsr(self, list(self.buffer_bytes))
 
     def _record_report(self) -> None:
         self.last_report_total = sum(self.buffer_bytes)
@@ -203,7 +196,7 @@ class Ue:
                  or t - self.last_report_time >= self.cfg.bsr_period_us)
         if changed or stale:
             self._record_report()
-            report = self.buffer_snapshot()
+            report = list(self.buffer_bytes)
         if self.cfg.harq_enabled:
             pid = (t // SUBFRAME_US) % HARQ_PROCESSES
             proc = HarqProcess(pid, total, t, chunks, lcg_bytes)
@@ -298,16 +291,12 @@ class Enb:
         self.cfg = cfg
         self.collector = collector
         self.harq_rng = harq_rng
-        self.tbs_table = cfg.tbs_dict()
         self.ues: list[Ue] = []                   # round-robin order
         self.rr_index = -1
         # downstream hookup (set by the runner)
         self.egress_sink = None                   # fn(chunks, t)
         self.bwr_emitter = None                   # BwrEmitter or None
         self.wake = None                          # fn(t): wake the subframe tick at t
-
-    def add_ue(self, ue: Ue) -> None:
-        self.ues.append(ue)
 
     # -- control ladder ---------------------------------------------------
 
@@ -363,7 +352,7 @@ class Enb:
 
     def _issue_data_grant(self, ue: Ue, t: int) -> None:
         demand, granted = ue.demand, ue.granted
-        budget = min(sum(demand), tbs_bytes(ue.mcs, self.tbs_table))
+        budget = min(sum(demand), tbs_bytes(ue.mcs))
         lcg_bytes: dict[int, int] = {}
         left = budget
         for g in range(NUM_LCGS):
@@ -402,10 +391,6 @@ class Enb:
         t = self.sim.now
         self.collector.count("lte_inflight_bytes", -total)
         self.collector.count("lte_egressed_bytes", total)
-        for pkt, nbytes in chunks:
-            pkt.lte_delivered += nbytes
-            if pkt.lte_delivered == pkt.size_bytes:
-                pkt.set_stage("enb_egress", t)
         if self.egress_sink is not None:
             self.egress_sink(chunks, t)
         if report is not None:

@@ -101,19 +101,13 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
                 per_lcg=cfg.bwr_per_lcg, forward=forward, collector=collector)
         enbs.append(enb)
         for _ in range(cfg.ues_per_enb):
-            if cfg.sr_phase_us is not None:
-                sr_phase = cfg.sr_phase_us
-            else:
-                sr_phase = phases.randbelow(cfg.sr_period_us // SUBFRAME_US) * SUBFRAME_US
+            sr_phase = phases.randbelow(cfg.sr_period_us // SUBFRAME_US) * SUBFRAME_US
             ue = Ue(sim, next_ue_id, enb, sr_phase)
-            enb.add_ue(ue)
+            enb.ues.append(ue)
             ues.append(ue)
             next_ue_id += 1
             if cfg.traffic_case == "voip":
-                if cfg.arrival_phase_us is not None:
-                    phase = cfg.arrival_phase_us
-                else:
-                    phase = phases.randbelow(cfg.voip_period_us)
+                phase = phases.randbelow(cfg.voip_period_us)
                 sources.append(VoipSource(sim, factory, ue, cfg.lcg_voip,
                                           cfg.voip_bytes, cfg.voip_period_us, phase))
             else:

@@ -14,7 +14,7 @@ import pytest
 from bwrsim.bwr import BWR_FRAME_BYTES, BandwidthReport, decode_bwr, encode_bwr
 from bwrsim.cli import main
 from bwrsim.config import SimConfig, preset
-from bwrsim.core import MS, SEC, Rng
+from bwrsim.core import MS, SEC, Rng, RngStreams
 from bwrsim.docsis import Cm, window_capacity_bytes
 from bwrsim.lte import harq_grant_utilization
 from bwrsim.metrics import summarize
@@ -67,14 +67,30 @@ def test_c1_analytic_harq_utilization(capsys):
                    f"gutil(4, 0.1) prints {printed:.4f}, waste {1 - printed:.4f}")
 
 
-def test_c2_lte_ladder_floor(capsys):
+class ForcedDraws:
+    """A stream whose randbelow returns the given draws in order."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def randbelow(self, n):
+        draw = next(self.draws)
+        assert 0 <= draw < n
+        return draw
+
+
+def test_c2_lte_ladder_floor(capsys, monkeypatch):
+    stream = RngStreams.stream
     latencies = []
     for phase_ms in range(5):
         for arrival in (0, 700, 2_500, 4_321, 11_111):
+            # the one UE draws its SR phase (in subframes), then its arrival phase
+            monkeypatch.setattr(RngStreams, "stream", lambda streams, label: (
+                ForcedDraws([phase_ms, arrival]) if label == "phases"
+                else stream(streams, label)))
             cfg = SimConfig(enb_count=1, ues_per_enb=1, traffic_case="voip",
                             harq_enabled=False, duration_us=80 * MS,
-                            warmup_us=0, sr_phase_us=phase_ms * MS,
-                            arrival_phase_us=arrival, voip_period_us=60 * MS)
+                            warmup_us=0, voip_period_us=60 * MS)
             run = run_single(cfg, "baseline")
             assert len(run.collector.samples) == 1
             latencies.append(list(run.collector.samples)[0].lte_us)

@@ -207,6 +207,18 @@ def test_emitter_per_lcg_blocks():
     assert out[0].blocks == ((0, 0), (1, 100), (2, 50), (3, 0))
 
 
+def test_emitter_reports_the_latest_egress_of_its_entries():
+    # the grant goes at or after the report's egress, so that egress is the
+    # one of its last bytes: an earlier one can grant bytes not yet there
+    out = []
+    em = make_emitter(out)
+    em.note_grant({1: 100}, 14 * MS + 3 * MS)
+    em.note_grant({1: 200}, 14 * MS + 5 * MS)
+    em.on_subframe(14 * MS)
+    assert len(out) == 1 and out[0].total_bytes() == 300
+    assert out[0].egress_time == 14 * MS + 5 * MS
+
+
 # -- transport over the unsolicited flow ---------------------------------------
 
 def build_docsis(ugs_phase=0):
@@ -265,7 +277,6 @@ def test_just_in_time_grant_at_egress():
     cm.note_described(cm.flows["data"], 20 * MS, 300)
     cm.forward_report(encode_bwr(report(egress=20 * MS)))
     sim.run_until(20 * MS)
-    pkt.lte_delivered = 300
     cm.enqueue_chunks(cm.flows["data"], [(pkt, 300)], sim.now)
     assert cm.flows["data"].req is None          # described bytes, no REQ
     sim.run_until(30 * MS)
@@ -308,7 +319,6 @@ def test_harq_failure_wastes_grant_data_rides_fresh_report():
     sim.run_until(28 * MS)
     pkt = Packet(0, 1, 1, 300, 1, "voip")
     pkt.set_stage("ue_arrival", 0)
-    pkt.lte_delivered = 300
     cm.enqueue_chunks(cm.flows["data"], [(pkt, 300)], sim.now)
     assert cm.flows["data"].req is None          # described credit still held
     sim.run_until(36 * MS)
@@ -323,6 +333,5 @@ def test_described_credit_expires():
     sim.run_until(15 * MS)                       # past egress + expiry slack
     pkt = Packet(0, 1, 1, 300, 1, "voip")
     pkt.set_stage("ue_arrival", 0)
-    pkt.lte_delivered = 300
     cm.enqueue_chunks(cm.flows["data"], [(pkt, 300)], sim.now)
     assert cm.flows["data"].req is not None      # credit gone, REQ armed

@@ -7,7 +7,7 @@ rejects starts with the field at fault.
 The reference run patches each fast path back to its slow twin: a tick every
 subframe instead of the sleeping tick, a resolve_region event for every MAP
 window instead of one per region that holds a REQ, and a MAP window laid out
-afresh by open_window instead of once per window phase.
+afresh by open_window instead of once per distinct window.
 
 Draws span the ranges below, on top of either preset; one draw in two also
 sets one key to a value outside its range, which validate() must reject.
@@ -83,7 +83,6 @@ OUT_OF_RANGE = {
     "packet_mtu": [0],
     "voip_bytes": [0],
     "voip_period_us": [0],
-    "arrival_phase_us": [-5],
 }
 
 

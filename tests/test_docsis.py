@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from bwrsim.config import SimConfig
+from bwrsim.config import SimConfig, preset
 from bwrsim.core import MS, PRIO_SCHED, SEC, Rng, Simulator
 from bwrsim.docsis import (BE, UGS, ChannelLedger, Cm, Cmts, DocsisError, Grant,
-                           ServiceFlow, _Window, region_duration, serialization_us,
-                           window_capacity_bytes)
+                           ServiceFlow, _Window, open_window, region_duration,
+                           serialization_us, window_capacity_bytes, window_layouts)
 from bwrsim.lte import LteError, Packet
 from bwrsim.metrics import Collector
+from bwrsim.runner import run_single
 
 from run_checks import map_overlaps, record_maps
 
@@ -36,7 +39,6 @@ def grants_of(maps, kind):
 def packet(pid, size=60, ue=1, enb=1):
     p = Packet(pid, ue, enb, size, 1, "voip")
     p.set_stage("ue_arrival", 0)
-    p.lte_delivered = size
     return p
 
 
@@ -390,3 +392,25 @@ def test_idle_map_has_only_contention_region():
     for m in maps:
         assert m.grants == []
         assert m.region_duration == region_duration(cmts.cfg)
+
+
+def _map_grants(monkeypatch, cfg):
+    with monkeypatch.context() as m:
+        maps = record_maps(Cm, m.setattr)
+        run_single(cfg, "bwr")
+    return [[(g.kind, g.start, g.duration, g.nbytes) for g in msg.grants]
+            for msg in maps]
+
+
+def test_layouts_cut_short_by_the_run_match_fresh_windows(monkeypatch):
+    # The layouts repeat every lcm(1999 us, 2 ms) = 3.998 s, longer than the
+    # run: only the run's 151 windows are laid out, each indexed from the
+    # first MAP's window. Every MAP must carry the grants of a window laid
+    # out afresh (samples alone can agree with a wrongly indexed layout).
+    cfg = replace(preset("scenario1"), duration_us=300 * MS, ugs_period_us=1999)
+    assert len(window_layouts(cfg)) == 151
+    shifted = _map_grants(monkeypatch, cfg)
+    monkeypatch.setattr(Cmts, "_open_window", lambda cmts, start: open_window(
+        start, cmts.cfg, cmts._ugs_flow))
+    assert shifted == _map_grants(monkeypatch, cfg)
+    assert sum(g[0] == "ugs" for msg in shifted for g in msg) > 100

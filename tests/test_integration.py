@@ -8,7 +8,7 @@ from bwrsim.config import SimConfig, preset
 from bwrsim.core import MS, SEC
 from bwrsim.docsis import Cm
 from bwrsim.lte import Enb
-from bwrsim.runner import run_single
+from bwrsim.runner import paired_deltas, run_single
 
 from run_checks import cross_mode_failures, lte_pairs, record_maps
 
@@ -172,6 +172,21 @@ def test_docsis_state_does_not_grow_with_simulated_time():
     short, long = sizes
     assert short.keys() == long.keys()
     assert {k: v for k, v in long.items() if v > short[k]} == {}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_report_grant_never_precedes_its_bytes(seed):
+    # The report lead (grant_to_data_us + enb_decode_us, 8 ms) outruns the MAP
+    # lead (2 ms), so a report grant can land at the report's egress, and a
+    # report covers up to 4 ms of egress times. A grant placed before some of
+    # its bytes reach the modem strands them until the flow's next grant.
+    cfg = replace(preset("scenario2"), enb_count=1, ues_per_enb=2, seed=seed,
+                  upstream_bps=84_000_000, map_interval_us=MS, maps_in_advance=2,
+                  bwr_period_us=4 * MS, grant_to_data_us=4 * MS,
+                  enb_decode_us=4 * MS, duration_us=300 * MS, warmup_us=20 * MS)
+    deltas = paired_deltas(run_single(cfg, "baseline"), run_single(cfg, "bwr"))
+    assert len(deltas) > 50
+    assert [(pid, b, w) for pid, _, b, w in deltas if w > b] == []
 
 
 def _outcome(cfg, mode):

@@ -27,7 +27,7 @@ def make_enb(sim, *, harq=False, bler=0.0, seed=1, decode=2 * MS):
 
 def make_ue(sim, enb, ue_id=1, sr_phase=0):
     ue = Ue(sim, ue_id, enb, sr_phase)
-    enb.add_ue(ue)
+    enb.ues.append(ue)
     return ue
 
 
@@ -86,11 +86,6 @@ def test_tbs_out_of_range():
         tbs_bytes(27)
 
 
-def test_tbs_custom_table():
-    table = {m: 100 * (m - 17) for m in range(18, 27)}
-    assert tbs_bytes(20, table) == 300
-
-
 # -- timing settings ----------------------------------------------------------
 
 def test_profile_defaults_consistent():
@@ -111,9 +106,9 @@ def test_profile_rejects_nonpositive():
 def test_packet_stage_monotonic():
     p = pkt()
     p.set_stage("ue_arrival", 100)
-    p.set_stage("enb_egress", 200)
+    p.set_stage("cm_arrival", 200)
     with pytest.raises(LteError):
-        p.set_stage("cm_arrival", 150)
+        p.set_stage("cmts_egress", 150)
 
 
 def test_packet_stage_set_once():
@@ -235,7 +230,7 @@ def test_bsr_identity_report():
     ue.on_arrival(pkt(0, size=100, lcg=0))
     ue.on_arrival(pkt(1, size=200, lcg=1))
     ue.on_arrival(pkt(2, size=50, lcg=3))
-    assert ue.buffer_snapshot() == [100, 200, 0, 50]
+    assert ue.buffer_bytes == [100, 200, 0, 50]
 
 
 def test_zero_bsr_suppressed():
