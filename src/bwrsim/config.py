@@ -2,7 +2,8 @@
 section/key=value file format.
 
 Each SimConfig field declares, once, its default, its file section, its file
-key and its unit; the parser and `dump_config` read those declarations.
+key, its unit and, for a setting checked on its own, the values it accepts;
+the parser, `dump_config` and `validate()` read those declarations.
 
 Files are UTF-8 text: `[section]` headers, `key = value` lines, `#` comments.
 Unset keys keep their defaults; unknown sections or keys are rejected with
@@ -13,6 +14,7 @@ line numbers. Presets `scenario1` (multi-UE VoIP on an unloaded upstream) and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 from itertools import groupby
 from typing import Any, Callable, NamedTuple, Optional
@@ -20,7 +22,7 @@ from typing import Any, Callable, NamedTuple, Optional
 from .core import MS, SEC
 from .bwr import BWR_FRAME_BYTES
 from .docsis import DocsisError, region_duration, window_layouts
-from .lte import HARQ_RTT_US, MCS_MIN, MCS_MAX, SUBFRAME_US
+from .lte import HARQ_RTT_US, MCS_MIN, MCS_MAX, NUM_LCGS, SUBFRAME_US
 from .traffic import read_trace
 
 MODES = ("baseline", "bwr", "both")
@@ -83,11 +85,35 @@ _STR = _Unit(str, str)
 _ON_OFF = _Unit(_parse_bool, lambda on: "on" if on else "off")
 
 
+class _Domain(NamedTuple):
+    """The values a setting accepts on its own, and the rule that says so.
+    It states what passes, not what fails, so NaN fails every domain."""
+
+    accepts: Callable[[Any], bool]
+    rule: str
+
+
+def _one_of(names: tuple[str, ...]) -> _Domain:
+    return _Domain(lambda name: name in names, f"must be one of {names}")
+
+
+_POSITIVE = _Domain(lambda v: v > 0, "must be positive")
+_NON_NEGATIVE = _Domain(lambda v: v >= 0, "must be >= 0")
+_AT_LEAST_1 = _Domain(lambda v: v >= 1, "must be >= 1")
+_FINITE_NON_NEGATIVE = _Domain(lambda v: 0 <= v < math.inf, "must be finite and >= 0")
+_SUBFRAMES = _Domain(lambda us: us > 0 and us % SUBFRAME_US == 0,
+                     "must be a positive whole number of subframes")
+_LCG = _Domain(lambda lcg: 0 <= lcg < NUM_LCGS, f"must be in 0..{NUM_LCGS - 1}")
+# The largest burstiness b whose b * b (the log-normal's variance) is finite.
+_BURSTINESS_MAX = math.sqrt(sys.float_info.max)
+
+
 def _section(name: str):
-    """Declares the fields of one file section: key, unit, default."""
-    def setting(key: str, unit: _Unit, default):
-        return field(default=default,
-                     metadata={"section": name, "key": key, "unit": unit})
+    """Declares the fields of one file section: key, unit, default and, for a
+    setting checked on its own, its domain."""
+    def setting(key: str, unit: _Unit, default, domain: Optional[_Domain] = None):
+        return field(default=default, metadata={"section": name, "key": key,
+                                                "unit": unit, "domain": domain})
     return setting
 
 
@@ -101,58 +127,65 @@ _traffic = _section("traffic")
 # Slots make field reads fast: the components read them in per-event code.
 @dataclass(slots=True)
 class SimConfig:
-    duration_us: int = _simulation("duration_ms", _MS, 2 * SEC)
+    duration_us: int = _simulation("duration_ms", _MS, 2 * SEC, _POSITIVE)
     seed: int = _simulation("seed", _INT, 1)
-    warmup_us: int = _simulation("warmup_ms", _MS, 100 * MS)
-    mode: str = _simulation("mode", _STR, "baseline")
-    map_interval_us: int = _docsis("map_interval_ms", _MS, 2 * MS)
-    maps_in_advance: int = _docsis("maps_in_advance", _INT, 1)
-    cmts_proc_us: int = _docsis("cmts_proc_ms", _MS, 500)
+    warmup_us: int = _simulation("warmup_ms", _MS, 100 * MS, _NON_NEGATIVE)
+    mode: str = _simulation("mode", _STR, "baseline", _one_of(MODES))
+    map_interval_us: int = _docsis("map_interval_ms", _MS, 2 * MS, _POSITIVE)
+    maps_in_advance: int = _docsis("maps_in_advance", _INT, 1, _AT_LEAST_1)
+    cmts_proc_us: int = _docsis("cmts_proc_ms", _MS, 500, _NON_NEGATIVE)
     # folded into the MAP advance; validated only
-    cm_proc_us: int = _docsis("cm_proc_ms", _MS, 500)
-    cm_framing_us: int = _docsis("cm_framing_ms", _MS, 1200)
-    upstream_bps: int = _docsis("upstream_mbps", _MBPS, 39_000_000)
-    contention_slots: int = _docsis("contention_slots", _INT, 8)
-    slot_bytes: int = _docsis("slot_bytes", _INT, 16)
-    backoff_init: int = _docsis("backoff_init", _INT, 8)
+    cm_proc_us: int = _docsis("cm_proc_ms", _MS, 500, _NON_NEGATIVE)
+    cm_framing_us: int = _docsis("cm_framing_ms", _MS, 1200, _NON_NEGATIVE)
+    upstream_bps: int = _docsis("upstream_mbps", _MBPS, 39_000_000, _POSITIVE)
+    contention_slots: int = _docsis("contention_slots", _INT, 8, _AT_LEAST_1)
+    slot_bytes: int = _docsis("slot_bytes", _INT, 16, _AT_LEAST_1)
+    backoff_init: int = _docsis("backoff_init", _INT, 8, _AT_LEAST_1)
     backoff_max: int = _docsis("backoff_max", _INT, 64)
-    propagation_us: int = _docsis("propagation_ms", _MS, 0)
-    ugs_period_us: int = _docsis("ugs_period_ms", _MS, 2 * MS)
+    propagation_us: int = _docsis("propagation_ms", _MS, 0, _NON_NEGATIVE)
+    ugs_period_us: int = _docsis("ugs_period_ms", _MS, 2 * MS, _POSITIVE)
     # default: half the UGS period
     ugs_phase_us: Optional[int] = _docsis("ugs_phase_ms", _MS, None)
-    ugs_grant_bytes: int = _docsis("ugs_grant_bytes", _INT, BWR_FRAME_BYTES)
-    described_expiry_us: int = _docsis("described_expiry_ms", _MS, 2 * MS)
-    sr_period_us: int = _lte("sr_period_ms", _MS, 5 * MS)
-    sr_encode_us: int = _lte("sr_encode_ms", _MS, 500)  # floor between data arrival and SR
-    sr_to_bsr_grant_us: int = _lte("sr_to_bsr_grant_ms", _MS, 4 * MS)
-    grant_to_bsr_us: int = _lte("grant_to_bsr_ms", _MS, 4 * MS)
-    bsr_to_data_grant_us: int = _lte("bsr_to_data_grant_ms", _MS, 4 * MS)
-    grant_to_data_us: int = _lte("grant_to_data_ms", _MS, 4 * MS)
-    enb_decode_us: int = _lte("enb_decode_ms", _MS, 2 * MS)  # within the 1.5-2.5 ms estimate
-    bsr_period_us: int = _lte("bsr_period_ms", _MS, 10 * MS)
-    mcs_mean: float = _lte("mcs_mean", _FLOAT, 22.0)
-    mcs_sigma: float = _lte("mcs_sigma", _FLOAT, 2.0)
-    channel_update_us: int = _lte("channel_update_ms", _MS, 10 * MS)
+    ugs_grant_bytes: int = _docsis("ugs_grant_bytes", _INT, BWR_FRAME_BYTES, _Domain(
+        lambda n: n >= BWR_FRAME_BYTES, f"cannot carry an {BWR_FRAME_BYTES}-byte report"))
+    described_expiry_us: int = _docsis("described_expiry_ms", _MS, 2 * MS, _NON_NEGATIVE)
+    sr_period_us: int = _lte("sr_period_ms", _MS, 5 * MS, _SUBFRAMES)
+    sr_encode_us: int = _lte("sr_encode_ms", _MS, 500, _NON_NEGATIVE)  # floor: arrival to SR
+    sr_to_bsr_grant_us: int = _lte("sr_to_bsr_grant_ms", _MS, 4 * MS, _POSITIVE)
+    grant_to_bsr_us: int = _lte("grant_to_bsr_ms", _MS, 4 * MS, _POSITIVE)
+    bsr_to_data_grant_us: int = _lte("bsr_to_data_grant_ms", _MS, 4 * MS, _POSITIVE)
+    grant_to_data_us: int = _lte("grant_to_data_ms", _MS, 4 * MS, _POSITIVE)
+    enb_decode_us: int = _lte("enb_decode_ms", _MS, 2 * MS, _POSITIVE)  # 1.5-2.5 ms estimate
+    bsr_period_us: int = _lte("bsr_period_ms", _MS, 10 * MS, _POSITIVE)
+    mcs_mean: float = _lte("mcs_mean", _FLOAT, 22.0, _Domain(
+        lambda m: MCS_MIN <= m <= MCS_MAX, f"must lie in [{MCS_MIN}, {MCS_MAX}]"))
+    mcs_sigma: float = _lte("mcs_sigma", _FLOAT, 2.0, _FINITE_NON_NEGATIVE)
+    channel_update_us: int = _lte("channel_update_ms", _MS, 10 * MS, _POSITIVE)
     harq_enabled: bool = _lte("harq", _ON_OFF, True)
-    harq_bler: float = _lte("harq_bler", _FLOAT, 0.1)
-    harq_max_retx: int = _lte("harq_max_retx", _INT, 4)
-    enb_count: int = _enb("count", _INT, 1)
-    ues_per_enb: int = _enb("ues_per_enb", _INT, 6)
-    cm_count: int = _enb("cm_count", _INT, 1)
+    harq_bler: float = _lte("harq_bler", _FLOAT, 0.1,
+                            _Domain(lambda p: 0 <= p < 1, "must be in [0, 1)"))
+    harq_max_retx: int = _lte("harq_max_retx", _INT, 4, _NON_NEGATIVE)
+    enb_count: int = _enb("count", _INT, 1, _AT_LEAST_1)
+    ues_per_enb: int = _enb("ues_per_enb", _INT, 6, _AT_LEAST_1)
+    cm_count: int = _enb("cm_count", _INT, 1,
+                         _Domain(lambda n: n == 1, "exactly one CM is supported"))
     eut_enb: int = _enb("eut", _INT, 1)
-    bwr_period_us: int = _enb("bwr_period_ms", _MS, 2 * MS)
+    bwr_period_us: int = _enb("bwr_period_ms", _MS, 2 * MS, _SUBFRAMES)
     bwr_per_lcg: bool = _enb("bwr_per_lcg", _ON_OFF, False)
-    traffic_case: str = _traffic("case", _STR, "voip")
-    voip_bytes: int = _traffic("voip_bytes", _INT, 60)
-    voip_period_us: int = _traffic("voip_period_ms", _MS, 20 * MS)
-    video_rate_bps: float = _traffic("video_rate_kbps", _KBPS, 31_000_000 / 24)  # per UE
-    video_frame_period_us: int = _traffic("video_frame_period_ms", _MS, 33 * MS)
-    video_burstiness: float = _traffic("video_burstiness", _FLOAT, 0.5)
+    traffic_case: str = _traffic("case", _STR, "voip", _one_of(TRAFFIC_CASES))
+    voip_bytes: int = _traffic("voip_bytes", _INT, 60, _POSITIVE)
+    voip_period_us: int = _traffic("voip_period_ms", _MS, 20 * MS, _POSITIVE)
+    # per UE
+    video_rate_bps: float = _traffic("video_rate_kbps", _KBPS, 31_000_000 / 24, _Domain(
+        lambda bps: 0 < bps < math.inf, "must be positive and finite"))
+    video_frame_period_us: int = _traffic("video_frame_period_ms", _MS, 33 * MS, _POSITIVE)
+    video_burstiness: float = _traffic("video_burstiness", _FLOAT, 0.5, _Domain(
+        lambda b: 0 <= b <= _BURSTINESS_MAX, f"must lie in [0, {_BURSTINESS_MAX!r}]"))
     trace_path: Optional[str] = _traffic("trace_path", _STR, None)
     trace_duration_us: int = _traffic("trace_duration_ms", _MS, 4 * SEC)
-    packet_mtu: int = _traffic("packet_mtu", _INT, 1400)
-    lcg_voip: int = _traffic("lcg_voip", _INT, 1)
-    lcg_video: int = _traffic("lcg_video", _INT, 2)
+    packet_mtu: int = _traffic("packet_mtu", _INT, 1400, _AT_LEAST_1)
+    lcg_voip: int = _traffic("lcg_voip", _INT, 1, _LCG)
+    lcg_video: int = _traffic("lcg_video", _INT, 2, _LCG)
 
     # -- derived views -----------------------------------------------------
 
@@ -165,61 +198,24 @@ class SimConfig:
         return ConfigError(f"{key} = {getattr(self, key)}: {rule}")
 
     def validate(self) -> None:
-        for key in ("sr_period_us", "sr_to_bsr_grant_us", "grant_to_bsr_us",
-                    "bsr_to_data_grant_us", "grant_to_data_us", "enb_decode_us",
-                    "bsr_period_us"):
-            if getattr(self, key) <= 0:
-                raise self._invalid(key, "must be positive")
-        if self.sr_encode_us < 0:
-            raise self._invalid("sr_encode_us", "must be >= 0")
-        if self.sr_period_us % SUBFRAME_US != 0:
-            raise self._invalid("sr_period_us", "must be a whole number of subframes")
-        if self.map_interval_us <= 0:
-            raise self._invalid("map_interval_us", "must be positive")
-        if self.maps_in_advance < 1:
-            raise self._invalid("maps_in_advance", "must be >= 1")
-        for key in ("cmts_proc_us", "cm_proc_us", "propagation_us"):
-            if getattr(self, key) < 0:
-                raise self._invalid(key, "must be >= 0")
+        """Each setting against its declared domain, then the rules that
+        read two or more settings and the dry runs."""
+        for f in fields(self):
+            domain = f.metadata["domain"]
+            if domain is not None and not domain.accepts(getattr(self, f.name)):
+                raise self._invalid(f.name, domain.rule)
         if self.cmts_proc_us >= self.map_interval_us:
             raise self._invalid("cmts_proc_us", "must be shorter than the MAP interval")
         if self.maps_in_advance * self.map_interval_us < self.cm_proc_us:
             raise self._invalid("cm_proc_us", "MAP advance must cover CM processing lead")
-        for key in ("contention_slots", "slot_bytes", "backoff_init"):
-            if getattr(self, key) < 1:
-                raise self._invalid(key, "must be >= 1")
         if self.backoff_max < self.backoff_init:
             raise self._invalid("backoff_max", "must be >= backoff_init")
-        if self.upstream_bps <= 0:
-            raise self._invalid("upstream_bps", "must be positive")
-        if self.mode not in MODES:
-            raise self._invalid("mode", f"must be one of {MODES}")
-        if self.traffic_case not in TRAFFIC_CASES:
-            raise self._invalid("traffic_case", f"must be one of {TRAFFIC_CASES}")
-        if self.duration_us <= 0:
-            raise self._invalid("duration_us", "must be positive")
-        if self.warmup_us < 0 or self.warmup_us >= self.duration_us:
-            raise self._invalid("warmup_us", "must be >= 0 and shorter than the run")
-        for key in ("enb_count", "ues_per_enb"):
-            if getattr(self, key) < 1:
-                raise self._invalid(key, "must be >= 1")
-        if self.cm_count != 1:
-            raise self._invalid("cm_count", "exactly one CM is supported")
+        if self.warmup_us >= self.duration_us:
+            raise self._invalid("warmup_us", "must be shorter than the run")
         if not 1 <= self.eut_enb <= self.enb_count:
             raise self._invalid("eut_enb", f"outside 1..{self.enb_count}")
-        if self.bwr_period_us % MS != 0 or self.bwr_period_us < MS:
-            raise self._invalid("bwr_period_us", "must be a whole number of subframes")
-        if self.ugs_period_us <= 0:
-            raise self._invalid("ugs_period_us", "must be positive")
         if self.ugs_period_us > self.bwr_period_us:
             raise self._invalid("ugs_period_us", "must not exceed the report period")
-        if self.ugs_grant_bytes < BWR_FRAME_BYTES:
-            raise self._invalid("ugs_grant_bytes",
-                                f"cannot carry an {BWR_FRAME_BYTES}-byte report")
-        if not 0 <= self.harq_bler < 1:
-            raise self._invalid("harq_bler", "must be in [0, 1)")
-        if self.harq_max_retx < 0:
-            raise self._invalid("harq_max_retx", "must be >= 0")
         # The scheduler checks a transmission's HARQ process at grant time,
         # which holds only within one round trip; a retransmission, one round
         # trip after its attempt, is scheduled from the decode.
@@ -229,29 +225,10 @@ class SimConfig:
         if self.harq_enabled and self.enb_decode_us > HARQ_RTT_US:
             raise self._invalid("enb_decode_us", f"must not exceed the "
                                 f"{HARQ_RTT_US} us HARQ round trip")
-        if not MCS_MIN <= self.mcs_mean <= MCS_MAX:
-            raise self._invalid("mcs_mean", f"must lie in [{MCS_MIN}, {MCS_MAX}]")
-        if self.mcs_sigma < 0:
-            raise self._invalid("mcs_sigma", "must be >= 0")
-        if self.channel_update_us <= 0:
-            raise self._invalid("channel_update_us", "must be positive")
-        if self.packet_mtu < 1:
-            raise self._invalid("packet_mtu", "must be positive")
-        for key in ("lcg_voip", "lcg_video"):
-            if not 0 <= getattr(self, key) < 4:
-                raise self._invalid(key, "must be in 0..3")
-        for key in ("voip_bytes", "voip_period_us", "video_rate_bps",
-                    "video_frame_period_us"):
-            if getattr(self, key) <= 0:
-                raise self._invalid(key, "must be positive")
-        if not math.isfinite(self.video_rate_bps):
-            raise self._invalid("video_rate_bps", "must be finite")
         if (self.traffic_case == "video" and self.trace_path is None
                 and self.trace_duration_us < self.video_frame_period_us):
             raise self._invalid("trace_duration_us", f"shorter than video_frame_period_us"
                                 f" = {self.video_frame_period_us}")
-        if self.video_burstiness < 0:
-            raise self._invalid("video_burstiness", "must be >= 0")
         if region_duration(self) > self.map_interval_us:
             raise self._invalid("contention_slots", f"with slot_bytes = {self.slot_bytes}, "
                                 f"the contention region overruns the MAP interval")
@@ -262,8 +239,6 @@ class SimConfig:
             raise self._invalid("ugs_grant_bytes", f"a grant every ugs_period_us = "
                                 f"{self.ugs_period_us} does not fit a MAP window: "
                                 f"{exc}") from exc
-        if self.cm_framing_us < 0:
-            raise self._invalid("cm_framing_us", "must be >= 0")
         # A report covers the grants issued since the previous build. Each must
         # still be ahead of its egress, grant_to_data_us + enb_decode_us after
         # the grant. A retransmission is announced at a decode, lead after a
@@ -327,7 +302,7 @@ def parse_config(path: str, base: Optional[SimConfig] = None) -> SimConfig:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [{section}]")
             try:
                 setattr(cfg, f.name, f.metadata["unit"].parse(value))
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     cfg.validate()
     return cfg

@@ -255,8 +255,7 @@ class Cmts:
         self.collector = collector
         self.cm: Optional["Cm"] = None
         self.req_fifo: list[tuple[int, ServiceFlow, int]] = []  # (delivered, flow, bytes)
-        self.bwr_fifo: list[list] = []  # [arrival, seq, lcg, flow, egress, bytes]
-        self._seq = 0
+        self.bwr_fifo: list[list] = []  # [arrival, lcg, flow, egress, bytes]
         self._data_flow_by_enb: dict[int, ServiceFlow] = {}
         self._ugs_flow: Optional[ServiceFlow] = None
         self._lead = cfg.maps_in_advance * cfg.map_interval_us
@@ -288,9 +287,8 @@ class Cmts:
         # One demand entry per nonzero block (a bulk report has one, LCG 0).
         for lcg_id, nbytes in sorted(report.blocks):
             if nbytes > 0:
-                self.bwr_fifo.append([self.sim.now, self._seq, lcg_id,
-                                      data_flow, report.egress_time, nbytes])
-                self._seq += 1
+                self.bwr_fifo.append([self.sim.now, lcg_id, data_flow,
+                                      report.egress_time, nbytes])
 
     # -- MAP cycle ----------------------------------------------------------
 
@@ -307,15 +305,16 @@ class Cmts:
             self._emit_grant(msg, grant)
 
         # Report-scheduled grants go in first, at or after their egress time,
-        # lower LCG ids first, each LCG in report order.
+        # lower LCG ids first, each LCG in report order: the fifo holds each
+        # LCG's entries in arrival order, which the stable sort keeps.
         if self.bwr_fifo:
             pending = []
-            for entry in sorted(self.bwr_fifo, key=lambda e: (e[2], e[1])):
-                arrival, seq, lcg, flow, egress, nbytes = entry
+            for entry in sorted(self.bwr_fifo, key=lambda e: e[1]):
+                arrival, lcg, flow, egress, nbytes = entry
                 if arrival <= cutoff and egress < end:
-                    entry[5] = self._grant(msg, win, flow, max(egress, start),
+                    entry[4] = self._grant(msg, win, flow, max(egress, start),
                                            nbytes, "bwr")
-                if entry[5] > 0:
+                if entry[4] > 0:
                     pending.append(entry)
             self.bwr_fifo = pending
 

@@ -103,16 +103,15 @@ class Packet:
 
 
 class HarqProcess:
-    """One synchronous HARQ process: retransmissions exactly 8 ms apart."""
+    """One transport block in flight. With HARQ on it holds a synchronous
+    HARQ process: retransmissions exactly 8 ms apart."""
 
-    __slots__ = ("process_id", "tb_bytes", "attempt", "next_tx", "chunks", "lcg_bytes")
+    __slots__ = ("process_id", "tb_bytes", "attempt", "chunks", "lcg_bytes")
 
-    def __init__(self, process_id: int, tb_bytes: int, first_tx: int,
-                 chunks, lcg_bytes):
+    def __init__(self, process_id: int, tb_bytes: int, chunks, lcg_bytes):
         self.process_id = process_id
         self.tb_bytes = tb_bytes
         self.attempt = 0
-        self.next_tx = first_tx
         self.chunks = chunks          # [(packet, nbytes)]
         self.lcg_bytes = lcg_bytes
 
@@ -197,19 +196,14 @@ class Ue:
         if changed or stale:
             self._record_report()
             report = list(self.buffer_bytes)
+        pid = (t // SUBFRAME_US) % HARQ_PROCESSES
+        proc = HarqProcess(pid, total, chunks, lcg_bytes)
         if self.cfg.harq_enabled:
-            pid = (t // SUBFRAME_US) % HARQ_PROCESSES
-            proc = HarqProcess(pid, total, t, chunks, lcg_bytes)
             if pid in self.harq:
                 raise LteError(f"HARQ process {pid} already active on ue {self.ue_id}")
             self.harq[pid] = proc
-            self._attempt(proc, report)
-        else:
-            self.enb.collector.count("lte_inflight_bytes", total)
-            self.enb.collector.record_tb(attempts=1, success=True)
-            self.sim.schedule_in(self.cfg.enb_decode_us, PRIO_DATA,
-                                 self.enb.on_tb_decoded, self, chunks,
-                                 lcg_bytes, total, report)
+        self.enb.collector.count("lte_inflight_bytes", total)
+        self._attempt(proc, report)
 
     def _drain(self, budget: int):
         chunks = []
@@ -233,39 +227,34 @@ class Ue:
         return chunks, lcg_bytes, total
 
     def _attempt(self, proc: HarqProcess, report) -> None:
-        """One HARQ transmission attempt; outcome drawn per attempt."""
-        t = self.sim.now
-        proc.next_tx = t + HARQ_RTT_US
-        if proc.attempt == 0:
-            self.enb.collector.count("lte_inflight_bytes", proc.tb_bytes)
-        ok = self.enb.harq_rng.bernoulli(1.0 - self.cfg.harq_bler)
+        """One transmission attempt; with HARQ on, its outcome is drawn."""
+        ok = (not self.cfg.harq_enabled
+              or self.enb.harq_rng.bernoulli(1.0 - self.cfg.harq_bler))
         self.sim.schedule_in(self.cfg.enb_decode_us, PRIO_DATA,
                              self._on_decode, proc, ok, report)
 
     def _on_decode(self, proc: HarqProcess, ok: bool, report) -> None:
-        if ok:
-            del self.harq[proc.process_id]
-            self.enb.collector.record_tb(attempts=proc.attempt + 1, success=True)
-            self.enb.on_tb_decoded(self, proc.chunks, proc.lcg_bytes,
-                                   proc.tb_bytes, report)
-            return
-        if proc.attempt < self.cfg.harq_max_retx:
+        """The block ends on success or once its retransmissions run out;
+        otherwise it retransmits one HARQ round trip after this attempt."""
+        collector = self.enb.collector
+        if not ok and proc.attempt < self.cfg.harq_max_retx:
             proc.attempt += 1
-            self.enb.note_retx(proc.lcg_bytes, proc.next_tx)
-            self.sim.schedule_at(proc.next_tx, PRIO_DATA, self._attempt, proc, None)
-            # The piggybacked buffer report still reaches the scheduler.
-            if report is not None:
-                self.enb.on_bsr(self, report)
-            return
-        # Retransmission budget exhausted: the block is lost.
-        del self.harq[proc.process_id]
-        self.enb.collector.record_tb(attempts=proc.attempt + 1, success=False)
-        self.enb.collector.count("lte_inflight_bytes", -proc.tb_bytes)
-        self.enb.collector.count("harq_dropped_bytes", proc.tb_bytes)
-        for pkt, _ in proc.chunks:
-            if not pkt.dropped:
-                pkt.dropped = True
-                self.enb.collector.count("dropped_packets", 1)
+            next_tx = self.sim.now - self.cfg.enb_decode_us + HARQ_RTT_US
+            self.enb.note_retx(proc.lcg_bytes, next_tx)
+            self.sim.schedule_at(next_tx, PRIO_DATA, self._attempt, proc, None)
+        else:
+            self.harq.pop(proc.process_id, None)
+            collector.record_tb(attempts=proc.attempt + 1, success=ok)
+            if ok:
+                self.enb.on_tb_decoded(proc.chunks, proc.tb_bytes)
+            else:
+                collector.count("lte_inflight_bytes", -proc.tb_bytes)
+                collector.count("harq_dropped_bytes", proc.tb_bytes)
+                for pkt, _ in proc.chunks:
+                    if not pkt.dropped:
+                        pkt.dropped = True
+                        collector.count("dropped_packets", 1)
+        # The piggybacked buffer report reaches the scheduler either way.
         if report is not None:
             self.enb.on_bsr(self, report)
 
@@ -276,7 +265,8 @@ class Ue:
             draw = float(mean)
         else:
             draw = rng.normal(mean, sigma)
-        self.mcs = min(MCS_MAX, max(MCS_MIN, round(draw)))
+        # Clamped before rounding, so that a huge draw cannot overflow round().
+        self.mcs = round(min(MCS_MAX, max(MCS_MIN, draw)))
         return self.mcs
 
 
@@ -387,14 +377,12 @@ class Enb:
 
     # -- egress ------------------------------------------------------------
 
-    def on_tb_decoded(self, ue: Ue, chunks, lcg_bytes, total: int, report) -> None:
+    def on_tb_decoded(self, chunks, total: int) -> None:
         t = self.sim.now
         self.collector.count("lte_inflight_bytes", -total)
         self.collector.count("lte_egressed_bytes", total)
         if self.egress_sink is not None:
             self.egress_sink(chunks, t)
-        if report is not None:
-            self.on_bsr(ue, report)
 
 
 class SubframeTick:

@@ -1,5 +1,7 @@
 import ast
+import math
 import re
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -96,23 +98,6 @@ def test_semantic_error_ugs_grant_too_small(tmp_path):
         parse_config(str(f))
 
 
-
-@pytest.mark.parametrize("period_us", [0, -2000])
-def test_validate_rejects_non_positive_ugs_period(period_us):
-    cfg = SimConfig(ugs_period_us=period_us)
-    with pytest.raises(ConfigError, match="ugs_period_us"):
-        cfg.validate()
-
-
-@pytest.mark.parametrize("period_us", [0, -1000])
-def test_validate_rejects_non_positive_channel_update(period_us):
-    # 0 used to hang the run (the channel tick rescheduled itself at the same
-    # instant); validate only, never run
-    cfg = SimConfig(channel_update_us=period_us)
-    with pytest.raises(ConfigError, match="channel_update_us"):
-        cfg.validate()
-
-
 @pytest.mark.parametrize("key, value", [
     ("sr_period_us", 1500), ("sr_encode_us", -1), ("sr_to_bsr_grant_us", 0),
     ("grant_to_bsr_us", 0), ("bsr_to_data_grant_us", 0), ("grant_to_data_us", 0),
@@ -131,9 +116,19 @@ def test_validate_rejects_non_positive_channel_update(period_us):
     ("mcs_sigma", -1.0), ("packet_mtu", 0), ("lcg_voip", 4), ("lcg_video", -1),
     ("voip_bytes", 0), ("voip_period_us", 0), ("video_rate_bps", 0),
     ("video_frame_period_us", 0), ("video_burstiness", -0.5),
-    ("contention_slots", 600),
-    # these two used to pass validate() and fail mid-run
+    ("contention_slots", 600), ("ugs_period_us", 0), ("ugs_period_us", -2000),
+    ("channel_update_us", -1000),
+    # 0 used to hang the run (the channel tick rescheduled itself at the same
+    # instant)
+    ("channel_update_us", 0),
+    # these used to pass validate() and fail mid-run
     ("video_rate_bps", float("nan")), ("video_rate_bps", float("inf")),
+    ("mcs_sigma", float("nan")), ("mcs_sigma", float("inf")),
+    ("video_burstiness", float("nan")), ("video_burstiness", float("inf")),
+    ("video_burstiness", 1e155),
+    # this one used to pass validate() and change the run: every reported
+    # byte's credit had expired by the time the byte reached the CM
+    ("described_expiry_us", -5 * MS),
 ])
 def test_validate_names_the_key_of_a_timing_profile_error(key, value):
     cfg = preset("scenario1")
@@ -232,18 +227,6 @@ def test_accepted_harq_timing_runs(harq, key, value):
     assert report.deltas
 
 
-def test_validate_rejects_bad_mode():
-    cfg = SimConfig(mode="sideways")
-    with pytest.raises(ConfigError):
-        cfg.validate()
-
-
-def test_validate_rejects_eut_out_of_range():
-    cfg = SimConfig(enb_count=2, eut_enb=3)
-    with pytest.raises(ConfigError):
-        cfg.validate()
-
-
 def test_dump_parse_round_trip(tmp_path):
     cfg = preset("scenario2")
     cfg.seed = 42
@@ -281,6 +264,15 @@ def test_video_rate_text_reads_as_its_exact_value(text, bps):
 def test_every_field_declares_one_file_key():
     keys = [(f.metadata["section"], f.metadata["key"]) for f in fields(SimConfig)]
     assert len(set(keys)) == len(keys)
+
+
+# Only the rules between settings in validate() check these, or no rule does.
+NO_DOMAIN = {"seed", "harq_enabled", "bwr_per_lcg", "ugs_phase_us", "trace_path",
+             "backoff_max", "eut_enb", "trace_duration_us"}
+
+
+def test_every_setting_declares_its_domain():
+    assert {f.name for f in fields(SimConfig) if f.metadata["domain"] is None} == NO_DOMAIN
 
 
 # Only validate() reads these two, but they print in report.txt: deleting them
@@ -399,6 +391,33 @@ def test_cli_negative_cm_framing_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("bwrsim: error: cm_framing_us = -2000: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("section, line, error", [
+    # these two used to end in an OverflowError traceback
+    ("lte-system", "mcs_sigma = inf", "mcs_sigma = inf: "),
+    ("simulation", "duration_ms = inf", ":2: bad value for duration_ms: "),
+], ids=["mcs_sigma", "duration_ms"])
+def test_cli_infinite_value_exit_code(tmp_path, capsys, section, line, error):
+    f = tmp_path / "bad.cfg"
+    f.write_text(f"[{section}]\n{line}\n")
+    assert main(["run", "--preset", "scenario2", "--config", str(f),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bwrsim: error: ") and error in err
+    assert err.count("\n") == 1
+
+
+def test_largest_accepted_spreads_run():
+    # the largest finite MCS spread, and the largest burstiness whose square is
+    # finite: the run clamps the MCS draw and sizes video frames without overflow
+    cfg = replace(preset("scenario2"), mcs_sigma=sys.float_info.max,
+                  video_burstiness=math.sqrt(sys.float_info.max), duration_us=300 * MS)
+    cfg.validate()
+    assert run_single(cfg, "bwr").collector.counters["egressed_packets"] > 0
+    cfg.video_burstiness = math.nextafter(cfg.video_burstiness, math.inf)
+    with pytest.raises(ConfigError, match="^video_burstiness = "):
+        cfg.validate()
 
 
 @pytest.mark.parametrize("command", ["print-config", "run"])

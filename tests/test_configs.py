@@ -70,6 +70,7 @@ OUT_OF_RANGE = {
     "maps_in_advance": [0],
     "cmts_proc_us": [-1, 2 * MS],
     "cm_framing_us": [-1, -2 * MS],
+    "described_expiry_us": [-1],
     "upstream_bps": [0, -1],
     "contention_slots": [0, 600],
     "ugs_period_us": [0, 8 * MS],

@@ -378,7 +378,7 @@ def test_lcg_differentiation_orders_blocks():
                              BWR_MODE_PER_LCG)
     sim.run_until(25 * MS)
     cmts.on_bwr_frame(encode_bwr(report))
-    assert [(e[2], e[5]) for e in cmts.bwr_fifo] == [(1, 500), (2, 1500)]
+    assert [(e[1], e[4]) for e in cmts.bwr_fifo] == [(1, 500), (2, 1500)]
     sim.run_until(36 * MS)
     bwr_grants = grants_of(maps, "bwr")
     assert [g.nbytes for g in bwr_grants] == [500, 1500]   # low LCG placed first

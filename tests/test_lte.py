@@ -331,6 +331,13 @@ def test_channel_clamp():
     ue = make_ue(sim, enb)
     assert ue.channel_update(22.0, 2.0, FixedRng(27.4)) == 26
     assert ue.channel_update(22.0, 2.0, FixedRng(11.0)) == 18
+    # .5 ties round to even
+    assert [ue.channel_update(22.0, 2.0, FixedRng(v)) for v in (18.5, 19.5, 25.5)] \
+        == [18, 20, 26]
+    # clamped before rounding: a draw round() cannot take ends at a bound
+    assert ue.channel_update(22.0, 1e308, FixedRng(float("inf"))) == 26
+    assert ue.channel_update(22.0, 1e308, FixedRng(-1e308)) == 18
+    assert type(ue.mcs) is int
 
 
 def test_channel_distribution():
