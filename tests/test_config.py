@@ -227,6 +227,18 @@ def test_accepted_harq_timing_runs(harq, key, value):
     assert report.deltas
 
 
+def test_validate_rejects_bad_mode():
+    cfg = SimConfig(mode="sideways")
+    with pytest.raises(ConfigError):
+        cfg.validate()
+
+
+def test_validate_rejects_eut_out_of_range():
+    cfg = SimConfig(enb_count=2, eut_enb=3)
+    with pytest.raises(ConfigError):
+        cfg.validate()
+
+
 def test_dump_parse_round_trip(tmp_path):
     cfg = preset("scenario2")
     cfg.seed = 42
