@@ -1,37 +1,30 @@
 """Command-line front end: scenario runs, analytic grant utilization, and
-synthetic trace generation."""
+the video trace a run replays."""
 
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .config import ConfigError, SimConfig, dump_config, parse_config, preset
+from .config import (MODES, PRESETS, ConfigError, SimConfig, dump_config, parse_config,
+                     parse_setting)
 from .lte import harq_grant_utilization
-from .runner import run_scenario
-from .traffic import synth_video, write_trace
+from .runner import build_trace, run_scenario
+from .traffic import write_trace
 
 
 def _load_config(args) -> SimConfig:
-    cfg = preset(args.preset) if args.preset else SimConfig()
+    """The preset, overridden by the config file, overridden by the flags."""
+    settings = dict(PRESETS.get(args.preset, {}))
     if args.config:
-        cfg = parse_config(args.config, base=cfg)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.mode is not None:
-        cfg.mode = args.mode
-    if args.duration_ms is not None:
-        cfg.duration_us = round(args.duration_ms * 1000)
+        settings.update(parse_config(args.config))
+    for key in ("seed", "mode", "duration_ms"):     # [simulation] keys
+        text = getattr(args, key, None)
+        if text is not None:
+            settings.update([parse_setting("simulation", key, text)])
+    cfg = SimConfig(**settings)
     cfg.validate()
     return cfg
-
-
-def _add_config_args(sub) -> None:
-    sub.add_argument("--preset", choices=("scenario1", "scenario2"))
-    sub.add_argument("--config", help="config file path")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--mode", choices=("baseline", "bwr", "both"))
-    sub.add_argument("--duration-ms", type=float)
 
 
 def main(argv=None) -> int:
@@ -40,35 +33,35 @@ def main(argv=None) -> int:
         description="LTE-over-DOCSIS uplink co-simulator with pipelined "
                     "bandwidth-report scheduling")
     subs = parser.add_subparsers(dest="command", required=True)
+    config_args = argparse.ArgumentParser(add_help=False)
+    config_args.add_argument("--preset", choices=PRESETS)
+    config_args.add_argument("--config", help="config file path")
+    config_args.add_argument("--seed")
+    run_args = argparse.ArgumentParser(add_help=False, parents=[config_args])
+    run_args.add_argument("--mode", choices=MODES)
+    run_args.add_argument("--duration-ms")
 
-    p_run = subs.add_parser("run", help="run a scenario and emit report + CSVs")
-    _add_config_args(p_run)
+    p_run = subs.add_parser("run", parents=[run_args],
+                            help="run a scenario and emit report + CSVs")
     p_run.add_argument("--out-dir", default="out")
 
     p_gutil = subs.add_parser("gutil", help="analytic HARQ grant utilization")
     p_gutil.add_argument("n_max", type=int)
     p_gutil.add_argument("bler", type=float)
 
-    p_synth = subs.add_parser("synth-trace", help="generate a synthetic video trace")
-    p_synth.add_argument("--rate-kbps", type=float, required=True)
-    p_synth.add_argument("--duration-ms", type=float, required=True)
-    p_synth.add_argument("--frame-period-ms", type=float, default=33.0)
-    p_synth.add_argument("--burstiness", type=float, default=0.5)
-    p_synth.add_argument("--seed", type=int, default=1)
+    p_synth = subs.add_parser("synth-trace", parents=[config_args],
+                              help="write the video trace a run replays")
     p_synth.add_argument("--out", required=True)
 
-    p_print = subs.add_parser("print-config", help="show the effective configuration")
-    _add_config_args(p_print)
+    subs.add_parser("print-config", parents=[run_args],
+                    help="show the effective configuration")
 
     args = parser.parse_args(argv)
     try:
         if args.command == "gutil":
             print(f"{harq_grant_utilization(args.n_max, args.bler):.4f}")
         elif args.command == "synth-trace":
-            trace = synth_video(args.rate_kbps * 1000,
-                                round(args.frame_period_ms * 1000),
-                                args.burstiness, args.seed,
-                                round(args.duration_ms * 1000))
+            trace = build_trace(_load_config(args))
             write_trace(trace, args.out)
             print(f"records={len(trace.records)} "
                   f"realized_kbps={trace.mean_bitrate_bps() / 1000:.1f}")

@@ -1,23 +1,23 @@
 """Run configuration: typed settings with scenario presets and a small
 section/key=value file format.
 
-Each SimConfig field declares, once, its default, its file section, its file
-key, its unit and, for a setting checked on its own, the values it accepts;
-the parser, `dump_config` and `validate()` read those declarations.
+Each SimConfig field declares, once, its type, default, file section, file
+key, unit and, for a setting checked on its own, the values it accepts; the
+parser, `dump_config` and `validate()` read those declarations.
 
 Files are UTF-8 text: `[section]` headers, `key = value` lines, `#` comments.
-Unset keys keep their defaults; unknown sections or keys are rejected with
-line numbers. Presets `scenario1` (multi-UE VoIP on an unloaded upstream) and
-`scenario2` (multi-eNB video upload at 80% upstream load) need no file.
+The parser returns the settings a file sets and rejects unknown sections or
+keys with line numbers. A preset (`PRESETS`) holds only the settings in which
+it differs from the defaults.
 """
 
-from __future__ import annotations
-
+# Annotations stay objects (no `from __future__ import annotations`):
+# validate() checks each value against its field's.
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import groupby
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple
 
 from .core import MS, SEC
 from .bwr import BWR_FRAME_BYTES
@@ -99,7 +99,6 @@ def _one_of(names: tuple[str, ...]) -> _Domain:
 
 _POSITIVE = _Domain(lambda v: v > 0, "must be positive")
 _NON_NEGATIVE = _Domain(lambda v: v >= 0, "must be >= 0")
-_AT_LEAST_1 = _Domain(lambda v: v >= 1, "must be >= 1")
 _FINITE_NON_NEGATIVE = _Domain(lambda v: 0 <= v < math.inf, "must be finite and >= 0")
 _SUBFRAMES = _Domain(lambda us: us > 0 and us % SUBFRAME_US == 0,
                      "must be a positive whole number of subframes")
@@ -111,7 +110,7 @@ _BURSTINESS_MAX = math.sqrt(sys.float_info.max)
 def _section(name: str):
     """Declares the fields of one file section: key, unit, default and, for a
     setting checked on its own, its domain."""
-    def setting(key: str, unit: _Unit, default, domain: Optional[_Domain] = None):
+    def setting(key: str, unit: _Unit, default, domain: _Domain | None = None):
         return field(default=default, metadata={"section": name, "key": key,
                                                 "unit": unit, "domain": domain})
     return setting
@@ -132,20 +131,20 @@ class SimConfig:
     warmup_us: int = _simulation("warmup_ms", _MS, 100 * MS, _NON_NEGATIVE)
     mode: str = _simulation("mode", _STR, "baseline", _one_of(MODES))
     map_interval_us: int = _docsis("map_interval_ms", _MS, 2 * MS, _POSITIVE)
-    maps_in_advance: int = _docsis("maps_in_advance", _INT, 1, _AT_LEAST_1)
+    maps_in_advance: int = _docsis("maps_in_advance", _INT, 1, _POSITIVE)
     cmts_proc_us: int = _docsis("cmts_proc_ms", _MS, 500, _NON_NEGATIVE)
     # folded into the MAP advance; validated only
     cm_proc_us: int = _docsis("cm_proc_ms", _MS, 500, _NON_NEGATIVE)
     cm_framing_us: int = _docsis("cm_framing_ms", _MS, 1200, _NON_NEGATIVE)
     upstream_bps: int = _docsis("upstream_mbps", _MBPS, 39_000_000, _POSITIVE)
-    contention_slots: int = _docsis("contention_slots", _INT, 8, _AT_LEAST_1)
-    slot_bytes: int = _docsis("slot_bytes", _INT, 16, _AT_LEAST_1)
-    backoff_init: int = _docsis("backoff_init", _INT, 8, _AT_LEAST_1)
+    contention_slots: int = _docsis("contention_slots", _INT, 8, _POSITIVE)
+    slot_bytes: int = _docsis("slot_bytes", _INT, 16, _POSITIVE)
+    backoff_init: int = _docsis("backoff_init", _INT, 8, _POSITIVE)
     backoff_max: int = _docsis("backoff_max", _INT, 64)
     propagation_us: int = _docsis("propagation_ms", _MS, 0, _NON_NEGATIVE)
     ugs_period_us: int = _docsis("ugs_period_ms", _MS, 2 * MS, _POSITIVE)
     # default: half the UGS period
-    ugs_phase_us: Optional[int] = _docsis("ugs_phase_ms", _MS, None)
+    ugs_phase_us: int | None = _docsis("ugs_phase_ms", _MS, None)
     ugs_grant_bytes: int = _docsis("ugs_grant_bytes", _INT, BWR_FRAME_BYTES, _Domain(
         lambda n: n >= BWR_FRAME_BYTES, f"cannot carry an {BWR_FRAME_BYTES}-byte report"))
     described_expiry_us: int = _docsis("described_expiry_ms", _MS, 2 * MS, _NON_NEGATIVE)
@@ -165,8 +164,8 @@ class SimConfig:
     harq_bler: float = _lte("harq_bler", _FLOAT, 0.1,
                             _Domain(lambda p: 0 <= p < 1, "must be in [0, 1)"))
     harq_max_retx: int = _lte("harq_max_retx", _INT, 4, _NON_NEGATIVE)
-    enb_count: int = _enb("count", _INT, 1, _AT_LEAST_1)
-    ues_per_enb: int = _enb("ues_per_enb", _INT, 6, _AT_LEAST_1)
+    enb_count: int = _enb("count", _INT, 1, _POSITIVE)
+    ues_per_enb: int = _enb("ues_per_enb", _INT, 6, _POSITIVE)
     cm_count: int = _enb("cm_count", _INT, 1,
                          _Domain(lambda n: n == 1, "exactly one CM is supported"))
     eut_enb: int = _enb("eut", _INT, 1)
@@ -181,9 +180,9 @@ class SimConfig:
     video_frame_period_us: int = _traffic("video_frame_period_ms", _MS, 33 * MS, _POSITIVE)
     video_burstiness: float = _traffic("video_burstiness", _FLOAT, 0.5, _Domain(
         lambda b: 0 <= b <= _BURSTINESS_MAX, f"must lie in [0, {_BURSTINESS_MAX!r}]"))
-    trace_path: Optional[str] = _traffic("trace_path", _STR, None)
+    trace_path: str | None = _traffic("trace_path", _STR, None)
     trace_duration_us: int = _traffic("trace_duration_ms", _MS, 4 * SEC)
-    packet_mtu: int = _traffic("packet_mtu", _INT, 1400, _AT_LEAST_1)
+    packet_mtu: int = _traffic("packet_mtu", _INT, 1400, _POSITIVE)
     lcg_voip: int = _traffic("lcg_voip", _INT, 1, _LCG)
     lcg_video: int = _traffic("lcg_video", _INT, 2, _LCG)
 
@@ -198,11 +197,14 @@ class SimConfig:
         return ConfigError(f"{key} = {getattr(self, key)}: {rule}")
 
     def validate(self) -> None:
-        """Each setting against its declared domain, then the rules that
-        read two or more settings and the dry runs."""
+        """Each setting against its declared type and domain, then the rules
+        that read two or more settings and the dry runs."""
         for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, f.type):
+                raise self._invalid(f.name, f"must be {getattr(f.type, '__name__', f.type)}")
             domain = f.metadata["domain"]
-            if domain is not None and not domain.accepts(getattr(self, f.name)):
+            if domain is not None and not domain.accepts(value):
                 raise self._invalid(f.name, domain.rule)
         if self.cmts_proc_us >= self.map_interval_us:
             raise self._invalid("cmts_proc_us", "must be shorter than the MAP interval")
@@ -263,14 +265,13 @@ class SimConfig:
                 raise self._invalid("trace_path", str(exc)) from exc
 
 
+PRESETS = {"scenario1": {}, "scenario2": {"enb_count": 4, "traffic_case": "video"}}
+
+
 def preset(name: str) -> SimConfig:
-    if name == "scenario1":
-        return SimConfig(enb_count=1, ues_per_enb=6, traffic_case="voip",
-                         harq_enabled=True)
-    if name == "scenario2":
-        return SimConfig(enb_count=4, ues_per_enb=6, traffic_case="video",
-                         harq_enabled=True, eut_enb=1)
-    raise ConfigError(f"unknown preset {name!r} (have: scenario1, scenario2)")
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r} (have: {', '.join(PRESETS)})")
+    return SimConfig(**PRESETS[name])
 
 
 # (section, file key) -> the field that declares it
@@ -278,9 +279,20 @@ _BY_KEY = {(f.metadata["section"], f.metadata["key"]): f for f in fields(SimConf
 _SECTIONS = {section for section, _ in _BY_KEY}
 
 
-def parse_config(path: str, base: Optional[SimConfig] = None) -> SimConfig:
-    """Load a config file over defaults (or over a preset)."""
-    cfg = replace(base) if base is not None else SimConfig()
+def parse_setting(section: str, key: str, text: str, where: str = "") -> tuple[str, Any]:
+    """The field a key sets, and its text read in the key's unit; `where` prefixes errors."""
+    f = _BY_KEY.get((section, key))
+    if f is None:
+        raise ConfigError(f"{where}unknown key {key!r} in [{section}]")
+    try:
+        return f.name, f.metadata["unit"].parse(text)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"{where}bad value for {key}: {exc}") from exc
+
+
+def parse_config(path: str) -> dict[str, Any]:
+    """The settings a config file sets, by field name; not validated."""
+    settings = []
     section = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -296,16 +308,9 @@ def parse_config(path: str, base: Optional[SimConfig] = None) -> SimConfig:
                 raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
             if section is None:
                 raise ConfigError(f"{path}:{lineno}: key outside any [section]")
-            key, value = (part.strip() for part in line.split("=", 1))
-            f = _BY_KEY.get((section, key))
-            if f is None:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [{section}]")
-            try:
-                setattr(cfg, f.name, f.metadata["unit"].parse(value))
-            except (ValueError, TypeError, OverflowError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    cfg.validate()
-    return cfg
+            key, text = (part.strip() for part in line.split("=", 1))
+            settings.append(parse_setting(section, key, text, f"{path}:{lineno}: "))
+    return dict(settings)
 
 
 def dump_config(cfg: SimConfig) -> str:

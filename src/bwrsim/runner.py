@@ -53,7 +53,8 @@ class SimRun:
         }
 
 
-def _build_trace(cfg: SimConfig) -> VideoTrace:
+def build_trace(cfg: SimConfig) -> VideoTrace:
+    """The video trace a run of cfg replays: its file's, or one drawn from its seed."""
     if cfg.trace_path is not None:
         return read_trace(cfg.trace_path)
     return synth_video(cfg.video_rate_bps, cfg.video_frame_period_us,
@@ -81,7 +82,7 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     if mode == "bwr":
         cm.add_flow(ServiceFlow("bwr-ugs", UGS, owner_enb=cfg.eut_enb))
 
-    trace = _build_trace(cfg) if cfg.traffic_case == "video" else None
+    trace = build_trace(cfg) if cfg.traffic_case == "video" else None
     enbs: list[Enb] = []
     ues: list[Ue] = []
     sources = []

@@ -90,12 +90,12 @@ def synth_video(mean_bitrate_bps: float, frame_period: int, burstiness: float,
     burstiness is the coefficient of variation; the drawn sizes are rescaled
     so the realized mean bitrate matches the target before rounding.
     """
-    if mean_bitrate_bps <= 0:
-        raise TrafficError("mean bitrate must be positive")
+    if not 0 < mean_bitrate_bps < math.inf:
+        raise TrafficError(f"mean_bitrate_bps = {mean_bitrate_bps}: must be positive and finite")
     if frame_period <= 0 or duration < frame_period:
         raise TrafficError("duration must cover at least one frame period")
-    if burstiness < 0:
-        raise TrafficError("burstiness must be >= 0")
+    if not 0 <= burstiness < math.inf:
+        raise TrafficError(f"burstiness = {burstiness}: must be finite and >= 0")
     rng = Rng(seed)
     n_frames = duration // frame_period
     mean_size = mean_bitrate_bps * frame_period / 8_000_000

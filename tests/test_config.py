@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bwrsim
+from bwrsim import config, runner, traffic
 from bwrsim.cli import main
 from bwrsim.config import (ConfigError, SimConfig, dump_config, parse_config,
                            preset)
@@ -62,12 +63,10 @@ def test_parse_overrides_and_defaults(tmp_path):
         "enb_decode_ms = 1.5\n"
         "[traffic]\n"
         "case = voip\n")
-    cfg = parse_config(str(f))
-    assert cfg.duration_us == 500 * MS
-    assert cfg.mode == "bwr"
-    assert not cfg.harq_enabled
-    assert cfg.enb_decode_us == 1500
-    assert cfg.sr_period_us == 5 * MS            # untouched default
+    # only the keys the file sets, in the fields' units
+    assert parse_config(str(f)) == {"duration_us": 500 * MS, "mode": "bwr",
+                                    "harq_enabled": False, "enb_decode_us": 1500,
+                                    "traffic_case": "voip"}
 
 
 def test_unknown_key_reports_line(tmp_path):
@@ -95,7 +94,10 @@ def test_semantic_error_ugs_grant_too_small(tmp_path):
     f = tmp_path / "run.cfg"
     f.write_text("[docsis]\nugs_grant_bytes = 64\n")
     with pytest.raises(ConfigError, match="80-byte report"):
-        parse_config(str(f))
+        SimConfig(**parse_config(str(f))).validate()
+
+
+INT_FIELDS = [f.name for f in fields(SimConfig) if f.type in (int, int | None)]
 
 
 @pytest.mark.parametrize("key, value", [
@@ -129,6 +131,9 @@ def test_semantic_error_ugs_grant_too_small(tmp_path):
     # this one used to pass validate() and change the run: every reported
     # byte's credit had expired by the time the byte reached the CM
     ("described_expiry_us", -5 * MS),
+    # these used to pass validate(): duration_us = inf then never ends, and
+    # map_interval_us = inf raised TypeError in the window dry run
+    *[(key, value) for key in INT_FIELDS for value in (math.inf, 2.5)],
 ])
 def test_validate_names_the_key_of_a_timing_profile_error(key, value):
     cfg = preset("scenario1")
@@ -248,8 +253,7 @@ def test_dump_parse_round_trip(tmp_path):
     text = dump_config(cfg)
     f = tmp_path / "echo.cfg"
     f.write_text(text)
-    back = parse_config(str(f))
-    assert back == cfg
+    assert SimConfig(**parse_config(str(f))) == cfg
 
 
 VIDEO_RATE = next(f for f in fields(SimConfig) if f.name == "video_rate_bps")
@@ -332,10 +336,18 @@ def test_cli_gutil_domain_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def video_config(tmp_path, lines: str) -> str:
+    """A config file holding the given [traffic] lines."""
+    f = tmp_path / "video.cfg"
+    f.write_text("[traffic]\n" + lines)
+    return str(f)
+
+
 def test_cli_synth_trace_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.trace", tmp_path / "b.trace"
-    args = ["synth-trace", "--rate-kbps", "1292", "--duration-ms", "10000",
-            "--burstiness", "0.5", "--seed", "7"]
+    f = video_config(tmp_path, "video_rate_kbps = 1292\ntrace_duration_ms = 10000\n"
+                               "video_burstiness = 0.5\n")
+    args = ["synth-trace", "--config", f, "--seed", "7"]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_text() == b.read_text()
@@ -347,22 +359,51 @@ def test_cli_synth_trace_deterministic(tmp_path, capsys):
 
 def test_cli_synth_trace_burstiness_zero_constant(tmp_path):
     out = tmp_path / "c.trace"
-    assert main(["synth-trace", "--rate-kbps", "1000", "--duration-ms", "2000",
-                 "--burstiness", "0", "--out", str(out)]) == 0
+    f = video_config(tmp_path, "video_rate_kbps = 1000\ntrace_duration_ms = 2000\n"
+                               "video_burstiness = 0\n")
+    assert main(["synth-trace", "--config", f, "--out", str(out)]) == 0
     sizes = {line.split(",")[1] for line in out.read_text().splitlines()
              if line and not line.startswith("#")}
     assert len(sizes) == 1
 
 
-def test_cli_synth_trace_unwritable_path(capsys):
-    assert main(["synth-trace", "--rate-kbps", "1000", "--duration-ms", "1000",
-                 "--out", "/nonexistent-dir/x.trace"]) == 1
+def test_cli_synth_trace_unwritable_path(tmp_path, capsys):
+    f = video_config(tmp_path, "video_rate_kbps = 1000\ntrace_duration_ms = 1000\n")
+    assert main(["synth-trace", "--config", f, "--out", "/nonexistent-dir/x.trace"]) == 1
 
 
 def test_cli_print_config(capsys):
     assert main(["print-config", "--preset", "scenario1", "--seed", "9"]) == 0
     out = capsys.readouterr().out
     assert "[simulation]" in out and "seed = 9" in out
+
+
+def test_cli_flag_overrides_file_overrides_preset(tmp_path, capsys):
+    # the file's 50 ms run used to be validated, and refused, before the flag
+    f = tmp_path / "short.cfg"
+    f.write_text("[simulation]\nduration_ms = 50\n[enb]\ncount = 2\n")
+    assert main(["print-config", "--preset", "scenario2", "--config", str(f),
+                 "--duration-ms", "2000"]) == 0
+    out = capsys.readouterr().out
+    assert "duration_ms = 2000\n" in out        # the flag over the file
+    assert "\ncount = 2\n" in out              # the file over the preset
+    assert "case = video\n" in out             # the preset where the file is silent
+
+
+@pytest.mark.parametrize("args, validations", [
+    (["print-config"], 1),
+    (["run", "--mode", "both", "--duration-ms", "300"], 3),   # once more per mode
+], ids=["print-config", "run-both"])
+def test_cli_validates_the_merged_config_once(tmp_path, monkeypatch, args, validations):
+    f = tmp_path / "run.cfg"
+    f.write_text("[simulation]\nseed = 5\n")
+    calls = []
+    validate = SimConfig.validate
+    monkeypatch.setattr(SimConfig, "validate", lambda cfg: calls.append(cfg) or validate(cfg))
+    if args[0] == "run":
+        args = args + ["--out-dir", str(tmp_path / "out")]
+    assert main(args + ["--config", str(f)]) == 0
+    assert len(calls) == validations
 
 
 def test_cli_run_smoke(tmp_path, capsys):
@@ -405,15 +446,19 @@ def test_cli_negative_cm_framing_exit_code(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("section, line, error", [
+@pytest.mark.parametrize("text, flags, error", [
     # these two used to end in an OverflowError traceback
-    ("lte-system", "mcs_sigma = inf", "mcs_sigma = inf: "),
-    ("simulation", "duration_ms = inf", ":2: bad value for duration_ms: "),
-], ids=["mcs_sigma", "duration_ms"])
-def test_cli_infinite_value_exit_code(tmp_path, capsys, section, line, error):
+    ("[lte-system]\nmcs_sigma = inf\n", [], "mcs_sigma = inf: "),
+    ("[simulation]\nduration_ms = inf\n", [], ":2: bad value for duration_ms: "),
+    # the flag used to end in an OverflowError traceback, and in an error
+    # that did not name the key
+    ("", ["--duration-ms", "inf"], "error: bad value for duration_ms: "),
+    ("", ["--duration-ms", "nan"], "error: bad value for duration_ms: "),
+], ids=["mcs_sigma", "duration_ms", "flag-inf", "flag-nan"])
+def test_cli_infinite_value_exit_code(tmp_path, capsys, text, flags, error):
     f = tmp_path / "bad.cfg"
-    f.write_text(f"[{section}]\n{line}\n")
-    assert main(["run", "--preset", "scenario2", "--config", str(f),
+    f.write_text(text)
+    assert main(["run", "--preset", "scenario2", "--config", str(f), *flags,
                  "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("bwrsim: error: ") and error in err
@@ -451,7 +496,7 @@ def test_synthetic_trace_shorter_than_a_frame_rejected(tmp_path):
     f = tmp_path / "short.cfg"
     f.write_text("[traffic]\ncase = video\ntrace_duration_ms = 10\n")
     with pytest.raises(ConfigError, match="trace_duration_us = 10000"):
-        parse_config(str(f))
+        SimConfig(**parse_config(str(f))).validate()
     # a trace file or VoIP traffic does not use the synthetic trace
     trace = tmp_path / "ok.trace"
     trace.write_text("#bwr-trace v1\n0,1000\n33,1000\n")
@@ -472,11 +517,35 @@ def test_cli_malformed_trace_file_exit_code(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_run_replays_the_trace_synth_trace_writes(tmp_path, monkeypatch):
+    f = tmp_path / "short.cfg"
+    f.write_text("[simulation]\nduration_ms = 500\n")
+    common = ["--preset", "scenario2", "--config", str(f), "--seed", "3"]
+    trace = tmp_path / "video.trace"
+    assert main(["synth-trace", *common, "--out", str(trace)]) == 0
+    synth, replay = tmp_path / "synth", tmp_path / "replay"
+    assert main(["run", *common, "--mode", "both", "--out-dir", str(synth)]) == 0
+    f.write_text(f"[simulation]\nduration_ms = 500\n[traffic]\ntrace_path = {trace}\n")
+    reads = []
+    read_trace = traffic.read_trace
+    for module in (config, runner):
+        monkeypatch.setattr(module, "read_trace",
+                            lambda path: reads.append(path) or read_trace(path))
+    assert main(["run", *common, "--mode", "both", "--out-dir", str(replay)]) == 0
+    # validate() in the merge and in each mode's run, and each mode's build
+    assert len(reads) == 5
+    csvs = sorted(p.name for p in synth.glob("*.csv"))
+    assert len(csvs) == 7
+    for name in csvs:
+        assert (replay / name).read_bytes() == (synth / name).read_bytes(), name
+
+
 def test_cli_synth_trace_zero_frame_period_exit_code(tmp_path, capsys):
-    assert main(["synth-trace", "--rate-kbps", "1000", "--duration-ms", "1000",
-                 "--frame-period-ms", "0", "--out", str(tmp_path / "x.trace")]) == 1
+    f = video_config(tmp_path, "video_rate_kbps = 1000\ntrace_duration_ms = 1000\n"
+                               "video_frame_period_ms = 0\n")
+    assert main(["synth-trace", "--config", f, "--out", str(tmp_path / "x.trace")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("bwrsim: error: ")
+    assert err.startswith("bwrsim: error: video_frame_period_us = 0: ")
     assert err.count("\n") == 1
 
 

@@ -135,7 +135,7 @@ def reparsed(cfg):
         path = os.path.join(tmp, "echo.cfg")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(dump_config(cfg))
-        return parse_config(path)
+        return SimConfig(**parse_config(path))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,

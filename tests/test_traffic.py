@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from bwrsim.core import MS, SEC, Simulator
@@ -124,6 +126,16 @@ def test_synth_rejects_bad_parameters():
         synth_video(0, 33 * MS, 0.5, 1, SEC)
     with pytest.raises(TrafficError):
         synth_video(1e6, 33 * MS, -1.0, 1, SEC)
+
+
+@pytest.mark.parametrize("rate_bps, burstiness, name", [
+    # NaN used to pass both checks
+    (math.nan, 0.5, "mean_bitrate_bps"), (math.inf, 0.5, "mean_bitrate_bps"),
+    (1e6, math.nan, "burstiness"), (1e6, math.inf, "burstiness"),
+])
+def test_synth_rejects_non_finite_parameters(rate_bps, burstiness, name):
+    with pytest.raises(TrafficError, match=f"^{name} = "):
+        synth_video(rate_bps, 33 * MS, burstiness, 1, SEC)
 
 
 def test_trace_file_round_trip(tmp_path):
