@@ -22,9 +22,7 @@ def _load_config(args) -> SimConfig:
         text = getattr(args, key, None)
         if text is not None:
             settings.update([parse_setting("simulation", key, text)])
-    cfg = SimConfig(**settings)
-    cfg.validate()
-    return cfg
+    return SimConfig(**settings)
 
 
 def main(argv=None) -> int:
@@ -61,7 +59,11 @@ def main(argv=None) -> int:
         if args.command == "gutil":
             print(f"{harq_grant_utilization(args.n_max, args.bler):.4f}")
         elif args.command == "synth-trace":
-            trace = build_trace(_load_config(args))
+            cfg = _load_config(args)
+            if cfg.traffic_case != "video":
+                raise ConfigError(f"traffic_case = {cfg.traffic_case}: a run replays "
+                                  f"a trace only in the video case")
+            trace = build_trace(cfg)
             write_trace(trace, args.out)
             print(f"records={len(trace.records)} "
                   f"realized_kbps={trace.mean_bitrate_bps() / 1000:.1f}")

@@ -123,8 +123,8 @@ _enb = _section("enb")
 _traffic = _section("traffic")
 
 
-# Slots make field reads fast: the components read them in per-event code.
-@dataclass(slots=True)
+# Validated when built, then frozen; slots make the per-event field reads fast.
+@dataclass(slots=True, frozen=True)
 class SimConfig:
     duration_us: int = _simulation("duration_ms", _MS, 2 * SEC, _POSITIVE)
     seed: int = _simulation("seed", _INT, 1)
@@ -186,6 +186,9 @@ class SimConfig:
     lcg_voip: int = _traffic("lcg_voip", _INT, 1, _LCG)
     lcg_video: int = _traffic("lcg_video", _INT, 2, _LCG)
 
+    def __post_init__(self):
+        self.validate()
+
     # -- derived views -----------------------------------------------------
 
     def ugs_phase(self) -> int:
@@ -201,7 +204,9 @@ class SimConfig:
         that read two or more settings and the dry runs."""
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, f.type):
+            # a bool is an int to isinstance, but not to the file format
+            if (not isinstance(value, f.type)
+                    or isinstance(value, bool) and f.type is not bool):
                 raise self._invalid(f.name, f"must be {getattr(f.type, '__name__', f.type)}")
             domain = f.metadata["domain"]
             if domain is not None and not domain.accepts(value):
@@ -227,10 +232,15 @@ class SimConfig:
         if self.harq_enabled and self.enb_decode_us > HARQ_RTT_US:
             raise self._invalid("enb_decode_us", f"must not exceed the "
                                 f"{HARQ_RTT_US} us HARQ round trip")
-        if (self.traffic_case == "video" and self.trace_path is None
-                and self.trace_duration_us < self.video_frame_period_us):
-            raise self._invalid("trace_duration_us", f"shorter than video_frame_period_us"
-                                f" = {self.video_frame_period_us}")
+        if self.traffic_case == "video" and self.trace_path is None:
+            if self.trace_duration_us < self.video_frame_period_us:
+                raise self._invalid("trace_duration_us", f"shorter than video_frame_period_us"
+                                    f" = {self.video_frame_period_us}")
+            # the synthetic trace's mean frame size, as synth_video computes it
+            if not math.isfinite(self.video_rate_bps * self.video_frame_period_us / 8e6):
+                raise self._invalid("video_rate_bps", f"with video_frame_period_us = "
+                                    f"{self.video_frame_period_us}, the mean frame "
+                                    f"size overflows")
         if region_duration(self) > self.map_interval_us:
             raise self._invalid("contention_slots", f"with slot_bytes = {self.slot_bytes}, "
                                 f"the contention region overruns the MAP interval")

@@ -64,7 +64,6 @@ def build_trace(cfg: SimConfig) -> VideoTrace:
 
 def run_single(cfg: SimConfig, mode: str) -> SimRun:
     """Build, wire, and run one instance to cfg.duration_us."""
-    cfg.validate()
     if mode not in ("baseline", "bwr"):
         raise ValueError(f"run mode must be baseline or bwr, got {mode!r}")
     sim = Simulator()

@@ -7,6 +7,7 @@ inside the per-run wall-time budget it asserts.
 
 import bisect
 import time
+from dataclasses import replace
 from operator import attrgetter
 
 import pytest
@@ -46,8 +47,7 @@ def scenario2_runs():
     with pytest.MonkeyPatch.context() as mp:
         seen = record_maps(Cm, mp.setattr)
         for seed in range(1, 6):
-            cfg = preset("scenario2")
-            cfg.seed = seed
+            cfg = replace(preset("scenario2"), seed=seed)
             pair = []
             for mode in ("baseline", "bwr"):
                 pair.append(run_single(cfg, mode))
@@ -135,11 +135,9 @@ def test_c5_constant_improvement(scenario1_pair, capsys):
 def test_c6_bwr_overhead(capsys):
     results = []
     for period_ms, target_bps in ((2, 320_000), (1, 640_000)):
-        cfg = preset("scenario1")
-        cfg.ugs_period_us = period_ms * MS
-        cfg.bwr_period_us = max(cfg.bwr_period_us, cfg.ugs_period_us)
-        if period_ms == 1:
-            cfg.bwr_period_us = MS
+        # one report period per UGS period
+        cfg = replace(preset("scenario1"), ugs_period_us=period_ms * MS,
+                      bwr_period_us=period_ms * MS)
         # one report frame per unsolicited grant
         target = BWR_FRAME_BYTES * 8 * 1_000_000 / cfg.ugs_period_us
         assert target == target_bps
@@ -192,8 +190,7 @@ def test_c7_scenario2_properties(scenario2_runs, capsys):
 
 
 def test_c8_wasted_grant_convergence(capsys):
-    cfg = preset("scenario1")
-    cfg.duration_us = 80 * SEC                 # ~24k transport blocks
+    cfg = replace(preset("scenario1"), duration_us=80 * SEC)   # ~24k transport blocks
     run = run_single(cfg, "bwr")
     blocks = run.collector.tb_blocks
     util = run.collector.mean_tb_grant_utilization()
@@ -208,8 +205,7 @@ def test_c8_wasted_grant_convergence(capsys):
 def test_c9a_determinism(tmp_path, capsys):
     reports, events, csvs = [], [], []
     for tag in ("a", "b"):
-        cfg = preset("scenario1")
-        cfg.mode = "both"
+        cfg = replace(preset("scenario1"), mode="both")
         out = tmp_path / tag
         rep = run_scenario(cfg, str(out))
         # the emitted csv paths differ by construction; drop that line

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import re
 import sys
@@ -94,7 +95,7 @@ def test_semantic_error_ugs_grant_too_small(tmp_path):
     f = tmp_path / "run.cfg"
     f.write_text("[docsis]\nugs_grant_bytes = 64\n")
     with pytest.raises(ConfigError, match="80-byte report"):
-        SimConfig(**parse_config(str(f))).validate()
+        SimConfig(**parse_config(str(f)))
 
 
 INT_FIELDS = [f.name for f in fields(SimConfig) if f.type in (int, int | None)]
@@ -132,14 +133,13 @@ INT_FIELDS = [f.name for f in fields(SimConfig) if f.type in (int, int | None)]
     # byte's credit had expired by the time the byte reached the CM
     ("described_expiry_us", -5 * MS),
     # these used to pass validate(): duration_us = inf then never ends, and
-    # map_interval_us = inf raised TypeError in the window dry run
-    *[(key, value) for key in INT_FIELDS for value in (math.inf, 2.5)],
+    # map_interval_us = inf raised TypeError in the window dry run; True used
+    # to pass as the int 1 and print as a text that does not re-parse
+    *[(key, value) for key in INT_FIELDS for value in (math.inf, 2.5, True)],
 ])
 def test_validate_names_the_key_of_a_timing_profile_error(key, value):
-    cfg = preset("scenario1")
-    setattr(cfg, key, value)
     with pytest.raises(ConfigError, match="^" + re.escape(f"{key} = {value}: ")):
-        cfg.validate()
+        replace(preset("scenario1"), **{key: value})
 
 
 @pytest.mark.parametrize("harq, period_us, g2d_us, decode_us", [
@@ -152,10 +152,9 @@ def test_validate_rejects_report_period_beyond_the_lead(harq, period_us, g2d_us,
                                                         decode_us):
     # these used to fail mid-run in bwr mode: BwrCodecError, egress_time not
     # in the future; validate only, never run
-    cfg = SimConfig(harq_enabled=harq, bwr_period_us=period_us,
-                    grant_to_data_us=g2d_us, enb_decode_us=decode_us)
     with pytest.raises(ConfigError, match=f"^bwr_period_us = {period_us}: "):
-        cfg.validate()
+        SimConfig(harq_enabled=harq, bwr_period_us=period_us,
+                  grant_to_data_us=g2d_us, enb_decode_us=decode_us)
 
 
 @pytest.mark.parametrize("harq, bler, max_retx, period_us, g2d_us, decode_us", [
@@ -172,7 +171,6 @@ def test_accepted_report_period_runs(harq, bler, max_retx, period_us, g2d_us, de
                   harq_max_retx=max_retx, bwr_period_us=period_us,
                   grant_to_data_us=g2d_us, enb_decode_us=decode_us,
                   duration_us=500 * MS)
-    cfg.validate()
     assert run_single(cfg, "bwr").collector.counters["bwr_reports_built"] > 0
 
 
@@ -183,24 +181,20 @@ def test_accepted_report_period_runs(harq, bler, max_retx, period_us, g2d_us, de
     {"ugs_grant_bytes": 9000, "ugs_period_us": 3 * MS, "bwr_period_us": 4 * MS},
 ], ids=["5000B", "10000B", "9000B-second-window"])
 def test_validate_rejects_ugs_grants_that_do_not_fit(overrides):
-    cfg = SimConfig(**overrides)
     with pytest.raises(ConfigError, match="ugs_grant_bytes"):
-        cfg.validate()
+        SimConfig(**overrides)
 
 
 def test_validate_rejects_contention_region_longer_than_map_interval():
-    cfg = SimConfig(contention_slots=600)      # 600 x 4 us > 2 ms
     with pytest.raises(ConfigError, match="contention_slots"):
-        cfg.validate()
+        SimConfig(contention_slots=600)       # 600 x 4 us > 2 ms
 
 
 @pytest.mark.parametrize("cfg", [SimConfig(ugs_grant_bytes=4000),
                                  preset("scenario1"), preset("scenario2")],
                          ids=["4000B", "scenario1", "scenario2"])
 def test_accepted_ugs_layout_runs(cfg):
-    cfg.validate()
-    cfg.duration_us = 200 * MS
-    run = run_single(cfg, "bwr")
+    run = run_single(replace(cfg, duration_us=200 * MS), "bwr")
     assert run.collector.counters["ugs_wasted_bytes"] > 0
 
 
@@ -211,10 +205,8 @@ def test_accepted_ugs_layout_runs(cfg):
 def test_validate_rejects_harq_timing_beyond_the_round_trip(key, value):
     # these used to fail mid-run (HARQ process already active; a retransmission
     # scheduled in the past); validate only, never run
-    cfg = preset("scenario2")
-    setattr(cfg, key, value)
     with pytest.raises(ConfigError, match=f"{key} = {value}: .* HARQ round trip"):
-        cfg.validate()
+        replace(preset("scenario2"), **{key: value})
 
 
 @pytest.mark.parametrize("harq, key, value", [(True, "grant_to_data_us", 7999),
@@ -222,34 +214,33 @@ def test_validate_rejects_harq_timing_beyond_the_round_trip(key, value):
                                               (False, "grant_to_data_us", 9000),
                                               (False, "enb_decode_us", 9000)])
 def test_accepted_harq_timing_runs(harq, key, value):
-    cfg = preset("scenario2")
-    cfg.harq_enabled = harq
-    setattr(cfg, key, value)
-    cfg.validate()
-    cfg.mode = "both"
-    cfg.duration_us = 300 * MS
+    cfg = replace(preset("scenario2"), harq_enabled=harq, mode="both",
+                  duration_us=300 * MS, **{key: value})
     report = run_scenario(cfg)
     assert report.deltas
 
 
 def test_validate_rejects_bad_mode():
-    cfg = SimConfig(mode="sideways")
     with pytest.raises(ConfigError):
-        cfg.validate()
+        SimConfig(mode="sideways")
 
 
 def test_validate_rejects_eut_out_of_range():
-    cfg = SimConfig(enb_count=2, eut_enb=3)
     with pytest.raises(ConfigError):
-        cfg.validate()
+        SimConfig(enb_count=2, eut_enb=3)
+
+
+def test_config_is_frozen():
+    cfg = preset("scenario1")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.duration_us = 0
+    assert cfg == preset("scenario1")
 
 
 def test_dump_parse_round_trip(tmp_path):
-    cfg = preset("scenario2")
-    cfg.seed = 42
     # more than six significant digits in ms and in Mb/s
-    cfg.duration_us = 1_234_567
-    cfg.upstream_bps = 39_123_456
+    cfg = replace(preset("scenario2"), seed=42, duration_us=1_234_567,
+                  upstream_bps=39_123_456)
     text = dump_config(cfg)
     f = tmp_path / "echo.cfg"
     f.write_text(text)
@@ -315,8 +306,7 @@ def test_every_setting_is_read_outside_validate():
 def test_ugs_phase_default_is_half_period():
     cfg = SimConfig()
     assert cfg.ugs_phase() == MS
-    cfg.ugs_phase_us = 500
-    assert cfg.ugs_phase() == 500
+    assert replace(cfg, ugs_phase_us=500).ugs_phase() == 500
 
 
 # -- command line ----------------------------------------------------------------
@@ -337,9 +327,9 @@ def test_cli_gutil_domain_error(capsys):
 
 
 def video_config(tmp_path, lines: str) -> str:
-    """A config file holding the given [traffic] lines."""
+    """A video config file holding the given [traffic] lines."""
     f = tmp_path / "video.cfg"
-    f.write_text("[traffic]\n" + lines)
+    f.write_text("[traffic]\ncase = video\n" + lines)
     return str(f)
 
 
@@ -372,6 +362,16 @@ def test_cli_synth_trace_unwritable_path(tmp_path, capsys):
     assert main(["synth-trace", "--config", f, "--out", "/nonexistent-dir/x.trace"]) == 1
 
 
+def test_cli_synth_trace_refuses_a_voip_config(tmp_path, capsys):
+    # it used to write a video trace that no VoIP run replays
+    out = tmp_path / "x.trace"
+    assert main(["synth-trace", "--preset", "scenario1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bwrsim: error: traffic_case = voip: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_print_config(capsys):
     assert main(["print-config", "--preset", "scenario1", "--seed", "9"]) == 0
     out = capsys.readouterr().out
@@ -392,7 +392,7 @@ def test_cli_flag_overrides_file_overrides_preset(tmp_path, capsys):
 
 @pytest.mark.parametrize("args, validations", [
     (["print-config"], 1),
-    (["run", "--mode", "both", "--duration-ms", "300"], 3),   # once more per mode
+    (["run", "--mode", "both", "--duration-ms", "300"], 1),
 ], ids=["print-config", "run-both"])
 def test_cli_validates_the_merged_config_once(tmp_path, monkeypatch, args, validations):
     f = tmp_path / "run.cfg"
@@ -470,11 +470,9 @@ def test_largest_accepted_spreads_run():
     # finite: the run clamps the MCS draw and sizes video frames without overflow
     cfg = replace(preset("scenario2"), mcs_sigma=sys.float_info.max,
                   video_burstiness=math.sqrt(sys.float_info.max), duration_us=300 * MS)
-    cfg.validate()
     assert run_single(cfg, "bwr").collector.counters["egressed_packets"] > 0
-    cfg.video_burstiness = math.nextafter(cfg.video_burstiness, math.inf)
     with pytest.raises(ConfigError, match="^video_burstiness = "):
-        cfg.validate()
+        replace(cfg, video_burstiness=math.nextafter(cfg.video_burstiness, math.inf))
 
 
 @pytest.mark.parametrize("command", ["print-config", "run"])
@@ -496,13 +494,30 @@ def test_synthetic_trace_shorter_than_a_frame_rejected(tmp_path):
     f = tmp_path / "short.cfg"
     f.write_text("[traffic]\ncase = video\ntrace_duration_ms = 10\n")
     with pytest.raises(ConfigError, match="trace_duration_us = 10000"):
-        SimConfig(**parse_config(str(f))).validate()
+        SimConfig(**parse_config(str(f)))
     # a trace file or VoIP traffic does not use the synthetic trace
     trace = tmp_path / "ok.trace"
     trace.write_text("#bwr-trace v1\n0,1000\n33,1000\n")
-    SimConfig(traffic_case="video", trace_duration_us=10 * MS,
-              trace_path=str(trace)).validate()
-    SimConfig(traffic_case="voip", trace_duration_us=10 * MS).validate()
+    SimConfig(traffic_case="video", trace_duration_us=10 * MS, trace_path=str(trace))
+    SimConfig(traffic_case="voip", trace_duration_us=10 * MS)
+
+
+def test_video_rate_whose_mean_frame_overflows_rejected():
+    with pytest.raises(ConfigError, match=r"^video_rate_bps = 1e\+305: "):
+        SimConfig(traffic_case="video", video_rate_bps=1e305)
+    # VoIP traffic does not use the synthetic trace
+    SimConfig(traffic_case="voip", video_rate_bps=1e305)
+
+
+def test_cli_overflowing_video_rate_exit_code(tmp_path, capsys):
+    # this one used to end in "cannot convert float NaN to integer"
+    f = tmp_path / "big.cfg"
+    f.write_text("[traffic]\nvideo_rate_kbps = 1e305\n")
+    assert main(["run", "--preset", "scenario2", "--config", str(f),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bwrsim: error: video_rate_bps = ")
+    assert err.count("\n") == 1
 
 
 def test_cli_malformed_trace_file_exit_code(tmp_path, capsys):
@@ -532,8 +547,8 @@ def test_run_replays_the_trace_synth_trace_writes(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "read_trace",
                             lambda path: reads.append(path) or read_trace(path))
     assert main(["run", *common, "--mode", "both", "--out-dir", str(replay)]) == 0
-    # validate() in the merge and in each mode's run, and each mode's build
-    assert len(reads) == 5
+    # validate() when the merged config is built, and each mode's build
+    assert len(reads) == 3
     csvs = sorted(p.name for p in synth.glob("*.csv"))
     assert len(csvs) == 7
     for name in csvs:

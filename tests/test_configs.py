@@ -10,19 +10,20 @@ window instead of one per region that holds a REQ, and a MAP window laid out
 afresh by open_window instead of once per distinct window.
 
 Draws span the ranges below, on top of either preset; one draw in two also
-sets one key to a value outside its range, which validate() must reject.
+sets one key to a value outside its range, which validate() must reject. A
+draw is a set of settings; building the SimConfig from them validates it.
 """
 
 import os
 import tempfile
 from contextlib import ExitStack
-from dataclasses import fields, replace
+from dataclasses import fields
 from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bwrsim.config import ConfigError, SimConfig, dump_config, parse_config, preset
+from bwrsim.config import PRESETS, ConfigError, SimConfig, dump_config, parse_config
 from bwrsim.core import MS, PRIO_CONTROL
 from bwrsim.docsis import Cm, Cmts, open_window
 from bwrsim.lte import Enb
@@ -89,14 +90,15 @@ OUT_OF_RANGE = {
 
 @st.composite
 def configs(draw):
-    cfg = preset(draw(st.sampled_from(["scenario1", "scenario2"])))
-    cfg = replace(cfg, mode="both", warmup_us=20 * MS,
-                  **{key: draw(values) for key, values in IN_RANGE.items()})
-    cfg.eut_enb = draw(st.integers(1, cfg.enb_count))
+    """The settings of one drawn config, by field name."""
+    overrides = {**PRESETS[draw(st.sampled_from(["scenario1", "scenario2"]))],
+                "mode": "both", "warmup_us": 20 * MS}
+    overrides.update((key, draw(values)) for key, values in IN_RANGE.items())
+    overrides["eut_enb"] = draw(st.integers(1, overrides["enb_count"]))
     bad = draw(st.none() | st.sampled_from(sorted(OUT_OF_RANGE)))
     if bad is not None:
-        setattr(cfg, bad, draw(st.sampled_from(OUT_OF_RANGE[bad])))
-    return cfg
+        overrides[bad] = draw(st.sampled_from(OUT_OF_RANGE[bad]))
+    return overrides
 
 
 FIELDS = {f.name for f in fields(SimConfig)}
@@ -141,9 +143,9 @@ def reparsed(cfg):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(configs())
-def test_every_accepted_config_runs_clean(cfg):
+def test_every_accepted_config_runs_clean(drawn):
     try:
-        cfg.validate()
+        cfg = SimConfig(**drawn)
     except ConfigError as exc:
         assert str(exc).split(" = ", 1)[0] in FIELDS, str(exc)
         return

@@ -19,7 +19,6 @@ def build(cfg=None, *, flows=("f1",), ugs=None, seed=3, end=10 * SEC):
     """A CMTS and modem with BE flows; also returns every MAP the modem gets."""
     sim = Simulator()
     cfg = cfg or SimConfig()
-    cfg.validate()
     collector = Collector("baseline")
     cmts = Cmts(sim, cfg, ChannelLedger(end), collector)
     cm = Cm(sim, cmts, cfg, collector, Rng(seed))

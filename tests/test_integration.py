@@ -44,9 +44,7 @@ def test_high_bler_drops_are_counted_and_excluded():
 def test_first_packet_per_ue_takes_full_ladder():
     # the first packet of each UE has no grant to piggyback on, so it pays
     # the full signaling ladder; later packets may ride in-service reports
-    cfg = preset("scenario1")
-    cfg.harq_enabled = False
-    cfg.warmup_us = 0
+    cfg = replace(preset("scenario1"), harq_enabled=False, warmup_us=0)
     run = run_single(cfg, "baseline")
     first_by_ue = {}
     for s in sorted(run.collector.samples, key=lambda s: s.arrival_us):
@@ -60,8 +58,7 @@ def test_first_packet_per_ue_takes_full_ladder():
 
 
 def test_mcs_actually_evolves():
-    cfg = preset("scenario2")
-    cfg.duration_us = 500 * MS
+    cfg = replace(preset("scenario2"), duration_us=500 * MS)
     run = run_single(cfg, "baseline")
     seen = {ue.mcs for ue in run.ues}
     assert len(seen) > 1
@@ -69,8 +66,7 @@ def test_mcs_actually_evolves():
 
 
 def test_harq_off_removes_all_variation():
-    cfg = preset("scenario1")
-    cfg.harq_enabled = False
+    cfg = replace(preset("scenario1"), harq_enabled=False)
     run = run_single(cfg, "baseline")
     docsis = {s.docsis_us for s in run.collector.retained()}
     # without retransmissions the only spread is grid alignment + coalescing
@@ -93,8 +89,7 @@ def test_background_flows_unaffected_by_pipelining_gain():
 
 
 def test_video_packets_segment_and_reassemble():
-    cfg = preset("scenario2")
-    cfg.duration_us = 800 * MS
+    cfg = replace(preset("scenario2"), duration_us=800 * MS)
     run = run_single(cfg, "bwr")
     eut_samples = [s for s in run.collector.retained() if s.enb_id == 1]
     assert eut_samples
@@ -112,8 +107,7 @@ def test_video_packets_segment_and_reassemble():
 
 def test_loaded_scenario_rerun_is_identical():
     def run_once():
-        cfg = preset("scenario2")
-        cfg.duration_us = 600 * MS
+        cfg = replace(preset("scenario2"), duration_us=600 * MS)
         run = run_single(cfg, "bwr")
         return ([(s.packet_id, s.e2e_us) for s in run.collector.samples],
                 run.sim.events_processed, dict(run.collector.counters))
@@ -125,8 +119,7 @@ def test_per_lcg_mode_matches_bulk_for_single_class_traffic():
     # any packet's latency relative to bulk reporting
     cfg = preset("scenario1")
     bulk = run_single(cfg, "bwr")
-    cfg_lcg = preset("scenario1")
-    cfg_lcg.bwr_per_lcg = True
+    cfg_lcg = replace(preset("scenario1"), bwr_per_lcg=True)
     split = run_single(cfg_lcg, "bwr")
     a = [(s.packet_id, s.docsis_us) for s in bulk.collector.retained()]
     b = [(s.packet_id, s.docsis_us) for s in split.collector.retained()]
@@ -142,9 +135,7 @@ def test_per_lcg_mode_matches_bulk_for_single_class_traffic():
 def test_ugs_occupancy_counts_grants_before_the_end(monkeypatch, phase_us,
                                                     duration_us, grant_at_end):
     maps = record_maps(Cm, monkeypatch.setattr)
-    cfg = preset("scenario1")
-    cfg.ugs_phase_us = phase_us
-    cfg.duration_us = duration_us
+    cfg = replace(preset("scenario1"), ugs_phase_us=phase_us, duration_us=duration_us)
     run = run_single(cfg, "bwr")
     ugs = [g for m in maps for g in m.grants if g.kind == "ugs"]
     assert any(g.start == duration_us for g in ugs) == grant_at_end
@@ -166,8 +157,7 @@ def _container_sizes(run):
 def test_docsis_state_does_not_grow_with_simulated_time():
     sizes = []
     for seconds in (1, 4):
-        cfg = preset("scenario1")
-        cfg.duration_us = seconds * SEC
+        cfg = replace(preset("scenario1"), duration_us=seconds * SEC)
         sizes.append(_container_sizes(run_single(cfg, "bwr")))
     short, long = sizes
     assert short.keys() == long.keys()

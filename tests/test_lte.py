@@ -90,7 +90,6 @@ def test_tbs_out_of_range():
 
 def test_profile_defaults_consistent():
     cfg = SimConfig()
-    cfg.validate()
     # grant ladder plus decode, without the SR wait
     assert (cfg.sr_to_bsr_grant_us + cfg.grant_to_bsr_us + cfg.bsr_to_data_grant_us
             + cfg.grant_to_data_us + cfg.enb_decode_us) == 18 * MS
@@ -98,7 +97,7 @@ def test_profile_defaults_consistent():
 
 def test_profile_rejects_nonpositive():
     with pytest.raises(ConfigError, match=r"^grant_to_data_us = 0: "):
-        SimConfig(grant_to_data_us=0).validate()
+        SimConfig(grant_to_data_us=0)
 
 
 # -- packet stages ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -172,9 +173,7 @@ def test_offered_load_scenario2_default():
 def test_default_seed_gives_distinct_ue_phases():
     from bwrsim.config import preset
     from bwrsim.runner import run_single
-    cfg = preset("scenario1")
-    cfg.duration_us = 100 * MS
-    cfg.warmup_us = 0
+    cfg = replace(preset("scenario1"), duration_us=100 * MS, warmup_us=0)
     run = run_single(cfg, "baseline")
     firsts = {}
     for ue in run.ues:
