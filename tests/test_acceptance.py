@@ -135,7 +135,6 @@ def test_c5_constant_improvement(scenario1_pair, capsys):
 def test_c6_bwr_overhead(capsys):
     results = []
     for period_ms, target_bps in ((2, 320_000), (1, 640_000)):
-        # one report period per UGS period
         cfg = replace(preset("scenario1"), ugs_period_us=period_ms * MS,
                       bwr_period_us=period_ms * MS)
         # one report frame per unsolicited grant

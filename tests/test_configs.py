@@ -92,7 +92,7 @@ OUT_OF_RANGE = {
 def configs(draw):
     """The settings of one drawn config, by field name."""
     overrides = {**PRESETS[draw(st.sampled_from(["scenario1", "scenario2"]))],
-                "mode": "both", "warmup_us": 20 * MS}
+                 "mode": "both", "warmup_us": 20 * MS}
     overrides.update((key, draw(values)) for key, values in IN_RANGE.items())
     overrides["eut_enb"] = draw(st.integers(1, overrides["enb_count"]))
     bad = draw(st.none() | st.sampled_from(sorted(OUT_OF_RANGE)))
