@@ -236,11 +236,16 @@ class SimConfig:
             if self.trace_duration_us < self.video_frame_period_us:
                 raise self._invalid("trace_duration_us", f"shorter than video_frame_period_us"
                                     f" = {self.video_frame_period_us}")
-            # the synthetic trace's mean frame size, as synth_video computes it
-            if not math.isfinite(self.video_rate_bps * self.video_frame_period_us / 8e6):
-                raise self._invalid("video_rate_bps", f"with video_frame_period_us = "
-                                    f"{self.video_frame_period_us}, the mean frame "
-                                    f"size overflows")
+            # The synthetic trace's bytes, as synth_video sums them. One frame
+            # may draw nearly all of them, and traffic.packetize lists a
+            # frame's packets.
+            frames = self.trace_duration_us // self.video_frame_period_us
+            trace_bytes = self.video_rate_bps * self.video_frame_period_us / 8e6 * frames
+            if not trace_bytes / self.packet_mtu < sys.maxsize:
+                raise self._invalid("video_rate_bps", f"the synthetic trace's "
+                                    f"{trace_bytes:g} bytes, in packets of packet_mtu"
+                                    f" = {self.packet_mtu}, are more than a list "
+                                    f"can index")
         if region_duration(self) > self.map_interval_us:
             raise self._invalid("contention_slots", f"with slot_bytes = {self.slot_bytes}, "
                                 f"the contention region overruns the MAP interval")

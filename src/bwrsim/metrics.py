@@ -1,13 +1,13 @@
-"""Per-packet latency samples, segment summaries, empirical CDFs, and
-grant-utilization statistics."""
+"""Per-packet latency samples, segment summaries, empirical CDFs,
+grant-utilization statistics, and the CSV files written from the samples."""
 
 from __future__ import annotations
 
-import csv
 import itertools
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import add
+from operator import add, ne, sub, truediv
 
 SEGMENTS = ("e2e", "lte", "docsis")
 # the int64 columns of a sample store (e2e is lte + docsis, the mode the run's)
@@ -95,6 +95,11 @@ def _segment_us(samples: Samples, segment: str):
     return getattr(samples, f"{segment}_us")
 
 
+def segment_columns(samples: Samples) -> dict[str, array]:
+    """The microsecond column of each segment; e2e is built here, once."""
+    return {segment: _segment_us(samples, segment) for segment in SEGMENTS}
+
+
 class Collector:
     """Run-scoped sink for counters, transport-block totals, and the samples
     of packets that arrived after the warm-up (all else stays bounded)."""
@@ -153,23 +158,33 @@ class Collector:
 def summarize(samples: Samples, segment: str) -> Summary:
     if segment not in SEGMENTS:
         raise MetricsError(f"unknown segment {segment!r}")
-    if not samples:
+    return summary(_segment_us(samples, segment))
+
+
+def summary(values) -> Summary:
+    """Min, mean, max and count of one column."""
+    if not values:
         raise MetricsError("cannot summarize an empty sample set")
-    values = _segment_us(samples, segment)
     return Summary(min(values), sum(values) / len(values), max(values), len(values))
 
 
-def cdf(samples: Samples, segment: str) -> list[tuple[float, float]]:
+def cdf(samples: Samples, segment: str) -> Iterator[tuple[float, float]]:
     """Empirical CDF as right-continuous steps; final fraction is 1.0."""
     if not samples:
         raise MetricsError("cannot build a CDF from an empty sample set")
-    values = sorted(_segment_us(samples, segment))
+    return cdf_steps(_segment_us(samples, segment))
+
+
+def cdf_steps(values) -> Iterator[tuple[float, float]]:
+    """The (ms, cumulative fraction) steps of one column, in value order,
+    yielded one at a time: the last step at each value, the one whose next
+    value differs."""
+    values = sorted(values)
     n = len(values)
-    nexts = values[1:]
-    nexts.append(None)
-    # keep the last step at each value: the one whose next value differs
-    return [(v / 1000, i / n)
-            for i, v, nxt in zip(itertools.count(1), values, nexts) if v != nxt]
+    last = itertools.chain(map(ne, values, itertools.islice(values, 1, None)), (True,))
+    return itertools.compress(zip(map((1000).__rtruediv__, values),
+                                  map(truediv, itertools.count(1), itertools.repeat(n))),
+                              last)
 
 
 def grant_utilization(granted_bytes: int, used_bytes: int) -> float:
@@ -178,23 +193,38 @@ def grant_utilization(granted_bytes: int, used_bytes: int) -> float:
     return 1.0 if granted_bytes == 0 else used_bytes / granted_bytes
 
 
-def write_samples_csv(path: str, samples: Samples) -> None:
-    classes, mode = samples.classes, samples.mode
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["packet_id", "ue", "enb", "class", "mode",
-                    "e2e_ms", "lte_ms", "docsis_ms"])
-        for pid, ue, enb, code, lte, doc in zip(
-                samples.packet_id, samples.ue_id, samples.enb_id,
-                samples.class_code, samples.lte_us, samples.docsis_us):
-            w.writerow([pid, ue, enb, classes[code], mode,
-                        f"{(lte + doc) / 1000:.3f}", f"{lte / 1000:.3f}",
-                        f"{doc / 1000:.3f}"])
+def _ms(us):
+    """A microsecond column as milliseconds, for "%.3f" cells."""
+    return map((1000).__rtruediv__, us)
 
 
-def write_cdf_csv(path: str, points: list[tuple[float, float]]) -> None:
+def write_csv(path: str, header: str, fmt: str, rows) -> None:
+    """The header line, then `fmt % row` for each row, with the \\r\\n line
+    ends of csv.writer. No cell needs quoting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["latency_ms", "cum_frac"])
-        for value_ms, frac in points:
-            w.writerow([f"{value_ms:.3f}", f"{frac:.6f}"])
+        fh.write(header + "\r\n")
+        fh.writelines(map(fmt.__mod__, rows))
+
+
+def write_samples_csv(path: str, samples: Samples, e2e_us: array) -> None:
+    """One row per sample; e2e_us is the store's e2e column."""
+    write_csv(path, "packet_id,ue,enb,class,mode,e2e_ms,lte_ms,docsis_ms",
+              "%d,%d,%d,%s,%s,%.3f,%.3f,%.3f\r\n",
+              zip(samples.packet_id, samples.ue_id, samples.enb_id,
+                  map(samples.classes.__getitem__, samples.class_code),
+                  itertools.repeat(samples.mode), _ms(e2e_us),
+                  _ms(samples.lte_us), _ms(samples.docsis_us)))
+
+
+def write_cdf_csv(path: str, points: Iterator[tuple[float, float]]) -> None:
+    """Writes (ms, cumulative fraction) points as they are yielded."""
+    write_csv(path, "latency_ms,cum_frac", "%.3f,%.6f\r\n", points)
+
+
+def write_deltas_csv(path: str, deltas) -> None:
+    """One row per paired packet of a runner.PairedDeltas."""
+    write_csv(path, "packet_id,class,baseline_docsis_ms,bwr_docsis_ms,delta_ms",
+              "%d,%s,%.3f,%.3f,%.3f\r\n",
+              zip(deltas.packet_id, map(deltas.classes.__getitem__, deltas.class_code),
+                  _ms(deltas.base_us), _ms(deltas.bwr_us),
+                  _ms(map(sub, deltas.base_us, deltas.bwr_us))))

@@ -3,12 +3,11 @@ runs it, and renders reports and CSV artifacts."""
 
 from __future__ import annotations
 
-import csv
 import functools
 import os
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from operator import sub
 from typing import Optional
 
@@ -133,16 +132,16 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     return SimRun(cfg, mode, sim, collector, ledger, cmts, cm, ues)
 
 
+@dataclass
 class PairedDeltas:
     """Per-packet DOCSIS-only latency in baseline and in bwr, as columns.
     Iterating yields (packet id, class, baseline us, bwr us) tuples."""
 
-    def __init__(self, classes: list[str]):
-        self.classes = classes              # traffic class of each code
-        self.class_code = bytearray()
-        self.packet_id = array("q")
-        self.base_us = array("q")
-        self.bwr_us = array("q")
+    classes: list[str]              # traffic class of each code
+    class_code: bytearray
+    packet_id: array
+    base_us: array
+    bwr_us: array
 
     def __len__(self) -> int:
         return len(self.packet_id)
@@ -157,18 +156,15 @@ def paired_deltas(base: SimRun, bwr: SimRun) -> PairedDeltas:
     bwr's order. Packet ids are dense, so the join looks baseline up in an
     array indexed by id (-1: not retained)."""
     b, w = base.collector.retained(), bwr.collector.retained()
-    base_us = array("q", [-1]) * (max(chain(b.packet_id, w.packet_id), default=-1) + 1)
+    base_of = array("q", [-1]) * (max(chain(b.packet_id, w.packet_id), default=-1) + 1)
     for pid, us in zip(b.packet_id, b.docsis_us):
-        base_us[pid] = us
-    out = PairedDeltas(list(w.classes))
-    for pid, code, us in zip(w.packet_id, w.class_code, w.docsis_us):
-        b_us = base_us[pid]
-        if b_us >= 0:
-            out.packet_id.append(pid)
-            out.class_code.append(code)
-            out.base_us.append(b_us)
-            out.bwr_us.append(us)
-    return out
+        base_of[pid] = us
+    base_us = array("q", map(base_of.__getitem__, w.packet_id))
+    keep = bytes(map((0).__le__, base_us))
+    return PairedDeltas(list(w.classes), bytearray(compress(w.class_code, keep)),
+                        array("q", compress(w.packet_id, keep)),
+                        array("q", compress(base_us, keep)),
+                        array("q", compress(w.docsis_us, keep)))
 
 
 @dataclass
@@ -178,6 +174,12 @@ class RunReport:
     deltas: PairedDeltas | list = field(default_factory=list)
     csv_paths: list[str] = field(default_factory=list)
     text: str = ""          # the rendered report, set by run_scenario
+    # the segment columns of each run's samples, e2e built once per run
+    columns: list[dict[str, array]] = field(init=False)
+
+    def __post_init__(self):
+        self.columns = [metrics.segment_columns(run.collector.retained())
+                        for run in self.runs]
 
     def render(self) -> str:
         lines = ["bwrsim run report", "=" * 60]
@@ -188,15 +190,17 @@ class RunReport:
                      f"harq={'on' if self.cfg.harq_enabled else 'off'}")
         lines.append("")
         lines.append(_table_header())
-        for run in self.runs:
-            retained = run.collector.retained()
-            lines.append(_table_row(run.mode, retained))
+        for run, columns in zip(self.runs, self.columns):
+            lines.append(_table_row(run.mode, columns))
             if self.cfg.enb_count > 1:
+                enb_of = run.collector.retained().enb_id
                 # an eNB without samples keeps its row of "-" cells
                 for enb_id in range(1, self.cfg.enb_count + 1):
                     tag = " eut" if enb_id == self.cfg.eut_enb else ""
-                    lines.append(_table_row(f"  enb{enb_id}{tag}",
-                                            retained.select(enb_id)))
+                    keep = bytes(map(enb_id.__eq__, enb_of))
+                    lines.append(_table_row(f"  enb{enb_id}{tag}", {
+                        segment: list(compress(values, keep))
+                        for segment, values in columns.items()}))
         lines.append("")
         for run in self.runs:
             c = run.collector.counters
@@ -229,14 +233,36 @@ def _table_header() -> str:
             f"{'docsis-only (ms)':>26s}  {'count':>7s}")
 
 
-def _table_row(label: str, samples) -> str:
+def _table_row(label: str, columns: dict) -> str:
     def cell(segment):
-        if not samples:
+        if not columns[segment]:
             return f"{'-':>8s} {'-':>8s} {'-':>8s}"
-        s = metrics.summarize(samples, segment)
+        s = metrics.summary(columns[segment])
         return f"{s.min_ms:8.3f} {s.avg_ms:8.3f} {s.max_ms:8.3f}"
     return (f"{label:14s}  {cell('e2e')}  {cell('lte')}  {cell('docsis')}  "
-            f"{len(samples):7d}")
+            f"{len(columns['lte']):7d}")
+
+
+def write_csvs(report: RunReport, out_dir: str) -> list[str]:
+    """Write each run's samples and CDFs and the paired deltas to out_dir;
+    returns the paths written."""
+    paths = []
+    for run, columns in zip(report.runs, report.columns):
+        retained = run.collector.retained()
+        path = os.path.join(out_dir, f"samples_{run.mode}.csv")
+        metrics.write_samples_csv(path, retained, columns["e2e"])
+        paths.append(path)
+        if not retained:
+            continue
+        for segment in ("docsis", "e2e"):
+            path = os.path.join(out_dir, f"cdf_{segment}_{run.mode}.csv")
+            metrics.write_cdf_csv(path, metrics.cdf_steps(columns[segment]))
+            paths.append(path)
+    if report.deltas:
+        path = os.path.join(out_dir, "deltas.csv")
+        metrics.write_deltas_csv(path, report.deltas)
+        paths.append(path)
+    return paths
 
 
 def run_scenario(cfg: SimConfig, out_dir: Optional[str] = None) -> RunReport:
@@ -248,26 +274,7 @@ def run_scenario(cfg: SimConfig, out_dir: Optional[str] = None) -> RunReport:
     report = RunReport(cfg, runs, deltas)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        for run in runs:
-            retained = run.collector.retained()
-            path = os.path.join(out_dir, f"samples_{run.mode}.csv")
-            metrics.write_samples_csv(path, retained)
-            report.csv_paths.append(path)
-            for segment in ("docsis", "e2e"):
-                path = os.path.join(out_dir, f"cdf_{segment}_{run.mode}.csv")
-                if retained:
-                    metrics.write_cdf_csv(path, metrics.cdf(retained, segment))
-                    report.csv_paths.append(path)
-        if deltas:
-            path = os.path.join(out_dir, "deltas.csv")
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh)
-                w.writerow(["packet_id", "class", "baseline_docsis_ms",
-                            "bwr_docsis_ms", "delta_ms"])
-                for pid, klass, b, v in deltas:
-                    w.writerow([pid, klass, f"{b / 1000:.3f}", f"{v / 1000:.3f}",
-                                f"{(b - v) / 1000:.3f}"])
-            report.csv_paths.append(path)
+        report.csv_paths = write_csvs(report, out_dir)
     report.text = report.render()
     if out_dir is not None:
         with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:

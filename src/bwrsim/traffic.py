@@ -99,10 +99,10 @@ def synth_video(mean_bitrate_bps: float, frame_period: int, burstiness: float,
     rng = Rng(seed)
     n_frames = duration // frame_period
     mean_size = mean_bitrate_bps * frame_period / 8_000_000
-    if burstiness == 0.0:
+    sigma2 = math.log(1.0 + burstiness * burstiness)
+    if sigma2 == 0.0:           # burstiness 0, or so small that 1 + b * b is 1.0
         sizes = [mean_size] * n_frames
     else:
-        sigma2 = math.log(1.0 + burstiness * burstiness)
         mu = math.log(mean_size) - sigma2 / 2.0
         sizes = [math.exp(rng.normal(mu, math.sqrt(sigma2))) for _ in range(n_frames)]
         scale = mean_size * n_frames / sum(sizes)

@@ -2,15 +2,20 @@
 
 They are the benchmark's correctness gate (`check_outputs` in bench/child.py)
 stated once for the tests, plus the row-based reference of the columnar
-result processing. Each `*_failures` check returns a list of failures, empty
-when the run passes. `map_overlaps` checks one MAP, and `record_maps`
+result processing and of the CSV writers (`csv.writer` over LatencySample
+rows). Each `*_failures` check returns a list of failures, empty when the run
+passes. `map_overlaps` checks one MAP, and `record_maps`
 collects the MAPs a modem receives for such checks.
 """
 
+import csv
 import itertools
+import os
+import tempfile
 from operator import attrgetter
 
 from bwrsim.metrics import SEGMENTS, Summary, cdf, summarize
+from bwrsim.runner import _table_header, _table_row, write_csvs
 
 
 def conservation_failures(run) -> list[str]:
@@ -92,11 +97,96 @@ def columnar_failures(report) -> list[str]:
         for segment in SEGMENTS:
             if summarize(store, segment) != reference_summary(rows, segment):
                 fails.append(f"{run.mode}: {segment} summary differs")
-            if cdf(store, segment) != reference_cdf(rows, segment):
+            if list(cdf(store, segment)) != reference_cdf(rows, segment):
                 fails.append(f"{run.mode}: {segment} CDF differs")
     if list(report.deltas) != reference_deltas(*rows_of):
         fails.append("paired deltas differ from the join on packet id")
     return fails
+
+
+def reference_table(report) -> list[str]:
+    """The summary rows of `RunReport.render`, each eNB's from its own rows."""
+    lines = []
+    for run in report.runs:
+        rows = list(run.collector.retained())
+        groups = [(run.mode, rows)]
+        if report.cfg.enb_count > 1:
+            groups += [(f"  enb{enb_id}{' eut' if enb_id == report.cfg.eut_enb else ''}",
+                        [s for s in rows if s.enb_id == enb_id])
+                       for enb_id in range(1, report.cfg.enb_count + 1)]
+        for label, group in groups:
+            lines.append(_table_row(label, {
+                segment: list(map(attrgetter(f"{segment}_us"), group))
+                for segment in SEGMENTS}))
+    return lines
+
+
+def table_failures(report) -> list[str]:
+    """The rendered summary table equals its row-based reference."""
+    lines = report.text.splitlines()
+    start = lines.index(_table_header()) + 1
+    expected = reference_table(report)
+    if lines[start:start + len(expected)] != expected:
+        return ["report table differs from its row-based reference"]
+    return []
+
+
+def reference_write_csvs(report, out_dir: str) -> None:
+    """`runner.write_csvs` row by row: csv.writer over LatencySample rows, the
+    reference CDFs and the reference join."""
+    rows_of = []
+    for run in report.runs:
+        rows = list(run.collector.retained())
+        rows_of.append(rows)
+        path = os.path.join(out_dir, f"samples_{run.mode}.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["packet_id", "ue", "enb", "class", "mode",
+                        "e2e_ms", "lte_ms", "docsis_ms"])
+            for s in rows:
+                w.writerow([s.packet_id, s.ue_id, s.enb_id, s.traffic_class, s.mode,
+                            f"{s.e2e_us / 1000:.3f}", f"{s.lte_us / 1000:.3f}",
+                            f"{s.docsis_us / 1000:.3f}"])
+        if not rows:
+            continue
+        for segment in ("docsis", "e2e"):
+            path = os.path.join(out_dir, f"cdf_{segment}_{run.mode}.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                w = csv.writer(fh)
+                w.writerow(["latency_ms", "cum_frac"])
+                for value_ms, frac in reference_cdf(rows, segment):
+                    w.writerow([f"{value_ms:.3f}", f"{frac:.6f}"])
+    deltas = reference_deltas(*rows_of) if len(rows_of) == 2 else []
+    if deltas:
+        path = os.path.join(out_dir, "deltas.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["packet_id", "class", "baseline_docsis_ms",
+                        "bwr_docsis_ms", "delta_ms"])
+            for pid, klass, b, v in deltas:
+                w.writerow([pid, klass, f"{b / 1000:.3f}", f"{v / 1000:.3f}",
+                            f"{(b - v) / 1000:.3f}"])
+
+
+def csv_failures(report) -> list[str]:
+    """`runner.write_csvs` writes the same files, byte for byte, as its
+    reference twin."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, ref = os.path.join(tmp, "fast"), os.path.join(tmp, "ref")
+        os.mkdir(fast)
+        os.mkdir(ref)
+        written = sorted(map(os.path.basename, write_csvs(report, fast)))
+        reference_write_csvs(report, ref)
+        names = sorted(os.listdir(ref))
+        if written != names or sorted(os.listdir(fast)) != names:
+            return [f"CSV files {written} differ from the reference's {names}"]
+        fails = []
+        for name in names:
+            with open(os.path.join(fast, name), "rb") as a, \
+                    open(os.path.join(ref, name), "rb") as b:
+                if a.read() != b.read():
+                    fails.append(f"{name} differs from its reference")
+        return fails
 
 
 def report_failures(report) -> list[str]:
@@ -104,7 +194,8 @@ def report_failures(report) -> list[str]:
     base, bwr = report.runs
     return (conservation_failures(base) + conservation_failures(bwr)
             + lte_ledger_failures(base) + lte_ledger_failures(bwr)
-            + cross_mode_failures(base, bwr) + columnar_failures(report))
+            + cross_mode_failures(base, bwr) + columnar_failures(report)
+            + table_failures(report) + csv_failures(report))
 
 
 def map_overlaps(m) -> bool:

@@ -456,7 +456,11 @@ def test_cli_negative_cm_framing_exit_code(tmp_path, capsys):
     # a finite rate whose mean frame size overflows used to end in "cannot
     # convert float NaN to integer"
     ("[traffic]\nvideo_rate_kbps = 1e305\n", [], "error: video_rate_bps = "),
-], ids=["mcs_sigma", "duration_ms", "flag-inf", "flag-nan", "video_rate"])
+    # a finite trace whose frames hold more packets than a list can index
+    # used to end in an OverflowError traceback from traffic.packetize
+    ("[traffic]\nvideo_rate_kbps = 1e290\n", [], "error: video_rate_bps = "),
+], ids=["mcs_sigma", "duration_ms", "flag-inf", "flag-nan", "video_rate",
+        "video_rate_packets"])
 def test_cli_infinite_value_exit_code(tmp_path, capsys, text, flags, error):
     f = tmp_path / "bad.cfg"
     f.write_text(text)
@@ -475,6 +479,14 @@ def test_largest_accepted_spreads_run():
     assert run_single(cfg, "bwr").collector.counters["egressed_packets"] > 0
     with pytest.raises(ConfigError, match="^video_burstiness = "):
         replace(cfg, video_burstiness=math.nextafter(cfg.video_burstiness, math.inf))
+
+
+def test_smallest_burstiness_runs():
+    # 1 + b * b rounds to 1.0, so the log-normal's sigma is 0: the trace is
+    # the constant one of burstiness 0 (the run used to fail in Rng.normal)
+    cfg = replace(preset("scenario2"), video_burstiness=1e-9, duration_us=200 * MS)
+    assert runner.build_trace(cfg) == runner.build_trace(replace(cfg, video_burstiness=0.0))
+    assert run_single(cfg, "baseline").collector.counters["egressed_packets"] > 0
 
 
 @pytest.mark.parametrize("command", ["print-config", "run"])
@@ -509,6 +521,18 @@ def test_video_rate_whose_mean_frame_overflows_rejected():
         SimConfig(traffic_case="video", video_rate_bps=1e305)
     # VoIP traffic does not use the synthetic trace
     SimConfig(traffic_case="voip", video_rate_bps=1e305)
+
+
+def test_video_rate_whose_trace_cannot_packetize_rejected():
+    # 4 s of 33 ms frames: 121 frames, 1e21 * 0.033 / 8 * 121 / 1400 packets
+    # is about 3.6e17, under sys.maxsize; 1e23 b/s gives about 3.6e19
+    SimConfig(traffic_case="video", video_rate_bps=1e21)
+    with pytest.raises(ConfigError, match=r"^video_rate_bps = 1e\+23: .*packet_mtu = 1400"):
+        SimConfig(traffic_case="video", video_rate_bps=1e23)
+    # larger packets, or a shorter trace, bring the same rate within the bound
+    SimConfig(traffic_case="video", video_rate_bps=1e23, packet_mtu=100_000)
+    SimConfig(traffic_case="video", video_rate_bps=1e23, trace_duration_us=33 * MS)
+    SimConfig(traffic_case="voip", video_rate_bps=1e23)
 
 
 def test_cli_malformed_trace_file_exit_code(tmp_path, capsys):

@@ -1,6 +1,7 @@
+import functools
+import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from bwrsim.config import SimConfig, preset
@@ -326,20 +327,25 @@ def test_zero_byte_request_gets_no_grant_and_leaves_the_fifo():
 
 
 def enumeration_expected_singletons(n_flows, n_slots):
-    """Exact mean singleton count by brute force over all slot assignments."""
-    total_assignments = n_slots ** n_flows
-    singles_total = 0
-    chunk = 1 << 20
-    for base in range(0, total_assignments, chunk):
-        ids = np.arange(base, min(base + chunk, total_assignments), dtype=np.int64)
-        digits = np.empty((len(ids), n_flows), dtype=np.int8)
-        x = ids.copy()
-        for k in range(n_flows):
-            digits[:, k] = x % n_slots
-            x //= n_slots
-        for s in range(n_slots):
-            singles_total += int((( (digits == s).sum(axis=1)) == 1).sum())
-    return singles_total / total_assignments
+    """Exact mean singleton count over all n_slots ** n_flows slot assignments,
+    enumerated by occupancy: slot by slot, k of the flows left pick the slot
+    in comb(left, k) ways."""
+    @functools.cache
+    def tally(slots, left):
+        """(assignments, singleton slots summed over them) of `left` flows
+        that all pick among `slots` slots."""
+        if slots == 0:
+            return (1, 0) if left == 0 else (0, 0)
+        ways = singles = 0
+        for k in range(left + 1):
+            rest_ways, rest_singles = tally(slots - 1, left - k)
+            ways += math.comb(left, k) * rest_ways
+            singles += math.comb(left, k) * (rest_singles + (k == 1) * rest_ways)
+        return ways, singles
+
+    ways, singles = tally(n_slots, n_flows)
+    assert ways == n_slots ** n_flows
+    return singles / ways
 
 
 def test_contention_throughput_matches_enumeration():

@@ -10,7 +10,8 @@ from bwrsim.config import SimConfig
 from bwrsim.docsis import ChannelLedger, Cmts
 from bwrsim.lte import LteError, Packet
 from bwrsim.metrics import (Collector, MetricsError, cdf, grant_utilization,
-                            summarize, write_cdf_csv, write_samples_csv)
+                            segment_columns, summarize, write_cdf_csv,
+                            write_samples_csv)
 
 from egress import record
 
@@ -43,20 +44,20 @@ def test_summary_empty_errors():
 
 
 def test_cdf_basic():
-    pts = cdf(samples_us([1000, 2000, 3000]), "docsis")
+    pts = list(cdf(samples_us([1000, 2000, 3000]), "docsis"))
     assert pts == [(1.0, pytest.approx(1 / 3)), (2.0, pytest.approx(2 / 3)),
                    (3.0, pytest.approx(1.0))]
 
 
 def test_cdf_all_equal_single_step():
-    pts = cdf(samples_us([5000, 5000, 5000]), "docsis")
+    pts = list(cdf(samples_us([5000, 5000, 5000]), "docsis"))
     assert pts == [(5.0, 1.0)]
 
 
 def test_cdf_endpoints_match_summary():
     vals = [3100, 900, 4400, 900, 2750]
     s = summarize(samples_us(vals), "docsis")
-    pts = cdf(samples_us(vals), "docsis")
+    pts = list(cdf(samples_us(vals), "docsis"))
     assert pts[0][0] == s.min_ms
     assert pts[-1][0] == s.max_ms
     assert pts[-1][1] == 1.0
@@ -88,12 +89,12 @@ def reference_cdf(values):
 @example(values=[777])
 @example(values=[3000, 1000, 3000, 2000, 1000])
 def test_cdf_matches_reference(values):
-    pts = cdf(samples_us(values), "docsis")
+    pts = list(cdf(samples_us(values), "docsis"))
     assert pts == reference_cdf(values)   # exact floats, one point per distinct value
     assert len(pts) == len(set(values))
     assert pts[-1][1] == 1.0
     # each segment reads its own field (e2e is docsis + 1000 us here)
-    assert cdf(samples_us(values), "e2e") == reference_cdf([v + 1000 for v in values])
+    assert list(cdf(samples_us(values), "e2e")) == reference_cdf([v + 1000 for v in values])
 
 
 def test_cdf_empty_errors():
@@ -207,10 +208,11 @@ def test_mean_tb_utilization():
 def test_csv_outputs(tmp_path):
     rows = samples_us([5200, 6200])
     spath = tmp_path / "samples.csv"
-    write_samples_csv(str(spath), rows)
+    write_samples_csv(str(spath), rows, segment_columns(rows)["e2e"])
     text = spath.read_text().splitlines()
     assert text[0] == "packet_id,ue,enb,class,mode,e2e_ms,lte_ms,docsis_ms"
     assert text[1] == "0,1,1,voip,baseline,6.200,1.000,5.200"
+    assert spath.read_bytes().endswith(b"5.200\r\n1,1,1,voip,baseline,7.200,1.000,6.200\r\n")
     cpath = tmp_path / "cdf.csv"
     write_cdf_csv(str(cpath), cdf(rows, "docsis"))
     lines = cpath.read_text().splitlines()

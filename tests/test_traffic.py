@@ -108,6 +108,12 @@ def test_synth_constant_when_burstiness_zero():
     assert len(sizes) == 1
 
 
+def test_synth_constant_when_burstiness_rounds_away():
+    # 1 + 1e-9 ** 2 is 1.0: sigma 0, the constant trace of burstiness 0
+    trace = synth_video(1_292_000, 33 * MS, 1e-9, seed=5, duration=4 * SEC)
+    assert trace == synth_video(1_292_000, 33 * MS, 0.0, seed=5, duration=4 * SEC)
+
+
 def test_synth_realized_bitrate_within_two_percent():
     target = 1_292_000.0
     trace = synth_video(target, 33 * MS, 0.5, seed=9, duration=10 * SEC)
