@@ -89,15 +89,10 @@ class Samples:
         return out
 
 
-def _segment_us(samples: Samples, segment: str):
-    if segment == "e2e":
-        return array("q", map(add, samples.lte_us, samples.docsis_us))
-    return getattr(samples, f"{segment}_us")
-
-
 def segment_columns(samples: Samples) -> dict[str, array]:
-    """The microsecond column of each segment; e2e is built here, once."""
-    return {segment: _segment_us(samples, segment) for segment in SEGMENTS}
+    """The microsecond column of each segment; e2e is built here."""
+    return {"e2e": array("q", map(add, samples.lte_us, samples.docsis_us)),
+            "lte": samples.lte_us, "docsis": samples.docsis_us}
 
 
 class Collector:
@@ -158,7 +153,7 @@ class Collector:
 def summarize(samples: Samples, segment: str) -> Summary:
     if segment not in SEGMENTS:
         raise MetricsError(f"unknown segment {segment!r}")
-    return summary(_segment_us(samples, segment))
+    return summary(segment_columns(samples)[segment])
 
 
 def summary(values) -> Summary:
@@ -172,7 +167,7 @@ def cdf(samples: Samples, segment: str) -> Iterator[tuple[float, float]]:
     """Empirical CDF as right-continuous steps; final fraction is 1.0."""
     if not samples:
         raise MetricsError("cannot build a CDF from an empty sample set")
-    return cdf_steps(_segment_us(samples, segment))
+    return cdf_steps(segment_columns(samples)[segment])
 
 
 def cdf_steps(values) -> Iterator[tuple[float, float]]:
@@ -198,7 +193,7 @@ def _ms(us):
     return map((1000).__rtruediv__, us)
 
 
-def write_csv(path: str, header: str, fmt: str, rows) -> None:
+def _write_csv(path: str, header: str, fmt: str, rows) -> None:
     """The header line, then `fmt % row` for each row, with the \\r\\n line
     ends of csv.writer. No cell needs quoting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -208,23 +203,23 @@ def write_csv(path: str, header: str, fmt: str, rows) -> None:
 
 def write_samples_csv(path: str, samples: Samples, e2e_us: array) -> None:
     """One row per sample; e2e_us is the store's e2e column."""
-    write_csv(path, "packet_id,ue,enb,class,mode,e2e_ms,lte_ms,docsis_ms",
-              "%d,%d,%d,%s,%s,%.3f,%.3f,%.3f\r\n",
-              zip(samples.packet_id, samples.ue_id, samples.enb_id,
-                  map(samples.classes.__getitem__, samples.class_code),
-                  itertools.repeat(samples.mode), _ms(e2e_us),
-                  _ms(samples.lte_us), _ms(samples.docsis_us)))
+    _write_csv(path, "packet_id,ue,enb,class,mode,e2e_ms,lte_ms,docsis_ms",
+               "%d,%d,%d,%s,%s,%.3f,%.3f,%.3f\r\n",
+               zip(samples.packet_id, samples.ue_id, samples.enb_id,
+                   map(samples.classes.__getitem__, samples.class_code),
+                   itertools.repeat(samples.mode), _ms(e2e_us),
+                   _ms(samples.lte_us), _ms(samples.docsis_us)))
 
 
 def write_cdf_csv(path: str, points: Iterator[tuple[float, float]]) -> None:
     """Writes (ms, cumulative fraction) points as they are yielded."""
-    write_csv(path, "latency_ms,cum_frac", "%.3f,%.6f\r\n", points)
+    _write_csv(path, "latency_ms,cum_frac", "%.3f,%.6f\r\n", points)
 
 
 def write_deltas_csv(path: str, deltas) -> None:
     """One row per paired packet of a runner.PairedDeltas."""
-    write_csv(path, "packet_id,class,baseline_docsis_ms,bwr_docsis_ms,delta_ms",
-              "%d,%s,%.3f,%.3f,%.3f\r\n",
-              zip(deltas.packet_id, map(deltas.classes.__getitem__, deltas.class_code),
-                  _ms(deltas.base_us), _ms(deltas.bwr_us),
-                  _ms(map(sub, deltas.base_us, deltas.bwr_us))))
+    _write_csv(path, "packet_id,class,baseline_docsis_ms,bwr_docsis_ms,delta_ms",
+               "%d,%s,%.3f,%.3f,%.3f\r\n",
+               zip(deltas.packet_id, map(deltas.classes.__getitem__, deltas.class_code),
+                   _ms(deltas.base_us), _ms(deltas.bwr_us),
+                   _ms(map(sub, deltas.base_us, deltas.bwr_us))))
