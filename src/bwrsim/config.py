@@ -253,6 +253,18 @@ class SimConfig:
         try:
             window_layouts(self)
         except DocsisError as exc:
+            # A grant that fits at the default phase is misplaced, not too large.
+            if self.ugs_phase_us is not None:
+                default = self.ugs_period_us // 2
+                try:
+                    window_layouts(self, default)
+                except DocsisError:
+                    pass
+                else:
+                    raise self._invalid("ugs_phase_us", f"puts a grant of ugs_grant_bytes"
+                                        f" = {self.ugs_grant_bytes} where it does not fit"
+                                        f" a MAP window, although it fits at the default"
+                                        f" phase {default}: {exc}") from exc
             raise self._invalid("ugs_grant_bytes", f"a grant every ugs_period_us = "
                                 f"{self.ugs_period_us} does not fit a MAP window: "
                                 f"{exc}") from exc

@@ -14,10 +14,14 @@ their phase-locked instants; report-scheduled grants are placed before
 best-effort grants. A request delivered at r therefore reaches a usable grant
 no earlier than r + (1 + maps_in_advance) * map_interval_us.
 
-A quiet upstream costs only its MAPs: the CM resolves a contention region only
-when a REQ is put into it, and the CMTS lays out a window's contention region
-and unsolicited grants once per distinct window (see window_layouts), then
-shifts that layout to each MAP's window.
+A quiet upstream costs only its MAPs, and an idle one not even those. The CM
+resolves a contention region only when a REQ is put into it. The CMTS lays
+out a window's contention region and unsolicited grants once per distinct
+window (see window_layouts), then shifts that layout to each MAP's window; it
+builds a window's placement state only when a REQ or report is pending. With
+no UGS flow and nothing pending, the MAP cycle sleeps: such a MAP would place
+no grant, and the CM acts on no MAP. A delivered REQ or report wakes it at
+the next MAP boundary.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
 from .core import PRIO_CONTROL, PRIO_SCHED, PRIO_SERVICE, Rng, Simulator
@@ -208,17 +213,19 @@ class _Window:
         return pieces
 
 
-def open_window(start: int, cfg: SimConfig,
-                ugs_flow: Optional[ServiceFlow]) -> tuple[_Window, list[Grant]]:
+def open_window(start: int, cfg: SimConfig, ugs_flow: Optional[ServiceFlow],
+                phase: Optional[int] = None) -> tuple[_Window, list[Grant]]:
     """A MAP window with its contention region and, when there is a UGS flow,
-    the unsolicited grants the config provisions for it placed; DocsisError
-    when they do not fit."""
+    the unsolicited grants the config provisions for it placed, at `phase`
+    when given instead of cfg.ugs_phase(); DocsisError when they do not fit."""
     end = start + cfg.map_interval_us
     win = _Window(start, end)
     win.reserve_exact(start, region_duration(cfg))
     grants = []
     if ugs_flow is not None:
-        size, period, phase = cfg.ugs_grant_bytes, cfg.ugs_period_us, cfg.ugs_phase()
+        size, period = cfg.ugs_grant_bytes, cfg.ugs_period_us
+        if phase is None:
+            phase = cfg.ugs_phase()
         dur = serialization_us(size, cfg.upstream_bps)
         first = phase + ceil_div(max(0, start - phase), period) * period
         for g in range(first, end, period):
@@ -227,18 +234,20 @@ def open_window(start: int, cfg: SimConfig,
     return win, grants
 
 
-def window_layouts(cfg: SimConfig) -> list[tuple[list[tuple[int, int]], list[int]]]:
+def window_layouts(cfg: SimConfig, phase: Optional[int] = None
+                   ) -> list[tuple[list[tuple[int, int]], list[int]]]:
     """Each distinct MAP window of a run with a UGS flow, the first MAP's
     first, as (reserved spans, UGS grant starts) offset from its start;
-    DocsisError when the grants do not fit. The layouts repeat every
-    lcm(ugs_period_us, map_interval_us), so window k takes entry k mod their
-    count; a run shorter than that lays out only its own windows."""
+    DocsisError when the grants do not fit. `phase` is open_window's. The
+    layouts repeat every lcm(ugs_period_us, map_interval_us), so window k
+    takes entry k mod their count; a run shorter than that lays out only its
+    own windows."""
     mi = cfg.map_interval_us
     flow = ServiceFlow("ugs", UGS)
     layouts = []
     for k in range(min(math.lcm(cfg.ugs_period_us, mi), cfg.duration_us + mi) // mi):
         start = (cfg.maps_in_advance + k) * mi
-        win, grants = open_window(start, cfg, flow)
+        win, grants = open_window(start, cfg, flow, phase)
         layouts.append(([(s - start, e - start) for s, e in win.occupied],
                         [g.start - start for g in grants]))
     return layouts
@@ -264,6 +273,7 @@ class Cmts:
         self._ugs_duration = serialization_us(cfg.ugs_grant_bytes, cfg.upstream_bps)
         # Without a UGS flow every window holds its contention region alone.
         self._layouts = [([(0, self._region)], [])]
+        self._asleep = False        # whoever builds the CMTS queues its first cycle
 
     def register_flow(self, flow: ServiceFlow) -> None:
         if flow.kind == UGS:
@@ -274,6 +284,8 @@ class Cmts:
 
     def on_req_delivered(self, flow: ServiceFlow, nbytes: int, delivered_at: int) -> None:
         self.req_fifo.append((delivered_at, flow, nbytes))
+        if self._asleep:
+            self._wake()
 
     def on_bwr_frame(self, frame: bytes) -> None:
         """A bandwidth report reached the CMTS over the unsolicited flow."""
@@ -289,8 +301,23 @@ class Cmts:
             if nbytes > 0:
                 self.bwr_fifo.append([self.sim.now, lcg_id, data_flow,
                                       report.egress_time, nbytes])
+        if self._asleep:
+            self._wake()
 
     # -- MAP cycle ----------------------------------------------------------
+
+    def idle(self) -> bool:
+        """Whether the next MAP cycle would place no grant: no UGS flow, and
+        no REQ or report pending."""
+        return self._ugs_flow is None and not self.req_fifo and not self.bwr_fifo
+
+    def _wake(self) -> None:
+        """Run the sleeping MAP cycle at the first MAP boundary at or after
+        now. Deliveries are control events, which precede a same-instant MAP,
+        so a cycle at now sees them."""
+        self._asleep = False
+        mi = self.cfg.map_interval_us
+        self.sim.schedule_at(ceil_div(self.sim.now, mi) * mi, PRIO_SCHED, self.map_cycle)
 
     def map_cycle(self) -> None:
         t = self.sim.now
@@ -300,7 +327,7 @@ class Cmts:
         msg = MapMessage(start, end, self._region)
         cutoff = t - cfg.cmts_proc_us
 
-        win, ugs_grants = self._open_window(start)
+        win, ugs_grants = self._open_window(start, bool(self.bwr_fifo or self.req_fifo))
         for grant in ugs_grants:
             self._emit_grant(msg, grant)
 
@@ -328,31 +355,43 @@ class Cmts:
                     remaining_reqs.append((delivered, flow, nbytes))
             self.req_fifo = remaining_reqs
 
-        cap = self._capacity
-        granted = msg.granted_bytes()
-        if granted > cap:
-            raise DocsisError(f"MAP window at {start} over-committed: {granted} > {cap}")
         # The contention region opens the window; each grant must start after
         # the previous reservation ends and end inside the window. Windows are
-        # disjoint, so this covers the whole channel.
+        # disjoint, so this covers the whole channel. One pass sums the bytes
+        # and finds the first overlap; the checks then raise in their order.
+        grants = msg.grants
+        if len(grants) > 1:
+            grants = sorted(grants, key=attrgetter("start"))
+        granted = 0
+        overlap = None
         free_from = start + self._region
-        for g in sorted(msg.grants, key=lambda g: g.start):
-            if g.start < free_from:
-                raise DocsisError(f"grant at {g.start} overlaps in the MAP window at {start}")
+        for g in grants:
+            granted += g.nbytes
+            if g.start < free_from and overlap is None:
+                overlap = g.start
             free_from = g.start + g.duration
+        cap = self._capacity
+        if granted > cap:
+            raise DocsisError(f"MAP window at {start} over-committed: {granted} > {cap}")
+        if overlap is not None:
+            raise DocsisError(f"grant at {overlap} overlaps in the MAP window at {start}")
         if free_from > end:
             raise DocsisError(f"MAP window [{start},{end}) overruns to {free_from}")
         self.cm.on_map(msg)
-        self.sim.schedule_in(cfg.map_interval_us, PRIO_SCHED, self.map_cycle)
+        if self.idle():
+            self._asleep = True
+        else:
+            self.sim.schedule_in(cfg.map_interval_us, PRIO_SCHED, self.map_cycle)
 
-    def _open_window(self, start: int) -> tuple[_Window, list[Grant]]:
+    def _open_window(self, start: int, placing: bool) -> tuple[Optional[_Window], list[Grant]]:
         """open_window for this CMTS's UGS flow: the window's entry of
-        window_layouts, shifted to start."""
+        window_layouts, shifted to start. The window's placement state is
+        built only when placing; otherwise it is None."""
         mi = self.cfg.map_interval_us
         layouts = self._layouts
         spans, ugs_starts = layouts[(start - self._lead) // mi % len(layouts)]
         win = _Window(start, start + mi,
-                      [(start + s, start + e) for s, e in spans])
+                      [(start + s, start + e) for s, e in spans]) if placing else None
         dur, size = self._ugs_duration, self.cfg.ugs_grant_bytes
         return win, [Grant(self._ugs_flow, start + s, dur, size, "ugs")
                      for s in ugs_starts]

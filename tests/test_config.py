@@ -184,6 +184,25 @@ def test_validate_rejects_ugs_grants_that_do_not_fit(overrides):
         SimConfig(**overrides)
 
 
+@pytest.mark.parametrize("phase_us", [1990, -3])
+def test_ugs_phase_that_splits_a_grant_names_the_phase(phase_us):
+    # the 17 us grant straddles the end of a MAP window; at the default phase
+    # it fits, so the phase is at fault, not the size
+    with pytest.raises(ConfigError, match=r"^ugs_phase_us = "):
+        replace(preset("scenario1"), ugs_phase_us=phase_us)
+
+
+@pytest.mark.parametrize("phase_us", [-1000, 2000, 5000])
+def test_ugs_phase_whose_grant_fits_is_accepted(phase_us):
+    assert replace(preset("scenario1"), ugs_phase_us=phase_us).ugs_phase_us == phase_us
+
+
+def test_ugs_grant_too_large_for_any_phase_names_the_size():
+    # 9,700 B at 39 Mb/s is 1,990 us, longer than a window less its region
+    with pytest.raises(ConfigError, match=r"^ugs_grant_bytes = 9700"):
+        replace(preset("scenario1"), ugs_grant_bytes=9700, ugs_phase_us=1990)
+
+
 def test_validate_rejects_contention_region_longer_than_map_interval():
     with pytest.raises(ConfigError, match="contention_slots"):
         SimConfig(contention_slots=600)       # 600 x 4 us > 2 ms

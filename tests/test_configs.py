@@ -5,9 +5,11 @@ printed text to an equal config. The message of a config that validate()
 rejects starts with the field at fault.
 
 The reference run patches each fast path back to its slow twin: a tick every
-subframe instead of the sleeping tick, a resolve_region event for every MAP
-window instead of one per region that holds a REQ, and a MAP window laid out
-afresh by open_window instead of once per distinct window.
+subframe instead of the sleeping tick, a MAP cycle every MAP interval instead
+of one that sleeps on an idle upstream, a resolve_region event for every MAP
+window instead of one per region that holds a REQ, and every MAP window laid
+out afresh by open_window, placement state included, instead of shifted from
+a layout made once per distinct window.
 
 Draws span the ranges below, on top of either preset; one draw in two also
 sets one key to a value outside its range, which validate() must reject. A
@@ -126,8 +128,9 @@ REFERENCE_PATHS = {
     (Enb, "busy"): lambda enb: True,
     (Cm, "_queue_region"): lambda cm, region_index: None,
     (Cm, "on_map"): resolve_every_region,
-    (Cmts, "_open_window"): lambda cmts, start: open_window(start, cmts.cfg,
-                                                            cmts._ugs_flow),
+    (Cmts, "idle"): lambda cmts: False,
+    (Cmts, "_open_window"): lambda cmts, start, placing: open_window(
+        start, cmts.cfg, cmts._ugs_flow),
 }
 
 

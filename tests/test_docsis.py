@@ -218,7 +218,9 @@ def test_grants_never_overlap_contention_region():
     (lambda win, nbytes: (win.end - 1, nbytes), "overruns"),
 ], ids=["on-contention-region", "past-window-end"])
 def test_overlap_raises_at_the_map(monkeypatch, piece, message):
-    # the REQ delivered at 18 ms is placed by the MAP generated at 20 ms
+    # the REQ delivered at 18 ms is placed by the MAP generated at 20 ms; the
+    # cycle stays awake, so that the MAP at 18 ms goes out
+    monkeypatch.setattr(Cmts, "idle", lambda cmts: False)
     sim, cmts, cm, collector, maps = build()
     inject(sim, cm, "f1", packet(0), 18 * MS)
     sim.run_until(19 * MS)
@@ -297,7 +299,9 @@ def test_deferred_request_is_delivered_in_the_region_it_lands_in():
     assert f1.req is None and f2.req is None
 
 
-def test_only_regions_holding_a_request_are_resolved():
+def test_only_regions_holding_a_request_are_resolved(monkeypatch):
+    # the cycle stays awake, so that every window's MAP goes out
+    monkeypatch.setattr(Cmts, "idle", lambda cmts: False)
     sim, cmts, cm, collector, maps = build()
     resolved = []
     resolve = cm.resolve_region
@@ -314,6 +318,28 @@ def test_only_regions_holding_a_request_are_resolved():
     sim.run_until(200 * MS)
     assert resolved == [50]                     # the region at 100 ms, once
     assert collector.counters["reqs_delivered"] == 1
+
+
+def test_idle_cmts_sleeps_until_a_request_or_report_arrives():
+    # Without a UGS flow, a MAP with nothing to place is not sent: the cycle
+    # sleeps after the MAP at 0, and a delivery wakes it at the next boundary.
+    from bwrsim.bwr import BandwidthReport, encode_bwr
+    sim, cmts, cm, collector, maps = build()
+    sim.run_until(19 * MS)
+    assert [m.window_start for m in maps] == [2 * MS]
+    inject(sim, cm, "f1", packet(0), 19 * MS)   # REQ in the region at 20 ms
+    sim.run_until(25 * MS)
+    # the MAP at 22 ms places the REQ in the window at 24 ms, then sleeps
+    assert [(m.window_start, len(m.grants)) for m in maps] == [(2 * MS, 0), (24 * MS, 1)]
+    assert list(collector.samples)[0].docsis_us == 6245   # as when always awake
+    cmts.on_bwr_frame(encode_bwr(BandwidthReport(1, 0, 28 * MS, ((0, 500), (1, 0),
+                                                                 (2, 0), (3, 0)))))
+    sim.run_until(40 * MS)
+    # the report, at 25 ms, wakes the cycle at 26 ms; its grant follows the
+    # contention region that opens the window at its egress
+    assert [(m.window_start, [(g.kind, g.start) for g in m.grants]) for m in maps[2:]] \
+        == [(28 * MS, [("bwr", 28 * MS + region_duration(cmts.cfg))])]
+    assert cmts.bwr_fifo == [] and cmts.idle()
 
 
 def test_zero_byte_request_gets_no_grant_and_leaves_the_fifo():
@@ -415,7 +441,7 @@ def test_layouts_cut_short_by_the_run_match_fresh_windows(monkeypatch):
     cfg = replace(preset("scenario1"), duration_us=300 * MS, ugs_period_us=1999)
     assert len(window_layouts(cfg)) == 151
     shifted = _map_grants(monkeypatch, cfg)
-    monkeypatch.setattr(Cmts, "_open_window", lambda cmts, start: open_window(
+    monkeypatch.setattr(Cmts, "_open_window", lambda cmts, start, placing: open_window(
         start, cmts.cfg, cmts._ugs_flow))
     assert shifted == _map_grants(monkeypatch, cfg)
     assert sum(g[0] == "ugs" for msg in shifted for g in msg) > 100

@@ -6,7 +6,7 @@ import pytest
 
 from bwrsim.config import SimConfig, preset
 from bwrsim.core import MS, SEC
-from bwrsim.docsis import Cm
+from bwrsim.docsis import Cm, Cmts
 from bwrsim.lte import Enb
 from bwrsim.runner import paired_deltas, run_single
 
@@ -204,6 +204,38 @@ def test_sleeping_subframe_tick_matches_ticking_every_subframe(monkeypatch, name
                 ticking = _outcome(cfg, mode)
             assert sleeping == ticking, (seed, mode)
             assert len(sleeping[0]) > 100
+
+
+def _placing_maps(cfg, mode, patch):
+    """The outcome of a run, with the window and grants of every MAP that
+    carries a grant."""
+    maps = record_maps(Cm, patch)
+    outcome = _outcome(cfg, mode)
+    return outcome, [(m.window_start, [(g.flow.flow_id, g.kind, g.start, g.duration,
+                                        g.nbytes) for g in m.grants])
+                     for m in maps if m.grants]
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"map_interval_us": 1 * MS},
+    {"maps_in_advance": 3, "cmts_proc_us": 1500},
+], ids=["preset", "map-1ms", "advance-3-proc-1500"])
+@pytest.mark.parametrize("name", ["scenario1", "scenario2"])
+def test_sleeping_map_cycle_matches_a_map_every_interval(monkeypatch, name, overrides):
+    # The MAP cycle sleeps while the upstream is idle; a MAP every interval is
+    # the reference. Samples, counters, TB totals and every MAP that places a
+    # grant must not change in either mode.
+    for seed in (0, 5):
+        cfg = replace(preset(name), seed=seed, duration_us=1 * SEC, **overrides)
+        for mode in ("baseline", "bwr"):
+            with monkeypatch.context() as m:
+                sleeping = _placing_maps(cfg, mode, m.setattr)
+            with monkeypatch.context() as m:
+                m.setattr(Cmts, "idle", lambda self: False)
+                awake = _placing_maps(cfg, mode, m.setattr)
+            assert sleeping == awake, (seed, mode)
+            assert len(sleeping[0][0]) > 100 and len(sleeping[1]) > 100
 
 
 @pytest.mark.parametrize("seed", [0, 5])
