@@ -128,9 +128,6 @@ class MapMessage:
     region_duration: int       # the contention region opens the window
     grants: list[Grant] = field(default_factory=list)
 
-    def granted_bytes(self) -> int:
-        return sum(g.nbytes for g in self.grants)
-
 
 class ChannelLedger:
     """Running per-kind totals of the bytes granted before the end of a run,

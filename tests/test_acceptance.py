@@ -255,7 +255,7 @@ def test_c9d_map_non_overcommitment(scenario2_runs, capsys):
             cap = window_capacity_bytes(run.cfg)
             for m in maps[seed, run.mode]:
                 windows += 1
-                worst = max(worst, m.granted_bytes() / cap)
+                worst = max(worst, sum(g.nbytes for g in m.grants) / cap)
                 overlapping += map_overlaps(m)
     overlaps = (f"{overlapping} MAPs with channel overlaps" if overlapping
                 else "no channel overlaps")
