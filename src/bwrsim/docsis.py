@@ -10,9 +10,10 @@ a MAP cycle every map_interval_us. The MAP generated at time m describes the
 allocation window [m + maps_in_advance*map_interval_us, +map_interval_us) and
 consumes requests and bandwidth reports delivered at least cmts_proc_us before
 m. Every window opens with a contention region; unsolicited grants sit at
-their phase-locked instants; report-scheduled grants are placed before
-best-effort grants. A request delivered at r therefore reaches a usable grant
-no earlier than r + (1 + maps_in_advance) * map_interval_us.
+their phase-locked instants, or right after the reservation before them;
+REQs and reports wait in one demand queue, where report blocks rank before
+REQs. A request delivered at r therefore reaches a usable grant no earlier
+than r + (1 + maps_in_advance) * map_interval_us.
 
 A quiet upstream costs only its MAPs, and an idle one not even those. The CM
 resolves a contention region only when a REQ is put into it. The CMTS lays
@@ -27,9 +28,10 @@ the next MAP boundary.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Optional
 
 from .core import PRIO_CONTROL, PRIO_SCHED, PRIO_SERVICE, Rng, Simulator
@@ -40,6 +42,7 @@ if TYPE_CHECKING:
 
 BE = "be"
 UGS = "ugs"
+_REQ_RANK = 0x100           # above every LCG id a report block can encode
 
 
 class DocsisError(Exception):
@@ -153,30 +156,10 @@ class ChannelLedger:
 class _Window:
     """Placement state for one MAP window."""
 
-    def __init__(self, start: int, end: int,
-                 occupied: Optional[list[tuple[int, int]]] = None):
+    def __init__(self, start: int, end: int, occupied: list[tuple[int, int]]):
         self.start = start
         self.end = end
-        self.occupied = occupied if occupied is not None else []  # (start, end), sorted
-
-    def reserve_exact(self, start: int, dur: int) -> None:
-        end = start + dur
-        for s, e in self.occupied:
-            if start < e and s < end:
-                raise DocsisError(f"fixed reservation [{start},{end}) collides with [{s},{e})")
-        self.occupied.append((start, end))
-        self.occupied.sort()
-
-    def reserve_at_or_after(self, start: int, dur: int) -> int:
-        """Reserve dur at the nominal start, nudged past fixed reservations."""
-        cursor = max(start, self.start)
-        for s, e in self.occupied:
-            if cursor < e and s < cursor + dur:
-                cursor = e
-        if cursor + dur > self.end:
-            raise DocsisError(f"no room for a {dur} us reservation at {start}")
-        self.reserve_exact(cursor, dur)
-        return cursor
+        self.occupied = occupied            # (start, end), sorted
 
     def place(self, min_start: int, nbytes: int, bps: int) -> list[tuple[int, int]]:
         """Fill free channel time at or after min_start with up to nbytes.
@@ -213,11 +196,13 @@ class _Window:
 def open_window(start: int, cfg: SimConfig, ugs_flow: Optional[ServiceFlow],
                 phase: Optional[int] = None) -> tuple[_Window, list[Grant]]:
     """A MAP window with its contention region and, when there is a UGS flow,
-    the unsolicited grants the config provisions for it placed, at `phase`
-    when given instead of cfg.ugs_phase(); DocsisError when they do not fit."""
+    the unsolicited grants the config provisions for it, at `phase` when
+    given instead of cfg.ugs_phase(). One sweep lays them out: each grant
+    starts at its nominal instant or, when that is still taken, where the
+    reservation before it ends; DocsisError when one does not fit."""
     end = start + cfg.map_interval_us
-    win = _Window(start, end)
-    win.reserve_exact(start, region_duration(cfg))
+    free = start + region_duration(cfg)
+    occupied = [(start, free)]
     grants = []
     if ugs_flow is not None:
         size, period = cfg.ugs_grant_bytes, cfg.ugs_period_us
@@ -225,10 +210,14 @@ def open_window(start: int, cfg: SimConfig, ugs_flow: Optional[ServiceFlow],
             phase = cfg.ugs_phase()
         dur = serialization_us(size, cfg.upstream_bps)
         first = phase + ceil_div(max(0, start - phase), period) * period
-        for g in range(first, end, period):
-            actual = win.reserve_at_or_after(g, dur)
-            grants.append(Grant(ugs_flow, actual, dur, size, "ugs"))
-    return win, grants
+        for nominal in range(first, end, period):
+            actual = max(nominal, free)
+            free = actual + dur
+            if free > end:
+                raise DocsisError(f"no room for a {dur} us reservation at {nominal}")
+            occupied.append((actual, free))
+            grants.append(Grant(ugs_flow, actual, dur, size, UGS))
+    return _Window(start, end, occupied), grants
 
 
 def window_layouts(cfg: SimConfig, phase: Optional[int] = None
@@ -260,8 +249,9 @@ class Cmts:
         self.ledger = ledger
         self.collector = collector
         self.cm: Optional["Cm"] = None
-        self.req_fifo: list[tuple[int, ServiceFlow, int]] = []  # (delivered, flow, bytes)
-        self.bwr_fifo: list[list] = []  # [arrival, lcg, flow, egress, bytes]
+        # REQs and report blocks not yet granted, in service order (by rank,
+        # then arrival): [arrival, rank, flow, not_before, bytes, kind]
+        self.demand: list[list] = []
         self._data_flow_by_enb: dict[int, ServiceFlow] = {}
         self._ugs_flow: Optional[ServiceFlow] = None
         self._lead = cfg.maps_in_advance * cfg.map_interval_us
@@ -280,7 +270,8 @@ class Cmts:
             self._data_flow_by_enb[flow.owner_enb] = flow
 
     def on_req_delivered(self, flow: ServiceFlow, nbytes: int, delivered_at: int) -> None:
-        self.req_fifo.append((delivered_at, flow, nbytes))
+        """A REQ ranks after every report block and may fill any window."""
+        self.demand.append([delivered_at, _REQ_RANK, flow, delivered_at, nbytes, BE])
         if self._asleep:
             self._wake()
 
@@ -293,11 +284,13 @@ class Cmts:
         data_flow = self._data_flow_by_enb.get(report.enb_id)
         if data_flow is None:
             raise DocsisError(f"report from enb {report.enb_id} with no data flow")
-        # One demand entry per nonzero block (a bulk report has one, LCG 0).
+        # One demand entry per nonzero block (a bulk report has one, LCG 0),
+        # ranked by LCG id behind that LCG's queued entries, not before egress.
         for lcg_id, nbytes in sorted(report.blocks):
             if nbytes > 0:
-                self.bwr_fifo.append([self.sim.now, lcg_id, data_flow,
-                                      report.egress_time, nbytes])
+                insort(self.demand, [self.sim.now, lcg_id, data_flow,
+                                     report.egress_time, nbytes, "bwr"],
+                       key=itemgetter(1))
         if self._asleep:
             self._wake()
 
@@ -306,7 +299,7 @@ class Cmts:
     def idle(self) -> bool:
         """Whether the next MAP cycle would place no grant: no UGS flow, and
         no REQ or report pending."""
-        return self._ugs_flow is None and not self.req_fifo and not self.bwr_fifo
+        return self._ugs_flow is None and not self.demand
 
     def _wake(self) -> None:
         """Run the sleeping MAP cycle at the first MAP boundary at or after
@@ -324,33 +317,23 @@ class Cmts:
         msg = MapMessage(start, end, self._region)
         cutoff = t - cfg.cmts_proc_us
 
-        win, ugs_grants = self._open_window(start, bool(self.bwr_fifo or self.req_fifo))
+        win, ugs_grants = self._open_window(start, bool(self.demand))
         for grant in ugs_grants:
             self._emit_grant(msg, grant)
 
-        # Report-scheduled grants go in first, at or after their egress time,
-        # lower LCG ids first, each LCG in report order: the fifo holds each
-        # LCG's entries in arrival order, which the stable sort keeps.
-        if self.bwr_fifo:
+        # One walk in service order: report blocks by LCG id, each LCG in
+        # report order, then REQs in delivery order. An entry delivered by the
+        # cutoff is placed at or after its not_before, if that is in the window.
+        if self.demand:
             pending = []
-            for entry in sorted(self.bwr_fifo, key=lambda e: e[1]):
-                arrival, lcg, flow, egress, nbytes = entry
-                if arrival <= cutoff and egress < end:
-                    entry[4] = self._grant(msg, win, flow, max(egress, start),
-                                           nbytes, "bwr")
+            for entry in self.demand:
+                arrival, _, flow, not_before, nbytes, kind = entry
+                if arrival <= cutoff and not_before < end:
+                    entry[4] = self._grant(msg, win, flow, max(not_before, start),
+                                           nbytes, kind)
                 if entry[4] > 0:
                     pending.append(entry)
-            self.bwr_fifo = pending
-
-        # Best-effort demand is served in request-delivery order.
-        if self.req_fifo:
-            remaining_reqs = []
-            for delivered, flow, nbytes in self.req_fifo:
-                if delivered <= cutoff:
-                    nbytes = self._grant(msg, win, flow, start, nbytes, "be")
-                if nbytes > 0:
-                    remaining_reqs.append((delivered, flow, nbytes))
-            self.req_fifo = remaining_reqs
+            self.demand = pending
 
         # The contention region opens the window; each grant must start after
         # the previous reservation ends and end inside the window. Windows are
@@ -435,7 +418,7 @@ class Cm:
         # Regions whose resolve_region is queued. A resolve can share its
         # instant with other control-plane events; none of them touches the
         # contention state (on_bwr_frame, the only DOCSIS one, touches only
-        # the CMTS's report FIFO), so their order does not matter.
+        # the CMTS's demand queue), so their order does not matter.
         self._queued_regions: set[int] = set()
         cmts.cm = self
 

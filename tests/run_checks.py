@@ -4,8 +4,9 @@ They are the benchmark's correctness gate (`check_outputs` in bench/child.py)
 stated once for the tests, plus the row-based reference of the columnar
 result processing and of the CSV writers (`csv.writer` over LatencySample
 rows). Each `*_failures` check returns a list of failures, empty when the run
-passes. `map_overlaps` checks one MAP, and `record_maps`
-collects the MAPs a modem receives for such checks.
+passes. `map_overlaps` checks one MAP, `record_maps` collects the MAPs a
+modem receives for such checks, and `placing_maps` states the ones that carry
+a grant in comparable form.
 """
 
 import csv
@@ -221,3 +222,11 @@ def record_maps(target, patch=setattr) -> list:
 
     patch(target, "on_map", record)
     return maps
+
+
+def placing_maps(maps) -> list:
+    """The window and grants of every MAP that carries a grant. A MAP cycle
+    kept awake also sends empty MAPs, which these leave out."""
+    return [(m.window_start, [(g.flow.flow_id, g.kind, g.start, g.duration, g.nbytes)
+                              for g in m.grants])
+            for m in maps if m.grants]

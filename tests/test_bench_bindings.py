@@ -33,3 +33,8 @@ def test_bench_child_runs_clean(tmp_path, kind):
         for name in ("lte.subframe_ticks", "lte.sr_ladders", "lte.tb_attempts",
                      "docsis.map_cycles", "docsis.regions", "docsis.grants.be"):
             assert layers[f"{name}.baseline"] > 0, name
+        # the grant kind travels in the CMTS's demand entry; the bench counts
+        # grants by kind, and times the MAP cycle by its method name
+        for name in ("docsis.grants.bwr.bwr", "docsis.grants.ugs.bwr",
+                     "docsis.map_cycle_s.baseline"):
+            assert layers[name] > 0, name

@@ -291,7 +291,7 @@ def test_zero_total_report_schedules_nothing():
     sim, cmts, cm, collector, maps = build_docsis()
     sim.run_until(10 * MS)
     cmts.on_bwr_frame(encode_bwr(report(blocks=((0, 0),) * 1 + tuple((g, 0) for g in range(1, 4)))))
-    assert cmts.bwr_fifo == []
+    assert cmts.demand == []
 
 
 def test_late_report_falls_back_to_next_window():

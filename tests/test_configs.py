@@ -1,8 +1,9 @@
 """A gate over drawn configurations: every config that SimConfig.validate()
 accepts runs in both modes and passes the shared run checks, gives the same
-results on the reference paths as on the fast ones, and re-parses from its
-printed text to an equal config. The message of a config that validate()
-rejects starts with the field at fault.
+results on the reference paths as on the fast ones (samples, counters,
+transport-block totals, and every MAP that carries a grant), and re-parses
+from its printed text to an equal config. The message of a config that
+validate() rejects starts with the field at fault.
 
 The reference run patches each fast path back to its slow twin: a tick every
 subframe instead of the sleeping tick, a MAP cycle every MAP interval instead
@@ -31,7 +32,7 @@ from bwrsim.docsis import Cm, Cmts, open_window
 from bwrsim.lte import Enb
 from bwrsim.runner import run_scenario
 
-from run_checks import report_failures
+from run_checks import placing_maps, record_maps, report_failures
 
 ms = st.integers(1, 9).map(lambda n: n * MS)
 
@@ -119,6 +120,12 @@ def outcomes(report):
             for c in (run.collector for run in report.runs)]
 
 
+def recorded_maps(stack):
+    """A list that receives every MAP the modems get until stack closes."""
+    return record_maps(Cm, lambda cls, name, value: stack.enter_context(
+        mock.patch.object(cls, name, value)))
+
+
 def resolve_every_region(cm, msg):
     cm.sim.schedule_at(msg.window_start + msg.region_duration, PRIO_CONTROL,
                        cm.resolve_region, msg.window_start // cm.cfg.map_interval_us)
@@ -153,10 +160,14 @@ def test_every_accepted_config_runs_clean(drawn):
         assert str(exc).split(" = ", 1)[0] in FIELDS, str(exc)
         return
     assert reparsed(cfg) == cfg
-    report = run_scenario(cfg)
+    with ExitStack() as stack:
+        maps = recorded_maps(stack)
+        report = run_scenario(cfg)
     assert report_failures(report) == []
     assert outputs(run_scenario(cfg)) == outputs(report)
     with ExitStack() as stack:
         for (cls, name), reference in REFERENCE_PATHS.items():
             stack.enter_context(mock.patch.object(cls, name, reference))
+        reference_maps = recorded_maps(stack)
         assert outcomes(run_scenario(cfg)) == outcomes(report)
+    assert placing_maps(maps) == placing_maps(reference_maps)

@@ -87,9 +87,9 @@ def test_single_outstanding_request_piggybacks():
     inject(sim, cm, "f1", packet(1), 18 * MS)   # same instant, REQ not yet sent
     sim.run_until(19 * MS)
     flow = cm.flows["f1"]
-    delivered = [r for r in cmts.req_fifo]
+    delivered = [r for r in cmts.demand]
     assert len(delivered) == 1
-    assert delivered[0][2] == 120               # both packets in one REQ
+    assert delivered[0][4] == 120               # both packets in one REQ
     sim.run_until(40 * MS)
     assert len(collector.samples) == 2
 
@@ -339,7 +339,7 @@ def test_idle_cmts_sleeps_until_a_request_or_report_arrives():
     # contention region that opens the window at its egress
     assert [(m.window_start, [(g.kind, g.start) for g in m.grants]) for m in maps[2:]] \
         == [(28 * MS, [("bwr", 28 * MS + region_duration(cmts.cfg))])]
-    assert cmts.bwr_fifo == [] and cmts.idle()
+    assert cmts.demand == [] and cmts.idle()
 
 
 def test_zero_byte_request_gets_no_grant_and_leaves_the_fifo():
@@ -348,7 +348,7 @@ def test_zero_byte_request_gets_no_grant_and_leaves_the_fifo():
     cmts.on_req_delivered(cm.flows["f1"], 0, sim.now)
     # the MAPs at 12 and 14 ms both come after the request's cutoff
     sim.run_until(14 * MS)
-    assert cmts.req_fifo == []
+    assert cmts.demand == []
     assert [g for m in maps for g in m.grants] == []
 
 
@@ -392,7 +392,7 @@ def test_contention_throughput_matches_enumeration():
         before = collector.counters.get("reqs_delivered", 0)
         cm.resolve_region(region)
         delivered_total += collector.counters.get("reqs_delivered", 0) - before
-        cmts.req_fifo.clear()
+        cmts.demand.clear()
         for f in cm.flows.values():
             f.req = None
     mean = delivered_total / trials
@@ -409,11 +409,45 @@ def test_lcg_differentiation_orders_blocks():
                              BWR_MODE_PER_LCG)
     sim.run_until(25 * MS)
     cmts.on_bwr_frame(encode_bwr(report))
-    assert [(e[1], e[4]) for e in cmts.bwr_fifo] == [(1, 500), (2, 1500)]
+    assert [(e[1], e[4]) for e in cmts.demand] == [(1, 500), (2, 1500)]
     sim.run_until(36 * MS)
     bwr_grants = grants_of(maps, "bwr")
     assert [g.nbytes for g in bwr_grants] == [500, 1500]   # low LCG placed first
     assert bwr_grants[0].start < bwr_grants[1].start
+
+
+def test_one_map_serves_reports_by_lcg_then_requests():
+    # An LCG-2 report, then an LCG-1 report, then a REQ, delivered apart; the
+    # reports wait for their egress at 30 ms, so the MAP generated at 28 ms
+    # places all three: LCG 1 first, then LCG 2, then the REQ.
+    from bwrsim.bwr import BWR_MODE_PER_LCG, BandwidthReport, encode_bwr
+    sim, cmts, cm, collector, maps = build(flows=("f1", "f2"))
+    for t, lcg, nbytes in ((21 * MS, 2, 1500), (23 * MS, 1, 500)):
+        sim.run_until(t)
+        blocks = tuple((g, nbytes if g == lcg else 0) for g in range(4))
+        cmts.on_bwr_frame(encode_bwr(BandwidthReport(1, 0, 30 * MS, blocks,
+                                                     BWR_MODE_PER_LCG)))
+    sim.run_until(27 * MS)
+    cmts.on_req_delivered(cm.flows["f2"], 300, sim.now)
+    sim.run_until(29 * MS)
+    assert [(m.window_start, [(g.flow.flow_id, g.kind, g.nbytes) for g in m.grants])
+            for m in maps if m.grants] \
+        == [(30 * MS, [("f1", "bwr", 500), ("f1", "bwr", 1500), ("f2", "be", 300)])]
+    assert cmts.demand == []
+
+
+def test_nudged_ugs_grants_chain_until_they_catch_up():
+    # A 17 us grant every 20 us from the window start: the contention region
+    # (32 us) pushes the first grant back, each grant then waits for the one
+    # before it, and the chain gains 3 us a period until the grant at 220 us
+    # is on time again.
+    cfg = replace(preset("scenario1"), ugs_period_us=20, ugs_phase_us=0)
+    win, grants = open_window(2 * MS, cfg, ServiceFlow("ugs1", UGS))
+    assert [g.start - 2 * MS for g in grants] \
+        == [32 + 17 * i for i in range(11)] + list(range(220, 2 * MS, 20))
+    assert len(grants) == 100
+    assert win.occupied == [(2 * MS, 2 * MS + 32)] + [(g.start, g.start + 17)
+                                                      for g in grants]
 
 
 def test_idle_map_has_only_contention_region():

@@ -10,7 +10,7 @@ from bwrsim.docsis import Cm, Cmts
 from bwrsim.lte import Enb
 from bwrsim.runner import paired_deltas, run_single
 
-from run_checks import cross_mode_failures, lte_pairs, record_maps
+from run_checks import cross_mode_failures, lte_pairs, placing_maps, record_maps
 
 
 def test_no_requests_when_everything_is_described():
@@ -145,7 +145,7 @@ def test_ugs_occupancy_counts_grants_before_the_end(monkeypatch, phase_us,
 
 
 def _container_sizes(run):
-    exempt = {"req_fifo", "bwr_fifo"}     # demand not yet granted
+    exempt = {"demand"}                  # REQs and reports not yet granted
     sizes = {}
     for owner in ("cmts", "cm", "ledger", "collector"):
         for attr, value in vars(getattr(run, owner)).items():
@@ -211,9 +211,7 @@ def _placing_maps(cfg, mode, patch):
     carries a grant."""
     maps = record_maps(Cm, patch)
     outcome = _outcome(cfg, mode)
-    return outcome, [(m.window_start, [(g.flow.flow_id, g.kind, g.start, g.duration,
-                                        g.nbytes) for g in m.grants])
-                     for m in maps if m.grants]
+    return outcome, placing_maps(maps)
 
 
 @pytest.mark.parametrize("overrides", [
