@@ -17,12 +17,13 @@ than r + (1 + maps_in_advance) * map_interval_us.
 
 A quiet upstream costs only its MAPs, and an idle one not even those. The CM
 resolves a contention region only when a REQ is put into it. The CMTS lays
-out a window's contention region and unsolicited grants once per distinct
-window (see window_layouts), then shifts that layout to each MAP's window; it
-builds a window's placement state only when a REQ or report is pending. With
-no UGS flow and nothing pending, the MAP cycle sleeps: such a MAP would place
-no grant, and the CM acts on no MAP. A delivered REQ or report wakes it at
-the next MAP boundary.
+out a window's contention region and unsolicited grants, and the free gaps
+they leave, once per distinct window (see window_layouts), then shifts that
+layout to each MAP's window; it shifts the gaps, which placement fills
+earliest first, only when a REQ or report is pending. With no UGS flow and
+nothing pending, the MAP cycle sleeps: such a MAP would place no grant, and
+the CM acts on no MAP. A delivered REQ or report wakes it at the next MAP
+boundary.
 """
 
 from __future__ import annotations
@@ -153,56 +154,40 @@ class ChannelLedger:
         return granted * 8 * 1_000_000 / self.end if self.end > 0 else 0.0
 
 
-class _Window:
-    """Placement state for one MAP window."""
-
-    def __init__(self, start: int, end: int, occupied: list[tuple[int, int]]):
-        self.start = start
-        self.end = end
-        self.occupied = occupied            # (start, end), sorted
-
-    def place(self, min_start: int, nbytes: int, bps: int) -> list[tuple[int, int]]:
-        """Fill free channel time at or after min_start with up to nbytes.
-
-        Returns (start, bytes) pieces; bytes not placed stay with the caller.
-        """
-        pieces = []
-        cursor = max(self.start, min_start)
-        remaining = nbytes
-        idx = 0
-        occ = self.occupied
-        while remaining > 0 and cursor < self.end:
-            while idx < len(occ) and occ[idx][1] <= cursor:
-                idx += 1
-            gap_end = occ[idx][0] if idx < len(occ) and occ[idx][0] > cursor else None
-            if gap_end is None and idx < len(occ):
-                cursor = occ[idx][1]
-                continue
-            gap_end = min(gap_end if gap_end is not None else self.end, self.end)
-            gap = gap_end - cursor
-            fit = min(remaining, gap * bps // 8_000_000)
-            if fit > 0:
-                dur = serialization_us(fit, bps)
-                self.occupied.append((cursor, cursor + dur))
-                self.occupied.sort()
-                pieces.append((cursor, fit))
-                remaining -= fit
-                cursor += dur
-            else:
-                cursor = gap_end
-        return pieces
+def _fill(gaps: list[tuple[int, int]], min_start: int, nbytes: int, bps: int
+          ) -> list[tuple[int, int, int]]:
+    """Place up to nbytes in a window's free gaps, earliest first, each piece
+    at the later of its gap's start and min_start. Returns (start, duration,
+    bytes) pieces and takes their time out of gaps, which keep the free time
+    on either side of a piece; bytes not placed stay with the caller."""
+    pieces = []
+    i = 0
+    while nbytes > 0 and i < len(gaps):
+        gap_start, gap_end = gaps[i]
+        start = max(gap_start, min_start)
+        fit = min(nbytes, (gap_end - start) * bps // 8_000_000)
+        if fit <= 0:
+            i += 1
+            continue
+        duration = serialization_us(fit, bps)
+        pieces.append((start, duration, fit))
+        nbytes -= fit
+        gaps[i:i + 1] = [gap for gap in ((gap_start, start), (start + duration, gap_end))
+                         if gap[0] < gap[1]]
+    return pieces
 
 
 def open_window(start: int, cfg: SimConfig, ugs_flow: Optional[ServiceFlow],
-                phase: Optional[int] = None) -> tuple[_Window, list[Grant]]:
-    """A MAP window with its contention region and, when there is a UGS flow,
-    the unsolicited grants the config provisions for it, at `phase` when
-    given instead of cfg.ugs_phase(). One sweep lays them out: each grant
-    starts at its nominal instant or, when that is still taken, where the
-    reservation before it ends; DocsisError when one does not fit."""
+                phase: Optional[int] = None) -> tuple[list[tuple[int, int]], list[Grant]]:
+    """A MAP window as its free gaps, in time order, and, when there is a UGS
+    flow, the unsolicited grants the config provisions for it, at `phase`
+    when given instead of cfg.ugs_phase(). The contention region opens the
+    window. One sweep lays the grants out: each starts at its nominal instant
+    or, when that is still taken, where the reservation before it ends;
+    DocsisError when one does not fit."""
     end = start + cfg.map_interval_us
     free = start + region_duration(cfg)
-    occupied = [(start, free)]
+    gaps = []
     grants = []
     if ugs_flow is not None:
         size, period = cfg.ugs_grant_bytes, cfg.ugs_period_us
@@ -211,19 +196,22 @@ def open_window(start: int, cfg: SimConfig, ugs_flow: Optional[ServiceFlow],
         dur = serialization_us(size, cfg.upstream_bps)
         first = phase + ceil_div(max(0, start - phase), period) * period
         for nominal in range(first, end, period):
+            if nominal > free:
+                gaps.append((free, nominal))
             actual = max(nominal, free)
             free = actual + dur
             if free > end:
                 raise DocsisError(f"no room for a {dur} us reservation at {nominal}")
-            occupied.append((actual, free))
             grants.append(Grant(ugs_flow, actual, dur, size, UGS))
-    return _Window(start, end, occupied), grants
+    if free < end:
+        gaps.append((free, end))
+    return gaps, grants
 
 
 def window_layouts(cfg: SimConfig, phase: Optional[int] = None
                    ) -> list[tuple[list[tuple[int, int]], list[int]]]:
     """Each distinct MAP window of a run with a UGS flow, the first MAP's
-    first, as (reserved spans, UGS grant starts) offset from its start;
+    first, as (free gaps, UGS grant starts) offset from its start;
     DocsisError when the grants do not fit. `phase` is open_window's. The
     layouts repeat every lcm(ugs_period_us, map_interval_us), so window k
     takes entry k mod their count; a run shorter than that lays out only its
@@ -233,8 +221,8 @@ def window_layouts(cfg: SimConfig, phase: Optional[int] = None
     layouts = []
     for k in range(min(math.lcm(cfg.ugs_period_us, mi), cfg.duration_us + mi) // mi):
         start = (cfg.maps_in_advance + k) * mi
-        win, grants = open_window(start, cfg, flow, phase)
-        layouts.append(([(s - start, e - start) for s, e in win.occupied],
+        gaps, grants = open_window(start, cfg, flow, phase)
+        layouts.append(([(s - start, e - start) for s, e in gaps],
                         [g.start - start for g in grants]))
     return layouts
 
@@ -259,7 +247,7 @@ class Cmts:
         self._capacity = window_capacity_bytes(cfg)
         self._ugs_duration = serialization_us(cfg.ugs_grant_bytes, cfg.upstream_bps)
         # Without a UGS flow every window holds its contention region alone.
-        self._layouts = [([(0, self._region)], [])]
+        self._layouts = [open_window(0, cfg, None)]
         self._asleep = False        # whoever builds the CMTS queues its first cycle
 
     def register_flow(self, flow: ServiceFlow) -> None:
@@ -317,7 +305,7 @@ class Cmts:
         msg = MapMessage(start, end, self._region)
         cutoff = t - cfg.cmts_proc_us
 
-        win, ugs_grants = self._open_window(start, bool(self.demand))
+        gaps, ugs_grants = self._open_window(start, bool(self.demand))
         for grant in ugs_grants:
             self._emit_grant(msg, grant)
 
@@ -325,13 +313,16 @@ class Cmts:
         # report order, then REQs in delivery order. An entry delivered by the
         # cutoff is placed at or after its not_before, if that is in the window.
         if self.demand:
+            bps = cfg.upstream_bps
             pending = []
             for entry in self.demand:
                 arrival, _, flow, not_before, nbytes, kind = entry
                 if arrival <= cutoff and not_before < end:
-                    entry[4] = self._grant(msg, win, flow, max(not_before, start),
-                                           nbytes, kind)
-                if entry[4] > 0:
+                    for at, duration, size in _fill(gaps, not_before, nbytes, bps):
+                        self._emit_grant(msg, Grant(flow, at, duration, size, kind))
+                        nbytes -= size
+                    entry[4] = nbytes
+                if nbytes > 0:
                     pending.append(entry)
             self.demand = pending
 
@@ -363,29 +354,16 @@ class Cmts:
         else:
             self.sim.schedule_in(cfg.map_interval_us, PRIO_SCHED, self.map_cycle)
 
-    def _open_window(self, start: int, placing: bool) -> tuple[Optional[_Window], list[Grant]]:
+    def _open_window(self, start: int, placing: bool) -> tuple[Optional[list], list[Grant]]:
         """open_window for this CMTS's UGS flow: the window's entry of
-        window_layouts, shifted to start. The window's placement state is
-        built only when placing; otherwise it is None."""
+        window_layouts, shifted to start. The free gaps are shifted only when
+        placing; otherwise they are None."""
         mi = self.cfg.map_interval_us
         layouts = self._layouts
-        spans, ugs_starts = layouts[(start - self._lead) // mi % len(layouts)]
-        win = _Window(start, start + mi,
-                      [(start + s, start + e) for s, e in spans]) if placing else None
+        gaps, ugs_starts = layouts[(start - self._lead) // mi % len(layouts)]
         dur, size = self._ugs_duration, self.cfg.ugs_grant_bytes
-        return win, [Grant(self._ugs_flow, start + s, dur, size, "ugs")
-                     for s in ugs_starts]
-
-    def _grant(self, msg: MapMessage, win: _Window, flow: ServiceFlow, min_start: int,
-               nbytes: int, kind: str) -> int:
-        """Grant up to nbytes of free window time at or after min_start;
-        returns the bytes left."""
-        bps = self.cfg.upstream_bps
-        for gstart, gbytes in win.place(min_start, nbytes, bps):
-            self._emit_grant(msg, Grant(flow, gstart, serialization_us(gbytes, bps),
-                                        gbytes, kind))
-            nbytes -= gbytes
-        return nbytes
+        return ([(start + s, start + e) for s, e in gaps] if placing else None,
+                [Grant(self._ugs_flow, start + s, dur, size, "ugs") for s in ugs_starts])
 
     def _emit_grant(self, msg: MapMessage, grant: Grant) -> None:
         msg.grants.append(grant)

@@ -16,7 +16,7 @@ from .bwr import BwrEmitter, encode_bwr
 from .config import SimConfig, dump_config
 from .core import PRIO_CONTROL, PRIO_SCHED, RngStreams, Simulator, derive_seed
 from .docsis import BE, UGS, ChannelLedger, Cm, Cmts, ServiceFlow
-from .lte import Enb, Packet, SUBFRAME_US, SubframeTick, Ue
+from .lte import Enb, SUBFRAME_US, SubframeTick, Ue
 from .metrics import Collector
 from .traffic import PacketFactory, TraceSource, VideoTrace, VoipSource, read_trace, synth_video
 
@@ -71,7 +71,7 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     ledger = ChannelLedger(cfg.duration_us)
     cmts = Cmts(sim, cfg, ledger, collector)
     cm = Cm(sim, cmts, cfg, collector, streams.stream("contention"))
-    factory = PacketFactory(Packet)
+    factory = PacketFactory()
 
     data_flows = [ServiceFlow(f"enb{enb_id}-data", BE, owner_enb=enb_id)
                   for enb_id in range(1, cfg.enb_count + 1)]

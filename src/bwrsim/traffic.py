@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .core import MS, PRIO_DATA, Rng, Simulator
+from .lte import Packet
 
 TRACE_HEADER = "#bwr-trace v1"
 
@@ -120,12 +121,11 @@ def packetize(nbytes: int, mtu: int) -> list[int]:
 class PacketFactory:
     """Deterministic packet identity shared by all sources of one run."""
 
-    def __init__(self, packet_cls):
-        self.packet_cls = packet_cls
+    def __init__(self):
         self.next_id = 0
 
-    def make(self, ue_id: int, enb_id: int, size: int, lcg: int, klass: str):
-        pkt = self.packet_cls(self.next_id, ue_id, enb_id, size, lcg, klass)
+    def make(self, ue_id: int, enb_id: int, size: int, lcg: int, klass: str) -> Packet:
+        pkt = Packet(self.next_id, ue_id, enb_id, size, lcg, klass)
         self.next_id += 1
         return pkt
 

@@ -6,7 +6,8 @@ result processing and of the CSV writers (`csv.writer` over LatencySample
 rows). Each `*_failures` check returns a list of failures, empty when the run
 passes. `map_overlaps` checks one MAP, `record_maps` collects the MAPs a
 modem receives for such checks, and `placing_maps` states the ones that carry
-a grant in comparable form.
+a grant in comparable form. `reference_fill` is the slow twin of MAP window
+placement (`docsis._fill`).
 """
 
 import csv
@@ -15,6 +16,7 @@ import os
 import tempfile
 from operator import attrgetter
 
+from bwrsim.docsis import serialization_us
 from bwrsim.metrics import SEGMENTS, Summary, cdf, summarize
 from bwrsim.runner import _table_header, _table_row, write_csvs
 
@@ -230,3 +232,46 @@ def placing_maps(maps) -> list:
     return [(m.window_start, [(g.flow.flow_id, g.kind, g.start, g.duration, g.nbytes)
                               for g in m.grants])
             for m in maps if m.grants]
+
+
+def reference_fill(gaps, min_start, nbytes, bps) -> list[tuple[int, int, int]]:
+    """`docsis._fill` over the window's reserved spans: the window runs from
+    its first gap's start to its last gap's end, and the time between two
+    gaps is reserved. Each call works out the free time afresh from the
+    spans, and each piece joins them and re-sorts them; gaps then become the
+    time the spans leave."""
+    if not gaps:
+        return []
+    start, end = gaps[0][0], gaps[-1][1]
+    occupied = [(e, s) for (_, e), (s, _) in zip(gaps, gaps[1:])]
+    pieces = []
+    cursor = max(start, min_start)
+    remaining = nbytes
+    idx = 0
+    while remaining > 0 and cursor < end:
+        while idx < len(occupied) and occupied[idx][1] <= cursor:
+            idx += 1
+        gap_end = occupied[idx][0] if idx < len(occupied) and occupied[idx][0] > cursor else None
+        if gap_end is None and idx < len(occupied):
+            cursor = occupied[idx][1]
+            continue
+        gap_end = min(gap_end if gap_end is not None else end, end)
+        fit = min(remaining, (gap_end - cursor) * bps // 8_000_000)
+        if fit > 0:
+            dur = serialization_us(fit, bps)
+            occupied.append((cursor, cursor + dur))
+            occupied.sort()
+            pieces.append((cursor, dur, fit))
+            remaining -= fit
+            cursor += dur
+        else:
+            cursor = gap_end
+    free = start
+    gaps.clear()
+    for s, e in occupied:
+        if s > free:
+            gaps.append((free, s))
+        free = e
+    if free < end:
+        gaps.append((free, end))
+    return pieces

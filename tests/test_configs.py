@@ -8,9 +8,10 @@ validate() rejects starts with the field at fault.
 The reference run patches each fast path back to its slow twin: a tick every
 subframe instead of the sleeping tick, a MAP cycle every MAP interval instead
 of one that sleeps on an idle upstream, a resolve_region event for every MAP
-window instead of one per region that holds a REQ, and every MAP window laid
-out afresh by open_window, placement state included, instead of shifted from
-a layout made once per distinct window.
+window instead of one per region that holds a REQ, every MAP window laid out
+afresh by open_window, free gaps included, instead of shifted from a layout
+made once per distinct window, and placement over a window's reserved spans,
+re-sorted after each grant (reference_fill), instead of over its free gaps.
 
 Draws span the ranges below, on top of either preset; one draw in two also
 sets one key to a value outside its range, which validate() must reject. A
@@ -26,13 +27,14 @@ from unittest import mock
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bwrsim import docsis
 from bwrsim.config import PRESETS, ConfigError, SimConfig, dump_config, parse_config
 from bwrsim.core import MS, PRIO_CONTROL
 from bwrsim.docsis import Cm, Cmts, open_window
 from bwrsim.lte import Enb
 from bwrsim.runner import run_scenario
 
-from run_checks import placing_maps, record_maps, report_failures
+from run_checks import placing_maps, record_maps, reference_fill, report_failures
 
 ms = st.integers(1, 9).map(lambda n: n * MS)
 
@@ -138,6 +140,7 @@ REFERENCE_PATHS = {
     (Cmts, "idle"): lambda cmts: False,
     (Cmts, "_open_window"): lambda cmts, start, placing: open_window(
         start, cmts.cfg, cmts._ugs_flow),
+    (docsis, "_fill"): reference_fill,
 }
 
 

@@ -4,10 +4,11 @@ from dataclasses import replace
 
 import pytest
 
+from bwrsim import docsis
 from bwrsim.config import SimConfig, preset
 from bwrsim.core import MS, PRIO_SCHED, SEC, Rng, Simulator
 from bwrsim.docsis import (BE, UGS, ChannelLedger, Cm, Cmts, DocsisError, Grant,
-                           ServiceFlow, _Window, open_window, region_duration,
+                           ServiceFlow, open_window, region_duration,
                            serialization_us, window_capacity_bytes, window_layouts)
 from bwrsim.lte import LteError, Packet
 from bwrsim.metrics import Collector
@@ -213,19 +214,21 @@ def test_grants_never_overlap_contention_region():
             assert g.start + g.duration <= r0 or g.start >= r1
 
 
-@pytest.mark.parametrize("piece, message", [
-    (lambda win, nbytes: (win.start, nbytes), "overlaps"),
-    (lambda win, nbytes: (win.end - 1, nbytes), "overruns"),
+@pytest.mark.parametrize("piece_start, message", [
+    (lambda gaps: gaps[0][0] - 1, "overlaps"),
+    (lambda gaps: gaps[-1][1] - 1, "overruns"),
 ], ids=["on-contention-region", "past-window-end"])
-def test_overlap_raises_at_the_map(monkeypatch, piece, message):
+def test_overlap_raises_at_the_map(monkeypatch, piece_start, message):
     # the REQ delivered at 18 ms is placed by the MAP generated at 20 ms; the
     # cycle stays awake, so that the MAP at 18 ms goes out
     monkeypatch.setattr(Cmts, "idle", lambda cmts: False)
     sim, cmts, cm, collector, maps = build()
     inject(sim, cm, "f1", packet(0), 18 * MS)
     sim.run_until(19 * MS)
-    monkeypatch.setattr(_Window, "place",
-                        lambda win, min_start, nbytes, bps: [piece(win, nbytes)])
+    # the window's one gap runs from the end of its contention region to
+    # the end of the window
+    monkeypatch.setattr(docsis, "_fill", lambda gaps, min_start, nbytes, bps: [
+        (piece_start(gaps), serialization_us(nbytes, bps), nbytes)])
     with pytest.raises(DocsisError, match=message):
         sim.run_until(40 * MS)
     assert sim.now == 20 * MS
@@ -436,18 +439,44 @@ def test_one_map_serves_reports_by_lcg_then_requests():
     assert cmts.demand == []
 
 
+def test_a_request_fills_the_free_time_before_a_mid_window_report_grant():
+    # A report block due at 31 ms, mid-way through the window [30, 32) ms,
+    # ranks before a 6000-byte REQ, so the MAP generated at 28 ms places it
+    # first. The REQ then takes the whole gap from the end of the contention
+    # region (30.032 ms) to the block, 968 us or 4719 B at 39 Mb/s, and its
+    # other 1281 B from the end of the block's 103 us on.
+    from bwrsim.bwr import BWR_MODE_PER_LCG, BandwidthReport, encode_bwr
+    sim, cmts, cm, collector, maps = build(flows=("f1", "f2"))
+    sim.run_until(25 * MS)
+    cmts.on_bwr_frame(encode_bwr(BandwidthReport(1, 0, 31 * MS,
+                                                 ((0, 0), (1, 500), (2, 0), (3, 0)),
+                                                 BWR_MODE_PER_LCG)))
+    sim.run_until(27 * MS)
+    cmts.on_req_delivered(cm.flows["f2"], 6000, sim.now)
+    sim.run_until(29 * MS)
+    assert [(m.window_start, [(g.flow.flow_id, g.kind, g.start, g.nbytes)
+                              for g in m.grants])
+            for m in maps if m.grants] \
+        == [(30 * MS, [("f1", "bwr", 31 * MS, 500),
+                       ("f2", "be", 30 * MS + 32, 4719),
+                       ("f2", "be", 31 * MS + 103, 1281)])]
+    assert cmts.demand == []
+
+
 def test_nudged_ugs_grants_chain_until_they_catch_up():
     # A 17 us grant every 20 us from the window start: the contention region
     # (32 us) pushes the first grant back, each grant then waits for the one
     # before it, and the chain gains 3 us a period until the grant at 220 us
     # is on time again.
     cfg = replace(preset("scenario1"), ugs_period_us=20, ugs_phase_us=0)
-    win, grants = open_window(2 * MS, cfg, ServiceFlow("ugs1", UGS))
+    gaps, grants = open_window(2 * MS, cfg, ServiceFlow("ugs1", UGS))
     assert [g.start - 2 * MS for g in grants] \
         == [32 + 17 * i for i in range(11)] + list(range(220, 2 * MS, 20))
     assert len(grants) == 100
-    assert win.occupied == [(2 * MS, 2 * MS + 32)] + [(g.start, g.start + 17)
-                                                      for g in grants]
+    # free time is left only from 219 us on: 1 us before the grant at 220 us,
+    # then 3 us after each grant
+    assert gaps == [(2 * MS + 219, 2 * MS + 220)] + [(2 * MS + t + 17, 2 * MS + t + 20)
+                                                     for t in range(220, 2 * MS, 20)]
 
 
 def test_idle_map_has_only_contention_region():

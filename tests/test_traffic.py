@@ -4,7 +4,6 @@ from dataclasses import replace
 import pytest
 
 from bwrsim.core import MS, SEC, Simulator
-from bwrsim.lte import Packet
 from bwrsim.traffic import (PacketFactory, TraceSource, TrafficError,
                             VideoTrace, VoipSource, packetize, read_trace,
                             synth_video, write_trace)
@@ -29,7 +28,7 @@ class SinkUe:
 def test_voip_count_over_run():
     sim = Simulator()
     ue = SinkUe()
-    src = VoipSource(sim, PacketFactory(Packet), ue, 1, phase=7 * MS)
+    src = VoipSource(sim, PacketFactory(), ue, 1, phase=7 * MS)
     src.start()
     sim.run_until(2 * SEC - 1)
     assert len(ue.packets) == 100               # floor(2 s / 20 ms)
@@ -40,7 +39,7 @@ def test_voip_six_sources_total():
     sim = Simulator()
     ues = [SinkUe(i) for i in range(6)]
     for i, ue in enumerate(ues):
-        VoipSource(sim, PacketFactory(Packet), ue, 1, phase=i * 3 * MS).start()
+        VoipSource(sim, PacketFactory(), ue, 1, phase=i * 3 * MS).start()
     sim.run_until(2 * SEC - 1)
     assert sum(len(u.packets) for u in ues) == 600
 
@@ -60,7 +59,7 @@ def test_degenerate_trace_loops():
     sim = Simulator()
     ue = SinkUe()
     trace = VideoTrace([(0, 1000)], 100 * MS)
-    TraceSource(sim, PacketFactory(Packet), ue, 2, trace, start_offset=0,
+    TraceSource(sim, PacketFactory(), ue, 2, trace, start_offset=0,
                 mtu=1400).start()
     sim.run_until(1 * SEC - 1)
     assert len(ue.packets) == 10                 # 1000 B every 100 ms
@@ -71,7 +70,7 @@ def test_trace_full_loops_byte_exact():
     sim = Simulator()
     ue = SinkUe()
     trace = VideoTrace([(0, 500), (40 * MS, 700), (70 * MS, 300)], 100 * MS)
-    TraceSource(sim, PacketFactory(Packet), ue, 2, trace, start_offset=40 * MS,
+    TraceSource(sim, PacketFactory(), ue, 2, trace, start_offset=40 * MS,
                 mtu=1400).start()
     sim.run_until(2 * SEC - 1)                   # 20 full loops
     assert sum(p.size_bytes for p in ue.packets) == 20 * trace.total_bytes()
@@ -81,7 +80,7 @@ def test_trace_start_offset_rotates_order():
     sim = Simulator()
     ue = SinkUe()
     trace = VideoTrace([(0, 100), (50 * MS, 200)], 100 * MS)
-    TraceSource(sim, PacketFactory(Packet), ue, 2, trace, start_offset=50 * MS,
+    TraceSource(sim, PacketFactory(), ue, 2, trace, start_offset=50 * MS,
                 mtu=1400).start()
     sim.run_until(120 * MS)
     assert [p.size_bytes for p in ue.packets[:3]] == [200, 100, 200]
@@ -97,7 +96,7 @@ def test_trace_emission_packetizes():
     sim = Simulator()
     ue = SinkUe()
     trace = VideoTrace([(0, 3000)], 50 * MS)
-    TraceSource(sim, PacketFactory(Packet), ue, 2, trace, 0, mtu=1400).start()
+    TraceSource(sim, PacketFactory(), ue, 2, trace, 0, mtu=1400).start()
     sim.run_until(10 * MS)
     assert [p.size_bytes for p in ue.packets] == [1400, 1400, 200]
 
