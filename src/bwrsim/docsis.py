@@ -36,7 +36,7 @@ from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Optional
 
 from .core import PRIO_CONTROL, PRIO_SCHED, PRIO_SERVICE, Rng, Simulator
-from .bwr import decode_bwr
+from .bwr import BandwidthReport, decode_bwr, encode_bwr
 
 if TYPE_CHECKING:
     from .config import SimConfig
@@ -133,27 +133,6 @@ class MapMessage:
     grants: list[Grant] = field(default_factory=list)
 
 
-class ChannelLedger:
-    """Running per-kind totals of the bytes granted before the end of a run,
-    which is also the last instant a packet may egress."""
-
-    def __init__(self, end: int):
-        self.end = end
-        self.granted: dict[str, int] = {}
-        self.reservations = 0
-
-    def reserve(self, grant: Grant) -> int:
-        """Count a grant; returns its reservation index."""
-        if grant.start < self.end:
-            self.granted[grant.kind] = self.granted.get(grant.kind, 0) + grant.nbytes
-        self.reservations += 1
-        return self.reservations - 1
-
-    def occupancy_bps(self, kind: str) -> float:
-        granted = self.granted.get(kind, 0)
-        return granted * 8 * 1_000_000 / self.end if self.end > 0 else 0.0
-
-
 def _fill(gaps: list[tuple[int, int]], min_start: int, nbytes: int, bps: int
           ) -> list[tuple[int, int, int]]:
     """Place up to nbytes in a window's free gaps, earliest first, each piece
@@ -230,12 +209,12 @@ def window_layouts(cfg: SimConfig, phase: Optional[int] = None
 class Cmts:
     """Termination system: consumes REQs and reports, emits MAPs, takes egress."""
 
-    def __init__(self, sim: Simulator, cfg: SimConfig, ledger: ChannelLedger,
-                 collector):
+    def __init__(self, sim: Simulator, cfg: SimConfig, collector):
         self.sim = sim
         self.cfg = cfg
-        self.ledger = ledger
         self.collector = collector
+        self.grants_emitted = 0
+        self.ugs_bytes = 0          # bytes of UGS grants that start before the run's end
         self.cm: Optional["Cm"] = None
         # REQs and report blocks not yet granted, in service order (by rank,
         # then arrival): [arrival, rank, flow, not_before, bytes, kind]
@@ -367,9 +346,15 @@ class Cmts:
 
     def _emit_grant(self, msg: MapMessage, grant: Grant) -> None:
         msg.grants.append(grant)
-        ledger_idx = self.ledger.reserve(grant)
+        if grant.kind == UGS and grant.start < self.cfg.duration_us:
+            self.ugs_bytes += grant.nbytes
         self.sim.schedule_at(grant.start, PRIO_SERVICE,
-                             self.cm.on_grant, grant, ledger_idx)
+                             self.cm.on_grant, grant, self.grants_emitted)
+        self.grants_emitted += 1
+
+    def ugs_occupancy_bps(self) -> float:
+        """The rate of the UGS grants that start before the run's end."""
+        return self.ugs_bytes * 8 * 1_000_000 / self.cfg.duration_us
 
     # -- egress ---------------------------------------------------------------
 
@@ -421,10 +406,6 @@ class Cm:
             flow.uncovered_bytes += nbytes - covered
         if flow.kind == BE and flow.req is None and flow.uncovered_bytes > 0:
             self._arm_request(flow, t)
-
-    def note_described(self, flow: ServiceFlow, egress_time: int, nbytes: int) -> None:
-        """Bytes announced by a forwarded report will not be requested."""
-        flow.described.append([egress_time, nbytes])
 
     # -- contention ------------------------------------------------------------
 
@@ -485,31 +466,36 @@ class Cm:
     # -- transmission -----------------------------------------------------------
 
     def on_grant(self, grant: Grant, ledger_idx: int) -> None:
-        """A grant's start time: ledger_idx is its reservation index."""
+        """A grant's start time. ledger_idx is the CMTS's count of the grants
+        emitted before this one; nothing in the simulator reads it, and it
+        stays in the signature for the tools that wrap this method."""
         if grant.kind == "ugs":
             self._transmit_reports(grant)
         else:
             self._transmit_data(grant)
 
-    def _transmit_reports(self, grant: Grant) -> None:
+    def _arrival(self, grant: Grant, sent: int) -> int:
+        """When the grant's first `sent` bytes have all reached the CMTS."""
         cfg = self.cfg
+        return (grant.start + cfg.propagation_us + cfg.cm_framing_us
+                + serialization_us(sent, cfg.upstream_bps))
+
+    def _transmit_reports(self, grant: Grant) -> None:
         queue = self.report_frames
         budget = grant.nbytes
         sent = 0
         while queue and sent + len(queue[0]) <= budget:
             frame = queue.popleft()
             sent += len(frame)
-            arrival = (grant.start + cfg.propagation_us + cfg.cm_framing_us
-                       + serialization_us(sent, cfg.upstream_bps))
-            self.sim.schedule_at(arrival, PRIO_CONTROL, self.cmts.on_bwr_frame, frame)
+            self.sim.schedule_at(self._arrival(grant, sent), PRIO_CONTROL,
+                                 self.cmts.on_bwr_frame, frame)
             self.collector.count("bwr_frames_sent", 1)
         if sent == 0:
             self.collector.count("ugs_idle_grants", 1)
         self.collector.count("ugs_wasted_bytes", grant.nbytes - sent)
 
     def _transmit_data(self, grant: Grant) -> None:
-        cfg = self.cfg
-        end = self.cmts.ledger.end
+        end = self.cfg.duration_us      # the last instant a packet may egress
         flow = grant.flow
         budget = grant.nbytes
         sent = 0
@@ -525,8 +511,7 @@ class Cm:
             if entry[1] == 0:
                 flow.queue.popleft()
             if pkt.docsis_egressed == pkt.size_bytes:     # its last byte
-                completion = (grant.start + cfg.propagation_us + cfg.cm_framing_us
-                              + serialization_us(sent, cfg.upstream_bps))
+                completion = self._arrival(grant, sent)
                 if completion <= end:
                     self.cmts.on_packet_egress(pkt, completion)
         wasted = grant.nbytes - sent
@@ -536,7 +521,9 @@ class Cm:
 
     # -- report forwarding --------------------------------------------------------
 
-    def forward_report(self, frame: bytes) -> None:
-        """Queue an encoded report for the next unsolicited grant (never
-        contends)."""
-        self.report_frames.append(frame)
+    def forward_report(self, flow: ServiceFlow, report: BandwidthReport) -> None:
+        """Queue a report of flow's coming bytes, encoded, for the next
+        unsolicited grant (never contends); the bytes it describes will not
+        be requested."""
+        self.report_frames.append(encode_bwr(report))
+        flow.described.append([report.egress_time, report.total_bytes()])

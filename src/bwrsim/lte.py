@@ -131,9 +131,8 @@ class Ue:
         self.pending_sr = False
         self.demand = [0] * NUM_LCGS   # per-LCG bytes the eNB may still grant
         self.granted = [0] * NUM_LCGS  # per-LCG bytes granted, not yet sent
-        self.last_report_total = 0    # bytes covered by the latest BSR
-        self.sent_since_report = 0
-        self.last_report_time = -1
+        self.reported = 0             # bytes of the latest BSR not sent since
+        self.last_report_time = -self.cfg.bsr_period_us   # the first report is due
         self.harq: dict[int, HarqProcess] = {}
 
     # -- arrivals ---------------------------------------------------------
@@ -149,10 +148,7 @@ class Ue:
             self._arm_sr(t)
 
     def _needs_sr(self) -> bool:
-        if self.pending_sr or any(self.granted):
-            return False
-        covered = max(0, self.last_report_total - self.sent_since_report)
-        return covered == 0
+        return not (self.pending_sr or any(self.granted) or self.reported)
 
     def _arm_sr(self, t: int) -> None:
         self.pending_sr = True
@@ -173,8 +169,7 @@ class Ue:
         self.enb.on_bsr(self, list(self.buffer_bytes))
 
     def _record_report(self) -> None:
-        self.last_report_total = sum(self.buffer_bytes)
-        self.sent_since_report = 0
+        self.reported = sum(self.buffer_bytes)
         self.last_report_time = self.sim.now
 
     # -- transmission -----------------------------------------------------
@@ -186,14 +181,12 @@ class Ue:
         if total == 0:
             self.enb.collector.count("lte_grant_unused_bytes", grant_bytes)
             return
-        self.sent_since_report += total
+        self.reported = max(0, self.reported - total)
         # Buffer state rides along with the transport block (refreshed at
         # most every bsr_period_us when the occupancy is unchanged).
         report = None
-        changed = sum(self.buffer_bytes) != max(0, self.last_report_total - self.sent_since_report)
-        stale = (self.last_report_time < 0
-                 or t - self.last_report_time >= self.cfg.bsr_period_us)
-        if changed or stale:
+        if (sum(self.buffer_bytes) != self.reported
+                or t - self.last_report_time >= self.cfg.bsr_period_us):
             self._record_report()
             report = list(self.buffer_bytes)
         pid = (t // SUBFRAME_US) % HARQ_PROCESSES
@@ -283,10 +276,10 @@ class Enb:
         self.harq_rng = harq_rng
         self.ues: list[Ue] = []                   # round-robin order
         self.rr_index = -1
-        # downstream hookup (set by the runner)
-        self.egress_sink = None                   # fn(chunks, t)
+        # downstream hookup (set by the runner; unwired, it does nothing)
+        self.egress_sink = lambda chunks, t: None
         self.bwr_emitter = None                   # BwrEmitter or None
-        self.wake = None                          # fn(t): wake the subframe tick at t
+        self.wake = lambda t: None                # wake the subframe tick at t
 
     # -- control ladder ---------------------------------------------------
 
@@ -305,7 +298,7 @@ class Enb:
         granted = ue.granted
         demand = [max(0, per_lcg[g] - granted[g]) for g in range(NUM_LCGS)]
         ue.demand = demand
-        if self.wake is not None and any(demand):
+        if any(demand):
             # Control events precede a same-instant tick, so that tick serves it.
             self.wake(-(-self.sim.now // SUBFRAME_US) * SUBFRAME_US)
 
@@ -371,18 +364,15 @@ class Enb:
         if self.bwr_emitter is not None:
             self.bwr_emitter.note_grant(dict(lcg_bytes),
                                         tx_time + self.cfg.enb_decode_us)
-            if self.wake is not None:
-                # Decodes follow a same-instant tick: the next one reports it.
-                self.wake((self.sim.now // SUBFRAME_US + 1) * SUBFRAME_US)
+            # Decodes follow a same-instant tick: the next one reports it.
+            self.wake((self.sim.now // SUBFRAME_US + 1) * SUBFRAME_US)
 
     # -- egress ------------------------------------------------------------
 
     def on_tb_decoded(self, chunks, total: int) -> None:
-        t = self.sim.now
         self.collector.count("lte_inflight_bytes", -total)
         self.collector.count("lte_egressed_bytes", total)
-        if self.egress_sink is not None:
-            self.egress_sink(chunks, t)
+        self.egress_sink(chunks, self.sim.now)
 
 
 class SubframeTick:

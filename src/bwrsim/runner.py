@@ -12,10 +12,10 @@ from operator import sub
 from typing import Optional
 
 from . import metrics
-from .bwr import BwrEmitter, encode_bwr
+from .bwr import BwrEmitter
 from .config import SimConfig, dump_config
 from .core import PRIO_CONTROL, PRIO_SCHED, RngStreams, Simulator, derive_seed
-from .docsis import BE, UGS, ChannelLedger, Cm, Cmts, ServiceFlow
+from .docsis import BE, UGS, Cm, Cmts, ServiceFlow
 from .lte import Enb, SUBFRAME_US, SubframeTick, Ue
 from .metrics import Collector
 from .traffic import PacketFactory, TraceSource, VideoTrace, VoipSource, read_trace, synth_video
@@ -29,7 +29,6 @@ class SimRun:
     mode: str
     sim: Simulator
     collector: Collector
-    ledger: ChannelLedger
     cmts: Cmts
     cm: Cm
     ues: list[Ue]
@@ -68,8 +67,7 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     sim = Simulator()
     streams = RngStreams(cfg.seed)
     collector = Collector(mode, cfg.warmup_us)
-    ledger = ChannelLedger(cfg.duration_us)
-    cmts = Cmts(sim, cfg, ledger, collector)
+    cmts = Cmts(sim, cfg, collector)
     cm = Cm(sim, cmts, cfg, collector, streams.stream("contention"))
     factory = PacketFactory()
 
@@ -91,13 +89,10 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
         enb = Enb(sim, enb_id, cfg, collector, streams.stream("harq"))
         enb.egress_sink = functools.partial(cm.enqueue_chunks, flow)
         if mode == "bwr" and enb_id == cfg.eut_enb:
-            def forward(report, _flow=flow):
-                frame = encode_bwr(report)
-                cm.note_described(_flow, report.egress_time, report.total_bytes())
-                cm.forward_report(frame)
             enb.bwr_emitter = BwrEmitter(
                 enb_id, cfg.bwr_period_us, cfg.grant_to_data_us + cfg.enb_decode_us,
-                per_lcg=cfg.bwr_per_lcg, forward=forward, collector=collector)
+                per_lcg=cfg.bwr_per_lcg, forward=functools.partial(cm.forward_report, flow),
+                collector=collector)
         enbs.append(enb)
         for _ in range(cfg.ues_per_enb):
             sr_phase = phases.randbelow(cfg.sr_period_us // SUBFRAME_US) * SUBFRAME_US
@@ -129,7 +124,7 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     subframes.wake(0)
     sim.schedule_at(0, PRIO_SCHED, cmts.map_cycle)
     sim.run_until(cfg.duration_us)
-    return SimRun(cfg, mode, sim, collector, ledger, cmts, cm, ues)
+    return SimRun(cfg, mode, sim, collector, cmts, cm, ues)
 
 
 @dataclass
@@ -210,7 +205,7 @@ class RunReport:
                       f"req_collisions={c.get('req_collisions', 0)}",
                       f"wasted_bwr_grant_bytes={c.get('wasted_bwr_grant_bytes', 0)}"]
             if run.mode == "bwr":
-                occ = run.ledger.occupancy_bps("ugs")
+                occ = run.cmts.ugs_occupancy_bps()
                 extras.append(f"ugs_occupancy_kbps={occ / 1000:.1f}")
             lines.append("  ".join(extras))
         if self.deltas:

@@ -141,7 +141,7 @@ def test_c6_bwr_overhead(capsys):
         target = BWR_FRAME_BYTES * 8 * 1_000_000 / cfg.ugs_period_us
         assert target == target_bps
         run = run_single(cfg, "bwr")
-        occ = run.ledger.occupancy_bps("ugs")
+        occ = run.cmts.ugs_occupancy_bps()
         results.append((period_ms, occ, abs(occ - target) / target))
     ok = all(err <= 0.01 for _, _, err in results)
     with capsys.disabled():
@@ -284,12 +284,12 @@ def test_c9e_codec_round_trip(capsys):
 
 def test_c9f_backoff_truncation(capsys):
     # sustained forced contention: windows must stay within the cap
-    from bwrsim.docsis import BE, ChannelLedger, Cm, Cmts, ServiceFlow
+    from bwrsim.docsis import BE, Cm, Cmts, ServiceFlow
     from bwrsim.core import Simulator, PRIO_SCHED
     from bwrsim.metrics import Collector
     sim = Simulator()
     cfg = SimConfig()
-    cmts = Cmts(sim, cfg, ChannelLedger(10 * MS), Collector("baseline"))
+    cmts = Cmts(sim, cfg, Collector("baseline"))
     cm = Cm(sim, cmts, cfg, Collector("baseline"), Rng(8))
     flows = [ServiceFlow(f"f{i}", BE, owner_enb=i) for i in range(1, 13)]
     for f in flows:

@@ -7,8 +7,7 @@ from bwrsim.bwr import (BWR_FRAME_BYTES, BWR_MODE_BULK, BWR_MODE_PER_LCG,
                         encode_bwr)
 from bwrsim.config import SimConfig
 from bwrsim.core import MS, PRIO_SCHED, SEC, Rng, Simulator
-from bwrsim.docsis import (BE, UGS, ChannelLedger, Cm, Cmts, ServiceFlow,
-                           region_duration)
+from bwrsim.docsis import BE, UGS, Cm, Cmts, ServiceFlow, region_duration
 from bwrsim.lte import Packet
 from bwrsim.metrics import Collector
 
@@ -225,9 +224,10 @@ def build_docsis(ugs_phase=0):
     """A CMTS and modem with data and UGS flows; also returns every MAP the
     modem gets."""
     sim = Simulator()
-    cfg = SimConfig(ugs_grant_bytes=80, ugs_period_us=2 * MS, ugs_phase_us=ugs_phase)
+    cfg = SimConfig(ugs_grant_bytes=80, ugs_period_us=2 * MS, ugs_phase_us=ugs_phase,
+                    duration_us=10 * SEC)
     collector = Collector("bwr")
-    cmts = Cmts(sim, cfg, ChannelLedger(10 * SEC), collector)
+    cmts = Cmts(sim, cfg, collector)
     cm = Cm(sim, cmts, cfg, collector, Rng(3))
     cm.add_flow(ServiceFlow("data", BE, owner_enb=1))
     cm.add_flow(ServiceFlow("ugs", UGS, owner_enb=1))
@@ -249,7 +249,7 @@ def test_forward_rides_next_ugs_grant():
     orig = cmts.on_bwr_frame
     cmts.on_bwr_frame = lambda frame: arrivals.append(sim.now) or orig(frame)
     sim.run_until(13 * MS + 100)
-    cm.forward_report(encode_bwr(report(egress=19 * MS)))
+    cm.forward_report(cm.flows["data"], report(egress=19 * MS))
     sim.run_until(20 * MS)
     region = region_duration(cmts.cfg)
     assert arrivals == [14 * MS + region + 1200 + 17]
@@ -261,8 +261,8 @@ def test_two_reports_queue_fifo():
     orig = cmts.on_bwr_frame
     cmts.on_bwr_frame = lambda frame: arrivals.append(sim.now) or orig(frame)
     sim.run_until(13 * MS)
-    cm.forward_report(encode_bwr(report(egress=19 * MS, seq=1)))
-    cm.forward_report(encode_bwr(report(egress=21 * MS, seq=2)))
+    cm.forward_report(cm.flows["data"], report(egress=19 * MS, seq=1))
+    cm.forward_report(cm.flows["data"], report(egress=21 * MS, seq=2))
     sim.run_until(20 * MS)
     region = region_duration(cmts.cfg)
     # 80 B does not fit twice in one grant: strict FIFO to the next period
@@ -274,8 +274,7 @@ def test_just_in_time_grant_at_egress():
     pkt = Packet(0, 1, 1, 300, 1, "voip")
     pkt.set_stage("ue_arrival", 0)
     sim.run_until(10 * MS)
-    cm.note_described(cm.flows["data"], 20 * MS, 300)
-    cm.forward_report(encode_bwr(report(egress=20 * MS)))
+    cm.forward_report(cm.flows["data"], report(egress=20 * MS))
     sim.run_until(20 * MS)
     cm.enqueue_chunks(cm.flows["data"], [(pkt, 300)], sim.now)
     assert cm.flows["data"].req is None          # described bytes, no REQ
@@ -309,13 +308,11 @@ def test_harq_failure_wastes_grant_data_rides_fresh_report():
     sim, cmts, cm, collector, maps = build_docsis(ugs_phase=0)
     sim.run_until(10 * MS)
     # first report: data never arrives (failed transmission)
-    cm.note_described(cm.flows["data"], 20 * MS, 300)
-    cm.forward_report(encode_bwr(report(egress=20 * MS, seq=0)))
+    cm.forward_report(cm.flows["data"], report(egress=20 * MS, seq=0))
     sim.run_until(24 * MS)
     assert collector.counters.get("wasted_bwr_grant_bytes") == 300
     # fresh report for the retransmission, 8 ms later
-    cm.note_described(cm.flows["data"], 28 * MS, 300)
-    cm.forward_report(encode_bwr(report(egress=28 * MS, seq=1)))
+    cm.forward_report(cm.flows["data"], report(egress=28 * MS, seq=1))
     sim.run_until(28 * MS)
     pkt = Packet(0, 1, 1, 300, 1, "voip")
     pkt.set_stage("ue_arrival", 0)
@@ -329,7 +326,7 @@ def test_harq_failure_wastes_grant_data_rides_fresh_report():
 def test_described_credit_expires():
     sim, cmts, cm, collector, maps = build_docsis()
     sim.run_until(10 * MS)
-    cm.note_described(cm.flows["data"], 12 * MS, 300)
+    cm.forward_report(cm.flows["data"], report(egress=12 * MS))
     sim.run_until(15 * MS)                       # past egress + expiry slack
     pkt = Packet(0, 1, 1, 300, 1, "voip")
     pkt.set_stage("ue_arrival", 0)

@@ -7,7 +7,7 @@ import pytest
 from bwrsim import docsis
 from bwrsim.config import SimConfig, preset
 from bwrsim.core import MS, PRIO_SCHED, SEC, Rng, Simulator
-from bwrsim.docsis import (BE, UGS, ChannelLedger, Cm, Cmts, DocsisError, Grant,
+from bwrsim.docsis import (BE, UGS, Cm, Cmts, DocsisError, Grant,
                            ServiceFlow, open_window, region_duration,
                            serialization_us, window_capacity_bytes, window_layouts)
 from bwrsim.lte import LteError, Packet
@@ -18,11 +18,12 @@ from run_checks import map_overlaps, record_maps
 
 
 def build(cfg=None, *, flows=("f1",), ugs=None, seed=3, end=10 * SEC):
-    """A CMTS and modem with BE flows; also returns every MAP the modem gets."""
+    """A CMTS and modem with BE flows, for a run that ends at `end`; also
+    returns every MAP the modem gets."""
     sim = Simulator()
-    cfg = cfg or SimConfig()
+    cfg = replace(cfg or SimConfig(), duration_us=end)
     collector = Collector("baseline")
-    cmts = Cmts(sim, cfg, ChannelLedger(end), collector)
+    cmts = Cmts(sim, cfg, collector)
     cm = Cm(sim, cmts, cfg, collector, Rng(seed))
     for i, fid in enumerate(flows, start=1):
         cm.add_flow(ServiceFlow(fid, BE, owner_enb=i))
@@ -161,8 +162,9 @@ def test_duplicate_egress_rejected():
 @pytest.mark.parametrize("end, sampled", [(23_245, True), (23_244, False)])
 def test_egress_cut_off_at_the_end_of_the_run(end, sampled):
     # the last byte completes at 18 ms + 5245 us; the packet egresses at its
-    # grant when that is no later than the ledger's end, the run's last instant
-    sim, cmts, cm, collector, maps = build(end=end)
+    # grant when that is no later than the run's end, its last instant; the
+    # warm-up must end before the run does
+    sim, cmts, cm, collector, maps = build(SimConfig(warmup_us=0), end=end)
     pkt = packet(0)
     inject(sim, cm, "f1", pkt, 18 * MS)
     sim.run_until(end)

@@ -141,13 +141,13 @@ def test_ugs_occupancy_counts_grants_before_the_end(monkeypatch, phase_us,
     assert any(g.start == duration_us for g in ugs) == grant_at_end
     assert any(g.start > duration_us for g in ugs)
     granted = sum(g.nbytes for g in ugs if g.start < duration_us)
-    assert run.ledger.occupancy_bps("ugs") == granted * 8 * 1_000_000 / duration_us
+    assert run.cmts.ugs_occupancy_bps() == granted * 8 * 1_000_000 / duration_us
 
 
 def _container_sizes(run):
     exempt = {"demand"}                  # REQs and reports not yet granted
     sizes = {}
-    for owner in ("cmts", "cm", "ledger", "collector"):
+    for owner in ("cmts", "cm", "collector"):
         for attr, value in vars(getattr(run, owner)).items():
             if attr not in exempt and isinstance(value, (list, dict, set, tuple)):
                 sizes[f"{owner}.{attr}"] = len(value)

@@ -242,6 +242,29 @@ def test_zero_bsr_suppressed():
     assert seen == []
 
 
+def test_piggybacked_report_when_the_buffer_changed_or_the_last_is_stale():
+    # A block carries the buffer state when it differs from what the latest
+    # report left unsent, or once bsr_period_us has passed since that report;
+    # the UE's first block always carries it. The SR ladder's report lands at
+    # 13 ms, after the last block here.
+    sim = Simulator()
+    enb = make_enb(sim)
+    ue = make_ue(sim, enb)
+    reports = []
+    orig = ue._attempt
+    def spy(proc, report):
+        reports.append(report)
+        orig(proc, report)
+    ue._attempt = spy
+    period = enb.cfg.bsr_period_us
+    for i, (t, size) in enumerate([(0, 100), (period - 1, 100), (period, 100),
+                                   (period + 1, 300)]):
+        sim.run_until(t)
+        ue.on_arrival(pkt(i, size=size))
+        ue.transmit(100)
+    assert reports == [[0, 0, 0, 0], None, [0, 0, 0, 0], [0, 200, 0, 0]]
+
+
 # -- round-robin scheduling ------------------------------------------------------
 
 def run_subframes(sim, enb, n):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bwrsim.core import SEC, Simulator
+from bwrsim.core import Simulator
 from bwrsim.config import SimConfig
-from bwrsim.docsis import ChannelLedger, Cmts
+from bwrsim.docsis import Cmts
 from bwrsim.lte import LteError, Packet
 from bwrsim.metrics import (Collector, MetricsError, cdf, grant_utilization,
                             segment_columns, summarize, write_cdf_csv,
@@ -114,7 +114,7 @@ def test_segment_additivity_enforced():
 def test_duplicate_packet_rejected():
     # a second egress fails on the stage stamp, before the collector sees it
     collector = Collector("baseline")
-    cmts = Cmts(Simulator(), SimConfig(), ChannelLedger(SEC), collector)
+    cmts = Cmts(Simulator(), SimConfig(), collector)
     p = Packet(1, 1, 1, 60, 1, "voip")
     p.ue_arrival, p.cm_arrival = 0, 20_000
     cmts.on_packet_egress(p, 25_245)
