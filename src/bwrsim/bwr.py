@@ -98,9 +98,12 @@ class BwrEmitter:
     retransmission) with its expected egress time. Each build tick reports the
     entries whose egress falls within the scheduling lead (report_lead, the
     grant-to-transmission turnaround plus decode); later entries, such as
-    announced retransmissions, wait for the tick with the matching lead. One
-    report carries at most one build period's worth of egress times, so the
-    grant it produces is never placed before any byte it covers.
+    announced retransmissions, wait for the tick with the matching lead. A
+    report's egress is the latest of its due entries, so the grant it produces
+    is never placed before any byte it covers. Its entries can span more than
+    one build period: when the lead exceeds the HARQ round trip, a
+    retransmission is due at the first build after its announcement, beside
+    fresh grants whose egress comes later.
     """
 
     def __init__(self, enb_id: int, period: int, report_lead: int, *,

@@ -21,7 +21,7 @@ from typing import Any, Callable, NamedTuple
 
 from .core import MS, SEC
 from .bwr import BWR_FRAME_BYTES
-from .docsis import DocsisError, region_duration, window_layouts
+from .docsis import DocsisError, ceil_div, region_duration, window_layouts
 from .lte import HARQ_RTT_US, MCS_MIN, MCS_MAX, NUM_LCGS, SUBFRAME_US
 from .traffic import read_trace
 
@@ -105,6 +105,12 @@ _SUBFRAMES = _Domain(lambda us: us > 0 and us % SUBFRAME_US == 0,
 _LCG = _Domain(lambda lcg: 0 <= lcg < NUM_LCGS, f"must be in 0..{NUM_LCGS - 1}")
 # The largest burstiness b whose b * b (the log-normal's variance) is finite.
 _BURSTINESS_MAX = math.sqrt(sys.float_info.max)
+# The run keeps the whole trace: a million frames, 9 hours of 33 ms frames,
+# hold about 130 MB.
+TRACE_MAX_FRAMES = 1_000_000
+# The run makes a frame's packets at one instant: 100,000 of them, a 140 MB
+# frame at the default 1400-byte MTU, hold about 30 MB.
+FRAME_MAX_PACKETS = 100_000
 
 
 def _section(name: str):
@@ -147,6 +153,7 @@ class SimConfig:
     ugs_phase_us: int | None = _docsis("ugs_phase_ms", _MS, None)
     ugs_grant_bytes: int = _docsis("ugs_grant_bytes", _INT, BWR_FRAME_BYTES, _Domain(
         lambda n: n >= BWR_FRAME_BYTES, f"cannot carry an {BWR_FRAME_BYTES}-byte report"))
+    # credit ends at its report's egress; validated only
     described_expiry_us: int = _docsis("described_expiry_ms", _MS, 2 * MS, _NON_NEGATIVE)
     sr_period_us: int = _lte("sr_period_ms", _MS, 5 * MS, _SUBFRAMES)
     sr_encode_us: int = _lte("sr_encode_ms", _MS, 500, _NON_NEGATIVE)  # floor: arrival to SR
@@ -236,16 +243,19 @@ class SimConfig:
             if self.trace_duration_us < self.video_frame_period_us:
                 raise self._invalid("trace_duration_us", f"shorter than video_frame_period_us"
                                     f" = {self.video_frame_period_us}")
-            # The synthetic trace's bytes, as synth_video sums them. One frame
-            # may draw nearly all of them, and traffic.packetize lists a
-            # frame's packets.
             frames = self.trace_duration_us // self.video_frame_period_us
+            if frames > TRACE_MAX_FRAMES:
+                raise self._invalid("trace_duration_us", f"{frames} frames of "
+                                    f"video_frame_period_us = {self.video_frame_period_us}"
+                                    f" are more than the {TRACE_MAX_FRAMES} a trace may hold")
+            # The synthetic trace's bytes, as synth_video sums them: one frame
+            # may draw nearly all of them.
             trace_bytes = self.video_rate_bps * self.video_frame_period_us / 8e6 * frames
-            if not trace_bytes / self.packet_mtu < sys.maxsize:
+            if not trace_bytes / self.packet_mtu <= FRAME_MAX_PACKETS:
                 raise self._invalid("video_rate_bps", f"the synthetic trace's "
                                     f"{trace_bytes:g} bytes, in packets of packet_mtu"
-                                    f" = {self.packet_mtu}, are more than a list "
-                                    f"can index")
+                                    f" = {self.packet_mtu}, are more than the "
+                                    f"{FRAME_MAX_PACKETS} packets a frame may split into")
         if region_duration(self) > self.map_interval_us:
             raise self._invalid("contention_slots", f"with slot_bytes = {self.slot_bytes}, "
                                 f"the contention region overruns the MAP interval")
@@ -287,9 +297,17 @@ class SimConfig:
                                 f"announces it")
         if self.traffic_case == "video" and self.trace_path is not None:
             try:
-                read_trace(self.trace_path)
+                records = read_trace(self.trace_path).records
             except (OSError, ValueError) as exc:
                 raise self._invalid("trace_path", str(exc)) from exc
+            largest = max(nbytes for _, nbytes in records)
+            if (len(records) > TRACE_MAX_FRAMES
+                    or ceil_div(largest, self.packet_mtu) > FRAME_MAX_PACKETS):
+                raise self._invalid("trace_path", f"{len(records)} frames, the largest "
+                                    f"of {largest} bytes: a trace may hold "
+                                    f"{TRACE_MAX_FRAMES} frames, each of "
+                                    f"{FRAME_MAX_PACKETS} packets of packet_mtu = "
+                                    f"{self.packet_mtu}")
 
 
 PRESETS = {"scenario1": {}, "scenario2": {"enb_count": 4, "traffic_case": "video"}}

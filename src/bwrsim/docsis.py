@@ -13,7 +13,9 @@ m. Every window opens with a contention region; unsolicited grants sit at
 their phase-locked instants, or right after the reservation before them;
 REQs and reports wait in one demand queue, where report blocks rank before
 REQs. A request delivered at r therefore reaches a usable grant no earlier
-than r + (1 + maps_in_advance) * map_interval_us.
+than r + (1 + maps_in_advance) * map_interval_us. The CM requests no byte that
+a forwarded report describes, and holds the report's credit until its egress,
+when the eNB hands those bytes over or never will.
 
 A quiet upstream costs only its MAPs, and an idle one not even those. The CM
 resolves a contention region only when a REQ is put into it. The CMTS lays
@@ -87,25 +89,25 @@ class ServiceFlow:
     uncovered_bytes: int = 0      # queued bytes not yet requested or described
     req: Optional[int] = None     # absolute contention slot of the pending REQ
     backoff_window: int = 8
-    # pipelined-mode suppression ledger: [egress_time, remaining_bytes]
+    # pipelined-mode suppression ledger: [egress_time, remaining_bytes], one
+    # entry per forwarded report, held until the report's egress
     described: deque = field(default_factory=deque)
 
-    def consume_described(self, nbytes: int, now: int, expiry_slack: int) -> int:
+    def consume_described(self, nbytes: int, now: int) -> int:
         """Use up described-byte credit FIFO; returns bytes actually covered.
 
-        Credit expires expiry_slack after its egress time. Spent and expired
-        entries leave from the front. Reports announce egress times in order
-        unless grant_to_data_us + enb_decode_us exceeds the HARQ round trip, so an
-        expired entry behind the front is skipped in place.
+        Credit lasts until its report's egress and expires once egress < now:
+        the eNB announces egress as transmission time + enb_decode_us, and the
+        decode hands the bytes over then or never. Spent and expired entries
+        leave the front; an expired one behind it is skipped in place.
         """
         described = self.described
-        while described and (described[0][1] == 0
-                             or described[0][0] + expiry_slack < now):
+        while described and (described[0][1] == 0 or described[0][0] < now):
             described.popleft()
         covered = 0
         for entry in described:
-            if entry[0] + expiry_slack < now:
-                continue                # expired behind a later announcement
+            if entry[0] < now:
+                continue                # expired behind a later egress: HARQ reorders them
             take = min(entry[1], nbytes - covered)
             entry[1] -= take
             covered += take
@@ -402,7 +404,7 @@ class Cm:
             # so the stage is set by byte count, not by drain order.
             if pkt.cm_received == pkt.size_bytes:
                 pkt.set_stage("cm_arrival", t)
-            covered = flow.consume_described(nbytes, t, self.cfg.described_expiry_us)
+            covered = flow.consume_described(nbytes, t)
             flow.uncovered_bytes += nbytes - covered
         if flow.kind == BE and flow.req is None and flow.uncovered_bytes > 0:
             self._arm_request(flow, t)

@@ -323,12 +323,73 @@ def test_harq_failure_wastes_grant_data_rides_fresh_report():
     assert list(collector.samples)[0].docsis_us < 2500
 
 
-def test_described_credit_expires():
+def arrive_at(t, egress, nbytes=300):
+    """The data flow of a modem that forwards, at 10 ms, a 300-byte report
+    with this egress, once nbytes reach it at t."""
     sim, cmts, cm, collector, maps = build_docsis()
     sim.run_until(10 * MS)
-    cm.forward_report(cm.flows["data"], report(egress=12 * MS))
-    sim.run_until(15 * MS)                       # past egress + expiry slack
-    pkt = Packet(0, 1, 1, 300, 1, "voip")
+    cm.forward_report(cm.flows["data"], report(egress=egress))
+    sim.run_until(t)
+    pkt = Packet(0, 1, 1, nbytes, 1, "voip")
     pkt.set_stage("ue_arrival", 0)
-    cm.enqueue_chunks(cm.flows["data"], [(pkt, 300)], sim.now)
-    assert cm.flows["data"].req is not None      # credit gone, REQ armed
+    cm.enqueue_chunks(cm.flows["data"], [(pkt, nbytes)], sim.now)
+    return cm.flows["data"]
+
+
+def test_described_credit_expires():
+    # the decode hands a block's bytes over at its announced egress or never:
+    # credit covers bytes at the egress, and none a microsecond later
+    assert arrive_at(12 * MS, egress=12 * MS).req is None
+    flow = arrive_at(12 * MS + 1, egress=12 * MS)
+    assert flow.req is not None                  # credit gone, REQ armed
+    assert not flow.described
+
+
+def test_failed_attempts_credit_covers_no_later_bytes():
+    # the block announced for 20 ms failed, so its bytes never come; bytes
+    # with no report of their own, 1 ms later, are requested
+    flow = arrive_at(21 * MS, egress=20 * MS, nbytes=200)
+    assert flow.uncovered_bytes == 200
+    assert flow.req is not None
+
+
+# -- described credit, at the flow ------------------------------------------------
+
+def credited(*entries):
+    """A data flow holding the given (egress, bytes) credit entries."""
+    flow = ServiceFlow("data", BE)
+    flow.described.extend([egress, nbytes] for egress, nbytes in entries)
+    return flow
+
+
+def test_credit_is_consumed_across_entries():
+    flow = credited((20 * MS, 100), (22 * MS, 300))
+    assert flow.consume_described(250, 19 * MS) == 250
+    assert list(flow.described) == [[20 * MS, 0], [22 * MS, 150]]
+    assert flow.consume_described(500, 19 * MS) == 150
+
+
+def test_spent_credit_leaves_the_front():
+    flow = credited((20 * MS, 100), (22 * MS, 300))
+    assert flow.consume_described(100, 19 * MS) == 100
+    assert flow.consume_described(50, 19 * MS) == 50
+    assert list(flow.described) == [[22 * MS, 250]]
+
+
+def test_expired_credit_behind_the_front_is_skipped_in_place():
+    # out of order: with grant_to_data_us + enb_decode_us above the 8 ms HARQ
+    # round trip, a retransmission is due at the build after its decode, so
+    # its report (egress 24 ms) can follow a fresh grant's (egress 30 ms)
+    flow = credited((30 * MS, 100), (24 * MS, 200), (31 * MS, 300))
+    assert flow.consume_described(350, 25 * MS) == 350
+    assert list(flow.described) == [[30 * MS, 0], [24 * MS, 200], [31 * MS, 50]]
+    # once at the front, the expired entry leaves with the spent one
+    assert flow.consume_described(100, 31 * MS) == 50
+    assert list(flow.described) == [[31 * MS, 0]]
+
+
+def test_credit_covers_bytes_at_its_egress_but_not_after():
+    assert credited((20 * MS, 100)).consume_described(100, 20 * MS) == 100
+    flow = credited((20 * MS, 100))
+    assert flow.consume_described(100, 20 * MS + 1) == 0
+    assert not flow.described

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import bwrsim
 from bwrsim import config, runner, traffic
 from bwrsim.cli import main
-from bwrsim.config import (ConfigError, SimConfig, dump_config, parse_config,
-                           preset)
+from bwrsim.config import (FRAME_MAX_PACKETS, TRACE_MAX_FRAMES, ConfigError,
+                           SimConfig, dump_config, parse_config, preset)
 from bwrsim.core import MS, SEC
 from bwrsim.runner import run_scenario, run_single
 
@@ -300,9 +300,9 @@ def test_every_setting_declares_its_domain():
     assert {f.name for f in fields(SimConfig) if f.metadata["domain"] is None} == NO_DOMAIN
 
 
-# Only validate() reads these two, but they print in report.txt: deleting them
+# Only validate() reads these, but they print in report.txt: deleting them
 # waits for the re-record of the benchmark's golden outputs (ROADMAP item 4).
-VALIDATED_ONLY = {"cm_count", "cm_proc_us"}
+VALIDATED_ONLY = {"cm_count", "cm_proc_us", "described_expiry_us"}
 
 
 def test_every_setting_is_read_outside_validate():
@@ -543,15 +543,64 @@ def test_video_rate_whose_mean_frame_overflows_rejected():
 
 
 def test_video_rate_whose_trace_cannot_packetize_rejected():
-    # 4 s of 33 ms frames: 121 frames, 1e21 * 0.033 / 8 * 121 / 1400 packets
-    # is about 3.6e17, under sys.maxsize; 1e23 b/s gives about 3.6e19
-    SimConfig(traffic_case="video", video_rate_bps=1e21)
-    with pytest.raises(ConfigError, match=r"^video_rate_bps = 1e\+23: .*packet_mtu = 1400"):
-        SimConfig(traffic_case="video", video_rate_bps=1e23)
+    # 4 s of 33 ms frames: 121 frames; 2.8e8 b/s makes about 99,800 packets
+    # of 1400 bytes, under FRAME_MAX_PACKETS, and 3e8 b/s about 107,000
+    SimConfig(traffic_case="video", video_rate_bps=2.8e8)
+    with pytest.raises(ConfigError, match=r"^video_rate_bps = 300000000.0: .*packet_mtu = 1400"):
+        SimConfig(traffic_case="video", video_rate_bps=3e8)
     # larger packets, or a shorter trace, bring the same rate within the bound
-    SimConfig(traffic_case="video", video_rate_bps=1e23, packet_mtu=100_000)
-    SimConfig(traffic_case="video", video_rate_bps=1e23, trace_duration_us=33 * MS)
-    SimConfig(traffic_case="voip", video_rate_bps=1e23)
+    SimConfig(traffic_case="video", video_rate_bps=3e8, packet_mtu=2000)
+    SimConfig(traffic_case="video", video_rate_bps=3e8, trace_duration_us=33 * MS)
+    SimConfig(traffic_case="voip", video_rate_bps=3e8)
+
+
+def test_synthetic_trace_of_more_frames_than_the_cap_rejected():
+    longest = TRACE_MAX_FRAMES * 33 * MS
+    SimConfig(traffic_case="video", video_rate_bps=100.0, trace_duration_us=longest)
+    with pytest.raises(ConfigError, match=f"^trace_duration_us = {longest + 33 * MS}: "):
+        SimConfig(traffic_case="video", video_rate_bps=100.0,
+                  trace_duration_us=longest + 33 * MS)
+
+
+def trace_file(tmp_path, sizes) -> str:
+    """A trace file of frames 33 ms apart with the given sizes."""
+    trace = tmp_path / "sizes.trace"
+    trace.write_text("#bwr-trace v1\n" + "".join(f"{33 * i},{n}\n"
+                                                   for i, n in enumerate(sizes)))
+    return str(trace)
+
+
+@pytest.mark.parametrize("frames, nbytes, ok", [
+    (3, 1400, True), (4, 1400, False),
+    (1, FRAME_MAX_PACKETS * 1400, True), (1, FRAME_MAX_PACKETS * 1400 + 1, False),
+])
+def test_trace_file_beyond_the_cap_rejected(tmp_path, monkeypatch, frames, nbytes, ok):
+    monkeypatch.setattr(config, "TRACE_MAX_FRAMES", 3)     # a file of a million lines is slow
+    path = trace_file(tmp_path, [1000] * (frames - 1) + [nbytes])
+    if ok:
+        SimConfig(traffic_case="video", trace_path=path)
+    else:
+        with pytest.raises(ConfigError, match=f"^trace_path = {re.escape(path)}: "):
+            SimConfig(traffic_case="video", trace_path=path)
+
+
+@pytest.mark.parametrize("lines, key", [
+    ("trace_duration_ms = 1e9\n", "trace_duration_us"),
+    ("video_rate_kbps = 1e15\n", "video_rate_bps"),
+    ("trace_path = {trace}\n", "trace_path"),
+], ids=["trace_duration", "video_rate", "trace_path"])
+def test_cli_trace_too_large_to_build_exit_code(tmp_path, capsys, monkeypatch, lines, key):
+    # each used to pass validate() and end in a MemoryError mid-run, in
+    # traffic.synth_video or traffic.packetize
+    monkeypatch.setattr(runner, "build_trace", lambda cfg: pytest.fail("trace built"))
+    f = tmp_path / "large.cfg"
+    f.write_text("[traffic]\n" + lines.format(trace=trace_file(tmp_path, [10 ** 15])))
+    assert main(["run", "--preset", "scenario2", "--mode", "baseline", "--duration-ms",
+                 "200", "--config", str(f), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bwrsim: error: {key} = ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_malformed_trace_file_exit_code(tmp_path, capsys):
