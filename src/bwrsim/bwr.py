@@ -39,38 +39,36 @@ class BwrCodecError(ValueError):
 
 @dataclass(frozen=True)
 class BandwidthReport:
-    """Future-traffic announcement: how many bytes will egress, and when."""
+    """Future-traffic announcement: how many bytes will egress, and when.
+    encode_bwr checks that its fields fit the wire format."""
 
     enb_id: int
     sequence: int
     egress_time: int
     blocks: tuple[tuple[int, int], ...]   # exactly 4 (lcg_id, aggregate_bytes)
     mode: int = BWR_MODE_BULK
-    version: int = BWR_VERSION
-
-    def __post_init__(self):
-        if len(self.blocks) != 4:
-            raise BwrCodecError(f"blocks: expected 4 entries, got {len(self.blocks)}")
-        for lcg_id, nbytes in self.blocks:
-            if not 0 <= lcg_id <= 0xFF:
-                raise BwrCodecError(f"lcg_id {lcg_id} unencodable")
-            if not 0 <= nbytes <= 0xFFFFFFFF:
-                raise BwrCodecError(f"block bytes {nbytes} unencodable")
-        if not 0 <= self.enb_id <= 0xFFFF:
-            raise BwrCodecError(f"enb_id {self.enb_id} unencodable")
-        if not 0 <= self.sequence <= 0xFFFF:
-            raise BwrCodecError(f"sequence {self.sequence} unencodable")
-        if not 0 <= self.egress_time <= 0xFFFFFFFFFFFFFFFF:
-            raise BwrCodecError(f"egress_time {self.egress_time} unencodable")
-        if self.mode not in (BWR_MODE_BULK, BWR_MODE_PER_LCG):
-            raise BwrCodecError(f"mode {self.mode} unknown")
 
     def total_bytes(self) -> int:
         return sum(nbytes for _, nbytes in self.blocks)
 
 
 def encode_bwr(report: BandwidthReport) -> bytes:
-    return _FRAME.pack(BWR_MAGIC, report.version, report.enb_id, report.sequence,
+    if len(report.blocks) != 4:
+        raise BwrCodecError(f"blocks: expected 4 entries, got {len(report.blocks)}")
+    for lcg_id, nbytes in report.blocks:
+        if not 0 <= lcg_id <= 0xFF:
+            raise BwrCodecError(f"lcg_id {lcg_id} unencodable")
+        if not 0 <= nbytes <= 0xFFFFFFFF:
+            raise BwrCodecError(f"block bytes {nbytes} unencodable")
+    if not 0 <= report.enb_id <= 0xFFFF:
+        raise BwrCodecError(f"enb_id {report.enb_id} unencodable")
+    if not 0 <= report.sequence <= 0xFFFF:
+        raise BwrCodecError(f"sequence {report.sequence} unencodable")
+    if not 0 <= report.egress_time <= 0xFFFFFFFFFFFFFFFF:
+        raise BwrCodecError(f"egress_time {report.egress_time} unencodable")
+    if report.mode not in (BWR_MODE_BULK, BWR_MODE_PER_LCG):
+        raise BwrCodecError(f"mode {report.mode} unknown")
+    return _FRAME.pack(BWR_MAGIC, BWR_VERSION, report.enb_id, report.sequence,
                        report.egress_time, report.mode, *chain(*report.blocks))
 
 
@@ -87,6 +85,7 @@ def decode_bwr(frame: bytes) -> BandwidthReport:
         raise BwrCodecError(f"mode: {mode} unknown")
     if frame[_BODY:] != _ZEROS:
         raise BwrCodecError("padding: trailing bytes must be zero")
+    # struct bounds every field, so the record needs no further check
     return BandwidthReport(enb_id, sequence, egress_time,
                            tuple(zip(fields[6::2], fields[7::2])), mode)
 

@@ -111,6 +111,10 @@ TRACE_MAX_FRAMES = 1_000_000
 # The run makes a frame's packets at one instant: 100,000 of them, a 140 MB
 # frame at the default 1400-byte MTU, hold about 30 MB.
 FRAME_MAX_PACKETS = 100_000
+# What the UEs offer beyond what the upstream carries is still queued when the
+# run ends: a queued packet holds about 300 bytes (measured with tracemalloc),
+# so a million of them hold about 300 MB.
+RUN_MAX_BACKLOG_PACKETS = 1_000_000
 
 
 def _section(name: str):
@@ -228,6 +232,8 @@ class SimConfig:
             raise self._invalid("warmup_us", "must be shorter than the run")
         if not 1 <= self.eut_enb <= self.enb_count:
             raise self._invalid("eut_enb", f"outside 1..{self.enb_count}")
+        if self.mode != "baseline" and self.eut_enb > 0xFFFF:
+            raise self._invalid("eut_enb", "a report carries it in a 16-bit field")
         if self.ugs_period_us > self.bwr_period_us:
             raise self._invalid("ugs_period_us", "must not exceed the report period")
         # The scheduler checks a transmission's HARQ process at grant time,
@@ -297,17 +303,38 @@ class SimConfig:
                                 f"announces it")
         if self.traffic_case == "video" and self.trace_path is not None:
             try:
-                records = read_trace(self.trace_path).records
+                trace = read_trace(self.trace_path)
             except (OSError, ValueError) as exc:
                 raise self._invalid("trace_path", str(exc)) from exc
-            largest = max(nbytes for _, nbytes in records)
-            if (len(records) > TRACE_MAX_FRAMES
+            largest = max(nbytes for _, nbytes in trace.records)
+            if (len(trace.records) > TRACE_MAX_FRAMES
                     or ceil_div(largest, self.packet_mtu) > FRAME_MAX_PACKETS):
-                raise self._invalid("trace_path", f"{len(records)} frames, the largest "
+                raise self._invalid("trace_path", f"{len(trace.records)} frames, the largest "
                                     f"of {largest} bytes: a trace may hold "
                                     f"{TRACE_MAX_FRAMES} frames, each of "
                                     f"{FRAME_MAX_PACKETS} packets of packet_mtu = "
                                     f"{self.packet_mtu}")
+        # The bytes of the trace a UE replays, its loop length, and the MTU
+        # that splits it (a VoIP packet never splits).
+        if self.traffic_case == "voip":
+            loop_bytes, loop_us, mtu = self.voip_bytes, self.voip_period_us, self.voip_bytes
+        elif self.trace_path is None:
+            loop_bytes, loop_us, mtu = (round(trace_bytes), frames * self.video_frame_period_us,
+                                        self.packet_mtu)
+        else:
+            loop_bytes, loop_us, mtu = trace.total_bytes(), trace.duration, self.packet_mtu
+        # Each UE offers its trace once per loop the run spans; what the
+        # upstream does not carry in the run is still queued at its end.
+        # Integer arithmetic, in bytes times 8e6: a setting may exceed a float.
+        offered = (self.enb_count * self.ues_per_enb * loop_bytes
+                   * ceil_div(self.duration_us, loop_us))
+        backlog = offered * 8_000_000 - self.upstream_bps * self.duration_us
+        if backlog > RUN_MAX_BACKLOG_PACKETS * mtu * 8_000_000:
+            raise self._invalid("duration_us", f"the UEs offer "
+                                f"{offered * 8_000_000 // self.duration_us} b/s over the run "
+                                f"and upstream_bps carries {self.upstream_bps} b/s: more than"
+                                f" {RUN_MAX_BACKLOG_PACKETS} packets of {mtu} bytes would"
+                                f" still be queued at its end")
 
 
 PRESETS = {"scenario1": {}, "scenario2": {"enb_count": 4, "traffic_case": "video"}}

@@ -18,7 +18,7 @@ from .core import PRIO_CONTROL, PRIO_SCHED, RngStreams, Simulator, derive_seed
 from .docsis import BE, UGS, Cm, Cmts, ServiceFlow
 from .lte import Enb, SUBFRAME_US, SubframeTick, Ue
 from .metrics import Collector
-from .traffic import PacketFactory, TraceSource, VideoTrace, VoipSource, read_trace, synth_video
+from .traffic import PacketFactory, Trace, TraceSource, read_trace, synth_video
 
 
 @dataclass
@@ -51,8 +51,11 @@ class SimRun:
         }
 
 
-def build_trace(cfg: SimConfig) -> VideoTrace:
-    """The video trace a run of cfg replays: its file's, or one drawn from its seed."""
+def build_trace(cfg: SimConfig) -> Trace:
+    """The trace each UE of a run of cfg replays: one VoIP packet per period,
+    or the video trace of its file or drawn from its seed."""
+    if cfg.traffic_case == "voip":
+        return Trace([(0, cfg.voip_bytes)], cfg.voip_period_us)
     if cfg.trace_path is not None:
         return read_trace(cfg.trace_path)
     return synth_video(cfg.video_rate_bps, cfg.video_frame_period_us,
@@ -78,7 +81,10 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     if mode == "bwr":
         cm.add_flow(ServiceFlow("bwr-ugs", UGS, owner_enb=cfg.eut_enb))
 
-    trace = build_trace(cfg) if cfg.traffic_case == "video" else None
+    trace = build_trace(cfg)
+    # a VoIP packet never splits
+    voip = cfg.traffic_case == "voip"
+    lcg, mtu = (cfg.lcg_voip, cfg.voip_bytes) if voip else (cfg.lcg_video, cfg.packet_mtu)
     enbs: list[Enb] = []
     ues: list[Ue] = []
     sources = []
@@ -100,14 +106,12 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
             enb.ues.append(ue)
             ues.append(ue)
             next_ue_id += 1
-            if cfg.traffic_case == "voip":
-                phase = phases.randbelow(cfg.voip_period_us)
-                sources.append(VoipSource(sim, factory, ue, cfg.lcg_voip,
-                                          cfg.voip_bytes, cfg.voip_period_us, phase))
-            else:
-                start = phases.randbelow(trace.duration)
-                sources.append(TraceSource(sim, factory, ue, cfg.lcg_video,
-                                           trace, start, cfg.packet_mtu))
+            # a VoIP UE's draw is its first packet's time; a video UE's, the
+            # trace offset it starts from
+            draw = phases.randbelow(trace.duration)
+            start = -draw % trace.duration if voip else draw
+            sources.append(TraceSource(sim, factory, ue, lcg, cfg.traffic_case,
+                                       trace, start, mtu))
 
     for source in sources:
         source.start()

@@ -1,5 +1,5 @@
-"""Workload sources: constant-cadence VoIP, looping video-trace replay, and a
-seeded synthetic trace generator.
+"""The workload: every UE replays a looping trace of frames (VoIP is one
+packet per period), plus a seeded synthetic video-trace generator.
 
 Trace file format: UTF-8 text, header line "#bwr-trace v1", then one record
 per line as "offset_ms,bytes" with strictly increasing offsets. A trailing
@@ -10,6 +10,7 @@ is the last offset plus one frame gap.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import MS, PRIO_DATA, Rng, Simulator
@@ -23,7 +24,7 @@ class TrafficError(ValueError):
 
 
 @dataclass
-class VideoTrace:
+class Trace:
     records: list[tuple[int, int]]        # (offset_us, nbytes), offsets increasing
     duration: int                         # loop length, us
 
@@ -47,7 +48,7 @@ class VideoTrace:
         return self.total_bytes() * 8 * 1_000_000 / self.duration
 
 
-def write_trace(trace: VideoTrace, path: str) -> None:
+def write_trace(trace: Trace, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(TRACE_HEADER + "\n")
         for off, nbytes in trace.records:
@@ -55,7 +56,7 @@ def write_trace(trace: VideoTrace, path: str) -> None:
         fh.write(f"#duration_ms={trace.duration / 1000:.3f}\n")
 
 
-def read_trace(path: str) -> VideoTrace:
+def read_trace(path: str) -> Trace:
     records: list[tuple[int, int]] = []
     duration = None
     with open(path, encoding="utf-8") as fh:
@@ -81,11 +82,11 @@ def read_trace(path: str) -> VideoTrace:
     if duration is None:
         gap = records[-1][0] // max(1, len(records) - 1) if len(records) > 1 else MS
         duration = records[-1][0] + max(gap, 1)
-    return VideoTrace(records, duration)
+    return Trace(records, duration)
 
 
 def synth_video(mean_bitrate_bps: float, frame_period: int, burstiness: float,
-                seed: int, duration: int) -> VideoTrace:
+                seed: int, duration: int) -> Trace:
     """Log-normal frame sizes around mean_bitrate*frame_period.
 
     burstiness is the coefficient of variation; the drawn sizes are rescaled
@@ -109,7 +110,7 @@ def synth_video(mean_bitrate_bps: float, frame_period: int, burstiness: float,
         scale = mean_size * n_frames / sum(sizes)
         sizes = [s * scale for s in sizes]
     records = [(i * frame_period, max(1, round(s))) for i, s in enumerate(sizes)]
-    return VideoTrace(records, n_frames * frame_period)
+    return Trace(records, n_frames * frame_period)
 
 
 def packetize(nbytes: int, mtu: int) -> list[int]:
@@ -130,68 +131,40 @@ class PacketFactory:
         return pkt
 
 
-class VoipSource:
-    """Fixed-size packets on a constant period, phase drawn once at setup."""
-
-    def __init__(self, sim: Simulator, factory: PacketFactory, ue, lcg: int,
-                 packet_bytes: int = 60, period: int = 20 * MS, phase: int = 0):
-        self.sim = sim
-        self.factory = factory
-        self.ue = ue
-        self.lcg = lcg
-        self.packet_bytes = packet_bytes
-        self.period = period
-        self.phase = phase
-        self._k = 0
-
-    def start(self) -> None:
-        self.sim.schedule_at(self.phase, PRIO_DATA, self._emit)
-
-    def _emit(self) -> None:
-        pkt = self.factory.make(self.ue.ue_id, self.ue.enb.enb_id,
-                                self.packet_bytes, self.lcg, "voip")
-        self.ue.on_arrival(pkt)
-        self._k += 1
-        self.sim.schedule_at(self.phase + self._k * self.period, PRIO_DATA, self._emit)
-
-
 class TraceSource:
-    """Replays a video trace from a randomized start offset, looping forever."""
+    """Replays a trace from a start offset, looping forever; each frame is
+    split into packets of the MTU, labelled with the LCG and traffic class."""
 
-    def __init__(self, sim: Simulator, factory: PacketFactory, ue, lcg: int,
-                 trace: VideoTrace, start_offset: int, mtu: int):
+    def __init__(self, sim: Simulator, factory: PacketFactory, ue, lcg: int, klass: str,
+                 trace: Trace, start_offset: int, mtu: int):
         self.sim = sim
         self.factory = factory
         self.ue = ue
         self.lcg = lcg
+        self.klass = klass
         self.trace = trace
         self.mtu = mtu
-        self.start_offset = start_offset % trace.duration
-        self._idx = 0
-        self._loop = 0
-        # first record at or after the start offset (wrapping)
-        while (self._idx < len(trace.records)
-               and trace.records[self._idx][0] < self.start_offset):
-            self._idx += 1
+        start_offset %= trace.duration
+        # the first record at or after the start offset, wrapping to the next
+        # loop, and the time its loop starts at
+        self._idx = bisect_left(trace.records, (start_offset,))
+        self._loop_start = -start_offset
         if self._idx == len(trace.records):
             self._idx = 0
-            self._loop = 1
-
-    def _emission_time(self) -> int:
-        off = self.trace.records[self._idx][0]
-        return self._loop * self.trace.duration + off - self.start_offset
+            self._loop_start += trace.duration
 
     def start(self) -> None:
-        self.sim.schedule_at(self._emission_time(), PRIO_DATA, self._emit)
+        self.sim.schedule_at(self._loop_start + self.trace.records[self._idx][0],
+                             PRIO_DATA, self._emit)
 
     def _emit(self) -> None:
-        nbytes = self.trace.records[self._idx][1]
-        for size in packetize(nbytes, self.mtu):
-            pkt = self.factory.make(self.ue.ue_id, self.ue.enb.enb_id,
-                                    size, self.lcg, "video")
-            self.ue.on_arrival(pkt)
+        records = self.trace.records
+        ue = self.ue
+        for size in packetize(records[self._idx][1], self.mtu):
+            ue.on_arrival(self.factory.make(ue.ue_id, ue.enb.enb_id, size, self.lcg,
+                                            self.klass))
         self._idx += 1
-        if self._idx == len(self.trace.records):
+        if self._idx == len(records):
             self._idx = 0
-            self._loop += 1
-        self.sim.schedule_at(self._emission_time(), PRIO_DATA, self._emit)
+            self._loop_start += self.trace.duration
+        self.sim.schedule_at(self._loop_start + records[self._idx][0], PRIO_DATA, self._emit)

@@ -107,11 +107,11 @@ def test_zero_blocks_valid():
 
 def test_report_field_validation():
     with pytest.raises(BwrCodecError, match="blocks"):
-        BandwidthReport(1, 0, 1000, ((0, 1),))
+        encode_bwr(BandwidthReport(1, 0, 1000, ((0, 1),)))
     with pytest.raises(BwrCodecError, match="bytes"):
-        BandwidthReport(1, 0, 1000, ((0, 1 << 32), (1, 0), (2, 0), (3, 0)))
+        encode_bwr(BandwidthReport(1, 0, 1000, ((0, 1 << 32), (1, 0), (2, 0), (3, 0))))
     with pytest.raises(BwrCodecError, match="sequence"):
-        BandwidthReport(1, 1 << 16, 1000, ((0, 1), (1, 0), (2, 0), (3, 0)))
+        encode_bwr(BandwidthReport(1, 1 << 16, 1000, ((0, 1), (1, 0), (2, 0), (3, 0))))
 
 
 @settings(max_examples=300, deadline=None)

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import bwrsim
 from bwrsim import config, runner, traffic
 from bwrsim.cli import main
-from bwrsim.config import (FRAME_MAX_PACKETS, TRACE_MAX_FRAMES, ConfigError,
-                           SimConfig, dump_config, parse_config, preset)
+from bwrsim.config import (FRAME_MAX_PACKETS, PRESETS, RUN_MAX_BACKLOG_PACKETS,
+                           TRACE_MAX_FRAMES, ConfigError, SimConfig, dump_config,
+                           parse_config, preset)
 from bwrsim.core import MS, SEC
 from bwrsim.runner import run_scenario, run_single
 
@@ -577,21 +578,73 @@ def trace_file(tmp_path, sizes) -> str:
 def test_trace_file_beyond_the_cap_rejected(tmp_path, monkeypatch, frames, nbytes, ok):
     monkeypatch.setattr(config, "TRACE_MAX_FRAMES", 3)     # a file of a million lines is slow
     path = trace_file(tmp_path, [1000] * (frames - 1) + [nbytes])
+    # one UE and one loop of the trace, so that the run's backlog stays
+    # within RUN_MAX_BACKLOG_PACKETS
+    settings = dict(traffic_case="video", trace_path=path, ues_per_enb=1,
+                    duration_us=MS, warmup_us=0)
     if ok:
-        SimConfig(traffic_case="video", trace_path=path)
+        SimConfig(**settings)
     else:
         with pytest.raises(ConfigError, match=f"^trace_path = {re.escape(path)}: "):
-            SimConfig(traffic_case="video", trace_path=path)
+            SimConfig(**settings)
+
+
+def test_run_whose_backlog_exceeds_the_cap_rejected(monkeypatch):
+    # 24 UEs each get a 136 MB frame every 33 ms that 39 Mb/s cannot drain:
+    # this used to pass validate() and end in a MemoryError mid-run
+    monkeypatch.setattr(traffic, "synth_video", lambda *args: pytest.fail("trace built"))
+    with pytest.raises(ConfigError, match=r"^duration_us = 200000: the UEs offer "
+                       r"914760000000 b/s over the run and upstream_bps carries "
+                       r"39000000 b/s: more than 1000000 packets of 1400 bytes"):
+        SimConfig(**PRESETS["scenario2"], mode="baseline", duration_us=200 * MS,
+                  trace_duration_us=33 * MS, video_rate_bps=3.3e10)
+
+
+def test_run_backlog_cap_is_exact():
+    # 39 Mb/s carries 81,250 packets of 60 bytes in 1 s, and each UE offers
+    # 50: 21,625 UEs leave exactly RUN_MAX_BACKLOG_PACKETS queued
+    assert RUN_MAX_BACKLOG_PACKETS == 21_625 * 50 - 81_250
+    SimConfig(ues_per_enb=21_625, duration_us=SEC)
+    with pytest.raises(ConfigError, match="^duration_us = 1000000: "):
+        SimConfig(ues_per_enb=21_626, duration_us=SEC)
+
+
+def test_run_backlog_counts_each_loop_of_a_trace_file(tmp_path):
+    # one frame of FRAME_MAX_PACKETS packets loops every 1 ms: a run of 10
+    # loops leaves under RUN_MAX_BACKLOG_PACKETS queued, one of 11 more
+    path = trace_file(tmp_path, [FRAME_MAX_PACKETS * 1400])
+    settings = dict(traffic_case="video", trace_path=path, ues_per_enb=1, warmup_us=0)
+    SimConfig(**settings, duration_us=10 * MS)
+    with pytest.raises(ConfigError, match="^duration_us = 10001: "):
+        SimConfig(**settings, duration_us=10 * MS + 1)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+@pytest.mark.parametrize("duration_us", [1, 33 * MS, 4 * SEC + 1, 3600 * SEC])
+def test_presets_offer_less_than_the_upstream_at_any_length(name, duration_us):
+    SimConfig(**PRESETS[name], duration_us=duration_us, warmup_us=0)
+
+
+@pytest.mark.parametrize("mode", ["bwr", "both"])
+def test_report_mode_rejects_an_eut_a_report_cannot_carry(mode):
+    # a report carries eut_enb in 16 bits: this used to fail at the eut's
+    # first report with "enb_id 65536 unencodable"
+    settings = dict(enb_count=65_536, ues_per_enb=1, duration_us=60 * MS, warmup_us=0)
+    SimConfig(**settings, eut_enb=65_535, mode=mode)
+    SimConfig(**settings, eut_enb=65_536, mode="baseline")
+    with pytest.raises(ConfigError, match="^eut_enb = 65536: .*16-bit"):
+        SimConfig(**settings, eut_enb=65_536, mode=mode)
 
 
 @pytest.mark.parametrize("lines, key", [
     ("trace_duration_ms = 1e9\n", "trace_duration_us"),
     ("video_rate_kbps = 1e15\n", "video_rate_bps"),
     ("trace_path = {trace}\n", "trace_path"),
-], ids=["trace_duration", "video_rate", "trace_path"])
+    ("trace_duration_ms = 33\nvideo_rate_kbps = 3.3e7\n", "duration_us"),
+], ids=["trace_duration", "video_rate", "trace_path", "backlog"])
 def test_cli_trace_too_large_to_build_exit_code(tmp_path, capsys, monkeypatch, lines, key):
     # each used to pass validate() and end in a MemoryError mid-run, in
-    # traffic.synth_video or traffic.packetize
+    # traffic.synth_video, traffic.packetize or PacketFactory.make
     monkeypatch.setattr(runner, "build_trace", lambda cfg: pytest.fail("trace built"))
     f = tmp_path / "large.cfg"
     f.write_text("[traffic]\n" + lines.format(trace=trace_file(tmp_path, [10 ** 15])))

@@ -3,10 +3,12 @@ from dataclasses import replace
 
 import pytest
 
-from bwrsim.core import MS, SEC, Simulator
-from bwrsim.traffic import (PacketFactory, TraceSource, TrafficError,
-                            VideoTrace, VoipSource, packetize, read_trace,
-                            synth_video, write_trace)
+from bwrsim.config import SimConfig
+from bwrsim.core import MS, SEC, RngStreams, Simulator
+from bwrsim.lte import Ue
+from bwrsim.runner import run_single
+from bwrsim.traffic import (PacketFactory, Trace, TraceSource, TrafficError,
+                            packetize, read_trace, synth_video, write_trace)
 
 
 class SinkUe:
@@ -25,11 +27,17 @@ class SinkUe:
         self.packets.append(pkt)
 
 
+VOIP = Trace([(0, 60)], 20 * MS)                # one 60-byte packet every 20 ms
+
+
 def test_voip_count_over_run():
     sim = Simulator()
     ue = SinkUe()
-    src = VoipSource(sim, PacketFactory(), ue, 1, phase=7 * MS)
-    src.start()
+    # start 13 ms into the 20 ms loop: the first packet comes at 7 ms
+    TraceSource(sim, PacketFactory(), ue, 1, "voip", VOIP, start_offset=13 * MS,
+                mtu=60).start()
+    sim.run_until(7 * MS - 1)
+    assert not ue.packets
     sim.run_until(2 * SEC - 1)
     assert len(ue.packets) == 100               # floor(2 s / 20 ms)
     assert all(p.size_bytes == 60 for p in ue.packets)
@@ -39,27 +47,60 @@ def test_voip_six_sources_total():
     sim = Simulator()
     ues = [SinkUe(i) for i in range(6)]
     for i, ue in enumerate(ues):
-        VoipSource(sim, PacketFactory(), ue, 1, phase=i * 3 * MS).start()
+        TraceSource(sim, PacketFactory(), ue, 1, "voip", VOIP,
+                    start_offset=-i * 3 * MS % VOIP.duration, mtu=60).start()
     sim.run_until(2 * SEC - 1)
     assert sum(len(u.packets) for u in ues) == 600
 
 
+class PhaseDraws:
+    """The phases stream: each UE's SR phase draw is 0, and its arrival
+    phase draw (below the default 20 ms VoIP period) the next given one."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def randbelow(self, n):
+        return next(self.draws) if n == 20 * MS else 0
+
+
+def test_voip_run_replays_one_unsplit_packet_per_period(monkeypatch):
+    # a VoIP packet larger than packet_mtu still arrives whole
+    draws = [0, 1, 7 * MS, 20 * MS - 1]
+    stream = RngStreams.stream
+    monkeypatch.setattr(RngStreams, "stream", lambda streams, label: (
+        PhaseDraws(draws) if label == "phases" else stream(streams, label)))
+    admitted = []
+    on_arrival = Ue.on_arrival
+    monkeypatch.setattr(Ue, "on_arrival", lambda ue, pkt: admitted.append(pkt)
+                        or on_arrival(ue, pkt))
+    cfg = SimConfig(ues_per_enb=len(draws), voip_bytes=300, packet_mtu=200,
+                    duration_us=100 * MS, warmup_us=0)
+    run_single(cfg, "baseline")
+    assert {(p.size_bytes, p.traffic_class, p.lcg) for p in admitted} == {
+        (300, "voip", cfg.lcg_voip)}
+    # the UE whose draw is p gets a packet at p, p + 20 ms, ...
+    for ue_id, p in enumerate(draws, start=1):
+        assert [pkt.ue_arrival for pkt in admitted if pkt.ue_id == ue_id] == list(
+            range(p, cfg.duration_us + 1, 20 * MS))
+
+
 def test_trace_validation():
     with pytest.raises(TrafficError):
-        VideoTrace([], 100)
+        Trace([], 100)
     with pytest.raises(TrafficError):
-        VideoTrace([(0, 100), (0, 100)], 1000)   # offsets not increasing
+        Trace([(0, 100), (0, 100)], 1000)        # offsets not increasing
     with pytest.raises(TrafficError):
-        VideoTrace([(0, 0)], 1000)               # empty record
+        Trace([(0, 0)], 1000)                    # empty record
     with pytest.raises(TrafficError):
-        VideoTrace([(500, 10)], 400)             # duration too short
+        Trace([(500, 10)], 400)                  # duration too short
 
 
 def test_degenerate_trace_loops():
     sim = Simulator()
     ue = SinkUe()
-    trace = VideoTrace([(0, 1000)], 100 * MS)
-    TraceSource(sim, PacketFactory(), ue, 2, trace, start_offset=0,
+    trace = Trace([(0, 1000)], 100 * MS)
+    TraceSource(sim, PacketFactory(), ue, 2, "video", trace, start_offset=0,
                 mtu=1400).start()
     sim.run_until(1 * SEC - 1)
     assert len(ue.packets) == 10                 # 1000 B every 100 ms
@@ -69,8 +110,8 @@ def test_degenerate_trace_loops():
 def test_trace_full_loops_byte_exact():
     sim = Simulator()
     ue = SinkUe()
-    trace = VideoTrace([(0, 500), (40 * MS, 700), (70 * MS, 300)], 100 * MS)
-    TraceSource(sim, PacketFactory(), ue, 2, trace, start_offset=40 * MS,
+    trace = Trace([(0, 500), (40 * MS, 700), (70 * MS, 300)], 100 * MS)
+    TraceSource(sim, PacketFactory(), ue, 2, "video", trace, start_offset=40 * MS,
                 mtu=1400).start()
     sim.run_until(2 * SEC - 1)                   # 20 full loops
     assert sum(p.size_bytes for p in ue.packets) == 20 * trace.total_bytes()
@@ -79,8 +120,8 @@ def test_trace_full_loops_byte_exact():
 def test_trace_start_offset_rotates_order():
     sim = Simulator()
     ue = SinkUe()
-    trace = VideoTrace([(0, 100), (50 * MS, 200)], 100 * MS)
-    TraceSource(sim, PacketFactory(), ue, 2, trace, start_offset=50 * MS,
+    trace = Trace([(0, 100), (50 * MS, 200)], 100 * MS)
+    TraceSource(sim, PacketFactory(), ue, 2, "video", trace, start_offset=50 * MS,
                 mtu=1400).start()
     sim.run_until(120 * MS)
     assert [p.size_bytes for p in ue.packets[:3]] == [200, 100, 200]
@@ -95,8 +136,8 @@ def test_packetize_mtu():
 def test_trace_emission_packetizes():
     sim = Simulator()
     ue = SinkUe()
-    trace = VideoTrace([(0, 3000)], 50 * MS)
-    TraceSource(sim, PacketFactory(), ue, 2, trace, 0, mtu=1400).start()
+    trace = Trace([(0, 3000)], 50 * MS)
+    TraceSource(sim, PacketFactory(), ue, 2, "video", trace, 0, mtu=1400).start()
     sim.run_until(10 * MS)
     assert [p.size_bytes for p in ue.packets] == [1400, 1400, 200]
 
