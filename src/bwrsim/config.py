@@ -105,6 +105,9 @@ _SUBFRAMES = _Domain(lambda us: us > 0 and us % SUBFRAME_US == 0,
 _LCG = _Domain(lambda lcg: 0 <= lcg < NUM_LCGS, f"must be in 0..{NUM_LCGS - 1}")
 # The largest burstiness b whose b * b (the log-normal's variance) is finite.
 _BURSTINESS_MAX = math.sqrt(sys.float_info.max)
+# validate() divides the synthetic trace's bytes, a float, by the MTU.
+_MTU = _Domain(lambda n: 0 < n <= sys.float_info.max,
+               f"must be positive and at most {sys.float_info.max!r}")
 # The run keeps the whole trace: a million frames, 9 hours of 33 ms frames,
 # hold about 130 MB.
 TRACE_MAX_FRAMES = 1_000_000
@@ -193,7 +196,7 @@ class SimConfig:
         lambda b: 0 <= b <= _BURSTINESS_MAX, f"must lie in [0, {_BURSTINESS_MAX!r}]"))
     trace_path: str | None = _traffic("trace_path", _STR, None)
     trace_duration_us: int = _traffic("trace_duration_ms", _MS, 4 * SEC)
-    packet_mtu: int = _traffic("packet_mtu", _INT, 1400, _POSITIVE)
+    packet_mtu: int = _traffic("packet_mtu", _INT, 1400, _MTU)
     lcg_voip: int = _traffic("lcg_voip", _INT, 1, _LCG)
     lcg_video: int = _traffic("lcg_video", _INT, 2, _LCG)
 
@@ -209,6 +212,13 @@ class SimConfig:
 
     def _invalid(self, key: str, rule: str) -> ConfigError:
         return ConfigError(f"{key} = {getattr(self, key)}: {rule}")
+
+    def check_run_mode(self, mode: str) -> None:
+        """The rule that a run in `mode` adds: a bwr run (or both) sends
+        reports, which carry eut_enb in 16 bits. runner.run_single checks it
+        too, since it may run a mode other than the config's."""
+        if mode != "baseline" and self.eut_enb > 0xFFFF:
+            raise self._invalid("eut_enb", "a report carries it in a 16-bit field")
 
     def validate(self) -> None:
         """Each setting against its declared type and domain, then the rules
@@ -232,8 +242,7 @@ class SimConfig:
             raise self._invalid("warmup_us", "must be shorter than the run")
         if not 1 <= self.eut_enb <= self.enb_count:
             raise self._invalid("eut_enb", f"outside 1..{self.enb_count}")
-        if self.mode != "baseline" and self.eut_enb > 0xFFFF:
-            raise self._invalid("eut_enb", "a report carries it in a 16-bit field")
+        self.check_run_mode(self.mode)
         if self.ugs_period_us > self.bwr_period_us:
             raise self._invalid("ugs_period_us", "must not exceed the report period")
         # The scheduler checks a transmission's HARQ process at grant time,
@@ -314,26 +323,33 @@ class SimConfig:
                                     f"{TRACE_MAX_FRAMES} frames, each of "
                                     f"{FRAME_MAX_PACKETS} packets of packet_mtu = "
                                     f"{self.packet_mtu}")
-        # The bytes of the trace a UE replays, its loop length, and the MTU
-        # that splits it (a VoIP packet never splits).
+        # The bytes of the trace a UE replays, its loop length, its frames,
+        # and the MTU that splits them (a VoIP packet never splits).
         if self.traffic_case == "voip":
-            loop_bytes, loop_us, mtu = self.voip_bytes, self.voip_period_us, self.voip_bytes
+            loop_bytes, loop_us, loop_frames, mtu = (self.voip_bytes, self.voip_period_us, 1,
+                                                     self.voip_bytes)
         elif self.trace_path is None:
-            loop_bytes, loop_us, mtu = (round(trace_bytes), frames * self.video_frame_period_us,
-                                        self.packet_mtu)
+            loop_bytes, loop_us, loop_frames, mtu = (
+                round(trace_bytes), frames * self.video_frame_period_us, frames,
+                self.packet_mtu)
         else:
-            loop_bytes, loop_us, mtu = trace.total_bytes(), trace.duration, self.packet_mtu
+            loop_bytes, loop_us, loop_frames, mtu = (
+                trace.total_bytes(), trace.duration, len(trace.records), self.packet_mtu)
         # Each UE offers its trace once per loop the run spans; what the
-        # upstream does not carry in the run is still queued at its end.
-        # Integer arithmetic, in bytes times 8e6: a setting may exceed a float.
+        # upstream does not carry in the run is still queued at its end. A
+        # frame smaller than the MTU is one smaller packet, so the queued
+        # bytes count in packets of at most the mean frame (and of 1 byte
+        # at least). Integer arithmetic, in bytes times 8e6: a setting may
+        # exceed a float.
         offered = (self.enb_count * self.ues_per_enb * loop_bytes
                    * ceil_div(self.duration_us, loop_us))
         backlog = offered * 8_000_000 - self.upstream_bps * self.duration_us
-        if backlog > RUN_MAX_BACKLOG_PACKETS * mtu * 8_000_000:
+        packet = max(1, min(mtu, loop_bytes // loop_frames))
+        if backlog > RUN_MAX_BACKLOG_PACKETS * packet * 8_000_000:
             raise self._invalid("duration_us", f"the UEs offer "
                                 f"{offered * 8_000_000 // self.duration_us} b/s over the run "
                                 f"and upstream_bps carries {self.upstream_bps} b/s: more than"
-                                f" {RUN_MAX_BACKLOG_PACKETS} packets of {mtu} bytes would"
+                                f" {RUN_MAX_BACKLOG_PACKETS} packets of {packet} bytes would"
                                 f" still be queued at its end")
 
 

@@ -4,9 +4,10 @@ queue, and seeded random streams shared by the protocol models."""
 from __future__ import annotations
 
 import hashlib
-import heapq
+import itertools
 import math
 import random
+from heapq import heappop, heappush
 from typing import Callable
 
 US = 1
@@ -34,26 +35,32 @@ class Simulator:
     """Single-threaded event loop over integer-microsecond simulated time.
 
     Heap entries are plain tuples (fire_time, priority, seq, fn, args), so
-    heapq orders them in C; seq breaks ties in scheduling order.
+    heapq orders them in C; seq breaks ties in scheduling order. Times are
+    ints: every caller passes whole microseconds, and nothing converts them.
     """
 
     def __init__(self):
         self.now = 0
         self.events_processed = 0
         self._heap: list[tuple] = []
-        self._seq = 0
+        self._seq = itertools.count()
 
     def schedule_at(self, fire_time: int, priority: int, fn: Callable, *args) -> None:
         """Queue fn(*args) at an absolute time."""
         if fire_time < self.now:
-            raise SchedulingError(
-                f"event {getattr(fn, '__qualname__', fn)} scheduled at {fire_time} "
-                f"before current clock {self.now}")
-        heapq.heappush(self._heap, (int(fire_time), priority, self._seq, fn, args))
-        self._seq += 1
+            raise self._in_the_past(fire_time, fn)
+        heappush(self._heap, (fire_time, priority, next(self._seq), fn, args))
 
     def schedule_in(self, delay: int, priority: int, fn: Callable, *args) -> None:
-        self.schedule_at(self.now + delay, priority, fn, *args)
+        """Queue fn(*args) delay after now; pushed here, not through
+        schedule_at, to save a call per event."""
+        if delay < 0:
+            raise self._in_the_past(self.now + delay, fn)
+        heappush(self._heap, (self.now + delay, priority, next(self._seq), fn, args))
+
+    def _in_the_past(self, fire_time: int, fn: Callable) -> SchedulingError:
+        return SchedulingError(f"event {getattr(fn, '__qualname__', fn)} scheduled at "
+                               f"{fire_time} before current clock {self.now}")
 
     def run_until(self, t_end: int) -> int:
         """Process every event with fire_time <= t_end in total order.
@@ -62,7 +69,7 @@ class Simulator:
         """
         processed = 0
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
         while heap and heap[0][0] <= t_end:
             self.now, _, _, fn, args = pop(heap)
             fn(*args)

@@ -22,18 +22,24 @@ resolves a contention region only when a REQ is put into it. The CMTS lays
 out a window's contention region and unsolicited grants, and the free gaps
 they leave, once per distinct window (see window_layouts), then shifts that
 layout to each MAP's window; it shifts the gaps, which placement fills
-earliest first, only when a REQ or report is pending. With no UGS flow and
-nothing pending, the MAP cycle sleeps: such a MAP would place no grant, and
+earliest first, only when a REQ or report is pending. An unsolicited grant
+is an event only when it carries a report: the layouts fix every grant's
+start for the run, so the CM books the first one at or after a frame's
+arrival in its queue, and the next while frames remain; the grants that
+carried nothing are counted once the run has ended. With nothing pending,
+the MAP cycle sleeps, UGS flow or not: such a MAP would place no grant, and
 the CM acts on no MAP. A delivered REQ or report wakes it at the next MAP
-boundary.
+boundary. A MAP that does go out still lists its window's unsolicited
+grants, and its checks cover them.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Optional
 
@@ -215,8 +221,7 @@ class Cmts:
         self.sim = sim
         self.cfg = cfg
         self.collector = collector
-        self.grants_emitted = 0
-        self.ugs_bytes = 0          # bytes of UGS grants that start before the run's end
+        self.grants_emitted = 0     # data grants scheduled
         self.cm: Optional["Cm"] = None
         # REQs and report blocks not yet granted, in service order (by rank,
         # then arrival): [arrival, rank, flow, not_before, bytes, kind]
@@ -229,12 +234,15 @@ class Cmts:
         self._ugs_duration = serialization_us(cfg.ugs_grant_bytes, cfg.upstream_bps)
         # Without a UGS flow every window holds its contention region alone.
         self._layouts = [open_window(0, cfg, None)]
+        self._ugs_prefix = [0]      # UGS grants in the layouts before each one
         self._asleep = False        # whoever builds the CMTS queues its first cycle
 
     def register_flow(self, flow: ServiceFlow) -> None:
         if flow.kind == UGS:
             self._ugs_flow = flow
             self._layouts = window_layouts(self.cfg)
+            self._ugs_prefix = list(accumulate(
+                (len(starts) for _, starts in self._layouts), initial=0))
         elif flow.owner_enb >= 0:
             self._data_flow_by_enb[flow.owner_enb] = flow
 
@@ -266,9 +274,9 @@ class Cmts:
     # -- MAP cycle ----------------------------------------------------------
 
     def idle(self) -> bool:
-        """Whether the next MAP cycle would place no grant: no UGS flow, and
-        no REQ or report pending."""
-        return self._ugs_flow is None and not self.demand
+        """Whether the next MAP cycle would place no grant: no REQ or report
+        pending. UGS grants need no MAP: the CM books them (Cm._book_ugs)."""
+        return not self.demand
 
     def _wake(self) -> None:
         """Run the sleeping MAP cycle at the first MAP boundary at or after
@@ -347,16 +355,51 @@ class Cmts:
                 [Grant(self._ugs_flow, start + s, dur, size, "ugs") for s in ugs_starts])
 
     def _emit_grant(self, msg: MapMessage, grant: Grant) -> None:
+        """List a grant in its MAP, and schedule it unless it is a UGS grant:
+        the CM books those that carry a report (Cm._book_ugs)."""
         msg.grants.append(grant)
-        if grant.kind == UGS and grant.start < self.cfg.duration_us:
-            self.ugs_bytes += grant.nbytes
-        self.sim.schedule_at(grant.start, PRIO_SERVICE,
-                             self.cm.on_grant, grant, self.grants_emitted)
-        self.grants_emitted += 1
+        if grant.kind != UGS:
+            self.sim.schedule_at(grant.start, PRIO_SERVICE,
+                                 self.cm.on_grant, grant, self.grants_emitted)
+            self.grants_emitted += 1
+
+    # -- UGS grants from the layouts -----------------------------------------
+    # Window k of the run, counted from the first MAP's, opens at
+    # lead + k * map_interval_us and takes layout k mod the layouts' count.
+
+    def ugs_grants_before(self, t: int) -> int:
+        """How many UGS grants of the run's MAP windows start before t: whole
+        rounds of the layouts, the layouts before t's window, then the
+        grants before t in that window."""
+        if self._ugs_flow is None or t <= self._lead:
+            return 0
+        layouts, prefix = self._layouts, self._ugs_prefix
+        window, offset = divmod(t - self._lead, self.cfg.map_interval_us)
+        rounds, k = divmod(window, len(layouts))
+        return rounds * prefix[-1] + prefix[k] + bisect_left(layouts[k][1], offset)
+
+    def next_ugs_grant(self, t: int) -> Optional[Grant]:
+        """The first UGS grant that starts at or after t, or None when no MAP
+        window that opens by the run's end holds one (none would fire)."""
+        mi = self.cfg.map_interval_us
+        layouts = self._layouts
+        window, offset = divmod(max(t - self._lead, 0), mi)
+        window_start = self._lead + window * mi
+        while window_start <= self.cfg.duration_us:
+            starts = layouts[window % len(layouts)][1]
+            i = bisect_left(starts, offset)
+            if i < len(starts):
+                return Grant(self._ugs_flow, window_start + starts[i], self._ugs_duration,
+                             self.cfg.ugs_grant_bytes, UGS)
+            window += 1
+            window_start += mi
+            offset = 0
+        return None
 
     def ugs_occupancy_bps(self) -> float:
         """The rate of the UGS grants that start before the run's end."""
-        return self.ugs_bytes * 8 * 1_000_000 / self.cfg.duration_us
+        ugs_bytes = self.cfg.ugs_grant_bytes * self.ugs_grants_before(self.cfg.duration_us)
+        return ugs_bytes * 8 * 1_000_000 / self.cfg.duration_us
 
     # -- egress ---------------------------------------------------------------
 
@@ -378,6 +421,7 @@ class Cm:
         self.rng = contention_rng
         self.flows: dict[str, ServiceFlow] = {}
         self.report_frames: deque[bytes] = deque()
+        self._ugs_carried = 0       # UGS grants that carried a frame
         self._slot_us = slot_duration(cfg)
         self._region_us = region_duration(cfg)
         # Regions whose resolve_region is queued. A resolve can share its
@@ -463,14 +507,16 @@ class Cm:
 
     def on_map(self, msg: MapMessage) -> None:
         """A MAP reached the modem. Its contention region needs no event of
-        its own: a region is resolved only when a REQ is put into it."""
+        its own: a region is resolved only when a REQ is put into it. Nor do
+        its UGS grants: the modem books the ones that carry a report."""
 
     # -- transmission -----------------------------------------------------------
 
     def on_grant(self, grant: Grant, ledger_idx: int) -> None:
-        """A grant's start time. ledger_idx is the CMTS's count of the grants
-        emitted before this one; nothing in the simulator reads it, and it
-        stays in the signature for the tools that wrap this method."""
+        """A grant's start time. ledger_idx is the CMTS's count of the data
+        grants scheduled before this one, -1 for a booked UGS grant; nothing
+        in the simulator reads it, and it stays in the signature for the
+        tools that wrap this method."""
         if grant.kind == "ugs":
             self._transmit_reports(grant)
         else:
@@ -494,7 +540,28 @@ class Cm:
             self.collector.count("bwr_frames_sent", 1)
         if sent == 0:
             self.collector.count("ugs_idle_grants", 1)
+        else:
+            self._ugs_carried += 1
         self.collector.count("ugs_wasted_bytes", grant.nbytes - sent)
+        if queue:
+            self._book_ugs(grant.start + 1)
+
+    def _book_ugs(self, t: int) -> None:
+        """Schedule the UGS grant that carries the frame at the head of
+        report_frames: the first that starts at or after t. A frame queued at
+        t comes from a scheduler event, which precedes a grant at t."""
+        grant = self.cmts.next_ugs_grant(t)
+        if grant is not None:
+            self.sim.schedule_at(grant.start, PRIO_SERVICE, self.on_grant, grant, -1)
+
+    def settle_ugs_grants(self) -> None:
+        """Once the run has ended, count the UGS grants that started by its
+        end (a grant at the end fires) and carried nothing: no event ran
+        for them."""
+        idle = self.cmts.ugs_grants_before(self.cfg.duration_us + 1) - self._ugs_carried
+        if idle > 0:
+            self.collector.count("ugs_idle_grants", idle)
+            self.collector.count("ugs_wasted_bytes", idle * self.cfg.ugs_grant_bytes)
 
     def _transmit_data(self, grant: Grant) -> None:
         end = self.cfg.duration_us      # the last instant a packet may egress
@@ -525,7 +592,9 @@ class Cm:
 
     def forward_report(self, flow: ServiceFlow, report: BandwidthReport) -> None:
         """Queue a report of flow's coming bytes, encoded, for the next
-        unsolicited grant (never contends); the bytes it describes will not
-        be requested."""
+        unsolicited grant (never contends), booked when the queue was empty;
+        the bytes it describes will not be requested."""
         self.report_frames.append(encode_bwr(report))
+        if len(self.report_frames) == 1:
+            self._book_ugs(self.sim.now)
         flow.described.append([report.egress_time, report.total_bytes()])

@@ -67,6 +67,7 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     """Build, wire, and run one instance to cfg.duration_us."""
     if mode not in ("baseline", "bwr"):
         raise ValueError(f"run mode must be baseline or bwr, got {mode!r}")
+    cfg.check_run_mode(mode)
     sim = Simulator()
     streams = RngStreams(cfg.seed)
     collector = Collector(mode, cfg.warmup_us)
@@ -128,6 +129,7 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     subframes.wake(0)
     sim.schedule_at(0, PRIO_SCHED, cmts.map_cycle)
     sim.run_until(cfg.duration_us)
+    cm.settle_ugs_grants()
     return SimRun(cfg, mode, sim, collector, cmts, cm, ues)
 
 

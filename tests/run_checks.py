@@ -6,8 +6,9 @@ result processing and of the CSV writers (`csv.writer` over LatencySample
 rows). Each `*_failures` check returns a list of failures, empty when the run
 passes. `map_overlaps` checks one MAP, `record_maps` collects the MAPs a
 modem receives for such checks, and `placing_maps` states the ones that carry
-a grant in comparable form. `reference_fill` is the slow twin of MAP window
-placement (`docsis._fill`).
+a non-UGS grant in comparable form. `reference_fill` is the slow twin of MAP
+window placement (`docsis._fill`), and `EVENTED_UGS` the patches that restore
+evented UGS grants and a MAP cycle that never sleeps.
 """
 
 import csv
@@ -16,7 +17,8 @@ import os
 import tempfile
 from operator import attrgetter
 
-from bwrsim.docsis import serialization_us
+from bwrsim.core import PRIO_SERVICE
+from bwrsim.docsis import UGS, Cm, Cmts, serialization_us
 from bwrsim.metrics import SEGMENTS, Summary, cdf, summarize
 from bwrsim.runner import _table_header, _table_row, write_csvs
 
@@ -227,11 +229,38 @@ def record_maps(target, patch=setattr) -> list:
 
 
 def placing_maps(maps) -> list:
-    """The window and grants of every MAP that carries a grant. A MAP cycle
-    kept awake also sends empty MAPs, which these leave out."""
+    """The window and grants of every MAP that carries a non-UGS grant. A MAP
+    cycle kept awake also sends MAPs that carry UGS grants alone, or none,
+    which these leave out."""
     return [(m.window_start, [(g.flow.flow_id, g.kind, g.start, g.duration, g.nbytes)
                               for g in m.grants])
-            for m in maps if m.grants]
+            for m in maps if any(g.kind != UGS for g in m.grants)]
+
+
+def emit_every_grant(cmts, msg, grant) -> None:
+    """`Cmts._emit_grant` with evented UGS grants: every grant of every MAP,
+    UGS grants included, is scheduled through `Cm.on_grant`."""
+    msg.grants.append(grant)
+    cmts.sim.schedule_at(grant.start, PRIO_SERVICE, cmts.cm.on_grant, grant,
+                         cmts.grants_emitted)
+    cmts.grants_emitted += 1
+
+
+# The twin of UGS grants booked on demand: a MAP every interval, each UGS
+# grant of each MAP an event whether or not it carries a frame, no booking,
+# and no count of idle grants after the run (each counts as it fires).
+EVENTED_UGS = {
+    (Cmts, "idle"): lambda cmts: False,
+    (Cmts, "_emit_grant"): emit_every_grant,
+    (Cm, "_book_ugs"): lambda cm, t: None,
+    (Cm, "settle_ugs_grants"): lambda cm: None,
+}
+
+
+def restore_evented_ugs(patch) -> None:
+    """Apply EVENTED_UGS with `patch`, a monkeypatch's setattr."""
+    for (cls, name), twin in EVENTED_UGS.items():
+        patch(cls, name, twin)
 
 
 def reference_fill(gaps, min_start, nbytes, bps) -> list[tuple[int, int, int]]:

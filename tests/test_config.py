@@ -609,6 +609,18 @@ def test_run_backlog_cap_is_exact():
         SimConfig(ues_per_enb=21_626, duration_us=SEC)
 
 
+def test_run_backlog_counts_a_small_frame_as_one_small_packet():
+    # 50 B frames every 200 us, one packet each: 24 UEs offer 48 Mb/s to
+    # 39 Mb/s. A 60 s run leaves 67.5 MB queued: 48,214 packets of the
+    # 1400-byte MTU, which the cap used to admit, but 1,350,000 of 50 bytes.
+    settings = dict(PRESETS["scenario2"], video_frame_period_us=200,
+                    video_rate_bps=2e6, warmup_us=0)
+    SimConfig(**settings, duration_us=40 * SEC)          # 900,000 packets
+    with pytest.raises(ConfigError, match=r"^duration_us = 60000000: .* more than "
+                       r"1000000 packets of 50 bytes would still be queued"):
+        SimConfig(**settings, duration_us=60 * SEC)
+
+
 def test_run_backlog_counts_each_loop_of_a_trace_file(tmp_path):
     # one frame of FRAME_MAX_PACKETS packets loops every 1 ms: a run of 10
     # loops leaves under RUN_MAX_BACKLOG_PACKETS queued, one of 11 more
@@ -634,6 +646,33 @@ def test_report_mode_rejects_an_eut_a_report_cannot_carry(mode):
     SimConfig(**settings, eut_enb=65_536, mode="baseline")
     with pytest.raises(ConfigError, match="^eut_enb = 65536: .*16-bit"):
         SimConfig(**settings, eut_enb=65_536, mode=mode)
+
+
+def test_bwr_run_of_a_baseline_config_rejects_an_eut_a_report_cannot_carry(monkeypatch):
+    # run_single may run bwr on a config whose mode is baseline: this used to
+    # build 65,536 eNBs and end in "enb_id 65536 unencodable" after 13 s
+    cfg = SimConfig(enb_count=65_536, ues_per_enb=1, duration_us=60 * MS, warmup_us=0,
+                    eut_enb=65_536, mode="baseline")
+    monkeypatch.setattr(runner, "Enb", lambda *args: pytest.fail("eNB built"))
+    with pytest.raises(ConfigError, match="^eut_enb = 65536: .*16-bit"):
+        run_single(cfg, "bwr")
+
+
+def test_cli_print_config_rejects_an_mtu_beyond_a_float(tmp_path, capsys):
+    # validate() divides the synthetic trace's bytes by the MTU: one of 401
+    # digits used to end in an OverflowError traceback
+    mtu = 10 ** 400
+    f = tmp_path / "mtu.cfg"
+    f.write_text(f"[traffic]\npacket_mtu = {mtu}\n")
+    assert main(["print-config", "--preset", "scenario2", "--config", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bwrsim: error: packet_mtu = {mtu}: must be positive and at most "
+                          f"{sys.float_info.max!r}")
+    assert err.count("\n") == 1
+    largest = int(sys.float_info.max)
+    f.write_text(f"[traffic]\npacket_mtu = {largest}\n")
+    assert main(["print-config", "--preset", "scenario2", "--config", str(f)]) == 0
+    assert f"packet_mtu = {largest}\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("lines, key", [

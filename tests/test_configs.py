@@ -1,17 +1,19 @@
 """A gate over drawn configurations: every config that SimConfig.validate()
 accepts runs in both modes and passes the shared run checks, gives the same
 results on the reference paths as on the fast ones (samples, counters,
-transport-block totals, and every MAP that carries a grant), and re-parses
-from its printed text to an equal config. The message of a config that
-validate() rejects starts with the field at fault.
+transport-block totals, and every MAP that carries a non-UGS grant), and
+re-parses from its printed text to an equal config. The message of a config
+that validate() rejects starts with the field at fault.
 
 The reference run patches each fast path back to its slow twin: a tick every
 subframe instead of the sleeping tick, a MAP cycle every MAP interval instead
-of one that sleeps on an idle upstream, a resolve_region event for every MAP
-window instead of one per region that holds a REQ, every MAP window laid out
-afresh by open_window, free gaps included, instead of shifted from a layout
-made once per distinct window, and placement over a window's reserved spans,
-re-sorted after each grant (reference_fill), instead of over its free gaps.
+of one that sleeps while nothing is pending, every UGS grant of every MAP an
+event instead of the ones the modem books to carry a report (EVENTED_UGS), a
+resolve_region event for every MAP window instead of one per region that
+holds a REQ, every MAP window laid out afresh by open_window, free gaps
+included, instead of shifted from a layout made once per distinct window, and
+placement over a window's reserved spans, re-sorted after each grant
+(reference_fill), instead of over its free gaps.
 
 Draws span the ranges below, on top of either preset; one draw in two also
 sets one key to a value outside its range, which validate() must reject. A
@@ -35,7 +37,8 @@ from bwrsim.docsis import Cm, Cmts, open_window
 from bwrsim.lte import Enb
 from bwrsim.runner import run_scenario
 
-from run_checks import placing_maps, record_maps, reference_fill, report_failures
+from run_checks import (EVENTED_UGS, placing_maps, record_maps, reference_fill,
+                        report_failures)
 
 ms = st.integers(1, 9).map(lambda n: n * MS)
 
@@ -163,7 +166,7 @@ REFERENCE_PATHS = {
     (Enb, "busy"): lambda enb: True,
     (Cm, "_queue_region"): lambda cm, region_index: None,
     (Cm, "on_map"): resolve_every_region,
-    (Cmts, "idle"): lambda cmts: False,
+    **EVENTED_UGS,
     (Cmts, "_open_window"): lambda cmts, start, placing: open_window(
         start, cmts.cfg, cmts._ugs_flow),
     (docsis, "_fill"): reference_fill,

@@ -37,6 +37,22 @@ def test_schedule_in_past_rejected():
         sim.schedule_at(9, PRIO_DATA, lambda: None)
 
 
+def test_schedule_in_negative_delay_rejected():
+    # schedule_in pushes on its own, without a call to schedule_at
+    sim = Simulator()
+    sim.run_until(10)
+
+    def late():
+        pass
+
+    with pytest.raises(SchedulingError, match="^event .*late scheduled at 9 before "
+                                              "current clock 10$"):
+        sim.schedule_in(-1, PRIO_DATA, late)
+    assert sim.pending() == 0
+    sim.schedule_in(0, PRIO_DATA, late)         # now itself is not in the past
+    assert sim.run_until(10) == 1
+
+
 def test_run_until_empty_queue_advances_clock():
     sim = Simulator()
     assert sim.run_until(2 * SEC) == 0

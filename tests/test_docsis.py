@@ -14,7 +14,7 @@ from bwrsim.lte import LteError, Packet
 from bwrsim.metrics import Collector
 from bwrsim.runner import run_single
 
-from run_checks import map_overlaps, record_maps
+from run_checks import map_overlaps, record_maps, restore_evented_ugs
 
 
 def build(cfg=None, *, flows=("f1",), ugs=None, seed=3, end=10 * SEC):
@@ -116,15 +116,31 @@ def test_ugs_flow_never_requests():
     assert cm.flows["ugs1"].req is None
 
 
-def test_ugs_grant_cadence_and_idle_waste():
+def ugs_run(cfg, end):
+    """A CMTS and modem with a UGS flow, run to `end`, the run's end, with
+    its UGS grants settled; returns the collector and every MAP."""
+    sim, cmts, cm, collector, maps = build(cfg, ugs=ServiceFlow("ugs1", UGS), end=end)
+    sim.run_until(end)
+    cm.settle_ugs_grants()
+    return collector, maps
+
+
+def test_ugs_grant_cadence_and_idle_waste(monkeypatch):
+    # With no report to carry, the MAP cycle sleeps after its first MAP and
+    # no UGS grant is an event: the grants that started in the run count as
+    # idle once it ends. A MAP every interval, with an event for each of its
+    # UGS grants, is the reference.
     cfg = SimConfig(ugs_grant_bytes=80, ugs_period_us=2 * MS, ugs_phase_us=MS)
-    sim, cmts, cm, collector, maps = build(cfg, ugs=ServiceFlow("ugs1", UGS))
-    sim.run_until(2 * MS + 2 * 10 ** 6)         # a full 2 s of covered windows
-    grants = [g for g in grants_of(maps, "ugs")
-              if 2 * MS <= g.start < 2 * MS + 2 * 10 ** 6]
-    assert len(grants) == 1000                  # one per 2 ms period
-    assert collector.counters["ugs_idle_grants"] >= 999
-    assert "bwr_frames_sent" not in collector.counters   # nothing carried
+    end = 2 * MS + 2 * 10 ** 6                  # a full 2 s of covered windows
+    booked, maps = ugs_run(cfg, end)
+    assert [m.window_start for m in maps] == [2 * MS]
+    restore_evented_ugs(monkeypatch.setattr)
+    evented, maps = ugs_run(cfg, end)
+    grants = [g for g in grants_of(maps, "ugs") if g.start <= end]
+    assert [g.start for g in grants] == list(range(3 * MS, end, 2 * MS))  # one per period
+    # nothing carried
+    assert booked.counters == evented.counters == {"ugs_idle_grants": 1000,
+                                                   "ugs_wasted_bytes": 80_000}
 
 
 def test_zero_byte_service_is_noop():
@@ -235,6 +251,25 @@ def test_overlap_raises_at_the_map(monkeypatch, piece_start, message):
         sim.run_until(40 * MS)
     assert sim.now == 20 * MS
     assert maps[-1].window_start == 20 * MS     # the faulty MAP never went out
+
+
+def test_a_piece_over_a_ugs_grant_raises_at_its_map(monkeypatch):
+    # The cycle sleeps while nothing is pending, UGS flow or not, and no UGS
+    # grant is an event. The REQ delivered at 18 ms wakes it at 20 ms; that
+    # MAP still lists its window's UGS grant, at 23 ms, and its checks cover
+    # it: a piece laid over the grant raises there.
+    cfg = SimConfig(ugs_grant_bytes=80, ugs_period_us=2 * MS, ugs_phase_us=MS)
+    sim, cmts, cm, collector, maps = build(cfg, ugs=ServiceFlow("ugs1", UGS))
+    inject(sim, cm, "f1", packet(0), 18 * MS)
+    sim.run_until(19 * MS)
+    # the window's first gap ends where the UGS grant starts
+    monkeypatch.setattr(docsis, "_fill", lambda gaps, min_start, nbytes, bps: [
+        (gaps[0][1] - 1, serialization_us(nbytes, bps), nbytes)])
+    with pytest.raises(DocsisError, match=f"grant at {23 * MS} overlaps in the MAP "
+                                          f"window at {22 * MS}"):
+        sim.run_until(40 * MS)
+    assert sim.now == 20 * MS
+    assert [m.window_start for m in maps] == [2 * MS]   # slept, then raised
 
 
 # -- contention -----------------------------------------------------------------
@@ -491,22 +526,30 @@ def test_idle_map_has_only_contention_region():
 
 
 def _map_grants(monkeypatch, cfg):
+    """The outcome of a bwr run and the grants of each MAP it sends."""
     with monkeypatch.context() as m:
         maps = record_maps(Cm, m.setattr)
-        run_single(cfg, "bwr")
-    return [[(g.kind, g.start, g.duration, g.nbytes) for g in msg.grants]
-            for msg in maps]
+        run = run_single(cfg, "bwr")
+    c = run.collector
+    return ((list(c.retained()), c.counters, c.tb_blocks, c.tb_carried),
+            [[(g.kind, g.start, g.duration, g.nbytes) for g in msg.grants]
+             for msg in maps])
 
 
 def test_layouts_cut_short_by_the_run_match_fresh_windows(monkeypatch):
     # The layouts repeat every lcm(1999 us, 2 ms) = 3.998 s, longer than the
     # run: only the run's 151 windows are laid out, each indexed from the
-    # first MAP's window. Every MAP must carry the grants of a window laid
-    # out afresh (samples alone can agree with a wrongly indexed layout).
+    # first MAP's window. With a MAP every interval and an event for each
+    # UGS grant, every MAP must carry the grants of a window laid out afresh
+    # (samples alone can agree with a wrongly indexed layout), and the UGS
+    # grants booked from the layouts must give the same outcome.
     cfg = replace(preset("scenario1"), duration_us=300 * MS, ugs_period_us=1999)
     assert len(window_layouts(cfg)) == 151
-    shifted = _map_grants(monkeypatch, cfg)
+    booked, _ = _map_grants(monkeypatch, cfg)
+    restore_evented_ugs(monkeypatch.setattr)
+    evented, shifted = _map_grants(monkeypatch, cfg)
+    assert booked == evented
     monkeypatch.setattr(Cmts, "_open_window", lambda cmts, start, placing: open_window(
         start, cmts.cfg, cmts._ugs_flow))
-    assert shifted == _map_grants(monkeypatch, cfg)
+    assert (evented, shifted) == _map_grants(monkeypatch, cfg)
     assert sum(g[0] == "ugs" for msg in shifted for g in msg) > 100

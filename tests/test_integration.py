@@ -10,7 +10,8 @@ from bwrsim.docsis import Cm, Cmts
 from bwrsim.lte import Enb
 from bwrsim.runner import paired_deltas, run_single
 
-from run_checks import cross_mode_failures, lte_pairs, placing_maps, record_maps
+from run_checks import (cross_mode_failures, lte_pairs, placing_maps, record_maps,
+                        restore_evented_ugs)
 
 
 def test_no_requests_when_everything_is_described():
@@ -134,14 +135,61 @@ def test_per_lcg_mode_matches_bulk_for_single_class_traffic():
 ])
 def test_ugs_occupancy_counts_grants_before_the_end(monkeypatch, phase_us,
                                                     duration_us, grant_at_end):
-    maps = record_maps(Cm, monkeypatch.setattr)
+    # The occupancy is worked out from the layouts. A run whose MAP cycle
+    # never sleeps, with an event for every UGS grant, lists each grant in
+    # its MAP.
     cfg = replace(preset("scenario1"), ugs_phase_us=phase_us, duration_us=duration_us)
-    run = run_single(cfg, "bwr")
+    occupancy = run_single(cfg, "bwr").cmts.ugs_occupancy_bps()
+    restore_evented_ugs(monkeypatch.setattr)
+    maps = record_maps(Cm, monkeypatch.setattr)
+    run_single(cfg, "bwr")
     ugs = [g for m in maps for g in m.grants if g.kind == "ugs"]
     assert any(g.start == duration_us for g in ugs) == grant_at_end
     assert any(g.start > duration_us for g in ugs)
     granted = sum(g.nbytes for g in ugs if g.start < duration_us)
-    assert run.cmts.ugs_occupancy_bps() == granted * 8 * 1_000_000 / duration_us
+    assert occupancy == granted * 8 * 1_000_000 / duration_us
+
+
+@pytest.mark.parametrize("overrides, depth", [
+    ({}, 1),
+    # 1.25 ms windows open with a 416 us contention region: the grant due at
+    # 3.8 ms is nudged to 4.166 ms, past the build at 4 ms, so two frames
+    # wait for it, and the second waits for the grant after it
+    ({"map_interval_us": 1250, "upstream_bps": 5_000_000, "contention_slots": 16,
+      "ugs_period_us": MS, "bwr_period_us": MS, "ugs_phase_us": 800}, 2),
+], ids=["preset", "frames-queue"])
+@pytest.mark.parametrize("name", ["scenario1", "scenario2"])
+def test_booked_ugs_grants_deliver_each_report_when_evented_ones_do(monkeypatch, name,
+                                                                   overrides, depth):
+    # The modem books the UGS grant that carries a report, and the next one
+    # while frames remain; with an event for every UGS grant of every MAP,
+    # the first grant after the report's build carries it. Each frame must
+    # reach the CMTS at the same instant.
+    cfg = replace(preset(name), seed=3, duration_us=1 * SEC, **overrides)
+
+    def deliveries():
+        delivered, queued = [], []
+        on_bwr_frame, forward_report = Cmts.on_bwr_frame, Cm.forward_report
+
+        def record(cmts, frame):
+            delivered.append((cmts.sim.now, frame))
+            on_bwr_frame(cmts, frame)
+
+        def forward(cm, flow, report):
+            forward_report(cm, flow, report)
+            queued.append(len(cm.report_frames))
+
+        with monkeypatch.context() as m:
+            m.setattr(Cmts, "on_bwr_frame", record)
+            m.setattr(Cm, "forward_report", forward)
+            run_single(cfg, "bwr")
+        return delivered, max(queued)
+
+    booked = deliveries()
+    restore_evented_ugs(monkeypatch.setattr)
+    assert booked == deliveries()
+    assert len(booked[0]) > 200
+    assert booked[1] == depth                   # the most frames queued at once
 
 
 def _container_sizes(run):
@@ -208,7 +256,7 @@ def test_sleeping_subframe_tick_matches_ticking_every_subframe(monkeypatch, name
 
 def _placing_maps(cfg, mode, patch):
     """The outcome of a run, with the window and grants of every MAP that
-    carries a grant."""
+    carries a non-UGS grant."""
     maps = record_maps(Cm, patch)
     outcome = _outcome(cfg, mode)
     return outcome, placing_maps(maps)
@@ -221,16 +269,18 @@ def _placing_maps(cfg, mode, patch):
 ], ids=["preset", "map-1ms", "advance-3-proc-1500"])
 @pytest.mark.parametrize("name", ["scenario1", "scenario2"])
 def test_sleeping_map_cycle_matches_a_map_every_interval(monkeypatch, name, overrides):
-    # The MAP cycle sleeps while the upstream is idle; a MAP every interval is
-    # the reference. Samples, counters, TB totals and every MAP that places a
-    # grant must not change in either mode.
+    # The MAP cycle sleeps while no REQ or report is pending, and the modem
+    # books the UGS grants that carry a report. A MAP every interval, with an
+    # event for each of its UGS grants, is the reference. Samples, counters,
+    # TB totals and every MAP that places a non-UGS grant must not change in
+    # either mode.
     for seed in (0, 5):
         cfg = replace(preset(name), seed=seed, duration_us=1 * SEC, **overrides)
         for mode in ("baseline", "bwr"):
             with monkeypatch.context() as m:
                 sleeping = _placing_maps(cfg, mode, m.setattr)
             with monkeypatch.context() as m:
-                m.setattr(Cmts, "idle", lambda self: False)
+                restore_evented_ugs(m.setattr)
                 awake = _placing_maps(cfg, mode, m.setattr)
             assert sleeping == awake, (seed, mode)
             assert len(sleeping[0][0]) > 100 and len(sleeping[1]) > 100
