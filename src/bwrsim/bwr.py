@@ -18,8 +18,8 @@ Wire layout (big-endian multi-byte fields):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 BWR_MAGIC = b"BW"
 BWR_VERSION = 1
@@ -37,10 +37,10 @@ class BwrCodecError(ValueError):
     """Malformed frame or unencodable report; names the offending field."""
 
 
-@dataclass(frozen=True)
-class BandwidthReport:
+class BandwidthReport(NamedTuple):
     """Future-traffic announcement: how many bytes will egress, and when.
-    encode_bwr checks that its fields fit the wire format."""
+    A named tuple, which builds about three times faster than a frozen
+    dataclass; encode_bwr checks that its fields fit the wire format."""
 
     enb_id: int
     sequence: int
@@ -90,6 +90,11 @@ def decode_bwr(frame: bytes) -> BandwidthReport:
                            tuple(zip(fields[6::2], fields[7::2])), mode)
 
 
+# The earliest and latest egress of an emitter that holds no entry.
+_NONE_FIRST = float("inf")
+_NONE_LAST = -1
+
+
 class BwrEmitter:
     """Base-station side: aggregates issued grants into periodic reports.
 
@@ -103,6 +108,10 @@ class BwrEmitter:
     one build period: when the lead exceeds the HARQ round trip, a
     retransmission is due at the first build after its announcement, beside
     fresh grants whose egress comes later.
+
+    The emitter keeps the earliest and latest egress of its entries. A build
+    whose horizon reaches the latest takes every entry at once; only one that
+    leaves an entry behind (an announced retransmission) filters them.
     """
 
     def __init__(self, enb_id: int, period: int, report_lead: int, *,
@@ -115,9 +124,15 @@ class BwrEmitter:
         self.collector = collector
         self.sequence = 0
         self.entries: list[tuple[int, dict[int, int]]] = []  # (egress, lcg_bytes)
+        self.first = _NONE_FIRST      # the earliest egress of entries
+        self.last = _NONE_LAST        # the latest egress of entries
 
     def note_grant(self, lcg_bytes: dict[int, int], egress_time: int) -> None:
         self.entries.append((egress_time, lcg_bytes))
+        if egress_time < self.first:
+            self.first = egress_time
+        if egress_time > self.last:
+            self.last = egress_time
 
     def on_subframe(self, t: int) -> None:
         if t % self.period != 0:
@@ -125,12 +140,20 @@ class BwrEmitter:
         self.build(t)
 
     def build(self, t: int) -> BandwidthReport | None:
-        due = [e for e in self.entries if e[0] <= t + self.report_lead]
-        if not due:
+        horizon = t + self.report_lead
+        if self.first > horizon:      # nothing due, or no entry at all
             return None
-        self.entries = [e for e in self.entries if e[0] > t + self.report_lead]
         # The latest egress: the report's grant waits for every byte it covers.
-        first, egress = min(e for e, _ in due), max(e for e, _ in due)
+        first, egress = self.first, self.last
+        if egress <= horizon:
+            due = self.entries
+            self.entries = []
+            self.first, self.last = _NONE_FIRST, _NONE_LAST
+        else:
+            due = [e for e in self.entries if e[0] <= horizon]
+            self.entries = [e for e in self.entries if e[0] > horizon]
+            egress = max(e for e, _ in due)
+            self.first = min(e for e, _ in self.entries)
         if first <= t:
             raise BwrCodecError(f"egress_time {first} not in the future at {t}")
         per_lcg = [0, 0, 0, 0]

@@ -275,6 +275,7 @@ class Enb:
         self.collector = collector
         self.harq_rng = harq_rng
         self.ues: list[Ue] = []                   # round-robin order
+        self.ready: set[Ue] = set()               # the UEs with nonzero demand
         self.rr_index = -1
         # downstream hookup (set by the runner; unwired, it does nothing)
         self.egress_sink = lambda chunks, t: None
@@ -299,43 +300,51 @@ class Enb:
         demand = [max(0, per_lcg[g] - granted[g]) for g in range(NUM_LCGS)]
         ue.demand = demand
         if any(demand):
+            self.ready.add(ue)
             # Control events precede a same-instant tick, so that tick serves it.
             self.wake(-(-self.sim.now // SUBFRAME_US) * SUBFRAME_US)
+        else:
+            self.ready.discard(ue)
 
     # -- per-subframe scheduling ------------------------------------------
 
     def busy(self) -> bool:
-        """Whether a subframe tick could act: some UE has demand, or the
-        report emitter holds entries not yet built into a report."""
-        return (any(any(ue.demand) for ue in self.ues)
+        """Whether a subframe tick could act: some UE is ready (has demand),
+        or the report emitter holds entries not yet built into a report.
+        Reads the ready set, not the UEs' demand."""
+        return (bool(self.ready)
                 or (self.bwr_emitter is not None and bool(self.bwr_emitter.entries)))
 
     def on_subframe(self) -> None:
-        """Serve one transport block per subframe, round-robin over demand."""
+        """Serve one transport block per subframe, round-robin over the ready
+        UEs. The round-robin walk runs only when some UE is ready, and tests
+        membership of the ready set; the set is never iterated, so the order
+        of service is the UEs' list order alone."""
         t = self.sim.now
-        ues = self.ues
-        n = len(ues)
-        served = None
-        for step in range(1, n + 1):
-            idx = (self.rr_index + step) % n
-            ue = ues[idx]
-            if sum(ue.demand) <= 0:
-                continue
+        ready = self.ready
+        if ready:
+            ues = self.ues
+            n = len(ues)
+            harq_pid = None               # with HARQ off, no UE holds a process
             if self.cfg.harq_enabled:
-                pid = ((t + self.cfg.grant_to_data_us) // SUBFRAME_US) % HARQ_PROCESSES
-                if pid in ue.harq:
+                harq_pid = ((t + self.cfg.grant_to_data_us) // SUBFRAME_US) % HARQ_PROCESSES
+            for step in range(1, n + 1):
+                idx = (self.rr_index + step) % n
+                ue = ues[idx]
+                if ue not in ready or harq_pid in ue.harq:
                     continue
-            served = idx
-            self._issue_data_grant(ue, t)
-            break
-        if served is not None:
-            self.rr_index = served
+                self.rr_index = idx
+                self._issue_data_grant(ue, t)
+                break
         if self.bwr_emitter is not None:
             self.bwr_emitter.on_subframe(t)
 
     def _issue_data_grant(self, ue: Ue, t: int) -> None:
         demand, granted = ue.demand, ue.granted
-        budget = min(sum(demand), tbs_bytes(ue.mcs))
+        total = sum(demand)
+        budget = min(total, tbs_bytes(ue.mcs))
+        if budget == total:
+            self.ready.discard(ue)
         lcg_bytes: dict[int, int] = {}
         left = budget
         for g in range(NUM_LCGS):
@@ -380,6 +389,8 @@ class SubframeTick:
     every eNB in order. It sleeps while no eNB is busy(), because such a tick
     would grant nothing and build no report; an eNB that gains work wakes it
     through Enb.wake at the first subframe boundary that can serve the work.
+    Both busy() and on_subframe read each eNB's ready set, so a tick costs
+    no walk over the UEs of an eNB that has none ready.
     """
 
     def __init__(self, sim: Simulator, enbs: list[Enb]):

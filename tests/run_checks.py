@@ -6,9 +6,13 @@ result processing and of the CSV writers (`csv.writer` over LatencySample
 rows). Each `*_failures` check returns a list of failures, empty when the run
 passes. `map_overlaps` checks one MAP, `record_maps` collects the MAPs a
 modem receives for such checks, and `placing_maps` states the ones that carry
-a non-UGS grant in comparable form. `reference_fill` is the slow twin of MAP
-window placement (`docsis._fill`), and `EVENTED_UGS` the patches that restore
-evented UGS grants and a MAP cycle that never sleeps.
+a non-UGS grant in comparable form. `report_path_failures` checks that the
+report path conserves the bytes that `record_announced` sees announced.
+`reference_fill` is the slow twin of MAP window placement (`docsis._fill`),
+`scan_every_ue` that of the eNB's ready set (`Enb.on_subframe`),
+`filter_every_entry` that of the report build (`BwrEmitter.build`), and
+`EVENTED_UGS` the patches that restore evented UGS grants and a MAP cycle
+that never sleeps.
 """
 
 import csv
@@ -17,8 +21,11 @@ import os
 import tempfile
 from operator import attrgetter
 
+from bwrsim.bwr import (BWR_MODE_BULK, BWR_MODE_PER_LCG, BandwidthReport,
+                        BwrCodecError, BwrEmitter, decode_bwr)
 from bwrsim.core import PRIO_SERVICE
 from bwrsim.docsis import UGS, Cm, Cmts, serialization_us
+from bwrsim.lte import HARQ_PROCESSES, SUBFRAME_US
 from bwrsim.metrics import SEGMENTS, Summary, cdf, summarize
 from bwrsim.runner import _table_header, _table_row, write_csvs
 
@@ -37,10 +44,56 @@ def conservation_failures(run) -> list[str]:
 
 def lte_ledger_failures(run) -> list[str]:
     """No UE ends a run with negative demand or granted bytes: a grant's
-    bytes leave `granted` once, when the grant fires."""
+    bytes leave `granted` once, when the grant fires. A UE is in its eNB's
+    ready set exactly when it has demand."""
+    fails = []
     bad = [ue.ue_id for ue in run.ues if min(ue.demand) < 0 or min(ue.granted) < 0]
     if bad:
-        return [f"{run.mode}: negative LTE demand or granted bytes on ues {bad}"]
+        fails.append(f"{run.mode}: negative LTE demand or granted bytes on ues {bad}")
+    stray = [ue.ue_id for ue in run.ues if (ue in ue.enb.ready) != any(ue.demand)]
+    if stray:
+        fails.append(f"{run.mode}: ready set disagrees with the demand of ues {stray}")
+    return fails
+
+
+def record_announced(patch) -> list[int]:
+    """Wrap `BwrEmitter.note_grant` with `patch`, a monkeypatch's setattr, so
+    that the bytes of every grant an emitter announces are appended to the
+    returned list."""
+    announced = []
+    note_grant = BwrEmitter.note_grant
+
+    def record(emitter, lcg_bytes, egress_time):
+        announced.append(sum(lcg_bytes.values()))
+        note_grant(emitter, lcg_bytes, egress_time)
+
+    patch(BwrEmitter, "note_grant", record)
+    return announced
+
+
+def report_path_failures(run, announced: int, maps) -> list[str]:
+    """The report path conserves bytes: the bytes a bwr run's emitter
+    announced equal the report-grant bytes of the MAPs its modem got (grants
+    that start after the run's end included), the entries not yet built, the
+    frames queued at the modem, the frames in flight to the CMTS (their
+    `Cmts.on_bwr_frame` events still in the heap), and the report demand the
+    CMTS holds. `maps` may hold a baseline run's MAPs too: they carry no
+    report grant."""
+    emitter = next(ue.enb.bwr_emitter for ue in run.ues
+                   if ue.enb.bwr_emitter is not None)
+    on_bwr_frame = run.cmts.on_bwr_frame
+    parts = {
+        "granted": sum(g.nbytes for m in maps for g in m.grants if g.kind == "bwr"),
+        "unbuilt": sum(sum(lcg_bytes.values()) for _, lcg_bytes in emitter.entries),
+        "queued": sum(decode_bwr(frame).total_bytes() for frame in run.cm.report_frames),
+        "in_flight": sum(decode_bwr(args[0]).total_bytes()
+                         for *_, fn, args in run.sim._heap if fn == on_bwr_frame),
+        "pending": sum(entry[4] for entry in run.cmts.demand if entry[5] == "bwr"),
+    }
+    residual = announced - sum(parts.values())
+    if residual:
+        return [f"{run.mode}: {announced} B announced, {residual} B unaccounted "
+                f"for by {parts}"]
     return []
 
 
@@ -261,6 +314,58 @@ def restore_evented_ugs(patch) -> None:
     """Apply EVENTED_UGS with `patch`, a monkeypatch's setattr."""
     for (cls, name), twin in EVENTED_UGS.items():
         patch(cls, name, twin)
+
+
+def scan_every_ue(enb) -> None:
+    """`Enb.on_subframe` without the ready set: every tick walks the UEs in
+    round-robin order and sums each one's demand."""
+    t = enb.sim.now
+    ues = enb.ues
+    n = len(ues)
+    served = None
+    for step in range(1, n + 1):
+        idx = (enb.rr_index + step) % n
+        ue = ues[idx]
+        if sum(ue.demand) <= 0:
+            continue
+        if enb.cfg.harq_enabled:
+            pid = ((t + enb.cfg.grant_to_data_us) // SUBFRAME_US) % HARQ_PROCESSES
+            if pid in ue.harq:
+                continue
+        served = idx
+        enb._issue_data_grant(ue, t)
+        break
+    if served is not None:
+        enb.rr_index = served
+    if enb.bwr_emitter is not None:
+        enb.bwr_emitter.on_subframe(t)
+
+
+def filter_every_entry(emitter, t: int):
+    """`BwrEmitter.build` without the earliest and latest egress: every build
+    filters every entry, twice, and takes the due ones' extremes afresh."""
+    due = [e for e in emitter.entries if e[0] <= t + emitter.report_lead]
+    if not due:
+        return None
+    emitter.entries = [e for e in emitter.entries if e[0] > t + emitter.report_lead]
+    first, egress = min(e for e, _ in due), max(e for e, _ in due)
+    if first <= t:
+        raise BwrCodecError(f"egress_time {first} not in the future at {t}")
+    per_lcg = [0, 0, 0, 0]
+    for _, lcg_bytes in due:
+        for lcg, nbytes in lcg_bytes.items():
+            per_lcg[lcg] += nbytes
+    if emitter.per_lcg:
+        blocks = tuple((g, per_lcg[g]) for g in range(4))
+        mode = BWR_MODE_PER_LCG
+    else:
+        blocks = ((0, sum(per_lcg)), (1, 0), (2, 0), (3, 0))
+        mode = BWR_MODE_BULK
+    report = BandwidthReport(emitter.enb_id, emitter.sequence, egress, blocks, mode)
+    emitter.sequence = (emitter.sequence + 1) & 0xFFFF
+    emitter.collector.count("bwr_reports_built", 1)
+    emitter.forward(report)
+    return report
 
 
 def reference_fill(gaps, min_start, nbytes, bps) -> list[tuple[int, int, int]]:

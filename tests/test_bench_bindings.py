@@ -1,6 +1,7 @@
 """The benchmark's child process (bench/child.py, bench/spans.py) wraps bwrsim
-functions and methods by name. A short run of it here fails on a renamed or
-reshaped binding, or on per-layer self times that no longer add up."""
+functions and methods by name. A short run of each kind here fails on a
+renamed or reshaped binding, or on per-layer self times that no longer add
+up. `plain` is the kind whose runs give every end-to-end metric."""
 
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("kind", ["probe", "trace"])
+@pytest.mark.parametrize("kind", ["plain", "probe", "trace"])
 def test_bench_child_runs_clean(tmp_path, kind):
     cfg = tmp_path / "short.cfg"
     cfg.write_text("[simulation]\nduration_ms = 300\n")

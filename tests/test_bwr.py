@@ -11,7 +11,7 @@ from bwrsim.docsis import BE, UGS, Cm, Cmts, ServiceFlow, region_duration
 from bwrsim.lte import Packet
 from bwrsim.metrics import Collector
 
-from run_checks import record_maps
+from run_checks import filter_every_entry, record_maps
 
 
 def report(egress=19 * MS, blocks=((0, 300), (1, 0), (2, 0), (3, 0)),
@@ -216,6 +216,53 @@ def test_emitter_reports_the_latest_egress_of_its_entries():
     em.on_subframe(14 * MS)
     assert len(out) == 1 and out[0].total_bytes() == 300
     assert out[0].egress_time == 14 * MS + 5 * MS
+
+
+def filtering_emitter(out, **kwargs):
+    """An emitter whose every build filters its entries (the slow twin)."""
+    em = make_emitter(out, **kwargs)
+    em.build = lambda t: filter_every_entry(em, t)
+    return em
+
+
+def announce_and_build(em):
+    # fresh grants due at each build, beside a retransmission announced at
+    # 15 ms for 24 ms: beyond the horizon of the 14 and 16 ms builds (lead
+    # 6 ms), it is left behind until the 18 ms build takes it with the rest
+    em.note_grant({1: 100}, 19 * MS)
+    em.note_grant({1: 50, 2: 30}, 20 * MS)
+    em.on_subframe(14 * MS)
+    em.note_grant({1: 70}, 24 * MS)
+    em.note_grant({1: 200}, 21 * MS)
+    em.note_grant({2: 40}, 22 * MS)
+    em.on_subframe(16 * MS)
+    em.note_grant({1: 90}, 23 * MS)
+    em.on_subframe(18 * MS)
+    em.on_subframe(20 * MS)
+
+
+@pytest.mark.parametrize("per_lcg", [False, True])
+def test_a_retransmission_beyond_the_horizon_builds_as_filtering_does(per_lcg):
+    fast, slow = [], []
+    em = make_emitter(fast, per_lcg=per_lcg)
+    announce_and_build(em)
+    announce_and_build(filtering_emitter(slow, per_lcg=per_lcg))
+    assert fast == slow
+    assert [(r.egress_time, r.total_bytes()) for r in fast] == [
+        (20 * MS, 180), (22 * MS, 240), (24 * MS, 160)]
+    assert em.entries == []
+
+
+@pytest.mark.parametrize("emitter", [make_emitter, filtering_emitter])
+@pytest.mark.parametrize("later", [None, 30 * MS])
+def test_a_build_raises_on_an_entry_not_in_the_future(emitter, later):
+    # taken with every entry, or filtered out beside a later one
+    em = emitter([])
+    em.note_grant({1: 60}, 14 * MS)
+    if later is not None:
+        em.note_grant({1: 60}, later)
+    with pytest.raises(BwrCodecError, match="not in the future"):
+        em.on_subframe(14 * MS)
 
 
 # -- transport over the unsolicited flow ---------------------------------------

@@ -5,15 +5,22 @@ transport-block totals, and every MAP that carries a non-UGS grant), and
 re-parses from its printed text to an equal config. The message of a config
 that validate() rejects starts with the field at fault.
 
+The bwr run also passes identity 1 of the report path (report_path_failures):
+every byte the emitter announces is in a report grant of a MAP, an entry not
+yet built, a frame queued at or in flight to the CMTS, or report demand.
+
 The reference run patches each fast path back to its slow twin: a tick every
-subframe instead of the sleeping tick, a MAP cycle every MAP interval instead
-of one that sleeps while nothing is pending, every UGS grant of every MAP an
-event instead of the ones the modem books to carry a report (EVENTED_UGS), a
-resolve_region event for every MAP window instead of one per region that
-holds a REQ, every MAP window laid out afresh by open_window, free gaps
-included, instead of shifted from a layout made once per distinct window, and
-placement over a window's reserved spans, re-sorted after each grant
-(reference_fill), instead of over its free gaps.
+subframe instead of the sleeping tick, a round-robin walk that sums every
+UE's demand instead of one that tests the eNB's ready set (scan_every_ue), a
+report build that filters every entry instead of one that takes them all at
+once when the latest is due (filter_every_entry), a MAP cycle every MAP
+interval instead of one that sleeps while nothing is pending, every UGS
+grant of every MAP an event instead of the ones the modem books to carry a
+report (EVENTED_UGS), a resolve_region event for every MAP window instead of
+one per region that holds a REQ, every MAP window laid out afresh by
+open_window, free gaps included, instead of shifted from a layout made once
+per distinct window, and placement over a window's reserved spans, re-sorted
+after each grant (reference_fill), instead of over its free gaps.
 
 Draws span the ranges below, on top of either preset; one draw in two also
 sets one key to a value outside its range, which validate() must reject. A
@@ -31,14 +38,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bwrsim import docsis
+from bwrsim.bwr import BwrEmitter
 from bwrsim.config import PRESETS, ConfigError, SimConfig, dump_config, parse_config
 from bwrsim.core import MS, PRIO_CONTROL
 from bwrsim.docsis import Cm, Cmts, open_window
 from bwrsim.lte import Enb
 from bwrsim.runner import run_scenario
 
-from run_checks import (EVENTED_UGS, placing_maps, record_maps, reference_fill,
-                        report_failures)
+from run_checks import (EVENTED_UGS, filter_every_entry, placing_maps,
+                        record_announced, record_maps, reference_fill,
+                        report_failures, report_path_failures, scan_every_ue)
 
 ms = st.integers(1, 9).map(lambda n: n * MS)
 
@@ -59,6 +68,7 @@ IN_RANGE = {
     "ugs_period_us": st.sampled_from([MS, 2 * MS, 4 * MS]),
     "bwr_period_us": st.sampled_from([MS, 2 * MS, 4 * MS]),
     "ugs_phase_us": st.integers(0, 4 * MS),
+    "ugs_grant_bytes": st.sampled_from([80, 160, 240]),
     "sr_period_us": ms,
     "sr_to_bsr_grant_us": ms,
     "grant_to_bsr_us": ms,
@@ -125,7 +135,7 @@ NOT_DRAWN = {
     "trace_path": "the gate would have to write a file",
     **dict.fromkeys([
         "slot_bytes", "backoff_init", "backoff_max", "propagation_us",
-        "ugs_grant_bytes", "sr_encode_us", "bsr_period_us", "mcs_mean", "mcs_sigma",
+        "sr_encode_us", "bsr_period_us", "mcs_mean", "mcs_sigma",
         "channel_update_us", "video_rate_bps", "video_frame_period_us",
         "video_burstiness", "trace_duration_us", "lcg_voip", "lcg_video"], _LATER),
 }
@@ -151,10 +161,10 @@ def outcomes(report):
             for c in (run.collector for run in report.runs)]
 
 
-def recorded_maps(stack):
-    """A list that receives every MAP the modems get until stack closes."""
-    return record_maps(Cm, lambda cls, name, value: stack.enter_context(
-        mock.patch.object(cls, name, value)))
+def patcher(stack):
+    """A setattr whose patches go when stack closes."""
+    return lambda cls, name, value: stack.enter_context(
+        mock.patch.object(cls, name, value))
 
 
 def resolve_every_region(cm, msg):
@@ -164,6 +174,8 @@ def resolve_every_region(cm, msg):
 
 REFERENCE_PATHS = {
     (Enb, "busy"): lambda enb: True,
+    (Enb, "on_subframe"): scan_every_ue,
+    (BwrEmitter, "build"): filter_every_entry,
     (Cm, "_queue_region"): lambda cm, region_index: None,
     (Cm, "on_map"): resolve_every_region,
     **EVENTED_UGS,
@@ -193,13 +205,16 @@ def test_every_accepted_config_runs_clean(drawn):
         return
     assert reparsed(cfg) == cfg
     with ExitStack() as stack:
-        maps = recorded_maps(stack)
+        maps = record_maps(Cm, patcher(stack))
+        announced = record_announced(patcher(stack))
         report = run_scenario(cfg)
     assert report_failures(report) == []
+    assert report_path_failures(report.runs[1], sum(announced), maps) == []
     assert outputs(run_scenario(cfg)) == outputs(report)
     with ExitStack() as stack:
+        patch = patcher(stack)
         for (cls, name), reference in REFERENCE_PATHS.items():
-            stack.enter_context(mock.patch.object(cls, name, reference))
-        reference_maps = recorded_maps(stack)
+            patch(cls, name, reference)
+        reference_maps = record_maps(Cm, patch)
         assert outcomes(run_scenario(cfg)) == outcomes(report)
     assert placing_maps(maps) == placing_maps(reference_maps)

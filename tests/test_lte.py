@@ -285,7 +285,7 @@ def test_round_robin_rotation():
     enb = make_enb(sim)
     for uid in range(1, 7):
         ue = make_ue(sim, enb, ue_id=uid)
-        ue.demand = [0, 10_000, 0, 0]
+        enb._apply_demand(ue, [0, 10_000, 0, 0])
     grants = run_subframes(sim, enb, 6)
     assert [uid for _, uid in grants] == [1, 2, 3, 4, 5, 6]
 
@@ -295,7 +295,7 @@ def test_round_robin_fairness():
     enb = make_enb(sim)
     for uid in range(1, 5):
         ue = make_ue(sim, enb, ue_id=uid)
-        ue.demand = [10 ** 7, 0, 0, 0]
+        enb._apply_demand(ue, [10 ** 7, 0, 0, 0])
     grants = run_subframes(sim, enb, 42)
     counts = {}
     for _, uid in grants:
@@ -308,7 +308,7 @@ def test_grant_segmentation():
     sim = Simulator()
     enb = make_enb(sim)
     ue = make_ue(sim, enb)
-    ue.demand = [5000, 0, 0, 0]
+    enb._apply_demand(ue, [5000, 0, 0, 0])
     sizes = []
     orig = enb._issue_data_grant
     def spy(ue_, t):
@@ -326,7 +326,7 @@ def test_under_capacity_single_grant():
     sim = Simulator()
     enb = make_enb(sim)
     ue = make_ue(sim, enb)
-    ue.demand = [0, 60, 0, 0]
+    enb._apply_demand(ue, [0, 60, 0, 0])
     enb.on_subframe()
     assert sum(ue.demand) == 0
     assert ue.granted[1] == 60
