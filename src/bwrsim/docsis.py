@@ -9,12 +9,14 @@ The CMTS and the CM read their timing from the run's SimConfig. The CMTS runs
 a MAP cycle every map_interval_us. The MAP generated at time m describes the
 allocation window [m + maps_in_advance*map_interval_us, +map_interval_us) and
 consumes requests and bandwidth reports delivered at least cmts_proc_us before
-m. Every window opens with a contention region; unsolicited grants sit at
-their phase-locked instants, or right after the reservation before them;
-REQs and reports wait in one demand queue, where report blocks rank before
-REQs. A request delivered at r therefore reaches a usable grant no earlier
-than r + (1 + maps_in_advance) * map_interval_us. The CM requests no byte that
-a forwarded report describes, and holds the report's credit until its egress,
+m. Every window opens with a contention region. In a bwr run the CMTS also
+schedules unsolicited grants, which carry the bandwidth reports and belong to
+no service flow; they sit at their phase-locked instants, or right after the
+reservation before them. Each eNB's data has one best-effort flow. REQs
+and reports wait in one demand queue, where report blocks rank before REQs.
+A request delivered at r therefore reaches a usable grant no earlier than
+r + (1 + maps_in_advance) * map_interval_us. The CM requests no byte that a
+forwarded report describes, and holds the report's credit until its egress,
 when the eNB hands those bytes over or never will.
 
 A quiet upstream costs only its MAPs, and an idle one not even those. The CM
@@ -24,13 +26,14 @@ they leave, once per distinct window (see window_layouts), then shifts that
 layout to each MAP's window; it shifts the gaps, which placement fills
 earliest first, only when a REQ or report is pending. An unsolicited grant
 is an event only when it carries a report: the layouts fix every grant's
-start for the run, so the CM books the first one at or after a frame's
-arrival in its queue, and the next while frames remain; the grants that
-carried nothing are counted once the run has ended. With nothing pending,
-the MAP cycle sleeps, UGS flow or not: such a MAP would place no grant, and
-the CM acts on no MAP. A delivered REQ or report wakes it at the next MAP
-boundary. A MAP that does go out still lists its window's unsolicited
-grants, and its checks cover them.
+start for the run, as one sorted round of starts that repeats, so the CM
+books the first one at or after a frame's arrival in its queue, and the next
+while frames remain; the grants that carried nothing are counted once the
+run has ended. With nothing pending, the MAP cycle sleeps, unsolicited
+grants or not: such a MAP would place no grant, and the CM acts on no MAP.
+A delivered REQ or report wakes it at the next MAP boundary. A MAP that does
+go out still lists its window's unsolicited grants, and its checks cover
+them.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Optional
 
@@ -84,11 +86,10 @@ def window_capacity_bytes(cfg: SimConfig) -> int:
 
 @dataclass
 class ServiceFlow:
-    """One upstream service flow: a QoS class plus its CM-side queue."""
+    """The best-effort service flow of one eNB's data: its CM-side queue,
+    its request state and the credit of the reports that describe it."""
 
-    flow_id: str
-    kind: str                     # BE or UGS
-    owner_enb: int = -1
+    enb_id: int
     # CM-side queue of (packet, remaining_bytes) in arrival order
     queue: deque = field(default_factory=deque)
     queue_bytes: int = 0
@@ -124,7 +125,7 @@ class ServiceFlow:
 
 @dataclass
 class Grant:
-    flow: ServiceFlow
+    flow: Optional[ServiceFlow]   # None for an unsolicited grant
     start: int
     duration: int
     nbytes: int
@@ -164,19 +165,19 @@ def _fill(gaps: list[tuple[int, int]], min_start: int, nbytes: int, bps: int
     return pieces
 
 
-def open_window(start: int, cfg: SimConfig, ugs_flow: Optional[ServiceFlow],
+def open_window(start: int, cfg: SimConfig, ugs: bool,
                 phase: Optional[int] = None) -> tuple[list[tuple[int, int]], list[Grant]]:
-    """A MAP window as its free gaps, in time order, and, when there is a UGS
-    flow, the unsolicited grants the config provisions for it, at `phase`
-    when given instead of cfg.ugs_phase(). The contention region opens the
-    window. One sweep lays the grants out: each starts at its nominal instant
-    or, when that is still taken, where the reservation before it ends;
-    DocsisError when one does not fit."""
+    """A MAP window as its free gaps, in time order, and, when the CMTS
+    schedules unsolicited grants (`ugs`), the ones the config provisions, at
+    `phase` when given instead of cfg.ugs_phase(). The contention region opens
+    the window. One sweep lays the grants out: each starts at its nominal
+    instant or, when that is still taken, where the reservation before it
+    ends; DocsisError when one does not fit."""
     end = start + cfg.map_interval_us
     free = start + region_duration(cfg)
     gaps = []
     grants = []
-    if ugs_flow is not None:
+    if ugs:
         size, period = cfg.ugs_grant_bytes, cfg.ugs_period_us
         if phase is None:
             phase = cfg.ugs_phase()
@@ -189,7 +190,7 @@ def open_window(start: int, cfg: SimConfig, ugs_flow: Optional[ServiceFlow],
             free = actual + dur
             if free > end:
                 raise DocsisError(f"no room for a {dur} us reservation at {nominal}")
-            grants.append(Grant(ugs_flow, actual, dur, size, UGS))
+            grants.append(Grant(None, actual, dur, size, UGS))
     if free < end:
         gaps.append((free, end))
     return gaps, grants
@@ -197,54 +198,50 @@ def open_window(start: int, cfg: SimConfig, ugs_flow: Optional[ServiceFlow],
 
 def window_layouts(cfg: SimConfig, phase: Optional[int] = None
                    ) -> list[tuple[list[tuple[int, int]], list[int]]]:
-    """Each distinct MAP window of a run with a UGS flow, the first MAP's
-    first, as (free gaps, UGS grant starts) offset from its start;
+    """Each distinct MAP window of a run with unsolicited grants, the first
+    MAP's first, as (free gaps, UGS grant starts) offset from its start;
     DocsisError when the grants do not fit. `phase` is open_window's. The
     layouts repeat every lcm(ugs_period_us, map_interval_us), so window k
     takes entry k mod their count; a run shorter than that lays out only its
     own windows."""
     mi = cfg.map_interval_us
-    flow = ServiceFlow("ugs", UGS)
     layouts = []
     for k in range(min(math.lcm(cfg.ugs_period_us, mi), cfg.duration_us + mi) // mi):
         start = (cfg.maps_in_advance + k) * mi
-        gaps, grants = open_window(start, cfg, flow, phase)
+        gaps, grants = open_window(start, cfg, True, phase)
         layouts.append(([(s - start, e - start) for s, e in gaps],
                         [g.start - start for g in grants]))
     return layouts
 
 
 class Cmts:
-    """Termination system: consumes REQs and reports, emits MAPs, takes egress."""
+    """Termination system: consumes REQs and reports, emits MAPs, takes egress.
+    With `ugs` (a bwr run) it also schedules the unsolicited grants that carry
+    the reports."""
 
-    def __init__(self, sim: Simulator, cfg: SimConfig, collector):
+    def __init__(self, sim: Simulator, cfg: SimConfig, collector, ugs: bool):
         self.sim = sim
         self.cfg = cfg
         self.collector = collector
+        self.ugs = ugs
         self.grants_emitted = 0     # data grants scheduled
         self.cm: Optional["Cm"] = None
         # REQs and report blocks not yet granted, in service order (by rank,
         # then arrival): [arrival, rank, flow, not_before, bytes, kind]
         self.demand: list[list] = []
-        self._data_flow_by_enb: dict[int, ServiceFlow] = {}
-        self._ugs_flow: Optional[ServiceFlow] = None
-        self._lead = cfg.maps_in_advance * cfg.map_interval_us
+        mi = cfg.map_interval_us
+        self._lead = cfg.maps_in_advance * mi
         self._region = region_duration(cfg)
         self._capacity = window_capacity_bytes(cfg)
         self._ugs_duration = serialization_us(cfg.ugs_grant_bytes, cfg.upstream_bps)
-        # Without a UGS flow every window holds its contention region alone.
-        self._layouts = [open_window(0, cfg, None)]
-        self._ugs_prefix = [0]      # UGS grants in the layouts before each one
+        # Without unsolicited grants every window holds its contention region
+        # alone. One round of the layouts, from the first MAP's window, and
+        # the start of each UGS grant in it, offset from the round's start.
+        self._layouts = window_layouts(cfg) if ugs else [open_window(0, cfg, False)]
+        self._round = len(self._layouts) * mi
+        self._ugs_starts = [k * mi + s for k, (_, starts) in enumerate(self._layouts)
+                            for s in starts]
         self._asleep = False        # whoever builds the CMTS queues its first cycle
-
-    def register_flow(self, flow: ServiceFlow) -> None:
-        if flow.kind == UGS:
-            self._ugs_flow = flow
-            self._layouts = window_layouts(self.cfg)
-            self._ugs_prefix = list(accumulate(
-                (len(starts) for _, starts in self._layouts), initial=0))
-        elif flow.owner_enb >= 0:
-            self._data_flow_by_enb[flow.owner_enb] = flow
 
     def on_req_delivered(self, flow: ServiceFlow, nbytes: int, delivered_at: int) -> None:
         """A REQ ranks after every report block and may fill any window."""
@@ -253,12 +250,12 @@ class Cmts:
             self._wake()
 
     def on_bwr_frame(self, frame: bytes) -> None:
-        """A bandwidth report reached the CMTS over the unsolicited flow."""
+        """A bandwidth report reached the CMTS in an unsolicited grant."""
         report = decode_bwr(frame)
         self.collector.count("bwr_frames_received", 1)
         if report.total_bytes() == 0:
             return
-        data_flow = self._data_flow_by_enb.get(report.enb_id)
+        data_flow = self.cm.flows.get(report.enb_id)
         if data_flow is None:
             raise DocsisError(f"report from enb {report.enb_id} with no data flow")
         # One demand entry per nonzero block (a bulk report has one, LCG 0),
@@ -344,15 +341,15 @@ class Cmts:
             self.sim.schedule_in(cfg.map_interval_us, PRIO_SCHED, self.map_cycle)
 
     def _open_window(self, start: int, placing: bool) -> tuple[Optional[list], list[Grant]]:
-        """open_window for this CMTS's UGS flow: the window's entry of
-        window_layouts, shifted to start. The free gaps are shifted only when
-        placing; otherwise they are None."""
+        """open_window for this CMTS: the window's entry of its layouts,
+        shifted to start. The free gaps are shifted only when placing;
+        otherwise they are None."""
         mi = self.cfg.map_interval_us
         layouts = self._layouts
         gaps, ugs_starts = layouts[(start - self._lead) // mi % len(layouts)]
         dur, size = self._ugs_duration, self.cfg.ugs_grant_bytes
         return ([(start + s, start + e) for s, e in gaps] if placing else None,
-                [Grant(self._ugs_flow, start + s, dur, size, "ugs") for s in ugs_starts])
+                [Grant(None, start + s, dur, size, UGS) for s in ugs_starts])
 
     def _emit_grant(self, msg: MapMessage, grant: Grant) -> None:
         """List a grant in its MAP, and schedule it unless it is a UGS grant:
@@ -363,38 +360,30 @@ class Cmts:
                                  self.cm.on_grant, grant, self.grants_emitted)
             self.grants_emitted += 1
 
-    # -- UGS grants from the layouts -----------------------------------------
+    # -- UGS grants from the round of layouts ---------------------------------
     # Window k of the run, counted from the first MAP's, opens at
-    # lead + k * map_interval_us and takes layout k mod the layouts' count.
+    # lead + k * map_interval_us, so the round repeats from lead every _round
+    # us. A run shorter than lcm(ugs_period_us, map_interval_us) lays out
+    # only its own windows, and no time up to its end leaves the first round.
 
     def ugs_grants_before(self, t: int) -> int:
         """How many UGS grants of the run's MAP windows start before t: whole
-        rounds of the layouts, the layouts before t's window, then the
-        grants before t in that window."""
-        if self._ugs_flow is None or t <= self._lead:
+        rounds, then the grants before t's offset in its round."""
+        if t <= self._lead:
             return 0
-        layouts, prefix = self._layouts, self._ugs_prefix
-        window, offset = divmod(t - self._lead, self.cfg.map_interval_us)
-        rounds, k = divmod(window, len(layouts))
-        return rounds * prefix[-1] + prefix[k] + bisect_left(layouts[k][1], offset)
+        rounds, offset = divmod(t - self._lead, self._round)
+        return rounds * len(self._ugs_starts) + bisect_left(self._ugs_starts, offset)
 
     def next_ugs_grant(self, t: int) -> Optional[Grant]:
         """The first UGS grant that starts at or after t, or None when no MAP
         window that opens by the run's end holds one (none would fire)."""
-        mi = self.cfg.map_interval_us
-        layouts = self._layouts
-        window, offset = divmod(max(t - self._lead, 0), mi)
-        window_start = self._lead + window * mi
-        while window_start <= self.cfg.duration_us:
-            starts = layouts[window % len(layouts)][1]
-            i = bisect_left(starts, offset)
-            if i < len(starts):
-                return Grant(self._ugs_flow, window_start + starts[i], self._ugs_duration,
-                             self.cfg.ugs_grant_bytes, UGS)
-            window += 1
-            window_start += mi
-            offset = 0
-        return None
+        if not self._ugs_starts:
+            return None
+        rounds, i = divmod(self.ugs_grants_before(t), len(self._ugs_starts))
+        at = rounds * self._round + self._ugs_starts[i]
+        if self._lead + at - at % self.cfg.map_interval_us > self.cfg.duration_us:
+            return None
+        return Grant(None, self._lead + at, self._ugs_duration, self.cfg.ugs_grant_bytes, UGS)
 
     def ugs_occupancy_bps(self) -> float:
         """The rate of the UGS grants that start before the run's end."""
@@ -419,7 +408,7 @@ class Cm:
         self.cfg = cfg
         self.collector = collector
         self.rng = contention_rng
-        self.flows: dict[str, ServiceFlow] = {}
+        self.flows: dict[int, ServiceFlow] = {}     # by eNB id
         self.report_frames: deque[bytes] = deque()
         self._ugs_carried = 0       # UGS grants that carried a frame
         self._slot_us = slot_duration(cfg)
@@ -433,8 +422,7 @@ class Cm:
 
     def add_flow(self, flow: ServiceFlow) -> None:
         flow.backoff_window = self.cfg.backoff_init
-        self.flows[flow.flow_id] = flow
-        self.cmts.register_flow(flow)
+        self.flows[flow.enb_id] = flow
 
     # -- ingress from the LTE side -------------------------------------------
 
@@ -450,7 +438,7 @@ class Cm:
                 pkt.set_stage("cm_arrival", t)
             covered = flow.consume_described(nbytes, t)
             flow.uncovered_bytes += nbytes - covered
-        if flow.kind == BE and flow.req is None and flow.uncovered_bytes > 0:
+        if flow.req is None and flow.uncovered_bytes > 0:
             self._arm_request(flow, t)
 
     # -- contention ------------------------------------------------------------
@@ -537,7 +525,6 @@ class Cm:
             sent += len(frame)
             self.sim.schedule_at(self._arrival(grant, sent), PRIO_CONTROL,
                                  self.cmts.on_bwr_frame, frame)
-            self.collector.count("bwr_frames_sent", 1)
         if sent == 0:
             self.collector.count("ugs_idle_grants", 1)
         else:

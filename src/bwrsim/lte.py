@@ -74,7 +74,6 @@ class Packet:
     enb_id: int
     size_bytes: int
     lcg: int
-    traffic_class: str
     ue_arrival: int = -1
     cm_arrival: int = -1
     cmts_egress: int = -1

@@ -11,7 +11,7 @@ from operator import add, ne, sub, truediv
 
 SEGMENTS = ("e2e", "lte", "docsis")
 # the int64 columns of a sample store (e2e is lte + docsis, the mode the run's)
-COLUMNS = ("packet_id", "ue_id", "enb_id", "arrival_us", "lte_us", "docsis_us")
+COLUMNS = ("packet_id", "ue_id", "enb_id", "lte_us", "docsis_us")
 
 
 class MetricsError(Exception):
@@ -25,9 +25,7 @@ class LatencySample:
     packet_id: int
     ue_id: int
     enb_id: int
-    traffic_class: str
     mode: str
-    arrival_us: int
     e2e_us: int
     lte_us: int
     docsis_us: int
@@ -54,18 +52,14 @@ class Summary:
 
 
 class Samples:
-    """The retained samples of one run as typed columns: an int64 array per
-    field of COLUMNS and a one-byte code per sample into `classes`. Iterating
-    yields LatencySample rows, built on demand."""
+    """The retained samples of one run as typed columns, an int64 array per
+    field of COLUMNS. Iterating yields LatencySample rows, built on demand."""
 
     def __init__(self, mode: str):
         self.mode = mode
-        self.classes: list[str] = []        # traffic class of each code
-        self.class_code = bytearray()
         self.packet_id = array("q")
         self.ue_id = array("q")
         self.enb_id = array("q")
-        self.arrival_us = array("q")
         self.lte_us = array("q")
         self.docsis_us = array("q")
 
@@ -74,16 +68,13 @@ class Samples:
 
     def __iter__(self):
         return map(LatencySample, self.packet_id, self.ue_id, self.enb_id,
-                   map(self.classes.__getitem__, self.class_code),
-                   itertools.repeat(self.mode), self.arrival_us,
-                   map(add, self.lte_us, self.docsis_us), self.lte_us, self.docsis_us)
+                   itertools.repeat(self.mode), map(add, self.lte_us, self.docsis_us),
+                   self.lte_us, self.docsis_us)
 
     def select(self, enb_id: int) -> Samples:
         """The samples of one eNB, in order, as a new store."""
         keep = bytes(map(enb_id.__eq__, self.enb_id))
         out = Samples(self.mode)
-        out.classes = list(self.classes)
-        out.class_code = bytearray(itertools.compress(self.class_code, keep))
         for name in COLUMNS:
             setattr(out, name, array("q", itertools.compress(getattr(self, name), keep)))
         return out
@@ -123,14 +114,9 @@ class Collector:
         self.count("egressed_packets", 1)
         if pkt.ue_arrival >= self.warmup_us:
             s = self.samples
-            klass = pkt.traffic_class
-            if klass not in s.classes:
-                s.classes.append(klass)
-            s.class_code.append(s.classes.index(klass))
             s.packet_id.append(pkt.id)
             s.ue_id.append(pkt.ue_id)
             s.enb_id.append(pkt.enb_id)
-            s.arrival_us.append(pkt.ue_arrival)
             s.lte_us.append(lte)
             s.docsis_us.append(doc)
 
@@ -194,19 +180,20 @@ def _ms(us):
 
 def _write_csv(path: str, header: str, fmt: str, rows) -> None:
     """The header line, then `fmt % row` for each row, with the \\r\\n line
-    ends of csv.writer. No cell needs quoting."""
+    ends of csv.writer. No cell needs quoting; the cells that one file holds
+    in every row (a run's mode and traffic class) are written into fmt."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(header + "\r\n")
         fh.writelines(map(fmt.__mod__, rows))
 
 
-def write_samples_csv(path: str, samples: Samples, e2e_us: array) -> None:
-    """One row per sample; e2e_us is the store's e2e column."""
+def write_samples_csv(path: str, samples: Samples, e2e_us: array,
+                      traffic_class: str) -> None:
+    """One row per sample; e2e_us is the store's e2e column, and
+    traffic_class the run's."""
     _write_csv(path, "packet_id,ue,enb,class,mode,e2e_ms,lte_ms,docsis_ms",
-               "%d,%d,%d,%s,%s,%.3f,%.3f,%.3f\r\n",
-               zip(samples.packet_id, samples.ue_id, samples.enb_id,
-                   map(samples.classes.__getitem__, samples.class_code),
-                   itertools.repeat(samples.mode), _ms(e2e_us),
+               f"%d,%d,%d,{traffic_class},{samples.mode},%.3f,%.3f,%.3f\r\n",
+               zip(samples.packet_id, samples.ue_id, samples.enb_id, _ms(e2e_us),
                    _ms(samples.lte_us), _ms(samples.docsis_us)))
 
 
@@ -218,7 +205,6 @@ def write_cdf_csv(path: str, points: Iterator[tuple[float, float]]) -> None:
 def write_deltas_csv(path: str, deltas) -> None:
     """One row per paired packet of a runner.PairedDeltas."""
     _write_csv(path, "packet_id,class,baseline_docsis_ms,bwr_docsis_ms,delta_ms",
-               "%d,%s,%.3f,%.3f,%.3f\r\n",
-               zip(deltas.packet_id, map(deltas.classes.__getitem__, deltas.class_code),
-                   _ms(deltas.base_us), _ms(deltas.bwr_us),
+               f"%d,{deltas.traffic_class},%.3f,%.3f,%.3f\r\n",
+               zip(deltas.packet_id, _ms(deltas.base_us), _ms(deltas.bwr_us),
                    _ms(map(sub, deltas.base_us, deltas.bwr_us))))

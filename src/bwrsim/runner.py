@@ -7,7 +7,7 @@ import functools
 import os
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from operator import sub
 from typing import Optional
 
@@ -15,7 +15,7 @@ from . import metrics
 from .bwr import BwrEmitter
 from .config import SimConfig, dump_config
 from .core import PRIO_CONTROL, PRIO_SCHED, RngStreams, Simulator, derive_seed
-from .docsis import BE, UGS, Cm, Cmts, ServiceFlow
+from .docsis import Cm, Cmts, ServiceFlow
 from .lte import Enb, SUBFRAME_US, SubframeTick, Ue
 from .metrics import Collector
 from .traffic import PacketFactory, Trace, TraceSource, read_trace, synth_video
@@ -71,16 +71,9 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     sim = Simulator()
     streams = RngStreams(cfg.seed)
     collector = Collector(mode, cfg.warmup_us)
-    cmts = Cmts(sim, cfg, collector)
+    cmts = Cmts(sim, cfg, collector, mode == "bwr")
     cm = Cm(sim, cmts, cfg, collector, streams.stream("contention"))
     factory = PacketFactory()
-
-    data_flows = [ServiceFlow(f"enb{enb_id}-data", BE, owner_enb=enb_id)
-                  for enb_id in range(1, cfg.enb_count + 1)]
-    for flow in data_flows:
-        cm.add_flow(flow)
-    if mode == "bwr":
-        cm.add_flow(ServiceFlow("bwr-ugs", UGS, owner_enb=cfg.eut_enb))
 
     trace = build_trace(cfg)
     # a VoIP packet never splits
@@ -92,7 +85,9 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     phases = streams.stream("phases")
     next_ue_id = 1
 
-    for enb_id, flow in enumerate(data_flows, start=1):
+    for enb_id in range(1, cfg.enb_count + 1):
+        flow = ServiceFlow(enb_id)
+        cm.add_flow(flow)
         enb = Enb(sim, enb_id, cfg, collector, streams.stream("harq"))
         enb.egress_sink = functools.partial(cm.enqueue_chunks, flow)
         if mode == "bwr" and enb_id == cfg.eut_enb:
@@ -111,8 +106,7 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
             # trace offset it starts from
             draw = phases.randbelow(trace.duration)
             start = -draw % trace.duration if voip else draw
-            sources.append(TraceSource(sim, factory, ue, lcg, cfg.traffic_case,
-                                       trace, start, mtu))
+            sources.append(TraceSource(sim, factory, ue, lcg, trace, start, mtu))
 
     for source in sources:
         source.start()
@@ -136,10 +130,10 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
 @dataclass
 class PairedDeltas:
     """Per-packet DOCSIS-only latency in baseline and in bwr, as columns.
-    Iterating yields (packet id, class, baseline us, bwr us) tuples."""
+    Iterating yields (packet id, class, baseline us, bwr us) tuples; every
+    packet of a run has the run's traffic class."""
 
-    classes: list[str]              # traffic class of each code
-    class_code: bytearray
+    traffic_class: str
     packet_id: array
     base_us: array
     bwr_us: array
@@ -148,8 +142,7 @@ class PairedDeltas:
         return len(self.packet_id)
 
     def __iter__(self):
-        return zip(self.packet_id, map(self.classes.__getitem__, self.class_code),
-                   self.base_us, self.bwr_us)
+        return zip(self.packet_id, repeat(self.traffic_class), self.base_us, self.bwr_us)
 
 
 def paired_deltas(base: SimRun, bwr: SimRun) -> PairedDeltas:
@@ -162,8 +155,7 @@ def paired_deltas(base: SimRun, bwr: SimRun) -> PairedDeltas:
         base_of[pid] = us
     base_us = array("q", map(base_of.__getitem__, w.packet_id))
     keep = bytes(map((0).__le__, base_us))
-    return PairedDeltas(list(w.classes), bytearray(compress(w.class_code, keep)),
-                        array("q", compress(w.packet_id, keep)),
+    return PairedDeltas(bwr.cfg.traffic_case, array("q", compress(w.packet_id, keep)),
                         array("q", compress(base_us, keep)),
                         array("q", compress(w.docsis_us, keep)))
 
@@ -251,7 +243,7 @@ def write_csvs(report: RunReport, out_dir: str) -> list[str]:
     for run, columns in zip(report.runs, report.columns):
         retained = run.collector.retained()
         path = os.path.join(out_dir, f"samples_{run.mode}.csv")
-        metrics.write_samples_csv(path, retained, columns["e2e"])
+        metrics.write_samples_csv(path, retained, columns["e2e"], report.cfg.traffic_case)
         paths.append(path)
         if not retained:
             continue

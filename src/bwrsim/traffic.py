@@ -65,18 +65,18 @@ def read_trace(path: str) -> Trace:
             raise TrafficError(f"{path}:1: expected header {TRACE_HEADER!r}")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
-            if not line:
+            is_duration = line.startswith("#duration_ms=")
+            if not line or line.startswith("#") and not is_duration:
                 continue
-            if line.startswith("#duration_ms="):
-                duration = round(float(line.split("=", 1)[1]) * 1000)
-                continue
-            if line.startswith("#"):
-                continue
+            # round() of an infinite time raises OverflowError, of NaN ValueError
             try:
-                off_ms, nbytes = line.split(",")
-                records.append((round(float(off_ms) * 1000), int(nbytes)))
-            except ValueError as exc:
-                raise TrafficError(f"{path}:{lineno}: bad record {line!r}") from exc
+                if is_duration:
+                    duration = round(float(line.split("=", 1)[1]) * 1000)
+                else:
+                    off_ms, nbytes = line.split(",")
+                    records.append((round(float(off_ms) * 1000), int(nbytes)))
+            except (ValueError, OverflowError) as exc:
+                raise TrafficError(f"{path}:{lineno}: bad line {line!r}") from exc
     if not records:
         raise TrafficError(f"{path}: no records")
     if duration is None:
@@ -125,23 +125,22 @@ class PacketFactory:
     def __init__(self):
         self.next_id = 0
 
-    def make(self, ue_id: int, enb_id: int, size: int, lcg: int, klass: str) -> Packet:
-        pkt = Packet(self.next_id, ue_id, enb_id, size, lcg, klass)
+    def make(self, ue_id: int, enb_id: int, size: int, lcg: int) -> Packet:
+        pkt = Packet(self.next_id, ue_id, enb_id, size, lcg)
         self.next_id += 1
         return pkt
 
 
 class TraceSource:
     """Replays a trace from a start offset, looping forever; each frame is
-    split into packets of the MTU, labelled with the LCG and traffic class."""
+    split into packets of the MTU, labelled with the LCG."""
 
-    def __init__(self, sim: Simulator, factory: PacketFactory, ue, lcg: int, klass: str,
+    def __init__(self, sim: Simulator, factory: PacketFactory, ue, lcg: int,
                  trace: Trace, start_offset: int, mtu: int):
         self.sim = sim
         self.factory = factory
         self.ue = ue
         self.lcg = lcg
-        self.klass = klass
         self.trace = trace
         self.mtu = mtu
         start_offset %= trace.duration
@@ -161,8 +160,7 @@ class TraceSource:
         records = self.trace.records
         ue = self.ue
         for size in packetize(records[self._idx][1], self.mtu):
-            ue.on_arrival(self.factory.make(ue.ue_id, ue.enb.enb_id, size, self.lcg,
-                                            self.klass))
+            ue.on_arrival(self.factory.make(ue.ue_id, ue.enb.enb_id, size, self.lcg))
         self._idx += 1
         if self._idx == len(records):
             self._idx = 0

@@ -131,10 +131,11 @@ def reference_cdf(rows, segment) -> list[tuple[float, float]]:
             for i, v, nxt in zip(itertools.count(1), values, nexts) if v != nxt]
 
 
-def reference_deltas(base_rows, bwr_rows) -> list[tuple]:
-    """`paired_deltas` as a dict join on packet id over LatencySample rows."""
+def reference_deltas(base_rows, bwr_rows, traffic_class) -> list[tuple]:
+    """`paired_deltas` as a dict join on packet id over LatencySample rows;
+    every packet has the run's traffic_class."""
     base_by_id = {s.packet_id: s.docsis_us for s in base_rows}
-    return [(s.packet_id, s.traffic_class, base_by_id[s.packet_id], s.docsis_us)
+    return [(s.packet_id, traffic_class, base_by_id[s.packet_id], s.docsis_us)
             for s in bwr_rows if s.packet_id in base_by_id]
 
 
@@ -157,7 +158,7 @@ def columnar_failures(report) -> list[str]:
                 fails.append(f"{run.mode}: {segment} summary differs")
             if list(cdf(store, segment)) != reference_cdf(rows, segment):
                 fails.append(f"{run.mode}: {segment} CDF differs")
-    if list(report.deltas) != reference_deltas(*rows_of):
+    if list(report.deltas) != reference_deltas(*rows_of, report.cfg.traffic_case):
         fails.append("paired deltas differ from the join on packet id")
     return fails
 
@@ -192,6 +193,7 @@ def table_failures(report) -> list[str]:
 def reference_write_csvs(report, out_dir: str) -> None:
     """`runner.write_csvs` row by row: csv.writer over LatencySample rows, the
     reference CDFs and the reference join."""
+    klass = report.cfg.traffic_case
     rows_of = []
     for run in report.runs:
         rows = list(run.collector.retained())
@@ -202,7 +204,7 @@ def reference_write_csvs(report, out_dir: str) -> None:
             w.writerow(["packet_id", "ue", "enb", "class", "mode",
                         "e2e_ms", "lte_ms", "docsis_ms"])
             for s in rows:
-                w.writerow([s.packet_id, s.ue_id, s.enb_id, s.traffic_class, s.mode,
+                w.writerow([s.packet_id, s.ue_id, s.enb_id, klass, s.mode,
                             f"{s.e2e_us / 1000:.3f}", f"{s.lte_us / 1000:.3f}",
                             f"{s.docsis_us / 1000:.3f}"])
         if not rows:
@@ -214,7 +216,7 @@ def reference_write_csvs(report, out_dir: str) -> None:
                 w.writerow(["latency_ms", "cum_frac"])
                 for value_ms, frac in reference_cdf(rows, segment):
                     w.writerow([f"{value_ms:.3f}", f"{frac:.6f}"])
-    deltas = reference_deltas(*rows_of) if len(rows_of) == 2 else []
+    deltas = reference_deltas(*rows_of, klass) if len(rows_of) == 2 else []
     if deltas:
         path = os.path.join(out_dir, "deltas.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -285,8 +287,8 @@ def placing_maps(maps) -> list:
     """The window and grants of every MAP that carries a non-UGS grant. A MAP
     cycle kept awake also sends MAPs that carry UGS grants alone, or none,
     which these leave out."""
-    return [(m.window_start, [(g.flow.flow_id, g.kind, g.start, g.duration, g.nbytes)
-                              for g in m.grants])
+    return [(m.window_start, [(g.flow and g.flow.enb_id, g.kind, g.start, g.duration,
+                               g.nbytes) for g in m.grants])
             for m in maps if any(g.kind != UGS for g in m.grants)]
 
 

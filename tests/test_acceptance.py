@@ -284,14 +284,14 @@ def test_c9e_codec_round_trip(capsys):
 
 def test_c9f_backoff_truncation(capsys):
     # sustained forced contention: windows must stay within the cap
-    from bwrsim.docsis import BE, Cm, Cmts, ServiceFlow
+    from bwrsim.docsis import Cm, Cmts, ServiceFlow
     from bwrsim.core import Simulator, PRIO_SCHED
     from bwrsim.metrics import Collector
     sim = Simulator()
     cfg = SimConfig()
-    cmts = Cmts(sim, cfg, Collector("baseline"))
+    cmts = Cmts(sim, cfg, Collector("baseline"), False)
     cm = Cm(sim, cmts, cfg, Collector("baseline"), Rng(8))
-    flows = [ServiceFlow(f"f{i}", BE, owner_enb=i) for i in range(1, 13)]
+    flows = [ServiceFlow(i) for i in range(1, 13)]
     for f in flows:
         cm.add_flow(f)
     sim.schedule_at(0, PRIO_SCHED, cmts.map_cycle)

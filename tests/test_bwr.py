@@ -7,7 +7,7 @@ from bwrsim.bwr import (BWR_FRAME_BYTES, BWR_MODE_BULK, BWR_MODE_PER_LCG,
                         encode_bwr)
 from bwrsim.config import SimConfig
 from bwrsim.core import MS, PRIO_SCHED, SEC, Rng, Simulator
-from bwrsim.docsis import BE, UGS, Cm, Cmts, ServiceFlow, region_duration
+from bwrsim.docsis import Cm, Cmts, ServiceFlow, region_duration
 from bwrsim.lte import Packet
 from bwrsim.metrics import Collector
 
@@ -265,19 +265,18 @@ def test_a_build_raises_on_an_entry_not_in_the_future(emitter, later):
         em.on_subframe(14 * MS)
 
 
-# -- transport over the unsolicited flow ---------------------------------------
+# -- transport in unsolicited grants ------------------------------------------
 
 def build_docsis(ugs_phase=0):
-    """A CMTS and modem with data and UGS flows; also returns every MAP the
-    modem gets."""
+    """A CMTS with unsolicited grants and a modem with eNB 1's data flow;
+    also returns every MAP the modem gets."""
     sim = Simulator()
     cfg = SimConfig(ugs_grant_bytes=80, ugs_period_us=2 * MS, ugs_phase_us=ugs_phase,
                     duration_us=10 * SEC)
     collector = Collector("bwr")
-    cmts = Cmts(sim, cfg, collector)
+    cmts = Cmts(sim, cfg, collector, True)
     cm = Cm(sim, cmts, cfg, collector, Rng(3))
-    cm.add_flow(ServiceFlow("data", BE, owner_enb=1))
-    cm.add_flow(ServiceFlow("ugs", UGS, owner_enb=1))
+    cm.add_flow(ServiceFlow(1))
     maps = record_maps(cm)
     sim.schedule_at(0, PRIO_SCHED, cmts.map_cycle)
     return sim, cmts, cm, collector, maps
@@ -296,7 +295,7 @@ def test_forward_rides_next_ugs_grant():
     orig = cmts.on_bwr_frame
     cmts.on_bwr_frame = lambda frame: arrivals.append(sim.now) or orig(frame)
     sim.run_until(13 * MS + 100)
-    cm.forward_report(cm.flows["data"], report(egress=19 * MS))
+    cm.forward_report(cm.flows[1], report(egress=19 * MS))
     sim.run_until(20 * MS)
     region = region_duration(cmts.cfg)
     assert arrivals == [14 * MS + region + 1200 + 17]
@@ -308,8 +307,8 @@ def test_two_reports_queue_fifo():
     orig = cmts.on_bwr_frame
     cmts.on_bwr_frame = lambda frame: arrivals.append(sim.now) or orig(frame)
     sim.run_until(13 * MS)
-    cm.forward_report(cm.flows["data"], report(egress=19 * MS, seq=1))
-    cm.forward_report(cm.flows["data"], report(egress=21 * MS, seq=2))
+    cm.forward_report(cm.flows[1], report(egress=19 * MS, seq=1))
+    cm.forward_report(cm.flows[1], report(egress=21 * MS, seq=2))
     sim.run_until(20 * MS)
     region = region_duration(cmts.cfg)
     # 80 B does not fit twice in one grant: strict FIFO to the next period
@@ -318,13 +317,13 @@ def test_two_reports_queue_fifo():
 
 def test_just_in_time_grant_at_egress():
     sim, cmts, cm, collector, maps = build_docsis(ugs_phase=0)
-    pkt = Packet(0, 1, 1, 300, 1, "voip")
+    pkt = Packet(0, 1, 1, 300, 1)
     pkt.set_stage("ue_arrival", 0)
     sim.run_until(10 * MS)
-    cm.forward_report(cm.flows["data"], report(egress=20 * MS))
+    cm.forward_report(cm.flows[1], report(egress=20 * MS))
     sim.run_until(20 * MS)
-    cm.enqueue_chunks(cm.flows["data"], [(pkt, 300)], sim.now)
-    assert cm.flows["data"].req is None          # described bytes, no REQ
+    cm.enqueue_chunks(cm.flows[1], [(pkt, 300)], sim.now)
+    assert cm.flows[1].req is None          # described bytes, no REQ
     sim.run_until(30 * MS)
     grants = bwr_grants(maps)
     assert len(grants) == 1
@@ -355,16 +354,16 @@ def test_harq_failure_wastes_grant_data_rides_fresh_report():
     sim, cmts, cm, collector, maps = build_docsis(ugs_phase=0)
     sim.run_until(10 * MS)
     # first report: data never arrives (failed transmission)
-    cm.forward_report(cm.flows["data"], report(egress=20 * MS, seq=0))
+    cm.forward_report(cm.flows[1], report(egress=20 * MS, seq=0))
     sim.run_until(24 * MS)
     assert collector.counters.get("wasted_bwr_grant_bytes") == 300
     # fresh report for the retransmission, 8 ms later
-    cm.forward_report(cm.flows["data"], report(egress=28 * MS, seq=1))
+    cm.forward_report(cm.flows[1], report(egress=28 * MS, seq=1))
     sim.run_until(28 * MS)
-    pkt = Packet(0, 1, 1, 300, 1, "voip")
+    pkt = Packet(0, 1, 1, 300, 1)
     pkt.set_stage("ue_arrival", 0)
-    cm.enqueue_chunks(cm.flows["data"], [(pkt, 300)], sim.now)
-    assert cm.flows["data"].req is None          # described credit still held
+    cm.enqueue_chunks(cm.flows[1], [(pkt, 300)], sim.now)
+    assert cm.flows[1].req is None          # described credit still held
     sim.run_until(36 * MS)
     assert len(collector.samples) == 1
     assert list(collector.samples)[0].docsis_us < 2500
@@ -375,12 +374,12 @@ def arrive_at(t, egress, nbytes=300):
     with this egress, once nbytes reach it at t."""
     sim, cmts, cm, collector, maps = build_docsis()
     sim.run_until(10 * MS)
-    cm.forward_report(cm.flows["data"], report(egress=egress))
+    cm.forward_report(cm.flows[1], report(egress=egress))
     sim.run_until(t)
-    pkt = Packet(0, 1, 1, nbytes, 1, "voip")
+    pkt = Packet(0, 1, 1, nbytes, 1)
     pkt.set_stage("ue_arrival", 0)
-    cm.enqueue_chunks(cm.flows["data"], [(pkt, nbytes)], sim.now)
-    return cm.flows["data"]
+    cm.enqueue_chunks(cm.flows[1], [(pkt, nbytes)], sim.now)
+    return cm.flows[1]
 
 
 def test_described_credit_expires():
@@ -404,7 +403,7 @@ def test_failed_attempts_credit_covers_no_later_bytes():
 
 def credited(*entries):
     """A data flow holding the given (egress, bytes) credit entries."""
-    flow = ServiceFlow("data", BE)
+    flow = ServiceFlow(1)
     flow.described.extend([egress, nbytes] for egress, nbytes in entries)
     return flow
 

@@ -707,6 +707,23 @@ def test_cli_malformed_trace_file_exit_code(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("records, lineno", [
+    ("0,1000\ninf,1000\n", 3),
+    ("0,1000\n#duration_ms=inf\n", 3),
+], ids=["offset", "duration"])
+def test_cli_infinite_trace_time_exit_code(tmp_path, capsys, records, lineno):
+    # round() of an infinite time used to end in an OverflowError traceback
+    trace = tmp_path / "inf.trace"
+    trace.write_text("#bwr-trace v1\n" + records)
+    f = tmp_path / "inf.cfg"
+    f.write_text(f"[traffic]\ncase = video\ntrace_path = {trace}\n")
+    assert main(["print-config", "--preset", "scenario2", "--config", str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"bwrsim: error: trace_path = {trace}: {trace}:{lineno}: ")
+    assert err.count("\n") == 1
+
+
 def test_run_replays_the_trace_synth_trace_writes(tmp_path, monkeypatch):
     f = tmp_path / "short.cfg"
     f.write_text("[simulation]\nduration_ms = 500\n")

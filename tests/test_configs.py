@@ -25,7 +25,9 @@ after each grant (reference_fill), instead of over its free gaps.
 Draws span the ranges below, on top of either preset; one draw in two also
 sets one key to a value outside its range, which validate() must reject. A
 draw is a set of settings; building the SimConfig from them validates it.
-NOT_DRAWN names each field that no draw changes, with the reason.
+NOT_DRAWN names each field that no draw changes, with the reason. Besides
+its draws, the gate runs the configs given as examples, which reach paths
+that no draw reaches (FRAMES_QUEUE).
 """
 
 import os
@@ -34,7 +36,7 @@ from contextlib import ExitStack
 from dataclasses import fields
 from unittest import mock
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bwrsim import docsis
@@ -180,7 +182,7 @@ REFERENCE_PATHS = {
     (Cm, "on_map"): resolve_every_region,
     **EVENTED_UGS,
     (Cmts, "_open_window"): lambda cmts, start, placing: open_window(
-        start, cmts.cfg, cmts._ugs_flow),
+        start, cmts.cfg, cmts.ugs),
     (docsis, "_fill"): reference_fill,
 }
 
@@ -194,9 +196,20 @@ def reparsed(cfg):
         return SimConfig(**parse_config(path))
 
 
+# A config that no draw reaches: report frames queue at the modem. The
+# 1.25 ms windows open with a 416 us contention region (16 slots at 5 Mb/s),
+# so the UGS grant due at 3.8 ms is nudged past the report built at 4 ms, and
+# two frames wait for it; the second rides the grant booked after it.
+FRAMES_QUEUE = {**PRESETS["scenario1"], "mode": "both", "warmup_us": 20 * MS,
+                "duration_us": 300 * MS, "map_interval_us": 1250,
+                "upstream_bps": 5_000_000, "contention_slots": 16,
+                "ugs_period_us": MS, "bwr_period_us": MS, "ugs_phase_us": 800}
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(configs())
+@example(FRAMES_QUEUE)
 def test_every_accepted_config_runs_clean(drawn):
     try:
         cfg = SimConfig(**drawn)

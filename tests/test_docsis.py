@@ -7,7 +7,7 @@ import pytest
 from bwrsim import docsis
 from bwrsim.config import SimConfig, preset
 from bwrsim.core import MS, PRIO_SCHED, SEC, Rng, Simulator
-from bwrsim.docsis import (BE, UGS, Cm, Cmts, DocsisError, Grant,
+from bwrsim.docsis import (UGS, Cm, Cmts, DocsisError, Grant,
                            ServiceFlow, open_window, region_duration,
                            serialization_us, window_capacity_bytes, window_layouts)
 from bwrsim.lte import LteError, Packet
@@ -17,18 +17,17 @@ from bwrsim.runner import run_single
 from run_checks import map_overlaps, record_maps, restore_evented_ugs
 
 
-def build(cfg=None, *, flows=("f1",), ugs=None, seed=3, end=10 * SEC):
-    """A CMTS and modem with BE flows, for a run that ends at `end`; also
-    returns every MAP the modem gets."""
+def build(cfg=None, *, flows=1, ugs=False, seed=3, end=10 * SEC):
+    """A CMTS, with unsolicited grants when `ugs`, and a modem with the data
+    flows of eNBs 1 to `flows`, for a run that ends at `end`; also returns
+    every MAP the modem gets."""
     sim = Simulator()
     cfg = replace(cfg or SimConfig(), duration_us=end)
     collector = Collector("baseline")
-    cmts = Cmts(sim, cfg, collector)
+    cmts = Cmts(sim, cfg, collector, ugs)
     cm = Cm(sim, cmts, cfg, collector, Rng(seed))
-    for i, fid in enumerate(flows, start=1):
-        cm.add_flow(ServiceFlow(fid, BE, owner_enb=i))
-    if ugs is not None:
-        cm.add_flow(ugs)
+    for enb_id in range(1, flows + 1):
+        cm.add_flow(ServiceFlow(enb_id))
     maps = record_maps(cm)
     sim.schedule_at(0, PRIO_SCHED, cmts.map_cycle)
     return sim, cmts, cm, collector, maps
@@ -39,15 +38,15 @@ def grants_of(maps, kind):
 
 
 def packet(pid, size=60, ue=1, enb=1):
-    p = Packet(pid, ue, enb, size, 1, "voip")
+    p = Packet(pid, ue, enb, size, 1)
     p.set_stage("ue_arrival", 0)
     return p
 
 
-def inject(sim, cm, fid, pkt, t):
-    """Deliver a whole packet to the modem's flow fid at time t."""
+def inject(sim, cm, enb_id, pkt, t):
+    """Deliver a whole packet to the modem's flow of enb_id at time t."""
     sim.run_until(t)
-    cm.enqueue_chunks(cm.flows[fid], [(pkt, pkt.size_bytes)], t)
+    cm.enqueue_chunks(cm.flows[enb_id], [(pkt, pkt.size_bytes)], t)
 
 
 def test_serialization_arithmetic():
@@ -69,7 +68,7 @@ def test_request_grant_floor_even_alignment():
     # 4 ms request-grant + region offset + framing + serialization
     sim, cmts, cm, collector, maps = build()
     pkt = packet(0)
-    inject(sim, cm, "f1", pkt, 18 * MS)
+    inject(sim, cm, 1, pkt, 18 * MS)
     sim.run_until(40 * MS)
     assert list(collector.samples)[0].docsis_us == 5245
 
@@ -77,7 +76,7 @@ def test_request_grant_floor_even_alignment():
 def test_request_grant_odd_alignment_adds_one_ms():
     sim, cmts, cm, collector, maps = build()
     pkt = packet(0)
-    inject(sim, cm, "f1", pkt, 19 * MS)
+    inject(sim, cm, 1, pkt, 19 * MS)
     sim.run_until(40 * MS)
     assert list(collector.samples)[0].docsis_us == 6245
 
@@ -85,10 +84,10 @@ def test_request_grant_odd_alignment_adds_one_ms():
 def test_single_outstanding_request_piggybacks():
     # second packet arriving while the request is armed rides the same REQ
     sim, cmts, cm, collector, maps = build()
-    inject(sim, cm, "f1", packet(0), 18 * MS)
-    inject(sim, cm, "f1", packet(1), 18 * MS)   # same instant, REQ not yet sent
+    inject(sim, cm, 1, packet(0), 18 * MS)
+    inject(sim, cm, 1, packet(1), 18 * MS)   # same instant, REQ not yet sent
     sim.run_until(19 * MS)
-    flow = cm.flows["f1"]
+    flow = cm.flows[1]
     delivered = [r for r in cmts.demand]
     assert len(delivered) == 1
     assert delivered[0][4] == 120               # both packets in one REQ
@@ -98,28 +97,18 @@ def test_single_outstanding_request_piggybacks():
 
 def test_new_request_after_delivery():
     sim, cmts, cm, collector, maps = build()
-    inject(sim, cm, "f1", packet(0), 18 * MS)
+    inject(sim, cm, 1, packet(0), 18 * MS)
     sim.run_until(19 * MS)                      # REQ delivered in region at 18 ms
-    inject(sim, cm, "f1", packet(1), 19 * MS)
-    assert cm.flows["f1"].req is not None       # fresh REQ armed for new bytes
+    inject(sim, cm, 1, packet(1), 19 * MS)
+    assert cm.flows[1].req is not None       # fresh REQ armed for new bytes
     sim.run_until(40 * MS)
     assert len(collector.samples) == 2
 
 
-def test_ugs_flow_never_requests():
-    cfg = SimConfig(ugs_grant_bytes=80, ugs_period_us=2 * MS, ugs_phase_us=MS)
-    sim, cmts, cm, collector, maps = build(cfg, ugs=ServiceFlow("ugs1", UGS))
-    sim.run_until(5 * MS)
-    cm.enqueue_chunks(cm.flows["ugs1"], [(packet(0), 60)], sim.now)
-    assert cm.flows["ugs1"].req is None
-    sim.run_until(20 * MS)
-    assert cm.flows["ugs1"].req is None
-
-
 def ugs_run(cfg, end):
-    """A CMTS and modem with a UGS flow, run to `end`, the run's end, with
-    its UGS grants settled; returns the collector and every MAP."""
-    sim, cmts, cm, collector, maps = build(cfg, ugs=ServiceFlow("ugs1", UGS), end=end)
+    """A CMTS with unsolicited grants and a modem, run to `end`, the run's
+    end, with its UGS grants settled; returns the collector and every MAP."""
+    sim, cmts, cm, collector, maps = build(cfg, ugs=True, end=end)
     sim.run_until(end)
     cm.settle_ugs_grants()
     return collector, maps
@@ -145,7 +134,7 @@ def test_ugs_grant_cadence_and_idle_waste(monkeypatch):
 
 def test_zero_byte_service_is_noop():
     sim, cmts, cm, collector, maps = build()
-    cm.on_grant(Grant(cm.flows["f1"], 2 * MS, 13, 60, "be"), 0)
+    cm.on_grant(Grant(cm.flows[1], 2 * MS, 13, 60, "be"), 0)
     assert collector.counters.get("docsis_sent_bytes", 0) == 0
 
 
@@ -155,7 +144,7 @@ def test_fragmentation_last_byte_rule():
     cfg = SimConfig(upstream_bps=8_000_000)
     sim, cmts, cm, collector, maps = build(cfg)
     pkt = packet(0, size=3000)
-    inject(sim, cm, "f1", pkt, 18 * MS)
+    inject(sim, cm, 1, pkt, 18 * MS)
     sim.run_until(60 * MS)
     assert len(collector.samples) == 1
     s = list(collector.samples)[0]
@@ -167,7 +156,7 @@ def test_fragmentation_last_byte_rule():
 def test_duplicate_egress_rejected():
     sim, cmts, cm, collector, maps = build()
     pkt = packet(0)
-    inject(sim, cm, "f1", pkt, 18 * MS)
+    inject(sim, cm, 1, pkt, 18 * MS)
     sim.run_until(40 * MS)
     assert collector.counters["egressed_packets"] == 1
     with pytest.raises(LteError):
@@ -182,7 +171,7 @@ def test_egress_cut_off_at_the_end_of_the_run(end, sampled):
     # warm-up must end before the run does
     sim, cmts, cm, collector, maps = build(SimConfig(warmup_us=0), end=end)
     pkt = packet(0)
-    inject(sim, cm, "f1", pkt, 18 * MS)
+    inject(sim, cm, 1, pkt, 18 * MS)
     sim.run_until(end)
     assert collector.counters.get("docsis_sent_bytes") == 60
     assert len(collector.samples) == collector.counters.get("egressed_packets", 0) == sampled
@@ -195,7 +184,7 @@ def test_work_conservation_single_backlogged_flow():
     sim, cmts, cm, collector, maps = build()
     sim.run_until(10 * MS)
     big = packet(0, size=200_000)
-    cm.enqueue_chunks(cm.flows["f1"], [(big, 200_000)], sim.now)
+    cm.enqueue_chunks(cm.flows[1], [(big, 200_000)], sim.now)
     sim.run_until(40 * MS)
     cfg = cmts.cfg
     cap = window_capacity_bytes(cfg)
@@ -212,7 +201,7 @@ def test_work_conservation_single_backlogged_flow():
 def test_map_windows_never_overcommit():
     sim, cmts, cm, collector, maps = build()
     for i in range(40):
-        inject(sim, cm, "f1", packet(i, size=5000), 10 * MS + i * 100)
+        inject(sim, cm, 1, packet(i, size=5000), 10 * MS + i * 100)
     sim.run_until(100 * MS)
     cap = window_capacity_bytes(cmts.cfg)
     assert maps
@@ -224,7 +213,7 @@ def test_map_windows_never_overcommit():
 def test_grants_never_overlap_contention_region():
     sim, cmts, cm, collector, maps = build()
     for i in range(20):
-        inject(sim, cm, "f1", packet(i, size=3000), 10 * MS + i * 500)
+        inject(sim, cm, 1, packet(i, size=3000), 10 * MS + i * 500)
     sim.run_until(60 * MS)
     for m in maps:
         r0, r1 = m.window_start, m.window_start + m.region_duration
@@ -241,7 +230,7 @@ def test_overlap_raises_at_the_map(monkeypatch, piece_start, message):
     # cycle stays awake, so that the MAP at 18 ms goes out
     monkeypatch.setattr(Cmts, "idle", lambda cmts: False)
     sim, cmts, cm, collector, maps = build()
-    inject(sim, cm, "f1", packet(0), 18 * MS)
+    inject(sim, cm, 1, packet(0), 18 * MS)
     sim.run_until(19 * MS)
     # the window's one gap runs from the end of its contention region to
     # the end of the window
@@ -254,13 +243,13 @@ def test_overlap_raises_at_the_map(monkeypatch, piece_start, message):
 
 
 def test_a_piece_over_a_ugs_grant_raises_at_its_map(monkeypatch):
-    # The cycle sleeps while nothing is pending, UGS flow or not, and no UGS
-    # grant is an event. The REQ delivered at 18 ms wakes it at 20 ms; that
-    # MAP still lists its window's UGS grant, at 23 ms, and its checks cover
-    # it: a piece laid over the grant raises there.
+    # The cycle sleeps while nothing is pending, UGS grants or not, and no
+    # UGS grant is an event. The REQ delivered at 18 ms wakes it at 20 ms;
+    # that MAP still lists its window's UGS grant, at 23 ms, and its checks
+    # cover it: a piece laid over the grant raises there.
     cfg = SimConfig(ugs_grant_bytes=80, ugs_period_us=2 * MS, ugs_phase_us=MS)
-    sim, cmts, cm, collector, maps = build(cfg, ugs=ServiceFlow("ugs1", UGS))
-    inject(sim, cm, "f1", packet(0), 18 * MS)
+    sim, cmts, cm, collector, maps = build(cfg, ugs=True)
+    inject(sim, cm, 1, packet(0), 18 * MS)
     sim.run_until(19 * MS)
     # the window's first gap ends where the UGS grant starts
     monkeypatch.setattr(docsis, "_fill", lambda gaps, min_start, nbytes, bps: [
@@ -276,16 +265,16 @@ def test_a_piece_over_a_ugs_grant_raises_at_its_map(monkeypatch):
 
 def test_lone_request_always_delivered():
     sim, cmts, cm, collector, maps = build()
-    inject(sim, cm, "f1", packet(0), 18 * MS)
+    inject(sim, cm, 1, packet(0), 18 * MS)
     sim.run_until(19 * MS)
     assert collector.counters.get("reqs_delivered") == 1
     assert collector.counters.get("req_collisions") is None
 
 
 def test_forced_collision_doubles_windows():
-    sim, cmts, cm, collector, maps = build(flows=("f1", "f2"))
+    sim, cmts, cm, collector, maps = build(flows=2)
     sim.run_until(10 * MS)
-    f1, f2 = cm.flows["f1"], cm.flows["f2"]
+    f1, f2 = cm.flows[1], cm.flows[2]
     for f in (f1, f2):
         f.uncovered_bytes = 60
         f.req = 6 * 8 + 3
@@ -296,9 +285,9 @@ def test_forced_collision_doubles_windows():
 
 
 def test_backoff_truncates_and_resets():
-    sim, cmts, cm, collector, maps = build(flows=("f1", "f2"))
+    sim, cmts, cm, collector, maps = build(flows=2)
     sim.run_until(10 * MS)
-    f1, f2 = cm.flows["f1"], cm.flows["f2"]
+    f1, f2 = cm.flows[1], cm.flows[2]
     # repeated forced collisions: 8 -> 16 -> 32 -> 64, then capped at 64
     for round_no, region in enumerate(range(6, 12)):
         for f in (f1, f2):
@@ -320,17 +309,17 @@ def test_deferred_request_is_delivered_in_the_region_it_lands_in():
     # after a collision the backoff window is 64 slots, eight regions of 8:
     # a REQ can land several regions ahead and is delivered there
     cfg = SimConfig(backoff_init=32, backoff_max=64)
-    sim, cmts, cm, collector, maps = build(cfg, flows=("f1", "f2"))
+    sim, cmts, cm, collector, maps = build(cfg, flows=2)
     delivered = []
-    cmts.on_req_delivered = lambda flow, nbytes, t: delivered.append((t, flow.flow_id))
+    cmts.on_req_delivered = lambda flow, nbytes, t: delivered.append((t, flow.enb_id))
     sim.run_until(10 * MS)
-    f1, f2 = cm.flows["f1"], cm.flows["f2"]
+    f1, f2 = cm.flows[1], cm.flows[2]
     for f in (f1, f2):
         f.uncovered_bytes = 60
         f.req = 6 * 8 + 3
     cm.resolve_region(6)
-    landed = {f.flow_id: divmod(f.req, 8) for f in (f1, f2)}
-    assert landed["f1"] != landed["f2"]
+    landed = {f.enb_id: divmod(f.req, 8) for f in (f1, f2)}
+    assert landed[1] != landed[2]
     assert max(region for region, _ in landed.values()) >= 6 + 3
     sim.run_until(40 * MS)
     slot_us = serialization_us(cfg.slot_bytes, cfg.upstream_bps)
@@ -354,20 +343,20 @@ def test_only_regions_holding_a_request_are_resolved(monkeypatch):
     sim.run_until(100 * MS)
     assert len(maps) > 50
     assert resolved == []                       # no REQ, no region to resolve
-    inject(sim, cm, "f1", packet(0), 100 * MS)
+    inject(sim, cm, 1, packet(0), 100 * MS)
     sim.run_until(200 * MS)
     assert resolved == [50]                     # the region at 100 ms, once
     assert collector.counters["reqs_delivered"] == 1
 
 
 def test_idle_cmts_sleeps_until_a_request_or_report_arrives():
-    # Without a UGS flow, a MAP with nothing to place is not sent: the cycle
+    # Without UGS grants, a MAP with nothing to place is not sent: the cycle
     # sleeps after the MAP at 0, and a delivery wakes it at the next boundary.
     from bwrsim.bwr import BandwidthReport, encode_bwr
     sim, cmts, cm, collector, maps = build()
     sim.run_until(19 * MS)
     assert [m.window_start for m in maps] == [2 * MS]
-    inject(sim, cm, "f1", packet(0), 19 * MS)   # REQ in the region at 20 ms
+    inject(sim, cm, 1, packet(0), 19 * MS)   # REQ in the region at 20 ms
     sim.run_until(25 * MS)
     # the MAP at 22 ms places the REQ in the window at 24 ms, then sleeps
     assert [(m.window_start, len(m.grants)) for m in maps] == [(2 * MS, 0), (24 * MS, 1)]
@@ -385,7 +374,7 @@ def test_idle_cmts_sleeps_until_a_request_or_report_arrives():
 def test_zero_byte_request_gets_no_grant_and_leaves_the_fifo():
     sim, cmts, cm, collector, maps = build()
     sim.run_until(10 * MS)
-    cmts.on_req_delivered(cm.flows["f1"], 0, sim.now)
+    cmts.on_req_delivered(cm.flows[1], 0, sim.now)
     # the MAPs at 12 and 14 ms both come after the request's cutoff
     sim.run_until(14 * MS)
     assert cmts.demand == []
@@ -419,7 +408,7 @@ def test_contention_throughput_matches_enumeration():
     expected = enumeration_expected_singletons(8, 8)
     assert expected == pytest.approx(8 * (7 / 8) ** 7, rel=1e-12)
 
-    sim, cmts, cm, collector, maps = build(flows=[f"f{i}" for i in range(8)])
+    sim, cmts, cm, collector, maps = build(flows=8)
     rng = Rng(5)
     trials = 4000
     delivered_total = 0
@@ -461,18 +450,18 @@ def test_one_map_serves_reports_by_lcg_then_requests():
     # reports wait for their egress at 30 ms, so the MAP generated at 28 ms
     # places all three: LCG 1 first, then LCG 2, then the REQ.
     from bwrsim.bwr import BWR_MODE_PER_LCG, BandwidthReport, encode_bwr
-    sim, cmts, cm, collector, maps = build(flows=("f1", "f2"))
+    sim, cmts, cm, collector, maps = build(flows=2)
     for t, lcg, nbytes in ((21 * MS, 2, 1500), (23 * MS, 1, 500)):
         sim.run_until(t)
         blocks = tuple((g, nbytes if g == lcg else 0) for g in range(4))
         cmts.on_bwr_frame(encode_bwr(BandwidthReport(1, 0, 30 * MS, blocks,
                                                      BWR_MODE_PER_LCG)))
     sim.run_until(27 * MS)
-    cmts.on_req_delivered(cm.flows["f2"], 300, sim.now)
+    cmts.on_req_delivered(cm.flows[2], 300, sim.now)
     sim.run_until(29 * MS)
-    assert [(m.window_start, [(g.flow.flow_id, g.kind, g.nbytes) for g in m.grants])
+    assert [(m.window_start, [(g.flow.enb_id, g.kind, g.nbytes) for g in m.grants])
             for m in maps if m.grants] \
-        == [(30 * MS, [("f1", "bwr", 500), ("f1", "bwr", 1500), ("f2", "be", 300)])]
+        == [(30 * MS, [(1, "bwr", 500), (1, "bwr", 1500), (2, "be", 300)])]
     assert cmts.demand == []
 
 
@@ -483,20 +472,20 @@ def test_a_request_fills_the_free_time_before_a_mid_window_report_grant():
     # region (30.032 ms) to the block, 968 us or 4719 B at 39 Mb/s, and its
     # other 1281 B from the end of the block's 103 us on.
     from bwrsim.bwr import BWR_MODE_PER_LCG, BandwidthReport, encode_bwr
-    sim, cmts, cm, collector, maps = build(flows=("f1", "f2"))
+    sim, cmts, cm, collector, maps = build(flows=2)
     sim.run_until(25 * MS)
     cmts.on_bwr_frame(encode_bwr(BandwidthReport(1, 0, 31 * MS,
                                                  ((0, 0), (1, 500), (2, 0), (3, 0)),
                                                  BWR_MODE_PER_LCG)))
     sim.run_until(27 * MS)
-    cmts.on_req_delivered(cm.flows["f2"], 6000, sim.now)
+    cmts.on_req_delivered(cm.flows[2], 6000, sim.now)
     sim.run_until(29 * MS)
-    assert [(m.window_start, [(g.flow.flow_id, g.kind, g.start, g.nbytes)
+    assert [(m.window_start, [(g.flow.enb_id, g.kind, g.start, g.nbytes)
                               for g in m.grants])
             for m in maps if m.grants] \
-        == [(30 * MS, [("f1", "bwr", 31 * MS, 500),
-                       ("f2", "be", 30 * MS + 32, 4719),
-                       ("f2", "be", 31 * MS + 103, 1281)])]
+        == [(30 * MS, [(1, "bwr", 31 * MS, 500),
+                       (2, "be", 30 * MS + 32, 4719),
+                       (2, "be", 31 * MS + 103, 1281)])]
     assert cmts.demand == []
 
 
@@ -506,7 +495,7 @@ def test_nudged_ugs_grants_chain_until_they_catch_up():
     # before it, and the chain gains 3 us a period until the grant at 220 us
     # is on time again.
     cfg = replace(preset("scenario1"), ugs_period_us=20, ugs_phase_us=0)
-    gaps, grants = open_window(2 * MS, cfg, ServiceFlow("ugs1", UGS))
+    gaps, grants = open_window(2 * MS, cfg, True)
     assert [g.start - 2 * MS for g in grants] \
         == [32 + 17 * i for i in range(11)] + list(range(220, 2 * MS, 20))
     assert len(grants) == 100
@@ -550,6 +539,55 @@ def test_layouts_cut_short_by_the_run_match_fresh_windows(monkeypatch):
     evented, shifted = _map_grants(monkeypatch, cfg)
     assert booked == evented
     monkeypatch.setattr(Cmts, "_open_window", lambda cmts, start, placing: open_window(
-        start, cmts.cfg, cmts._ugs_flow))
+        start, cmts.cfg, cmts.ugs))
     assert (evented, shifted) == _map_grants(monkeypatch, cfg)
     assert sum(g[0] == "ugs" for msg in shifted for g in msg) > 100
+
+
+def fresh_ugs_starts(cfg):
+    """The start of every UGS grant in each MAP window that opens by the
+    run's end, each window laid out afresh."""
+    mi = cfg.map_interval_us
+    return [g.start for window in range(cfg.maps_in_advance * mi, cfg.duration_us + 1, mi)
+            for g in open_window(window, cfg, True)[1]]
+
+
+@pytest.mark.parametrize("overrides", [
+    # lcm(1999 us, 2 ms) = 3.998 s: the run lays out only its own windows
+    {"ugs_period_us": 1999, "duration_us": 300 * MS},
+    # each grant is nudged past the 32 us contention region; the last one
+    # starts exactly at the run's end
+    {"ugs_phase_us": 0, "duration_us": 40 * MS + 32},
+    # a round of 6 ms, three windows with a grant and windows without one
+    {"ugs_period_us": 3 * MS, "bwr_period_us": 4 * MS, "duration_us": 50 * MS},
+    {"map_interval_us": MS, "ugs_period_us": 4 * MS, "bwr_period_us": 4 * MS,
+     "ugs_phase_us": 3500, "duration_us": 37 * MS},
+    # 1.25 ms windows, where a 416 us contention region nudges some grants
+    {"map_interval_us": 1250, "upstream_bps": 5_000_000, "contention_slots": 16,
+     "ugs_period_us": MS, "bwr_period_us": MS, "ugs_phase_us": 800,
+     "duration_us": 30 * MS},
+], ids=["shorter-than-a-round", "grant-at-the-end", "rounds-3ms", "empty-windows",
+        "frames-queue"])
+def test_one_round_of_grant_starts_matches_fresh_windows(overrides):
+    # ugs_grants_before and next_ugs_grant work from one sorted round of
+    # grant starts; a count and a search over every window laid out afresh
+    # are the reference, at every grant start and its neighbours, at every
+    # window start and on a grid that runs two rounds past the last grant
+    cfg = replace(preset("scenario1"), warmup_us=0, **overrides)
+    cmts = Cmts(Simulator(), cfg, Collector("bwr"), True)
+    starts = fresh_ugs_starts(cfg)
+    mi, end = cfg.map_interval_us, cfg.duration_us
+    round_us = math.lcm(cfg.ugs_period_us, mi)
+    times = {s + d for s in starts for d in (-1, 0, 1)} | {end, end + 1}
+    times |= {w + d for w in range(0, end + mi, mi) for d in (-1, 0, 1) if w + d >= 0}
+    times |= set(range(0, starts[-1] + 2 * round_us, 97))
+    for t in sorted(times):
+        if t <= end + 1:
+            assert cmts.ugs_grants_before(t) == sum(s < t for s in starts), t
+        grant = cmts.next_ugs_grant(t)
+        expected = next((s for s in starts if s >= t), None)
+        assert (grant and grant.start) == expected, t
+        if grant is not None:
+            assert (grant.flow, grant.kind, grant.nbytes) == (None, UGS, cfg.ugs_grant_bytes)
+    # past the last grant of a window that opens by the end, none would fire
+    assert cmts.next_ugs_grant(starts[-1] + 1) is None

@@ -48,7 +48,8 @@ def test_first_packet_per_ue_takes_full_ladder():
     cfg = replace(preset("scenario1"), harq_enabled=False, warmup_us=0)
     run = run_single(cfg, "baseline")
     first_by_ue = {}
-    for s in sorted(run.collector.samples, key=lambda s: s.arrival_us):
+    # packet ids are assigned in arrival order
+    for s in sorted(run.collector.samples, key=lambda s: s.packet_id):
         first_by_ue.setdefault(s.ue_id, s)
     assert len(first_by_ue) == 6
     for s in first_by_ue.values():

@@ -32,7 +32,7 @@ def make_ue(sim, enb, ue_id=1, sr_phase=0):
 
 
 def pkt(pid=0, size=60, lcg=1, ue_id=1):
-    return Packet(pid, ue_id, 1, size, lcg, "voip")
+    return Packet(pid, ue_id, 1, size, lcg)
 
 
 class FailThenPass:
@@ -119,9 +119,9 @@ def test_packet_stage_set_once():
 
 def test_packet_validation():
     with pytest.raises(LteError):
-        Packet(0, 1, 1, 0, 1, "voip")
+        Packet(0, 1, 1, 0, 1)
     with pytest.raises(LteError):
-        Packet(0, 1, 1, 60, 4, "voip")
+        Packet(0, 1, 1, 60, 4)
 
 
 # -- SR arming ----------------------------------------------------------------

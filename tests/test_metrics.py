@@ -104,7 +104,7 @@ def test_cdf_empty_errors():
 
 def test_segment_additivity_enforced():
     collector = Collector("baseline")
-    p = Packet(1, 1, 1, 60, 1, "voip")
+    p = Packet(1, 1, 1, 60, 1)
     p.ue_arrival, p.cm_arrival, p.cmts_egress = 0, 20_000, 25_245
     collector.record_egress(p)
     [s] = collector.retained()
@@ -114,8 +114,8 @@ def test_segment_additivity_enforced():
 def test_duplicate_packet_rejected():
     # a second egress fails on the stage stamp, before the collector sees it
     collector = Collector("baseline")
-    cmts = Cmts(Simulator(), SimConfig(), collector)
-    p = Packet(1, 1, 1, 60, 1, "voip")
+    cmts = Cmts(Simulator(), SimConfig(), collector, False)
+    p = Packet(1, 1, 1, 60, 1)
     p.ue_arrival, p.cm_arrival = 0, 20_000
     cmts.on_packet_egress(p, 25_245)
     with pytest.raises(LteError):
@@ -125,7 +125,7 @@ def test_duplicate_packet_rejected():
 
 def test_dropped_packet_not_sampled():
     collector = Collector("baseline")
-    p = Packet(1, 1, 1, 60, 1, "voip")
+    p = Packet(1, 1, 1, 60, 1)
     p.ue_arrival, p.cm_arrival, p.cmts_egress = 0, 20_000, 25_245
     p.dropped = True
     collector.record_egress(p)
@@ -133,18 +133,19 @@ def test_dropped_packet_not_sampled():
 
 
 def test_warmup_exclusion():
-    # every egress is counted; only packets arriving after the warm-up are kept
+    # every egress is counted; only packets arriving after the warm-up are
+    # kept (each packet's id here is its arrival time)
     collector = Collector("baseline", warmup_us=100_000)
     for arrival in (0, 99_999, 100_000, 150_000):
-        p = Packet(arrival, 1, 1, 60, 1, "voip")
+        p = Packet(arrival, 1, 1, 60, 1)
         p.ue_arrival, p.cm_arrival, p.cmts_egress = arrival, arrival + 1, arrival + 2
         collector.record_egress(p)
     retained = collector.retained()
-    assert [s.arrival_us for s in retained] == [100_000, 150_000]
+    assert [s.packet_id for s in retained] == [100_000, 150_000]
     assert collector.counters["egressed_packets"] == 4
     # the collector's own store, not a copy: a later egress shows in it
     record(collector, 4, lte=1, docsis=1, arrival=200_000)
-    assert list(retained.arrival_us) == [100_000, 150_000, 200_000]
+    assert list(retained.packet_id) == [100_000, 150_000, 4]
 
 
 def test_grant_utilization_values():
@@ -208,7 +209,7 @@ def test_mean_tb_utilization():
 def test_csv_outputs(tmp_path):
     rows = samples_us([5200, 6200])
     spath = tmp_path / "samples.csv"
-    write_samples_csv(str(spath), rows, segment_columns(rows)["e2e"])
+    write_samples_csv(str(spath), rows, segment_columns(rows)["e2e"], "voip")
     text = spath.read_text().splitlines()
     assert text[0] == "packet_id,ue,enb,class,mode,e2e_ms,lte_ms,docsis_ms"
     assert text[1] == "0,1,1,voip,baseline,6.200,1.000,5.200"
