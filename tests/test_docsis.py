@@ -566,8 +566,11 @@ def fresh_ugs_starts(cfg):
     {"map_interval_us": 1250, "upstream_bps": 5_000_000, "contention_slots": 16,
      "ugs_period_us": MS, "bwr_period_us": MS, "ugs_phase_us": 800,
      "duration_us": 30 * MS},
+    # the run's two windows end before the first grant: the round is empty
+    {"map_interval_us": MS, "ugs_period_us": 4 * MS, "bwr_period_us": 4 * MS,
+     "ugs_phase_us": 3500, "duration_us": MS},
 ], ids=["shorter-than-a-round", "grant-at-the-end", "rounds-3ms", "empty-windows",
-        "frames-queue"])
+        "frames-queue", "no-grant"])
 def test_one_round_of_grant_starts_matches_fresh_windows(overrides):
     # ugs_grants_before and next_ugs_grant work from one sorted round of
     # grant starts; a count and a search over every window laid out afresh
@@ -578,9 +581,10 @@ def test_one_round_of_grant_starts_matches_fresh_windows(overrides):
     starts = fresh_ugs_starts(cfg)
     mi, end = cfg.map_interval_us, cfg.duration_us
     round_us = math.lcm(cfg.ugs_period_us, mi)
+    last = starts[-1] if starts else end
     times = {s + d for s in starts for d in (-1, 0, 1)} | {end, end + 1}
     times |= {w + d for w in range(0, end + mi, mi) for d in (-1, 0, 1) if w + d >= 0}
-    times |= set(range(0, starts[-1] + 2 * round_us, 97))
+    times |= set(range(0, last + 2 * round_us, 97))
     for t in sorted(times):
         if t <= end + 1:
             assert cmts.ugs_grants_before(t) == sum(s < t for s in starts), t
@@ -590,4 +594,4 @@ def test_one_round_of_grant_starts_matches_fresh_windows(overrides):
         if grant is not None:
             assert (grant.flow, grant.kind, grant.nbytes) == (None, UGS, cfg.ugs_grant_bytes)
     # past the last grant of a window that opens by the end, none would fire
-    assert cmts.next_ugs_grant(starts[-1] + 1) is None
+    assert cmts.next_ugs_grant(last + 1) is None
