@@ -558,8 +558,10 @@ def fresh_ugs_starts(cfg):
     # each grant is nudged past the 32 us contention region; the last one
     # starts exactly at the run's end
     {"ugs_phase_us": 0, "duration_us": 40 * MS + 32},
-    # a round of 6 ms, three windows with a grant and windows without one
+    # a round of 6 ms: three windows, one of them without a grant
     {"ugs_period_us": 3 * MS, "bwr_period_us": 4 * MS, "duration_us": 50 * MS},
+    # a round of 4 ms: four windows, three without a grant, and the run's
+    # last windows hold none
     {"map_interval_us": MS, "ugs_period_us": 4 * MS, "bwr_period_us": 4 * MS,
      "ugs_phase_us": 3500, "duration_us": 37 * MS},
     # 1.25 ms windows, where a 416 us contention region nudges some grants
