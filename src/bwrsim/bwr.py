@@ -112,23 +112,28 @@ class BwrEmitter:
     The emitter keeps the earliest and latest egress of its entries. A build
     whose horizon reaches the latest takes every entry at once; only one that
     leaves an entry behind (an announced retransmission) filters them.
+
+    Every byte of a run belongs to the run's one LCG (`lcg`), so an entry is
+    (egress, bytes). A per-LCG report puts the total in block `lcg`, a bulk
+    report in block 0; the other blocks carry 0.
     """
 
     def __init__(self, enb_id: int, period: int, report_lead: int, *,
-                 per_lcg: bool, forward, collector):
+                 lcg: int, per_lcg: bool, forward, collector):
         self.enb_id = enb_id
         self.period = period
         self.report_lead = report_lead
-        self.per_lcg = per_lcg
+        self.block = lcg if per_lcg else 0    # the block that carries the bytes
+        self.mode = BWR_MODE_PER_LCG if per_lcg else BWR_MODE_BULK
         self.forward = forward        # fn(report) -> None; CM-side handoff
         self.collector = collector
         self.sequence = 0
-        self.entries: list[tuple[int, dict[int, int]]] = []  # (egress, lcg_bytes)
+        self.entries: list[tuple[int, int]] = []    # (egress, bytes)
         self.first = _NONE_FIRST      # the earliest egress of entries
         self.last = _NONE_LAST        # the latest egress of entries
 
-    def note_grant(self, lcg_bytes: dict[int, int], egress_time: int) -> None:
-        self.entries.append((egress_time, lcg_bytes))
+    def note_grant(self, nbytes: int, egress_time: int) -> None:
+        self.entries.append((egress_time, nbytes))
         if egress_time < self.first:
             self.first = egress_time
         if egress_time > self.last:
@@ -156,18 +161,10 @@ class BwrEmitter:
             self.first = min(e for e, _ in self.entries)
         if first <= t:
             raise BwrCodecError(f"egress_time {first} not in the future at {t}")
-        per_lcg = [0, 0, 0, 0]
-        for _, lcg_bytes in due:
-            for lcg, nbytes in lcg_bytes.items():
-                per_lcg[lcg] += nbytes
-        if self.per_lcg:
-            blocks = tuple((g, per_lcg[g]) for g in range(4))
-            mode = BWR_MODE_PER_LCG
-        else:
-            blocks = ((0, sum(per_lcg)), (1, 0), (2, 0), (3, 0))
-            mode = BWR_MODE_BULK
+        nbytes = sum(n for _, n in due)
+        blocks = tuple((g, nbytes if g == self.block else 0) for g in range(4))
         report = BandwidthReport(self.enb_id, self.sequence, egress,
-                                 blocks, mode)
+                                 blocks, self.mode)
         self.sequence = (self.sequence + 1) & 0xFFFF
         self.collector.count("bwr_reports_built", 1)
         self.forward(report)

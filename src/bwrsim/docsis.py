@@ -23,17 +23,16 @@ A quiet upstream costs only its MAPs, and an idle one not even those. The CM
 resolves a contention region only when a REQ is put into it. The CMTS lays
 out a window's contention region and unsolicited grants, and the free gaps
 they leave, once per distinct window (see window_layouts), then shifts that
-layout to each MAP's window; it shifts the gaps, which placement fills
-earliest first, only when a REQ or report is pending. An unsolicited grant
-is an event only when it carries a report: the layouts fix every grant's
-start for the run, as one sorted round of starts that repeats, so the CM
-books the first one at or after a frame's arrival in its queue, and the next
-while frames remain; the grants that carried nothing are counted once the
-run has ended. With nothing pending, the MAP cycle sleeps, unsolicited
-grants or not: such a MAP would place no grant, and the CM acts on no MAP.
-A delivered REQ or report wakes it at the next MAP boundary. A MAP that does
-go out still lists its window's unsolicited grants, and its checks cover
-them.
+layout, gaps and grants, to each MAP's window; placement fills the gaps
+earliest first. An unsolicited grant is an event only when it carries a
+report: the layouts fix every grant's start for the run, as one sorted round
+of starts that repeats, so the CM books the first one at or after a frame's
+arrival in its queue, and the next while frames remain; the grants that
+carried nothing are counted once the run has ended. With nothing pending,
+the MAP cycle sleeps, unsolicited grants or not: such a MAP would place no
+grant, and the CM acts on no MAP. A delivered REQ or report wakes it at the
+next MAP boundary. A MAP that does go out still lists its window's
+unsolicited grants, and its checks cover them.
 """
 
 from __future__ import annotations
@@ -291,7 +290,7 @@ class Cmts:
         msg = MapMessage(start, end, self._region)
         cutoff = t - cfg.cmts_proc_us
 
-        gaps, ugs_grants = self._open_window(start, bool(self.demand))
+        gaps, ugs_grants = self._open_window(start)
         for grant in ugs_grants:
             self._emit_grant(msg, grant)
 
@@ -340,15 +339,14 @@ class Cmts:
         else:
             self.sim.schedule_in(cfg.map_interval_us, PRIO_SCHED, self.map_cycle)
 
-    def _open_window(self, start: int, placing: bool) -> tuple[Optional[list], list[Grant]]:
+    def _open_window(self, start: int) -> tuple[list[tuple[int, int]], list[Grant]]:
         """open_window for this CMTS: the window's entry of its layouts,
-        shifted to start. The free gaps are shifted only when placing;
-        otherwise they are None."""
+        shifted to start."""
         mi = self.cfg.map_interval_us
         layouts = self._layouts
         gaps, ugs_starts = layouts[(start - self._lead) // mi % len(layouts)]
         dur, size = self._ugs_duration, self.cfg.ugs_grant_bytes
-        return ([(start + s, start + e) for s, e in gaps] if placing else None,
+        return ([(start + s, start + e) for s, e in gaps],
                 [Grant(None, start + s, dur, size, UGS) for s in ugs_starts])
 
     def _emit_grant(self, msg: MapMessage, grant: Grant) -> None:

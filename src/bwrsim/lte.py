@@ -73,7 +73,6 @@ class Packet:
     ue_id: int
     enb_id: int
     size_bytes: int
-    lcg: int
     ue_arrival: int = -1
     cm_arrival: int = -1
     cmts_egress: int = -1
@@ -85,8 +84,6 @@ class Packet:
     def __post_init__(self):
         if self.size_bytes <= 0:
             raise LteError("packet size must be positive")
-        if not 0 <= self.lcg < NUM_LCGS:
-            raise LteError(f"lcg {self.lcg} outside [0, {NUM_LCGS})")
 
     def set_stage(self, name: str, t: int) -> None:
         prev = -1
@@ -105,18 +102,19 @@ class HarqProcess:
     """One transport block in flight. With HARQ on it holds a synchronous
     HARQ process: retransmissions exactly 8 ms apart."""
 
-    __slots__ = ("process_id", "tb_bytes", "attempt", "chunks", "lcg_bytes")
+    __slots__ = ("process_id", "tb_bytes", "attempt", "chunks")
 
-    def __init__(self, process_id: int, tb_bytes: int, chunks, lcg_bytes):
+    def __init__(self, process_id: int, tb_bytes: int, chunks):
         self.process_id = process_id
         self.tb_bytes = tb_bytes
         self.attempt = 0
         self.chunks = chunks          # [(packet, nbytes)]
-        self.lcg_bytes = lcg_bytes
 
 
 class Ue:
-    """User equipment: per-LCG buffers, SR arming, transmission, HARQ."""
+    """User equipment: buffer, SR arming, transmission, HARQ. Every packet
+    of a run belongs to the run's one LCG, so the buffer, the demand and the
+    granted bytes are single counts."""
 
     def __init__(self, sim: Simulator, ue_id: int, enb: "Enb", sr_phase: int):
         self.sim = sim
@@ -125,11 +123,11 @@ class Ue:
         self.cfg = enb.cfg
         self.sr_phase = sr_phase
         self.mcs = 22
-        self.buffers = [deque() for _ in range(NUM_LCGS)]  # [packet, remaining]
-        self.buffer_bytes = [0] * NUM_LCGS
+        self.buffer = deque()         # [packet, remaining], in arrival order
+        self.buffer_bytes = 0
         self.pending_sr = False
-        self.demand = [0] * NUM_LCGS   # per-LCG bytes the eNB may still grant
-        self.granted = [0] * NUM_LCGS  # per-LCG bytes granted, not yet sent
+        self.demand = 0               # bytes the eNB may still grant
+        self.granted = 0              # bytes granted, not yet sent
         self.reported = 0             # bytes of the latest BSR not sent since
         self.last_report_time = -self.cfg.bsr_period_us   # the first report is due
         self.harq: dict[int, HarqProcess] = {}
@@ -139,15 +137,15 @@ class Ue:
     def on_arrival(self, pkt: Packet) -> None:
         t = self.sim.now
         pkt.set_stage("ue_arrival", t)
-        self.buffers[pkt.lcg].append([pkt, pkt.size_bytes])
-        self.buffer_bytes[pkt.lcg] += pkt.size_bytes
+        self.buffer.append([pkt, pkt.size_bytes])
+        self.buffer_bytes += pkt.size_bytes
         self.enb.collector.count("admitted_bytes", pkt.size_bytes)
         self.enb.collector.count("admitted_packets", 1)
         if self._needs_sr():
             self._arm_sr(t)
 
     def _needs_sr(self) -> bool:
-        return not (self.pending_sr or any(self.granted) or self.reported)
+        return not (self.pending_sr or self.granted or self.reported)
 
     def _arm_sr(self, t: int) -> None:
         self.pending_sr = True
@@ -163,33 +161,36 @@ class Ue:
         """Standalone BSR on a BSR-purpose grant (end of the SR ladder)."""
         self.pending_sr = False
         self._record_report()
-        if sum(self.buffer_bytes) == 0:
+        if self.buffer_bytes == 0:
             return                    # zero report: nothing to transmit
-        self.enb.on_bsr(self, list(self.buffer_bytes))
+        self.enb.on_bsr(self, self.buffer_bytes)
 
     def _record_report(self) -> None:
-        self.reported = sum(self.buffer_bytes)
+        self.reported = self.buffer_bytes
         self.last_report_time = self.sim.now
 
     # -- transmission -----------------------------------------------------
 
     def transmit(self, grant_bytes: int) -> None:
-        """Fire an UL grant: drain buffers into one transport block."""
+        """Fire an UL grant: drain the buffer into one transport block. The
+        grant's bytes that find no buffered byte (a stale report over-granted
+        them) are counted as unused."""
         t = self.sim.now
-        chunks, lcg_bytes, total = self._drain(grant_bytes)
+        chunks, total = self._drain(grant_bytes)
+        if total < grant_bytes:
+            self.enb.collector.count("lte_grant_unused_bytes", grant_bytes - total)
         if total == 0:
-            self.enb.collector.count("lte_grant_unused_bytes", grant_bytes)
             return
         self.reported = max(0, self.reported - total)
         # Buffer state rides along with the transport block (refreshed at
         # most every bsr_period_us when the occupancy is unchanged).
         report = None
-        if (sum(self.buffer_bytes) != self.reported
+        if (self.buffer_bytes != self.reported
                 or t - self.last_report_time >= self.cfg.bsr_period_us):
             self._record_report()
-            report = list(self.buffer_bytes)
+            report = self.buffer_bytes
         pid = (t // SUBFRAME_US) % HARQ_PROCESSES
-        proc = HarqProcess(pid, total, chunks, lcg_bytes)
+        proc = HarqProcess(pid, total, chunks)
         if self.cfg.harq_enabled:
             if pid in self.harq:
                 raise LteError(f"HARQ process {pid} already active on ue {self.ue_id}")
@@ -198,25 +199,20 @@ class Ue:
         self._attempt(proc, report)
 
     def _drain(self, budget: int):
+        """Take up to budget bytes off the buffer's head: (chunks, total)."""
         chunks = []
-        lcg_bytes: dict[int, int] = {}
         total = 0
-        for lcg in range(NUM_LCGS):
-            queue = self.buffers[lcg]
-            while queue and budget > 0:
-                entry = queue[0]
-                take = min(entry[1], budget)
-                entry[1] -= take
-                budget -= take
-                total += take
-                self.buffer_bytes[lcg] -= take
-                lcg_bytes[lcg] = lcg_bytes.get(lcg, 0) + take
-                chunks.append((entry[0], take))
-                if entry[1] == 0:
-                    queue.popleft()
-            if budget == 0:
-                break
-        return chunks, lcg_bytes, total
+        queue = self.buffer
+        while queue and total < budget:
+            entry = queue[0]
+            take = min(entry[1], budget - total)
+            entry[1] -= take
+            total += take
+            chunks.append((entry[0], take))
+            if entry[1] == 0:
+                queue.popleft()
+        self.buffer_bytes -= total
+        return chunks, total
 
     def _attempt(self, proc: HarqProcess, report) -> None:
         """One transmission attempt; with HARQ on, its outcome is drawn."""
@@ -232,7 +228,7 @@ class Ue:
         if not ok and proc.attempt < self.cfg.harq_max_retx:
             proc.attempt += 1
             next_tx = self.sim.now - self.cfg.enb_decode_us + HARQ_RTT_US
-            self.enb.note_retx(proc.lcg_bytes, next_tx)
+            self.enb.note_retx(proc.tb_bytes, next_tx)
             self.sim.schedule_at(next_tx, PRIO_DATA, self._attempt, proc, None)
         else:
             self.harq.pop(proc.process_id, None)
@@ -289,16 +285,16 @@ class Enb:
         self.sim.schedule_in(self.cfg.sr_to_bsr_grant_us + self.cfg.grant_to_bsr_us,
                              PRIO_CONTROL, ue.emit_bsr)
 
-    def on_bsr(self, ue: Ue, per_lcg: list[int]) -> None:
-        """A buffer report arrived; it becomes schedulable after processing."""
+    def on_bsr(self, ue: Ue, nbytes: int) -> None:
+        """A buffer report of nbytes arrived; it becomes schedulable after
+        processing."""
         self.sim.schedule_in(self.cfg.bsr_to_data_grant_us, PRIO_CONTROL,
-                             self._apply_demand, ue, list(per_lcg))
+                             self._apply_demand, ue, nbytes)
 
-    def _apply_demand(self, ue: Ue, per_lcg: list[int]) -> None:
-        granted = ue.granted
-        demand = [max(0, per_lcg[g] - granted[g]) for g in range(NUM_LCGS)]
-        ue.demand = demand
-        if any(demand):
+    def _apply_demand(self, ue: Ue, nbytes: int) -> None:
+        """The reported bytes not yet granted become the UE's demand."""
+        ue.demand = max(0, nbytes - ue.granted)
+        if ue.demand:
             self.ready.add(ue)
             # Control events precede a same-instant tick, so that tick serves it.
             self.wake(-(-self.sim.now // SUBFRAME_US) * SUBFRAME_US)
@@ -339,39 +335,26 @@ class Enb:
             self.bwr_emitter.on_subframe(t)
 
     def _issue_data_grant(self, ue: Ue, t: int) -> None:
-        demand, granted = ue.demand, ue.granted
-        total = sum(demand)
-        budget = min(total, tbs_bytes(ue.mcs))
-        if budget == total:
+        budget = min(ue.demand, tbs_bytes(ue.mcs))
+        ue.demand -= budget
+        ue.granted += budget
+        if not ue.demand:
             self.ready.discard(ue)
-        lcg_bytes: dict[int, int] = {}
-        left = budget
-        for g in range(NUM_LCGS):
-            take = min(demand[g], left)
-            if take > 0:
-                demand[g] -= take
-                granted[g] += take
-                lcg_bytes[g] = take
-                left -= take
-            if left == 0:
-                break
         tx_time = t + self.cfg.grant_to_data_us
         self.collector.count("lte_granted_bytes", budget)
-        self.sim.schedule_at(tx_time, PRIO_DATA, self._fire_grant, ue, budget, lcg_bytes)
+        self.sim.schedule_at(tx_time, PRIO_DATA, self._fire_grant, ue, budget)
         if self.bwr_emitter is not None:
-            self.bwr_emitter.note_grant(lcg_bytes, tx_time + self.cfg.enb_decode_us)
+            self.bwr_emitter.note_grant(budget, tx_time + self.cfg.enb_decode_us)
 
-    def _fire_grant(self, ue: Ue, grant_bytes: int, lcg_bytes: dict[int, int]) -> None:
-        granted = ue.granted
-        for g, nbytes in lcg_bytes.items():
-            granted[g] -= nbytes
+    def _fire_grant(self, ue: Ue, grant_bytes: int) -> None:
+        ue.granted -= grant_bytes
         ue.transmit(grant_bytes)
 
-    def note_retx(self, lcg_bytes: dict[int, int], tx_time: int) -> None:
-        """A failed block retransmits at a known future time; announce it."""
+    def note_retx(self, nbytes: int, tx_time: int) -> None:
+        """A failed block of nbytes retransmits at a known future time;
+        announce it."""
         if self.bwr_emitter is not None:
-            self.bwr_emitter.note_grant(dict(lcg_bytes),
-                                        tx_time + self.cfg.enb_decode_us)
+            self.bwr_emitter.note_grant(nbytes, tx_time + self.cfg.enb_decode_us)
             # Decodes follow a same-instant tick: the next one reports it.
             self.wake((self.sim.now // SUBFRAME_US + 1) * SUBFRAME_US)
 

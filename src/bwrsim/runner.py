@@ -38,7 +38,7 @@ class SimRun:
 
     def conservation(self) -> dict[str, int]:
         c = self.collector.counters
-        buffered = sum(sum(ue.buffer_bytes) for ue in self.ues)
+        buffered = sum(ue.buffer_bytes for ue in self.ues)
         cm_queued = sum(f.queue_bytes for f in self.cm.flows.values())
         return {
             "admitted": c.get("admitted_bytes", 0),
@@ -93,8 +93,8 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
         if mode == "bwr" and enb_id == cfg.eut_enb:
             enb.bwr_emitter = BwrEmitter(
                 enb_id, cfg.bwr_period_us, cfg.grant_to_data_us + cfg.enb_decode_us,
-                per_lcg=cfg.bwr_per_lcg, forward=functools.partial(cm.forward_report, flow),
-                collector=collector)
+                lcg=lcg, per_lcg=cfg.bwr_per_lcg,
+                forward=functools.partial(cm.forward_report, flow), collector=collector)
         enbs.append(enb)
         for _ in range(cfg.ues_per_enb):
             sr_phase = phases.randbelow(cfg.sr_period_us // SUBFRAME_US) * SUBFRAME_US
@@ -106,7 +106,7 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
             # trace offset it starts from
             draw = phases.randbelow(trace.duration)
             start = -draw % trace.duration if voip else draw
-            sources.append(TraceSource(sim, factory, ue, lcg, trace, start, mtu))
+            sources.append(TraceSource(sim, factory, ue, trace, start, mtu))
 
     for source in sources:
         source.start()

@@ -125,22 +125,21 @@ class PacketFactory:
     def __init__(self):
         self.next_id = 0
 
-    def make(self, ue_id: int, enb_id: int, size: int, lcg: int) -> Packet:
-        pkt = Packet(self.next_id, ue_id, enb_id, size, lcg)
+    def make(self, ue_id: int, enb_id: int, size: int) -> Packet:
+        pkt = Packet(self.next_id, ue_id, enb_id, size)
         self.next_id += 1
         return pkt
 
 
 class TraceSource:
     """Replays a trace from a start offset, looping forever; each frame is
-    split into packets of the MTU, labelled with the LCG."""
+    split into packets of the MTU."""
 
-    def __init__(self, sim: Simulator, factory: PacketFactory, ue, lcg: int,
+    def __init__(self, sim: Simulator, factory: PacketFactory, ue,
                  trace: Trace, start_offset: int, mtu: int):
         self.sim = sim
         self.factory = factory
         self.ue = ue
-        self.lcg = lcg
         self.trace = trace
         self.mtu = mtu
         start_offset %= trace.duration
@@ -160,7 +159,7 @@ class TraceSource:
         records = self.trace.records
         ue = self.ue
         for size in packetize(records[self._idx][1], self.mtu):
-            ue.on_arrival(self.factory.make(ue.ue_id, ue.enb.enb_id, size, self.lcg))
+            ue.on_arrival(self.factory.make(ue.ue_id, ue.enb.enb_id, size))
         self._idx += 1
         if self._idx == len(records):
             self._idx = 0

@@ -4,9 +4,10 @@ They are the benchmark's correctness gate (`check_outputs` in bench/child.py)
 stated once for the tests, plus the row-based reference of the columnar
 result processing and of the CSV writers (`csv.writer` over LatencySample
 rows). Each `*_failures` check returns a list of failures, empty when the run
-passes. `map_overlaps` checks one MAP, `record_maps` collects the MAPs a
-modem receives for such checks, and `placing_maps` states the ones that carry
-a non-UGS grant in comparable form. `report_path_failures` checks that the
+passes. `outcome` is what a run gives that a fast path and its slow twin
+must agree on. `map_overlaps` checks one MAP, `record_maps` collects the
+MAPs a modem receives for such checks, and `placing_maps` states the ones
+that carry a non-UGS grant in comparable form. `report_path_failures` checks that the
 report path conserves the bytes that `record_announced` sees announced.
 `reference_fill` is the slow twin of MAP window placement (`docsis._fill`),
 `scan_every_ue` that of the eNB's ready set (`Enb.on_subframe`),
@@ -21,8 +22,7 @@ import os
 import tempfile
 from operator import attrgetter
 
-from bwrsim.bwr import (BWR_MODE_BULK, BWR_MODE_PER_LCG, BandwidthReport,
-                        BwrCodecError, BwrEmitter, decode_bwr)
+from bwrsim.bwr import BandwidthReport, BwrCodecError, BwrEmitter, decode_bwr
 from bwrsim.core import PRIO_SERVICE
 from bwrsim.docsis import UGS, Cm, Cmts, serialization_us
 from bwrsim.lte import HARQ_PROCESSES, SUBFRAME_US
@@ -47,10 +47,10 @@ def lte_ledger_failures(run) -> list[str]:
     bytes leave `granted` once, when the grant fires. A UE is in its eNB's
     ready set exactly when it has demand."""
     fails = []
-    bad = [ue.ue_id for ue in run.ues if min(ue.demand) < 0 or min(ue.granted) < 0]
+    bad = [ue.ue_id for ue in run.ues if ue.demand < 0 or ue.granted < 0]
     if bad:
         fails.append(f"{run.mode}: negative LTE demand or granted bytes on ues {bad}")
-    stray = [ue.ue_id for ue in run.ues if (ue in ue.enb.ready) != any(ue.demand)]
+    stray = [ue.ue_id for ue in run.ues if (ue in ue.enb.ready) != (ue.demand > 0)]
     if stray:
         fails.append(f"{run.mode}: ready set disagrees with the demand of ues {stray}")
     return fails
@@ -63,9 +63,9 @@ def record_announced(patch) -> list[int]:
     announced = []
     note_grant = BwrEmitter.note_grant
 
-    def record(emitter, lcg_bytes, egress_time):
-        announced.append(sum(lcg_bytes.values()))
-        note_grant(emitter, lcg_bytes, egress_time)
+    def record(emitter, nbytes, egress_time):
+        announced.append(nbytes)
+        note_grant(emitter, nbytes, egress_time)
 
     patch(BwrEmitter, "note_grant", record)
     return announced
@@ -84,7 +84,7 @@ def report_path_failures(run, announced: int, maps) -> list[str]:
     on_bwr_frame = run.cmts.on_bwr_frame
     parts = {
         "granted": sum(g.nbytes for m in maps for g in m.grants if g.kind == "bwr"),
-        "unbuilt": sum(sum(lcg_bytes.values()) for _, lcg_bytes in emitter.entries),
+        "unbuilt": sum(nbytes for _, nbytes in emitter.entries),
         "queued": sum(decode_bwr(frame).total_bytes() for frame in run.cm.report_frames),
         "in_flight": sum(decode_bwr(args[0]).total_bytes()
                          for *_, fn, args in run.sim._heap if fn == on_bwr_frame),
@@ -95,6 +95,13 @@ def report_path_failures(run, announced: int, maps) -> list[str]:
         return [f"{run.mode}: {announced} B announced, {residual} B unaccounted "
                 f"for by {parts}"]
     return []
+
+
+def outcome(run) -> tuple:
+    """What a run gives that a fast path must not change: its retained
+    samples (row by row), counters and transport-block totals."""
+    c = run.collector
+    return list(c.retained()), c.counters, c.tb_blocks, c.tb_carried
 
 
 def lte_pairs(base, bwr) -> list[tuple[int, int]]:
@@ -328,7 +335,7 @@ def scan_every_ue(enb) -> None:
     for step in range(1, n + 1):
         idx = (enb.rr_index + step) % n
         ue = ues[idx]
-        if sum(ue.demand) <= 0:
+        if ue.demand <= 0:
             continue
         if enb.cfg.harq_enabled:
             pid = ((t + enb.cfg.grant_to_data_us) // SUBFRAME_US) % HARQ_PROCESSES
@@ -353,17 +360,10 @@ def filter_every_entry(emitter, t: int):
     first, egress = min(e for e, _ in due), max(e for e, _ in due)
     if first <= t:
         raise BwrCodecError(f"egress_time {first} not in the future at {t}")
-    per_lcg = [0, 0, 0, 0]
-    for _, lcg_bytes in due:
-        for lcg, nbytes in lcg_bytes.items():
-            per_lcg[lcg] += nbytes
-    if emitter.per_lcg:
-        blocks = tuple((g, per_lcg[g]) for g in range(4))
-        mode = BWR_MODE_PER_LCG
-    else:
-        blocks = ((0, sum(per_lcg)), (1, 0), (2, 0), (3, 0))
-        mode = BWR_MODE_BULK
-    report = BandwidthReport(emitter.enb_id, emitter.sequence, egress, blocks, mode)
+    blocks = [(g, 0) for g in range(4)]
+    blocks[emitter.block] = (emitter.block, sum(nbytes for _, nbytes in due))
+    report = BandwidthReport(emitter.enb_id, emitter.sequence, egress, tuple(blocks),
+                             emitter.mode)
     emitter.sequence = (emitter.sequence + 1) & 0xFFFF
     emitter.collector.count("bwr_reports_built", 1)
     emitter.forward(report)

@@ -135,8 +135,8 @@ class StubCollector:
         self.counters[key] = self.counters.get(key, 0) + delta
 
 
-def make_emitter(out, period=2 * MS, lead=6 * MS, per_lcg=False):
-    return BwrEmitter(1, period, lead, per_lcg=per_lcg,
+def make_emitter(out, period=2 * MS, lead=6 * MS, lcg=1, per_lcg=False):
+    return BwrEmitter(1, period, lead, lcg=lcg, per_lcg=per_lcg,
                       forward=out.append, collector=StubCollector())
 
 
@@ -144,7 +144,7 @@ def test_emitter_ladder_egress_time():
     # grant issued at 13 ms, 4 ms to transmission, 2 ms decode: egress 19 ms
     out = []
     em = make_emitter(out)
-    em.note_grant({1: 60}, 13 * MS + 4 * MS + 2 * MS)
+    em.note_grant(60, 13 * MS + 4 * MS + 2 * MS)
     em.on_subframe(14 * MS)
     assert out[0].egress_time == 19 * MS
     assert out[0].blocks == ((0, 60), (1, 0), (2, 0), (3, 0))
@@ -153,8 +153,8 @@ def test_emitter_ladder_egress_time():
 def test_emitter_aggregates_same_window():
     out = []
     em = make_emitter(out)
-    em.note_grant({1: 100}, 19 * MS)
-    em.note_grant({1: 200}, 19 * MS)
+    em.note_grant(100, 19 * MS)
+    em.note_grant(200, 19 * MS)
     em.on_subframe(14 * MS)
     assert len(out) == 1
     assert out[0].total_bytes() == 300
@@ -171,7 +171,7 @@ def test_emitter_defers_far_egress():
     # an announced retransmission 10 ms out waits for the matching tick
     out = []
     em = make_emitter(out)
-    em.note_grant({1: 60}, 24 * MS)
+    em.note_grant(60, 24 * MS)
     em.on_subframe(14 * MS)
     assert out == []
     em.on_subframe(16 * MS)
@@ -183,7 +183,7 @@ def test_emitter_defers_far_egress():
 def test_emitter_off_period_tick_ignored():
     out = []
     em = make_emitter(out)
-    em.note_grant({1: 60}, 19 * MS)
+    em.note_grant(60, 19 * MS)
     em.on_subframe(13 * MS)
     assert out == []
 
@@ -192,18 +192,23 @@ def test_emitter_sequence_increments():
     out = []
     em = make_emitter(out)
     for k in range(3):
-        em.note_grant({0: 10}, 20 * MS + k * 2 * MS)
+        em.note_grant(10, 20 * MS + k * 2 * MS)
         em.on_subframe(14 * MS + k * 2 * MS)
     assert [r.sequence for r in out] == [0, 1, 2]
 
 
 def test_emitter_per_lcg_blocks():
-    out = []
-    em = make_emitter(out, per_lcg=True)
-    em.note_grant({1: 100, 2: 50}, 19 * MS)
-    em.on_subframe(14 * MS)
-    assert out[0].mode == BWR_MODE_PER_LCG
-    assert out[0].blocks == ((0, 0), (1, 100), (2, 50), (3, 0))
+    # every byte of a run is of the run's LCG: a per-LCG report carries the
+    # total in that LCG's block, a bulk report in block 0
+    for per_lcg, mode, blocks in [
+            (True, BWR_MODE_PER_LCG, ((0, 0), (1, 0), (2, 150), (3, 0))),
+            (False, BWR_MODE_BULK, ((0, 150), (1, 0), (2, 0), (3, 0)))]:
+        out = []
+        em = make_emitter(out, lcg=2, per_lcg=per_lcg)
+        em.note_grant(100, 19 * MS)
+        em.note_grant(50, 19 * MS)
+        em.on_subframe(14 * MS)
+        assert (out[0].mode, out[0].blocks) == (mode, blocks)
 
 
 def test_emitter_reports_the_latest_egress_of_its_entries():
@@ -211,8 +216,8 @@ def test_emitter_reports_the_latest_egress_of_its_entries():
     # one of its last bytes: an earlier one can grant bytes not yet there
     out = []
     em = make_emitter(out)
-    em.note_grant({1: 100}, 14 * MS + 3 * MS)
-    em.note_grant({1: 200}, 14 * MS + 5 * MS)
+    em.note_grant(100, 14 * MS + 3 * MS)
+    em.note_grant(200, 14 * MS + 5 * MS)
     em.on_subframe(14 * MS)
     assert len(out) == 1 and out[0].total_bytes() == 300
     assert out[0].egress_time == 14 * MS + 5 * MS
@@ -229,14 +234,14 @@ def announce_and_build(em):
     # fresh grants due at each build, beside a retransmission announced at
     # 15 ms for 24 ms: beyond the horizon of the 14 and 16 ms builds (lead
     # 6 ms), it is left behind until the 18 ms build takes it with the rest
-    em.note_grant({1: 100}, 19 * MS)
-    em.note_grant({1: 50, 2: 30}, 20 * MS)
+    em.note_grant(100, 19 * MS)
+    em.note_grant(80, 20 * MS)
     em.on_subframe(14 * MS)
-    em.note_grant({1: 70}, 24 * MS)
-    em.note_grant({1: 200}, 21 * MS)
-    em.note_grant({2: 40}, 22 * MS)
+    em.note_grant(70, 24 * MS)
+    em.note_grant(200, 21 * MS)
+    em.note_grant(40, 22 * MS)
     em.on_subframe(16 * MS)
-    em.note_grant({1: 90}, 23 * MS)
+    em.note_grant(90, 23 * MS)
     em.on_subframe(18 * MS)
     em.on_subframe(20 * MS)
 
@@ -244,9 +249,9 @@ def announce_and_build(em):
 @pytest.mark.parametrize("per_lcg", [False, True])
 def test_a_retransmission_beyond_the_horizon_builds_as_filtering_does(per_lcg):
     fast, slow = [], []
-    em = make_emitter(fast, per_lcg=per_lcg)
+    em = make_emitter(fast, lcg=3, per_lcg=per_lcg)
     announce_and_build(em)
-    announce_and_build(filtering_emitter(slow, per_lcg=per_lcg))
+    announce_and_build(filtering_emitter(slow, lcg=3, per_lcg=per_lcg))
     assert fast == slow
     assert [(r.egress_time, r.total_bytes()) for r in fast] == [
         (20 * MS, 180), (22 * MS, 240), (24 * MS, 160)]
@@ -258,9 +263,9 @@ def test_a_retransmission_beyond_the_horizon_builds_as_filtering_does(per_lcg):
 def test_a_build_raises_on_an_entry_not_in_the_future(emitter, later):
     # taken with every entry, or filtered out beside a later one
     em = emitter([])
-    em.note_grant({1: 60}, 14 * MS)
+    em.note_grant(60, 14 * MS)
     if later is not None:
-        em.note_grant({1: 60}, later)
+        em.note_grant(60, later)
     with pytest.raises(BwrCodecError, match="not in the future"):
         em.on_subframe(14 * MS)
 
@@ -317,7 +322,7 @@ def test_two_reports_queue_fifo():
 
 def test_just_in_time_grant_at_egress():
     sim, cmts, cm, collector, maps = build_docsis(ugs_phase=0)
-    pkt = Packet(0, 1, 1, 300, 1)
+    pkt = Packet(0, 1, 1, 300)
     pkt.set_stage("ue_arrival", 0)
     sim.run_until(10 * MS)
     cm.forward_report(cm.flows[1], report(egress=20 * MS))
@@ -360,7 +365,7 @@ def test_harq_failure_wastes_grant_data_rides_fresh_report():
     # fresh report for the retransmission, 8 ms later
     cm.forward_report(cm.flows[1], report(egress=28 * MS, seq=1))
     sim.run_until(28 * MS)
-    pkt = Packet(0, 1, 1, 300, 1)
+    pkt = Packet(0, 1, 1, 300)
     pkt.set_stage("ue_arrival", 0)
     cm.enqueue_chunks(cm.flows[1], [(pkt, 300)], sim.now)
     assert cm.flows[1].req is None          # described credit still held
@@ -376,7 +381,7 @@ def arrive_at(t, egress, nbytes=300):
     sim.run_until(10 * MS)
     cm.forward_report(cm.flows[1], report(egress=egress))
     sim.run_until(t)
-    pkt = Packet(0, 1, 1, nbytes, 1)
+    pkt = Packet(0, 1, 1, nbytes)
     pkt.set_stage("ue_arrival", 0)
     cm.enqueue_chunks(cm.flows[1], [(pkt, nbytes)], sim.now)
     return cm.flows[1]

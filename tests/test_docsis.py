@@ -14,7 +14,7 @@ from bwrsim.lte import LteError, Packet
 from bwrsim.metrics import Collector
 from bwrsim.runner import run_single
 
-from run_checks import map_overlaps, record_maps, restore_evented_ugs
+from run_checks import map_overlaps, outcome, record_maps, restore_evented_ugs
 
 
 def build(cfg=None, *, flows=1, ugs=False, seed=3, end=10 * SEC):
@@ -38,7 +38,7 @@ def grants_of(maps, kind):
 
 
 def packet(pid, size=60, ue=1, enb=1):
-    p = Packet(pid, ue, enb, size, 1)
+    p = Packet(pid, ue, enb, size)
     p.set_stage("ue_arrival", 0)
     return p
 
@@ -519,10 +519,8 @@ def _map_grants(monkeypatch, cfg):
     with monkeypatch.context() as m:
         maps = record_maps(Cm, m.setattr)
         run = run_single(cfg, "bwr")
-    c = run.collector
-    return ((list(c.retained()), c.counters, c.tb_blocks, c.tb_carried),
-            [[(g.kind, g.start, g.duration, g.nbytes) for g in msg.grants]
-             for msg in maps])
+    return outcome(run), [[(g.kind, g.start, g.duration, g.nbytes) for g in msg.grants]
+                          for msg in maps]
 
 
 def test_layouts_cut_short_by_the_run_match_fresh_windows(monkeypatch):
@@ -538,7 +536,7 @@ def test_layouts_cut_short_by_the_run_match_fresh_windows(monkeypatch):
     restore_evented_ugs(monkeypatch.setattr)
     evented, shifted = _map_grants(monkeypatch, cfg)
     assert booked == evented
-    monkeypatch.setattr(Cmts, "_open_window", lambda cmts, start, placing: open_window(
+    monkeypatch.setattr(Cmts, "_open_window", lambda cmts, start: open_window(
         start, cmts.cfg, cmts.ugs))
     assert (evented, shifted) == _map_grants(monkeypatch, cfg)
     assert sum(g[0] == "ugs" for msg in shifted for g in msg) > 100

@@ -10,8 +10,8 @@ from bwrsim.docsis import Cm, Cmts
 from bwrsim.lte import Enb
 from bwrsim.runner import paired_deltas, run_single
 
-from run_checks import (cross_mode_failures, lte_pairs, placing_maps, record_maps,
-                        restore_evented_ugs)
+from run_checks import (cross_mode_failures, lte_pairs, outcome, placing_maps,
+                        record_maps, restore_evented_ugs)
 
 
 def test_no_requests_when_everything_is_described():
@@ -98,9 +98,8 @@ def test_video_packets_segment_and_reassemble():
     # any packet still buffered has a consistent residue; every sampled one
     # is fully closed out across all three byte ledgers
     for ue in run.ues:
-        for lcg_q in ue.buffers:
-            for pkt, remaining in lcg_q:
-                assert 0 < remaining <= pkt.size_bytes
+        for pkt, remaining in ue.buffer:
+            assert 0 < remaining <= pkt.size_bytes
     sampled = {s.packet_id for s in run.collector.samples}
     for flow in run.cm.flows.values():
         for pkt, _ in flow.queue:
@@ -126,6 +125,23 @@ def test_per_lcg_mode_matches_bulk_for_single_class_traffic():
     a = [(s.packet_id, s.docsis_us) for s in bulk.collector.retained()]
     b = [(s.packet_id, s.docsis_us) for s in split.collector.retained()]
     assert a == b
+
+
+@pytest.mark.parametrize("name, lcg_field", [("scenario1", "lcg_voip"),
+                                             ("scenario2", "lcg_video")])
+def test_per_lcg_reports_carry_the_run_lcg(monkeypatch, name, lcg_field):
+    # the run's traffic class picks its LCG, and every per-LCG report puts
+    # its bytes in that LCG's block alone
+    cfg = replace(preset(name), duration_us=300 * MS, bwr_per_lcg=True,
+                  lcg_voip=3, lcg_video=0)
+    blocks = []
+    forward_report = Cm.forward_report
+    monkeypatch.setattr(Cm, "forward_report", lambda cm, flow, report: (
+        blocks.append(report.blocks), forward_report(cm, flow, report)))
+    run_single(cfg, "bwr")
+    lcg = getattr(cfg, lcg_field)
+    assert len(blocks) > 10
+    assert {tuple(g for g, nbytes in b if nbytes) for b in blocks} == {(lcg,)}
 
 
 @pytest.mark.parametrize("phase_us, duration_us, grant_at_end", [
@@ -228,12 +244,6 @@ def test_a_report_grant_never_precedes_its_bytes(seed):
     assert [(pid, b, w) for pid, _, b, w in deltas if w > b] == []
 
 
-def _outcome(cfg, mode):
-    run = run_single(cfg, mode)
-    c = run.collector
-    return list(c.retained()), c.counters, c.tb_blocks, c.tb_carried
-
-
 @pytest.mark.parametrize("overrides", [
     {},
     {"map_interval_us": 1 * MS},          # every subframe is a MAP instant
@@ -247,10 +257,10 @@ def test_sleeping_subframe_tick_matches_ticking_every_subframe(monkeypatch, name
     for seed in (0, 5):
         cfg = replace(preset(name), seed=seed, duration_us=1 * SEC, **overrides)
         for mode in ("baseline", "bwr"):
-            sleeping = _outcome(cfg, mode)
+            sleeping = outcome(run_single(cfg, mode))
             with monkeypatch.context() as m:
                 m.setattr(Enb, "busy", lambda self: True)
-                ticking = _outcome(cfg, mode)
+                ticking = outcome(run_single(cfg, mode))
             assert sleeping == ticking, (seed, mode)
             assert len(sleeping[0]) > 100
 
@@ -259,8 +269,7 @@ def _placing_maps(cfg, mode, patch):
     """The outcome of a run, with the window and grants of every MAP that
     carries a non-UGS grant."""
     maps = record_maps(Cm, patch)
-    outcome = _outcome(cfg, mode)
-    return outcome, placing_maps(maps)
+    return outcome(run_single(cfg, mode)), placing_maps(maps)
 
 
 @pytest.mark.parametrize("overrides", [

@@ -31,8 +31,8 @@ def make_ue(sim, enb, ue_id=1, sr_phase=0):
     return ue
 
 
-def pkt(pid=0, size=60, lcg=1, ue_id=1):
-    return Packet(pid, ue_id, 1, size, lcg)
+def pkt(pid=0, size=60, ue_id=1):
+    return Packet(pid, ue_id, 1, size)
 
 
 class FailThenPass:
@@ -119,9 +119,7 @@ def test_packet_stage_set_once():
 
 def test_packet_validation():
     with pytest.raises(LteError):
-        Packet(0, 1, 1, 0, 1)
-    with pytest.raises(LteError):
-        Packet(0, 1, 1, 60, 4)
+        Packet(0, 1, 1, 0)
 
 
 # -- SR arming ----------------------------------------------------------------
@@ -160,15 +158,15 @@ def test_no_sr_while_grant_pending():
     sim = Simulator()
     enb = make_enb(sim)
     ue = make_ue(sim, enb)
-    enb.on_bsr(ue, [0, 60, 0, 0])
+    enb.on_bsr(ue, 60)
     sim.run_until(enb.cfg.bsr_to_data_grant_us)
     enb.on_subframe()
-    assert ue.granted == [0, 60, 0, 0]
+    assert ue.granted == 60
     ue.on_arrival(pkt(0))
     assert not ue.pending_sr
     sim.run_until(sim.now + enb.cfg.grant_to_data_us)   # the grant fires
-    assert ue.granted == [0, 0, 0, 0]
-    assert ue.buffer_bytes == [0, 0, 0, 0]
+    assert ue.granted == 0
+    assert ue.buffer_bytes == 0
     ue.on_arrival(pkt(1))
     assert ue.pending_sr
 
@@ -188,9 +186,10 @@ def test_buffer_additivity():
     sim = Simulator()
     enb = make_enb(sim)
     ue = make_ue(sim, enb)
-    ue.on_arrival(pkt(0, size=100, lcg=2))
-    ue.on_arrival(pkt(1, size=200, lcg=2))
-    assert ue.buffer_bytes[2] == 300
+    ue.on_arrival(pkt(0, size=100))
+    ue.on_arrival(pkt(1, size=200))
+    assert ue.buffer_bytes == 300
+    assert [remaining for _, remaining in ue.buffer] == [100, 200]
 
 
 # -- control ladder timing ------------------------------------------------------
@@ -203,10 +202,9 @@ def test_sr_to_bsr_delivery_times():
     ue = make_ue(sim, enb)
     ue.on_arrival(pkt())            # SR at 5 ms (phase 0)
     seen = []
-    orig = enb.on_bsr
-    enb.on_bsr = lambda ue, per_lcg: seen.append((sim.now, list(per_lcg)))
+    enb.on_bsr = lambda ue, nbytes: seen.append((sim.now, nbytes))
     sim.run_until(20 * MS)
-    assert seen == [(13 * MS, [0, 60, 0, 0])]
+    assert seen == [(13 * MS, 60)]
 
 
 def test_two_srs_independent_grants():
@@ -215,21 +213,11 @@ def test_two_srs_independent_grants():
     ue1 = make_ue(sim, enb, ue_id=1)
     ue2 = make_ue(sim, enb, ue_id=2)
     seen = []
-    enb.on_bsr = lambda ue, per_lcg: seen.append((sim.now, ue.ue_id))
+    enb.on_bsr = lambda ue, nbytes: seen.append((sim.now, ue.ue_id))
     ue1.on_arrival(pkt(0, ue_id=1))
     ue2.on_arrival(pkt(1, ue_id=2))
     sim.run_until(20 * MS)
     assert seen == [(13 * MS, 1), (13 * MS, 2)]
-
-
-def test_bsr_identity_report():
-    sim = Simulator()
-    enb = make_enb(sim)
-    ue = make_ue(sim, enb)
-    ue.on_arrival(pkt(0, size=100, lcg=0))
-    ue.on_arrival(pkt(1, size=200, lcg=1))
-    ue.on_arrival(pkt(2, size=50, lcg=3))
-    assert ue.buffer_bytes == [100, 200, 0, 50]
 
 
 def test_zero_bsr_suppressed():
@@ -237,7 +225,7 @@ def test_zero_bsr_suppressed():
     enb = make_enb(sim)
     ue = make_ue(sim, enb)
     seen = []
-    enb.on_bsr = lambda ue, per_lcg: seen.append(per_lcg)
+    enb.on_bsr = lambda ue, nbytes: seen.append(nbytes)
     ue.emit_bsr()
     assert seen == []
 
@@ -262,7 +250,7 @@ def test_piggybacked_report_when_the_buffer_changed_or_the_last_is_stale():
         sim.run_until(t)
         ue.on_arrival(pkt(i, size=size))
         ue.transmit(100)
-    assert reports == [[0, 0, 0, 0], None, [0, 0, 0, 0], [0, 200, 0, 0]]
+    assert reports == [0, None, 0, 200]
 
 
 # -- round-robin scheduling ------------------------------------------------------
@@ -285,7 +273,7 @@ def test_round_robin_rotation():
     enb = make_enb(sim)
     for uid in range(1, 7):
         ue = make_ue(sim, enb, ue_id=uid)
-        enb._apply_demand(ue, [0, 10_000, 0, 0])
+        enb._apply_demand(ue, 10_000)
     grants = run_subframes(sim, enb, 6)
     assert [uid for _, uid in grants] == [1, 2, 3, 4, 5, 6]
 
@@ -295,7 +283,7 @@ def test_round_robin_fairness():
     enb = make_enb(sim)
     for uid in range(1, 5):
         ue = make_ue(sim, enb, ue_id=uid)
-        enb._apply_demand(ue, [10 ** 7, 0, 0, 0])
+        enb._apply_demand(ue, 10 ** 7)
     grants = run_subframes(sim, enb, 42)
     counts = {}
     for _, uid in grants:
@@ -308,13 +296,13 @@ def test_grant_segmentation():
     sim = Simulator()
     enb = make_enb(sim)
     ue = make_ue(sim, enb)
-    enb._apply_demand(ue, [5000, 0, 0, 0])
+    enb._apply_demand(ue, 5000)
     sizes = []
     orig = enb._issue_data_grant
     def spy(ue_, t):
-        before = sum(ue.demand)
+        before = ue.demand
         orig(ue_, t)
-        sizes.append(before - sum(ue.demand))
+        sizes.append(before - ue.demand)
     enb._issue_data_grant = spy
     for _ in range(3):
         enb.on_subframe()
@@ -326,10 +314,37 @@ def test_under_capacity_single_grant():
     sim = Simulator()
     enb = make_enb(sim)
     ue = make_ue(sim, enb)
-    enb._apply_demand(ue, [0, 60, 0, 0])
+    enb._apply_demand(ue, 60)
     enb.on_subframe()
-    assert sum(ue.demand) == 0
-    assert ue.granted[1] == 60
+    assert ue.demand == 0
+    assert ue not in enb.ready
+    assert ue.granted == 60
+
+
+def test_a_stale_report_over_grants_and_the_unused_bytes_are_counted():
+    # A report of 100 B is granted at 4 ms and fires at 8 ms. A second
+    # report of the same 100 B, made at 5 ms before that grant fired, is
+    # applied at 9 ms, when nothing is granted: its grant of 100 B fires at
+    # 13 ms and finds only the 40 B that arrived at 10 ms. Its other 60 B
+    # are counted as unused, although the grant drained some bytes.
+    sim = Simulator()
+    enb = make_enb(sim)
+    ue = make_ue(sim, enb)
+    ue.pending_sr = True              # no SR ladder of its own
+    ue.on_arrival(pkt(0, size=100))
+    enb.on_bsr(ue, 100)
+    for t in range(1, 16):
+        sim.run_until(t * MS)
+        if t == 5:
+            enb.on_bsr(ue, 100)
+        if t == 10:
+            ue.on_arrival(pkt(1, size=40))
+        enb.on_subframe()
+    c = enb.collector.counters
+    assert c["lte_granted_bytes"] == 200
+    assert c["lte_egressed_bytes"] == 140
+    assert c["lte_grant_unused_bytes"] == 60
+    assert (ue.buffer_bytes, ue.demand, ue.granted) == (0, 0, 0)
 
 
 # -- channel updates ---------------------------------------------------------------
@@ -472,7 +487,7 @@ def test_byte_conservation_through_ladder():
         sim.run_until(t)
     c = enb.collector.counters
     egressed = sum(n for _, n in chunks_out)
-    assert c["admitted_bytes"] == (egressed + sum(ue.buffer_bytes)
+    assert c["admitted_bytes"] == (egressed + ue.buffer_bytes
                                    + c.get("lte_inflight_bytes", 0)
                                    + c.get("harq_dropped_bytes", 0))
 
@@ -507,7 +522,7 @@ def test_sleeping_tick_serves_demand_at_the_first_boundary(report_at, served_at)
         orig(ue, t)
     enb._issue_data_grant = spy
     sim.run_until(report_at)
-    enb.on_bsr(ue, [0, 60, 0, 0])
+    enb.on_bsr(ue, 60)
     sim.run_until(20 * MS)
     assert issued == [served_at]
     assert ticks == [0, served_at]
@@ -523,7 +538,7 @@ def test_retransmission_announced_at_a_boundary_wakes_the_next_tick():
     ue = make_ue(sim, enb)
     reports = []
     lead = enb.cfg.grant_to_data_us + enb.cfg.enb_decode_us
-    enb.bwr_emitter = BwrEmitter(1, MS, lead, per_lcg=False,
+    enb.bwr_emitter = BwrEmitter(1, MS, lead, lcg=1, per_lcg=False,
                                  forward=reports.append, collector=enb.collector)
     ticks = start_ticks(sim, enb)
     ue.on_arrival(pkt(0, size=600))

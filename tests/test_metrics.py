@@ -104,7 +104,7 @@ def test_cdf_empty_errors():
 
 def test_segment_additivity_enforced():
     collector = Collector("baseline")
-    p = Packet(1, 1, 1, 60, 1)
+    p = Packet(1, 1, 1, 60)
     p.ue_arrival, p.cm_arrival, p.cmts_egress = 0, 20_000, 25_245
     collector.record_egress(p)
     [s] = collector.retained()
@@ -115,7 +115,7 @@ def test_duplicate_packet_rejected():
     # a second egress fails on the stage stamp, before the collector sees it
     collector = Collector("baseline")
     cmts = Cmts(Simulator(), SimConfig(), collector, False)
-    p = Packet(1, 1, 1, 60, 1)
+    p = Packet(1, 1, 1, 60)
     p.ue_arrival, p.cm_arrival = 0, 20_000
     cmts.on_packet_egress(p, 25_245)
     with pytest.raises(LteError):
@@ -125,7 +125,7 @@ def test_duplicate_packet_rejected():
 
 def test_dropped_packet_not_sampled():
     collector = Collector("baseline")
-    p = Packet(1, 1, 1, 60, 1)
+    p = Packet(1, 1, 1, 60)
     p.ue_arrival, p.cm_arrival, p.cmts_egress = 0, 20_000, 25_245
     p.dropped = True
     collector.record_egress(p)
@@ -137,7 +137,7 @@ def test_warmup_exclusion():
     # kept (each packet's id here is its arrival time)
     collector = Collector("baseline", warmup_us=100_000)
     for arrival in (0, 99_999, 100_000, 150_000):
-        p = Packet(arrival, 1, 1, 60, 1)
+        p = Packet(arrival, 1, 1, 60)
         p.ue_arrival, p.cm_arrival, p.cmts_egress = arrival, arrival + 1, arrival + 2
         collector.record_egress(p)
     retained = collector.retained()

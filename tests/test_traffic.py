@@ -34,7 +34,7 @@ def test_voip_count_over_run():
     sim = Simulator()
     ue = SinkUe()
     # start 13 ms into the 20 ms loop: the first packet comes at 7 ms
-    TraceSource(sim, PacketFactory(), ue, 1, VOIP, start_offset=13 * MS,
+    TraceSource(sim, PacketFactory(), ue, VOIP, start_offset=13 * MS,
                 mtu=60).start()
     sim.run_until(7 * MS - 1)
     assert not ue.packets
@@ -47,7 +47,7 @@ def test_voip_six_sources_total():
     sim = Simulator()
     ues = [SinkUe(i) for i in range(6)]
     for i, ue in enumerate(ues):
-        TraceSource(sim, PacketFactory(), ue, 1, VOIP,
+        TraceSource(sim, PacketFactory(), ue, VOIP,
                     start_offset=-i * 3 * MS % VOIP.duration, mtu=60).start()
     sim.run_until(2 * SEC - 1)
     assert sum(len(u.packets) for u in ues) == 600
@@ -77,7 +77,7 @@ def test_voip_run_replays_one_unsplit_packet_per_period(monkeypatch):
     cfg = SimConfig(ues_per_enb=len(draws), voip_bytes=300, packet_mtu=200,
                     duration_us=100 * MS, warmup_us=0)
     run_single(cfg, "baseline")
-    assert {(p.size_bytes, p.lcg) for p in admitted} == {(300, cfg.lcg_voip)}
+    assert {p.size_bytes for p in admitted} == {300}
     # the UE whose draw is p gets a packet at p, p + 20 ms, ...
     for ue_id, p in enumerate(draws, start=1):
         assert [pkt.ue_arrival for pkt in admitted if pkt.ue_id == ue_id] == list(
@@ -99,7 +99,7 @@ def test_degenerate_trace_loops():
     sim = Simulator()
     ue = SinkUe()
     trace = Trace([(0, 1000)], 100 * MS)
-    TraceSource(sim, PacketFactory(), ue, 2, trace, start_offset=0,
+    TraceSource(sim, PacketFactory(), ue, trace, start_offset=0,
                 mtu=1400).start()
     sim.run_until(1 * SEC - 1)
     assert len(ue.packets) == 10                 # 1000 B every 100 ms
@@ -110,7 +110,7 @@ def test_trace_full_loops_byte_exact():
     sim = Simulator()
     ue = SinkUe()
     trace = Trace([(0, 500), (40 * MS, 700), (70 * MS, 300)], 100 * MS)
-    TraceSource(sim, PacketFactory(), ue, 2, trace, start_offset=40 * MS,
+    TraceSource(sim, PacketFactory(), ue, trace, start_offset=40 * MS,
                 mtu=1400).start()
     sim.run_until(2 * SEC - 1)                   # 20 full loops
     assert sum(p.size_bytes for p in ue.packets) == 20 * trace.total_bytes()
@@ -120,7 +120,7 @@ def test_trace_start_offset_rotates_order():
     sim = Simulator()
     ue = SinkUe()
     trace = Trace([(0, 100), (50 * MS, 200)], 100 * MS)
-    TraceSource(sim, PacketFactory(), ue, 2, trace, start_offset=50 * MS,
+    TraceSource(sim, PacketFactory(), ue, trace, start_offset=50 * MS,
                 mtu=1400).start()
     sim.run_until(120 * MS)
     assert [p.size_bytes for p in ue.packets[:3]] == [200, 100, 200]
@@ -136,7 +136,7 @@ def test_trace_emission_packetizes():
     sim = Simulator()
     ue = SinkUe()
     trace = Trace([(0, 3000)], 50 * MS)
-    TraceSource(sim, PacketFactory(), ue, 2, trace, 0, mtu=1400).start()
+    TraceSource(sim, PacketFactory(), ue, trace, 0, mtu=1400).start()
     sim.run_until(10 * MS)
     assert [p.size_bytes for p in ue.packets] == [1400, 1400, 200]
 
