@@ -166,6 +166,6 @@ class BwrEmitter:
         report = BandwidthReport(self.enb_id, self.sequence, egress,
                                  blocks, self.mode)
         self.sequence = (self.sequence + 1) & 0xFFFF
-        self.collector.count("bwr_reports_built", 1)
+        self.collector.counters.bwr_reports_built += 1
         self.forward(report)
         return report

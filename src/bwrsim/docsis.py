@@ -251,7 +251,7 @@ class Cmts:
     def on_bwr_frame(self, frame: bytes) -> None:
         """A bandwidth report reached the CMTS in an unsolicited grant."""
         report = decode_bwr(frame)
-        self.collector.count("bwr_frames_received", 1)
+        self.collector.counters.bwr_frames_received += 1
         if report.total_bytes() == 0:
             return
         data_flow = self.cm.flows.get(report.enb_id)
@@ -391,7 +391,7 @@ class Cmts:
     # -- egress ---------------------------------------------------------------
 
     def on_packet_egress(self, pkt, t: int) -> None:
-        pkt.set_stage("cmts_egress", t)
+        pkt.stamp_cmts_egress(t)
         self.collector.record_egress(pkt)
 
 
@@ -405,12 +405,15 @@ class Cm:
         self.cmts = cmts
         self.cfg = cfg
         self.collector = collector
+        self.counters = collector.counters
         self.rng = contention_rng
         self.flows: dict[int, ServiceFlow] = {}     # by eNB id
         self.report_frames: deque[bytes] = deque()
         self._ugs_carried = 0       # UGS grants that carried a frame
         self._slot_us = slot_duration(cfg)
         self._region_us = region_duration(cfg)
+        # from a grant's start to when its first byte reaches the CMTS
+        self._wire_offset_us = cfg.propagation_us + cfg.cm_framing_us
         # Regions whose resolve_region is queued. A resolve can share its
         # instant with other control-plane events; none of them touches the
         # contention state (on_bwr_frame, the only DOCSIS one, touches only
@@ -425,17 +428,20 @@ class Cm:
     # -- ingress from the LTE side -------------------------------------------
 
     def enqueue_chunks(self, flow: ServiceFlow, chunks, t: int) -> None:
-        """Transport-block bytes handed over by the base station."""
+        """Transport-block bytes handed over by the base station. Only a flow
+        that holds report credit (the eut's, in a bwr run) spends any."""
+        queue = flow.queue
         for pkt, nbytes in chunks:
-            flow.queue.append([pkt, nbytes])
+            queue.append([pkt, nbytes])
             flow.queue_bytes += nbytes
             pkt.cm_received += nbytes
             # Last-byte rule: retransmitted blocks can arrive out of order,
             # so the stage is set by byte count, not by drain order.
             if pkt.cm_received == pkt.size_bytes:
-                pkt.set_stage("cm_arrival", t)
-            covered = flow.consume_described(nbytes, t)
-            flow.uncovered_bytes += nbytes - covered
+                pkt.stamp_cm_arrival(t)
+            if flow.described:
+                nbytes -= flow.consume_described(nbytes, t)
+            flow.uncovered_bytes += nbytes
         if flow.req is None and flow.uncovered_bytes > 0:
             self._arm_request(flow, t)
 
@@ -482,14 +488,14 @@ class Cm:
                 self.cmts.on_req_delivered(flow, flow.uncovered_bytes,
                                            region_start + slot * self._slot_us)
                 flow.uncovered_bytes = 0
-                self.collector.count("reqs_delivered", 1)
+                self.counters.reqs_delivered += 1
                 flow.req = None
                 flow.backoff_window = cfg.backoff_init
             else:
                 for flow in group:
                     flow.backoff_window = min(flow.backoff_window * 2, cfg.backoff_max)
                     self._defer(flow, region_index + 1)
-                    self.collector.count("req_collisions", 1)
+                    self.counters.req_collisions += 1
 
     def on_map(self, msg: MapMessage) -> None:
         """A MAP reached the modem. Its contention region needs no event of
@@ -508,26 +514,21 @@ class Cm:
         else:
             self._transmit_data(grant)
 
-    def _arrival(self, grant: Grant, sent: int) -> int:
-        """When the grant's first `sent` bytes have all reached the CMTS."""
-        cfg = self.cfg
-        return (grant.start + cfg.propagation_us + cfg.cm_framing_us
-                + serialization_us(sent, cfg.upstream_bps))
-
     def _transmit_reports(self, grant: Grant) -> None:
         queue = self.report_frames
         budget = grant.nbytes
+        offset = grant.start + self._wire_offset_us
         sent = 0
         while queue and sent + len(queue[0]) <= budget:
             frame = queue.popleft()
             sent += len(frame)
-            self.sim.schedule_at(self._arrival(grant, sent), PRIO_CONTROL,
-                                 self.cmts.on_bwr_frame, frame)
+            self.sim.schedule_at(offset + serialization_us(sent, self.cfg.upstream_bps),
+                                 PRIO_CONTROL, self.cmts.on_bwr_frame, frame)
         if sent == 0:
-            self.collector.count("ugs_idle_grants", 1)
+            self.counters.ugs_idle_grants += 1
         else:
             self._ugs_carried += 1
-        self.collector.count("ugs_wasted_bytes", grant.nbytes - sent)
+        self.counters.ugs_wasted_bytes += grant.nbytes - sent
         if queue:
             self._book_ugs(grant.start + 1)
 
@@ -544,34 +545,39 @@ class Cm:
         end (a grant at the end fires) and carried nothing: no event ran
         for them."""
         idle = self.cmts.ugs_grants_before(self.cfg.duration_us + 1) - self._ugs_carried
-        if idle > 0:
-            self.collector.count("ugs_idle_grants", idle)
-            self.collector.count("ugs_wasted_bytes", idle * self.cfg.ugs_grant_bytes)
+        self.counters.ugs_idle_grants += idle
+        self.counters.ugs_wasted_bytes += idle * self.cfg.ugs_grant_bytes
 
     def _transmit_data(self, grant: Grant) -> None:
         end = self.cfg.duration_us      # the last instant a packet may egress
+        bps = self.cfg.upstream_bps
+        offset = grant.start + self._wire_offset_us
         flow = grant.flow
+        queue = flow.queue
         budget = grant.nbytes
         sent = 0
-        while flow.queue and budget > 0:
-            entry = flow.queue[0]
+        while queue and budget > 0:
+            entry = queue[0]
             pkt, remaining = entry
             take = min(remaining, budget)
             entry[1] -= take
             budget -= take
             sent += take
-            flow.queue_bytes -= take
             pkt.docsis_egressed += take
             if entry[1] == 0:
-                flow.queue.popleft()
+                queue.popleft()
             if pkt.docsis_egressed == pkt.size_bytes:     # its last byte
-                completion = self._arrival(grant, sent)
+                completion = offset + serialization_us(sent, bps)
                 if completion <= end:
                     self.cmts.on_packet_egress(pkt, completion)
-        wasted = grant.nbytes - sent
-        if wasted > 0:
-            self.collector.count(f"wasted_{grant.kind}_grant_bytes", wasted)
-        self.collector.count("docsis_sent_bytes", sent)
+        flow.queue_bytes -= sent
+        counters = self.counters
+        if budget > 0:
+            if grant.kind == BE:
+                counters.wasted_be_grant_bytes += budget
+            else:
+                counters.wasted_bwr_grant_bytes += budget
+        counters.docsis_sent_bytes += sent
 
     # -- report forwarding --------------------------------------------------------
 

@@ -62,12 +62,11 @@ def harq_grant_utilization(n_max: int, bler: float) -> float:
     return sum((1.0 / (k + 1)) * (1.0 - bler) * bler ** k for k in range(n_max + 1))
 
 
-_PKT_SEQ_FIELDS = ("ue_arrival", "cm_arrival", "cmts_egress")
-
-
-@dataclass
+@dataclass(slots=True)
 class Packet:
-    """A unit of user traffic tracked from UE arrival to CMTS egress."""
+    """A unit of user traffic tracked from UE arrival to CMTS egress. Each
+    stage has its own stamp, set once and never before the stage ahead of
+    it (-1: not yet)."""
 
     id: int
     ue_id: int
@@ -85,17 +84,26 @@ class Packet:
         if self.size_bytes <= 0:
             raise LteError("packet size must be positive")
 
-    def set_stage(self, name: str, t: int) -> None:
-        prev = -1
-        for f in _PKT_SEQ_FIELDS:
-            if f == name:
-                break
-            prev = getattr(self, f)
-        if getattr(self, name) >= 0:
-            raise LteError(f"stage {name} already set for packet {self.id}")
-        if prev >= 0 and t < prev:
-            raise LteError(f"stage {name}={t} precedes prior stage ({prev})")
-        setattr(self, name, t)
+    def stamp_ue_arrival(self, t: int) -> None:
+        if self.ue_arrival >= 0:
+            raise LteError(f"stage ue_arrival already set for packet {self.id}")
+        self.ue_arrival = t
+
+    def stamp_cm_arrival(self, t: int) -> None:
+        if self.cm_arrival >= 0:
+            raise LteError(f"stage cm_arrival already set for packet {self.id}")
+        prev = self.ue_arrival
+        if t < prev:
+            raise LteError(f"stage cm_arrival={t} precedes prior stage ({prev})")
+        self.cm_arrival = t
+
+    def stamp_cmts_egress(self, t: int) -> None:
+        if self.cmts_egress >= 0:
+            raise LteError(f"stage cmts_egress already set for packet {self.id}")
+        prev = self.cm_arrival
+        if t < prev:
+            raise LteError(f"stage cmts_egress={t} precedes prior stage ({prev})")
+        self.cmts_egress = t
 
 
 class HarqProcess:
@@ -121,6 +129,7 @@ class Ue:
         self.ue_id = ue_id
         self.enb = enb
         self.cfg = enb.cfg
+        self.counters = enb.counters
         self.sr_phase = sr_phase
         self.mcs = 22
         self.buffer = deque()         # [packet, remaining], in arrival order
@@ -136,11 +145,12 @@ class Ue:
 
     def on_arrival(self, pkt: Packet) -> None:
         t = self.sim.now
-        pkt.set_stage("ue_arrival", t)
+        pkt.stamp_ue_arrival(t)
         self.buffer.append([pkt, pkt.size_bytes])
         self.buffer_bytes += pkt.size_bytes
-        self.enb.collector.count("admitted_bytes", pkt.size_bytes)
-        self.enb.collector.count("admitted_packets", 1)
+        counters = self.counters
+        counters.admitted_bytes += pkt.size_bytes
+        counters.admitted_packets += 1
         if self._needs_sr():
             self._arm_sr(t)
 
@@ -174,11 +184,13 @@ class Ue:
     def transmit(self, grant_bytes: int) -> None:
         """Fire an UL grant: drain the buffer into one transport block. The
         grant's bytes that find no buffered byte (a stale report over-granted
-        them) are counted as unused."""
+        them) are counted as unused, on the eut's eNB also on their own."""
         t = self.sim.now
         chunks, total = self._drain(grant_bytes)
         if total < grant_bytes:
-            self.enb.collector.count("lte_grant_unused_bytes", grant_bytes - total)
+            self.counters.lte_grant_unused_bytes += grant_bytes - total
+            if self.enb.enb_id == self.cfg.eut_enb:
+                self.counters.eut_grant_unused_bytes += grant_bytes - total
         if total == 0:
             return
         self.reported = max(0, self.reported - total)
@@ -195,7 +207,7 @@ class Ue:
             if pid in self.harq:
                 raise LteError(f"HARQ process {pid} already active on ue {self.ue_id}")
             self.harq[pid] = proc
-        self.enb.collector.count("lte_inflight_bytes", total)
+        self.counters.lte_inflight_bytes += total
         self._attempt(proc, report)
 
     def _drain(self, budget: int):
@@ -224,7 +236,6 @@ class Ue:
     def _on_decode(self, proc: HarqProcess, ok: bool, report) -> None:
         """The block ends on success or once its retransmissions run out;
         otherwise it retransmits one HARQ round trip after this attempt."""
-        collector = self.enb.collector
         if not ok and proc.attempt < self.cfg.harq_max_retx:
             proc.attempt += 1
             next_tx = self.sim.now - self.cfg.enb_decode_us + HARQ_RTT_US
@@ -232,16 +243,17 @@ class Ue:
             self.sim.schedule_at(next_tx, PRIO_DATA, self._attempt, proc, None)
         else:
             self.harq.pop(proc.process_id, None)
-            collector.record_tb(attempts=proc.attempt + 1, success=ok)
+            self.enb.collector.record_tb(attempts=proc.attempt + 1, success=ok)
             if ok:
                 self.enb.on_tb_decoded(proc.chunks, proc.tb_bytes)
             else:
-                collector.count("lte_inflight_bytes", -proc.tb_bytes)
-                collector.count("harq_dropped_bytes", proc.tb_bytes)
+                counters = self.counters
+                counters.lte_inflight_bytes -= proc.tb_bytes
+                counters.harq_dropped_bytes += proc.tb_bytes
                 for pkt, _ in proc.chunks:
                     if not pkt.dropped:
                         pkt.dropped = True
-                        collector.count("dropped_packets", 1)
+                        counters.dropped_packets += 1
         # The piggybacked buffer report reaches the scheduler either way.
         if report is not None:
             self.enb.on_bsr(self, report)
@@ -268,6 +280,7 @@ class Enb:
         self.enb_id = enb_id
         self.cfg = cfg
         self.collector = collector
+        self.counters = collector.counters
         self.harq_rng = harq_rng
         self.ues: list[Ue] = []                   # round-robin order
         self.ready: set[Ue] = set()               # the UEs with nonzero demand
@@ -341,7 +354,7 @@ class Enb:
         if not ue.demand:
             self.ready.discard(ue)
         tx_time = t + self.cfg.grant_to_data_us
-        self.collector.count("lte_granted_bytes", budget)
+        self.counters.lte_granted_bytes += budget
         self.sim.schedule_at(tx_time, PRIO_DATA, self._fire_grant, ue, budget)
         if self.bwr_emitter is not None:
             self.bwr_emitter.note_grant(budget, tx_time + self.cfg.enb_decode_us)
@@ -361,8 +374,9 @@ class Enb:
     # -- egress ------------------------------------------------------------
 
     def on_tb_decoded(self, chunks, total: int) -> None:
-        self.collector.count("lte_inflight_bytes", -total)
-        self.collector.count("lte_egressed_bytes", total)
+        counters = self.counters
+        counters.lte_inflight_bytes -= total
+        counters.lte_egressed_bytes += total
         self.egress_sink(chunks, self.sim.now)
 
 

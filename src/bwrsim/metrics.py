@@ -86,6 +86,38 @@ def segment_columns(samples: Samples) -> dict[str, array]:
             "lte": samples.lte_us, "docsis": samples.docsis_us}
 
 
+@dataclass(slots=True)
+class Counters:
+    """The counters of one run, one declared field each, so that a count is
+    an attribute update: `counters.x += n`. An undeclared name raises
+    AttributeError, on update and on `get` alike."""
+
+    admitted_bytes: int = 0
+    admitted_packets: int = 0
+    lte_granted_bytes: int = 0
+    lte_grant_unused_bytes: int = 0     # LTE grant bytes that found no buffered byte
+    eut_grant_unused_bytes: int = 0     # the same, on the eut's eNB alone
+    lte_inflight_bytes: int = 0
+    lte_egressed_bytes: int = 0
+    harq_dropped_bytes: int = 0
+    dropped_packets: int = 0
+    reqs_delivered: int = 0
+    req_collisions: int = 0
+    docsis_sent_bytes: int = 0
+    wasted_be_grant_bytes: int = 0
+    wasted_bwr_grant_bytes: int = 0
+    ugs_idle_grants: int = 0
+    ugs_wasted_bytes: int = 0
+    bwr_reports_built: int = 0
+    bwr_frames_received: int = 0
+    egressed_packets: int = 0
+
+    def get(self, name: str, default: int = 0) -> int:
+        """The counter `name`. Every counter is declared and starts at 0, so
+        `default` is never used; it keeps the signature of a dict's get."""
+        return getattr(self, name)
+
+
 class Collector:
     """Run-scoped sink for counters, transport-block totals, and the samples
     of packets that arrived after the warm-up (all else stays bounded)."""
@@ -93,12 +125,9 @@ class Collector:
     def __init__(self, mode: str, warmup_us: int = 0):
         self.warmup_us = warmup_us
         self.samples = Samples(mode)
-        self.counters: dict[str, int] = {}
+        self.counters = Counters()
         self.tb_blocks = 0
         self.tb_carried = 0.0     # running sum of 1/attempts over carried blocks
-
-    def count(self, key: str, delta: int = 1) -> None:
-        self.counters[key] = self.counters.get(key, 0) + delta
 
     def record_tb(self, *, attempts: int, success: bool) -> None:
         self.tb_blocks += 1
@@ -111,7 +140,7 @@ class Collector:
         doc = pkt.cmts_egress - pkt.cm_arrival
         if lte < 0 or doc < 0:
             raise MetricsError(f"inconsistent stage times on packet {pkt.id}")
-        self.count("egressed_packets", 1)
+        self.counters.egressed_packets += 1
         if pkt.ue_arrival >= self.warmup_us:
             s = self.samples
             s.packet_id.append(pkt.id)

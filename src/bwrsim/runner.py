@@ -41,13 +41,13 @@ class SimRun:
         buffered = sum(ue.buffer_bytes for ue in self.ues)
         cm_queued = sum(f.queue_bytes for f in self.cm.flows.values())
         return {
-            "admitted": c.get("admitted_bytes", 0),
+            "admitted": c.admitted_bytes,
             "ue_buffered": buffered,
-            "lte_inflight": c.get("lte_inflight_bytes", 0),
-            "lte_egressed": c.get("lte_egressed_bytes", 0),
-            "harq_dropped": c.get("harq_dropped_bytes", 0),
+            "lte_inflight": c.lte_inflight_bytes,
+            "lte_egressed": c.lte_egressed_bytes,
+            "harq_dropped": c.harq_dropped_bytes,
             "cm_queued": cm_queued,
-            "docsis_sent": c.get("docsis_sent_bytes", 0),
+            "docsis_sent": c.docsis_sent_bytes,
         }
 
 
@@ -198,10 +198,10 @@ class RunReport:
         for run in self.runs:
             c = run.collector.counters
             extras = [f"{run.mode}:",
-                      f"packets={c.get('egressed_packets', 0)}",
-                      f"drops={c.get('dropped_packets', 0)}",
-                      f"req_collisions={c.get('req_collisions', 0)}",
-                      f"wasted_bwr_grant_bytes={c.get('wasted_bwr_grant_bytes', 0)}"]
+                      f"packets={c.egressed_packets}",
+                      f"drops={c.dropped_packets}",
+                      f"req_collisions={c.req_collisions}",
+                      f"wasted_bwr_grant_bytes={c.wasted_bwr_grant_bytes}"]
             if run.mode == "bwr":
                 occ = run.cmts.ugs_occupancy_bps()
                 extras.append(f"ugs_occupancy_kbps={occ / 1000:.1f}")

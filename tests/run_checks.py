@@ -365,7 +365,7 @@ def filter_every_entry(emitter, t: int):
     report = BandwidthReport(emitter.enb_id, emitter.sequence, egress, tuple(blocks),
                              emitter.mode)
     emitter.sequence = (emitter.sequence + 1) & 0xFFFF
-    emitter.collector.count("bwr_reports_built", 1)
+    emitter.collector.counters.bwr_reports_built += 1
     emitter.forward(report)
     return report
 

@@ -5,12 +5,30 @@ up. `plain` is the kind whose runs give every end-to-end metric."""
 
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
+from bwrsim.metrics import Counters
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the counters bench/child.py reads, by name, through `counters.get`
+BENCH_COUNTERS = {"lte_granted_bytes", "reqs_delivered", "req_collisions",
+                  "ugs_wasted_bytes", "docsis_sent_bytes", "bwr_reports_built",
+                  "bwr_frames_received", "ugs_idle_grants", "admitted_packets",
+                  "egressed_packets"}
+
+
+def test_bench_counters_are_declared():
+    # an undeclared name raises in the bench's child, so every name it reads
+    # must be a field of Counters
+    with open(os.path.join(ROOT, "bench", "child.py"), encoding="utf-8") as fh:
+        read = set(re.findall(r"\bc\.get\(\"(\w+)\"", fh.read()))
+    assert read == BENCH_COUNTERS
+    assert read <= {f.name for f in fields(Counters)}
 
 
 @pytest.mark.parametrize("kind", ["plain", "probe", "trace"])
@@ -38,4 +56,8 @@ def test_bench_child_runs_clean(tmp_path, kind):
         # grants by kind, and times the MAP cycle by its method name
         for name in ("docsis.grants.bwr.bwr", "docsis.grants.ugs.bwr",
                      "docsis.map_cycle_s.baseline"):
+            assert layers[name] > 0, name
+        # figures read from the run's counters
+        for name in ("bwr.reports_built.bwr", "bwr.frames_received.bwr",
+                     "traffic.packets.baseline", "metrics.samples.baseline"):
             assert layers[name] > 0, name

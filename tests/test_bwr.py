@@ -127,17 +127,9 @@ def test_round_trip_fuzz(enb, seq, egress, mode, sizes):
 
 # -- emitter -----------------------------------------------------------------
 
-class StubCollector:
-    def __init__(self):
-        self.counters = {}
-
-    def count(self, key, delta=1):
-        self.counters[key] = self.counters.get(key, 0) + delta
-
-
 def make_emitter(out, period=2 * MS, lead=6 * MS, lcg=1, per_lcg=False):
     return BwrEmitter(1, period, lead, lcg=lcg, per_lcg=per_lcg,
-                      forward=out.append, collector=StubCollector())
+                      forward=out.append, collector=Collector("bwr"))
 
 
 def test_emitter_ladder_egress_time():
@@ -323,7 +315,7 @@ def test_two_reports_queue_fifo():
 def test_just_in_time_grant_at_egress():
     sim, cmts, cm, collector, maps = build_docsis(ugs_phase=0)
     pkt = Packet(0, 1, 1, 300)
-    pkt.set_stage("ue_arrival", 0)
+    pkt.stamp_ue_arrival(0)
     sim.run_until(10 * MS)
     cm.forward_report(cm.flows[1], report(egress=20 * MS))
     sim.run_until(20 * MS)
@@ -361,12 +353,12 @@ def test_harq_failure_wastes_grant_data_rides_fresh_report():
     # first report: data never arrives (failed transmission)
     cm.forward_report(cm.flows[1], report(egress=20 * MS, seq=0))
     sim.run_until(24 * MS)
-    assert collector.counters.get("wasted_bwr_grant_bytes") == 300
+    assert collector.counters.wasted_bwr_grant_bytes == 300
     # fresh report for the retransmission, 8 ms later
     cm.forward_report(cm.flows[1], report(egress=28 * MS, seq=1))
     sim.run_until(28 * MS)
     pkt = Packet(0, 1, 1, 300)
-    pkt.set_stage("ue_arrival", 0)
+    pkt.stamp_ue_arrival(0)
     cm.enqueue_chunks(cm.flows[1], [(pkt, 300)], sim.now)
     assert cm.flows[1].req is None          # described credit still held
     sim.run_until(36 * MS)
@@ -382,7 +374,7 @@ def arrive_at(t, egress, nbytes=300):
     cm.forward_report(cm.flows[1], report(egress=egress))
     sim.run_until(t)
     pkt = Packet(0, 1, 1, nbytes)
-    pkt.set_stage("ue_arrival", 0)
+    pkt.stamp_ue_arrival(0)
     cm.enqueue_chunks(cm.flows[1], [(pkt, nbytes)], sim.now)
     return cm.flows[1]
 

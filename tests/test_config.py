@@ -171,7 +171,7 @@ def test_accepted_report_period_runs(harq, bler, max_retx, period_us, g2d_us, de
                   harq_max_retx=max_retx, bwr_period_us=period_us,
                   grant_to_data_us=g2d_us, enb_decode_us=decode_us,
                   duration_us=500 * MS)
-    assert run_single(cfg, "bwr").collector.counters["bwr_reports_built"] > 0
+    assert run_single(cfg, "bwr").collector.counters.bwr_reports_built > 0
 
 
 @pytest.mark.parametrize("overrides", [
@@ -214,7 +214,7 @@ def test_validate_rejects_contention_region_longer_than_map_interval():
                          ids=["4000B", "scenario1", "scenario2"])
 def test_accepted_ugs_layout_runs(cfg):
     run = run_single(replace(cfg, duration_us=200 * MS), "bwr")
-    assert run.collector.counters["ugs_wasted_bytes"] > 0
+    assert run.collector.counters.ugs_wasted_bytes > 0
 
 
 @pytest.mark.parametrize("key, value", [("grant_to_data_us", 8000),
@@ -496,7 +496,7 @@ def test_largest_accepted_spreads_run():
     # finite: the run clamps the MCS draw and sizes video frames without overflow
     cfg = replace(preset("scenario2"), mcs_sigma=sys.float_info.max,
                   video_burstiness=math.sqrt(sys.float_info.max), duration_us=300 * MS)
-    assert run_single(cfg, "bwr").collector.counters["egressed_packets"] > 0
+    assert run_single(cfg, "bwr").collector.counters.egressed_packets > 0
     with pytest.raises(ConfigError, match="^video_burstiness = "):
         replace(cfg, video_burstiness=math.nextafter(cfg.video_burstiness, math.inf))
 
@@ -506,7 +506,7 @@ def test_smallest_burstiness_runs():
     # the constant one of burstiness 0 (the run used to fail in Rng.normal)
     cfg = replace(preset("scenario2"), video_burstiness=1e-9, duration_us=200 * MS)
     assert runner.build_trace(cfg) == runner.build_trace(replace(cfg, video_burstiness=0.0))
-    assert run_single(cfg, "baseline").collector.counters["egressed_packets"] > 0
+    assert run_single(cfg, "baseline").collector.counters.egressed_packets > 0
 
 
 @pytest.mark.parametrize("command", ["print-config", "run"])

@@ -11,7 +11,7 @@ from bwrsim.docsis import (UGS, Cm, Cmts, DocsisError, Grant,
                            ServiceFlow, open_window, region_duration,
                            serialization_us, window_capacity_bytes, window_layouts)
 from bwrsim.lte import LteError, Packet
-from bwrsim.metrics import Collector
+from bwrsim.metrics import Collector, Counters
 from bwrsim.runner import run_single
 
 from run_checks import map_overlaps, outcome, record_maps, restore_evented_ugs
@@ -39,7 +39,7 @@ def grants_of(maps, kind):
 
 def packet(pid, size=60, ue=1, enb=1):
     p = Packet(pid, ue, enb, size)
-    p.set_stage("ue_arrival", 0)
+    p.stamp_ue_arrival(0)
     return p
 
 
@@ -128,14 +128,14 @@ def test_ugs_grant_cadence_and_idle_waste(monkeypatch):
     grants = [g for g in grants_of(maps, "ugs") if g.start <= end]
     assert [g.start for g in grants] == list(range(3 * MS, end, 2 * MS))  # one per period
     # nothing carried
-    assert booked.counters == evented.counters == {"ugs_idle_grants": 1000,
-                                                   "ugs_wasted_bytes": 80_000}
+    assert booked.counters == evented.counters == Counters(ugs_idle_grants=1000,
+                                                           ugs_wasted_bytes=80_000)
 
 
 def test_zero_byte_service_is_noop():
     sim, cmts, cm, collector, maps = build()
     cm.on_grant(Grant(cm.flows[1], 2 * MS, 13, 60, "be"), 0)
-    assert collector.counters.get("docsis_sent_bytes", 0) == 0
+    assert collector.counters.docsis_sent_bytes == 0
 
 
 def test_fragmentation_last_byte_rule():
@@ -158,10 +158,10 @@ def test_duplicate_egress_rejected():
     pkt = packet(0)
     inject(sim, cm, 1, pkt, 18 * MS)
     sim.run_until(40 * MS)
-    assert collector.counters["egressed_packets"] == 1
+    assert collector.counters.egressed_packets == 1
     with pytest.raises(LteError):
         cmts.on_packet_egress(pkt, sim.now)
-    assert collector.counters["egressed_packets"] == 1
+    assert collector.counters.egressed_packets == 1
 
 
 @pytest.mark.parametrize("end, sampled", [(23_245, True), (23_244, False)])
@@ -173,8 +173,8 @@ def test_egress_cut_off_at_the_end_of_the_run(end, sampled):
     pkt = packet(0)
     inject(sim, cm, 1, pkt, 18 * MS)
     sim.run_until(end)
-    assert collector.counters.get("docsis_sent_bytes") == 60
-    assert len(collector.samples) == collector.counters.get("egressed_packets", 0) == sampled
+    assert collector.counters.docsis_sent_bytes == 60
+    assert len(collector.samples) == collector.counters.egressed_packets == sampled
     assert pkt.cmts_egress == (23_245 if sampled else -1)
 
 
@@ -267,8 +267,8 @@ def test_lone_request_always_delivered():
     sim, cmts, cm, collector, maps = build()
     inject(sim, cm, 1, packet(0), 18 * MS)
     sim.run_until(19 * MS)
-    assert collector.counters.get("reqs_delivered") == 1
-    assert collector.counters.get("req_collisions") is None
+    assert collector.counters.reqs_delivered == 1
+    assert collector.counters.req_collisions == 0
 
 
 def test_forced_collision_doubles_windows():
@@ -281,7 +281,7 @@ def test_forced_collision_doubles_windows():
     cm.resolve_region(6)
     assert f1.backoff_window == 16 and f2.backoff_window == 16
     assert f1.req >= 7 * 8
-    assert collector.counters["req_collisions"] == 2
+    assert collector.counters.req_collisions == 2
 
 
 def test_backoff_truncates_and_resets():
@@ -346,7 +346,7 @@ def test_only_regions_holding_a_request_are_resolved(monkeypatch):
     inject(sim, cm, 1, packet(0), 100 * MS)
     sim.run_until(200 * MS)
     assert resolved == [50]                     # the region at 100 ms, once
-    assert collector.counters["reqs_delivered"] == 1
+    assert collector.counters.reqs_delivered == 1
 
 
 def test_idle_cmts_sleeps_until_a_request_or_report_arrives():
@@ -418,9 +418,9 @@ def test_contention_throughput_matches_enumeration():
             f.backoff_window = 8
             f.uncovered_bytes = 60
             f.req = region * 8 + rng.randbelow(8)
-        before = collector.counters.get("reqs_delivered", 0)
+        before = collector.counters.reqs_delivered
         cm.resolve_region(region)
-        delivered_total += collector.counters.get("reqs_delivered", 0) - before
+        delivered_total += collector.counters.reqs_delivered - before
         cmts.demand.clear()
         for f in cm.flows.values():
             f.req = None

@@ -19,8 +19,8 @@ def test_no_requests_when_everything_is_described():
     # so the best-effort flow never contends
     cfg = preset("scenario1")
     run = run_single(cfg, "bwr")
-    assert run.collector.counters.get("reqs_delivered", 0) == 0
-    assert run.collector.counters.get("req_collisions", 0) == 0
+    assert run.collector.counters.reqs_delivered == 0
+    assert run.collector.counters.req_collisions == 0
     assert len(run.collector.retained()) > 500
 
 
@@ -31,15 +31,15 @@ def test_high_bler_drops_are_counted_and_excluded():
     run = run_single(cfg, "baseline")
     c = run.collector.counters
     # 0.6^5 ~ 7.8% of blocks exhaust all five attempts
-    assert c.get("dropped_packets", 0) > 0
-    assert c.get("harq_dropped_bytes", 0) == 60 * c["dropped_packets"]
+    assert c.dropped_packets > 0
+    assert c.harq_dropped_bytes == 60 * c.dropped_packets
     # conservation still holds with losses in flight
     cons = run.conservation()
     assert cons["admitted"] == (cons["ue_buffered"] + cons["lte_inflight"]
                                 + cons["lte_egressed"] + cons["harq_dropped"])
     assert cons["lte_egressed"] == cons["cm_queued"] + cons["docsis_sent"]
     # every sampled packet really egressed whole
-    assert c["egressed_packets"] == len(run.collector.samples)
+    assert c.egressed_packets == len(run.collector.samples)
 
 
 def test_first_packet_per_ue_takes_full_ladder():
@@ -74,7 +74,7 @@ def test_harq_off_removes_all_variation():
     # without retransmissions the only spread is grid alignment + coalescing
     assert min(docsis) == 5245
     assert max(docsis) <= 6300
-    assert run.collector.counters.get("dropped_packets", 0) == 0
+    assert run.collector.counters.dropped_packets == 0
 
 
 def test_background_flows_unaffected_by_pipelining_gain():
@@ -111,7 +111,7 @@ def test_loaded_scenario_rerun_is_identical():
         cfg = replace(preset("scenario2"), duration_us=600 * MS)
         run = run_single(cfg, "bwr")
         return ([(s.packet_id, s.e2e_us) for s in run.collector.samples],
-                run.sim.events_processed, dict(run.collector.counters))
+                run.sim.events_processed, run.collector.counters)
     assert run_once() == run_once()
 
 
@@ -242,6 +242,20 @@ def test_a_report_grant_never_precedes_its_bytes(seed):
     deltas = paired_deltas(run_single(cfg, "baseline"), run_single(cfg, "bwr"))
     assert len(deltas) > 50
     assert [(pid, b, w) for pid, _, b, w in deltas if w > b] == []
+
+
+@pytest.mark.parametrize("seed", [40, 1])
+def test_eut_unused_grant_bytes_are_the_wasted_report_grant_bytes(seed):
+    # With HARQ off, a report announces each LTE grant of the eut's eNB, so
+    # the bytes of a report grant that find nothing queued are the bytes the
+    # eut's UEs left unused in their LTE grants (a stale BSR over-grants).
+    # lte_grant_unused_bytes sums every eNB and cannot show it.
+    cfg = replace(preset("scenario2"), duration_us=2 * SEC, harq_enabled=False,
+                  seed=seed)
+    c = run_single(cfg, "bwr").collector.counters
+    assert c.wasted_bwr_grant_bytes > 0
+    assert c.eut_grant_unused_bytes == c.wasted_bwr_grant_bytes
+    assert c.lte_grant_unused_bytes > c.eut_grant_unused_bytes
 
 
 @pytest.mark.parametrize("overrides", [

@@ -5,15 +5,13 @@ from bwrsim.config import ConfigError, SimConfig
 from bwrsim.core import MS, Rng, Simulator
 from bwrsim.lte import (Enb, HARQ_RTT_US, LteError, Packet, SubframeTick, Ue,
                         harq_grant_utilization, tbs_bytes)
+from bwrsim.metrics import Counters
 
 
 class StubCollector:
     def __init__(self):
-        self.counters = {}
+        self.counters = Counters()
         self.tb_records = []
-
-    def count(self, key, delta=1):
-        self.counters[key] = self.counters.get(key, 0) + delta
 
     def record_tb(self, *, attempts, success):
         self.tb_records.append((attempts, success))
@@ -102,19 +100,50 @@ def test_profile_rejects_nonpositive():
 
 # -- packet stages ------------------------------------------------------------
 
+STAGES = ("ue_arrival", "cm_arrival", "cmts_egress")
+
+
+def stamp(p, stage, t):
+    getattr(p, f"stamp_{stage}")(t)
+
+
 def test_packet_stage_monotonic():
-    p = pkt()
-    p.set_stage("ue_arrival", 100)
-    p.set_stage("cm_arrival", 200)
-    with pytest.raises(LteError):
-        p.set_stage("cmts_egress", 150)
+    # each stamp past the first refuses a time before the stage ahead of it,
+    # and takes the same instant
+    for i, stage in enumerate(STAGES[1:], start=1):
+        p = pkt()
+        for k, earlier in enumerate(STAGES[:i], start=1):
+            stamp(p, earlier, 100 * k)
+        prior = 100 * i
+        with pytest.raises(LteError,
+                           match=fr"^stage {stage}=50 precedes prior stage \({prior}\)$"):
+            stamp(p, stage, 50)
+        assert getattr(p, stage) == -1
+        stamp(p, stage, prior)
+        assert getattr(p, stage) == prior
 
 
 def test_packet_stage_set_once():
+    for i, stage in enumerate(STAGES):
+        p = pkt()
+        for earlier in STAGES[:i]:
+            stamp(p, earlier, 100)
+        stamp(p, stage, 200)
+        with pytest.raises(LteError, match=f"^stage {stage} already set for packet 0$"):
+            stamp(p, stage, 300)
+        assert getattr(p, stage) == 200
+
+
+def test_packet_stage_skips_an_unset_prior_stage():
+    # a stage whose prior stage is unset is not bounded by it
     p = pkt()
-    p.set_stage("ue_arrival", 100)
-    with pytest.raises(LteError):
-        p.set_stage("ue_arrival", 200)
+    p.stamp_cmts_egress(50)
+    assert p.cmts_egress == 50
+
+
+def test_packet_has_no_undeclared_attribute():
+    with pytest.raises(AttributeError):
+        pkt().typo = 1
 
 
 def test_packet_validation():
@@ -341,9 +370,9 @@ def test_a_stale_report_over_grants_and_the_unused_bytes_are_counted():
             ue.on_arrival(pkt(1, size=40))
         enb.on_subframe()
     c = enb.collector.counters
-    assert c["lte_granted_bytes"] == 200
-    assert c["lte_egressed_bytes"] == 140
-    assert c["lte_grant_unused_bytes"] == 60
+    assert c.lte_granted_bytes == 200
+    assert c.lte_egressed_bytes == 140
+    assert c.lte_grant_unused_bytes == 60
     assert (ue.buffer_bytes, ue.demand, ue.granted) == (0, 0, 0)
 
 
@@ -447,8 +476,8 @@ def test_exhaustion_drops_block():
     sim.run_until(80 * MS)
     assert sink == []
     assert collector.tb_records == [(5, False)]      # 1 + max_retx attempts
-    assert collector.counters["dropped_packets"] == 1
-    assert collector.counters["harq_dropped_bytes"] == 600
+    assert collector.counters.dropped_packets == 1
+    assert collector.counters.harq_dropped_bytes == 600
 
 
 def test_first_attempt_success_rate_monte_carlo():
@@ -487,9 +516,8 @@ def test_byte_conservation_through_ladder():
         sim.run_until(t)
     c = enb.collector.counters
     egressed = sum(n for _, n in chunks_out)
-    assert c["admitted_bytes"] == (egressed + ue.buffer_bytes
-                                   + c.get("lte_inflight_bytes", 0)
-                                   + c.get("harq_dropped_bytes", 0))
+    assert c.admitted_bytes == (egressed + ue.buffer_bytes + c.lte_inflight_bytes
+                                + c.harq_dropped_bytes)
 
 
 # -- sleeping subframe tick ------------------------------------------------------------

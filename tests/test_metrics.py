@@ -9,9 +9,9 @@ from bwrsim.core import Simulator
 from bwrsim.config import SimConfig
 from bwrsim.docsis import Cmts
 from bwrsim.lte import LteError, Packet
-from bwrsim.metrics import (Collector, MetricsError, cdf, grant_utilization,
-                            segment_columns, summarize, write_cdf_csv,
-                            write_samples_csv)
+from bwrsim.metrics import (Collector, Counters, MetricsError, cdf,
+                            grant_utilization, segment_columns, summarize,
+                            write_cdf_csv, write_samples_csv)
 
 from egress import record
 
@@ -120,7 +120,23 @@ def test_duplicate_packet_rejected():
     cmts.on_packet_egress(p, 25_245)
     with pytest.raises(LteError):
         cmts.on_packet_egress(p, 25_245)
-    assert len(collector.samples) == collector.counters["egressed_packets"] == 1
+    assert len(collector.samples) == collector.counters.egressed_packets == 1
+
+
+def test_counters_are_declared_fields():
+    # a count is an attribute update; a name that is not declared raises on
+    # update and on get, so a misspelt counter cannot start a new one
+    c = Counters()
+    c.admitted_bytes += 60
+    assert c.get("admitted_bytes") == c.get("admitted_bytes", 0) == 60
+    assert c.get("req_collisions") == 0
+    with pytest.raises(AttributeError):
+        c.typo += 1
+    with pytest.raises(AttributeError):
+        c.get("typo")
+    with pytest.raises(AttributeError):
+        c.get("typo", 0)
+    assert c == Counters(admitted_bytes=60)
 
 
 def test_dropped_packet_not_sampled():
@@ -142,7 +158,7 @@ def test_warmup_exclusion():
         collector.record_egress(p)
     retained = collector.retained()
     assert [s.packet_id for s in retained] == [100_000, 150_000]
-    assert collector.counters["egressed_packets"] == 4
+    assert collector.counters.egressed_packets == 4
     # the collector's own store, not a copy: a later egress shows in it
     record(collector, 4, lte=1, docsis=1, arrival=200_000)
     assert list(retained.packet_id) == [100_000, 150_000, 4]

@@ -209,7 +209,7 @@ def test_offered_load_scenario2_default():
     from bwrsim.runner import run_single
     cfg = preset("scenario2")
     run = run_single(cfg, "baseline")
-    admitted = run.collector.counters["admitted_bytes"]
+    admitted = run.collector.counters.admitted_bytes
     offered_mbps = admitted * 8 / (cfg.duration_us / 1e6) / 1e6
     assert offered_mbps == pytest.approx(31.0, abs=1.0)
     assert offered_mbps / 39.0 == pytest.approx(0.80, abs=0.03)
