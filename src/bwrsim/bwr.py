@@ -18,7 +18,9 @@ Wire layout (big-endian multi-byte fields):
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right, insort
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 BWR_MAGIC = b"BW"
@@ -31,6 +33,7 @@ _BODY = struct.calcsize(_FIELDS)
 _ZEROS = bytes(BWR_FRAME_BYTES - _BODY)
 # The padding packs as zeros and unpacks unread; decode_bwr checks it.
 _FRAME = struct.Struct(f"{_FIELDS}{len(_ZEROS)}x")
+_EGRESS = itemgetter(0)               # an emitter entry's egress
 
 
 class BwrCodecError(ValueError):
@@ -90,11 +93,6 @@ def decode_bwr(frame: bytes) -> BandwidthReport:
                            tuple(zip(fields[6::2], fields[7::2])), mode)
 
 
-# The earliest and latest egress of an emitter that holds no entry.
-_NONE_FIRST = float("inf")
-_NONE_LAST = -1
-
-
 class BwrEmitter:
     """Base-station side: aggregates issued grants into periodic reports.
 
@@ -109,9 +107,8 @@ class BwrEmitter:
     retransmission is due at the first build after its announcement, beside
     fresh grants whose egress comes later.
 
-    The emitter keeps the earliest and latest egress of its entries. A build
-    whose horizon reaches the latest takes every entry at once; only one that
-    leaves an entry behind (an announced retransmission) filters them.
+    The entries are kept in egress order, so a build's due entries are a
+    prefix: the first holds their earliest egress, the last their latest.
 
     Every byte of a run belongs to the run's one LCG (`lcg`), so an entry is
     (egress, bytes). A per-LCG report puts the total in block `lcg`, a bulk
@@ -128,16 +125,10 @@ class BwrEmitter:
         self.forward = forward        # fn(report) -> None; CM-side handoff
         self.collector = collector
         self.sequence = 0
-        self.entries: list[tuple[int, int]] = []    # (egress, bytes)
-        self.first = _NONE_FIRST      # the earliest egress of entries
-        self.last = _NONE_LAST        # the latest egress of entries
+        self.entries: list[tuple[int, int]] = []    # (egress, bytes), by egress
 
     def note_grant(self, nbytes: int, egress_time: int) -> None:
-        self.entries.append((egress_time, nbytes))
-        if egress_time < self.first:
-            self.first = egress_time
-        if egress_time > self.last:
-            self.last = egress_time
+        insort(self.entries, (egress_time, nbytes))
 
     def on_subframe(self, t: int) -> None:
         if t % self.period != 0:
@@ -145,25 +136,17 @@ class BwrEmitter:
         self.build(t)
 
     def build(self, t: int) -> BandwidthReport | None:
-        horizon = t + self.report_lead
-        if self.first > horizon:      # nothing due, or no entry at all
+        end = bisect_right(self.entries, t + self.report_lead, key=_EGRESS)
+        if not end:                   # nothing due, or no entry at all
             return None
-        # The latest egress: the report's grant waits for every byte it covers.
-        first, egress = self.first, self.last
-        if egress <= horizon:
-            due = self.entries
-            self.entries = []
-            self.first, self.last = _NONE_FIRST, _NONE_LAST
-        else:
-            due = [e for e in self.entries if e[0] <= horizon]
-            self.entries = [e for e in self.entries if e[0] > horizon]
-            egress = max(e for e, _ in due)
-            self.first = min(e for e, _ in self.entries)
-        if first <= t:
-            raise BwrCodecError(f"egress_time {first} not in the future at {t}")
+        due = self.entries[:end]
+        del self.entries[:end]
+        if due[0][0] <= t:
+            raise BwrCodecError(f"egress_time {due[0][0]} not in the future at {t}")
         nbytes = sum(n for _, n in due)
         blocks = tuple((g, nbytes if g == self.block else 0) for g in range(4))
-        report = BandwidthReport(self.enb_id, self.sequence, egress,
+        # The latest egress: the report's grant waits for every byte it covers.
+        report = BandwidthReport(self.enb_id, self.sequence, due[-1][0],
                                  blocks, self.mode)
         self.sequence = (self.sequence + 1) & 0xFFFF
         self.collector.counters.bwr_reports_built += 1

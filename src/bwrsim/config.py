@@ -182,7 +182,9 @@ class SimConfig:
     ues_per_enb: int = _enb("ues_per_enb", _INT, 6, _POSITIVE)
     cm_count: int = _enb("cm_count", _INT, 1,
                          _Domain(lambda n: n == 1, "exactly one CM is supported"))
-    eut_enb: int = _enb("eut", _INT, 1)
+    # a config of any mode may run in bwr (runner.run_single takes its mode)
+    eut_enb: int = _enb("eut", _INT, 1, _Domain(
+        lambda n: n <= 0xFFFF, "a report carries it in a 16-bit field"))
     bwr_period_us: int = _enb("bwr_period_ms", _MS, 2 * MS, _SUBFRAMES)
     bwr_per_lcg: bool = _enb("bwr_per_lcg", _ON_OFF, False)
     traffic_case: str = _traffic("case", _STR, "voip", _one_of(TRAFFIC_CASES))
@@ -213,13 +215,6 @@ class SimConfig:
     def _invalid(self, key: str, rule: str) -> ConfigError:
         return ConfigError(f"{key} = {getattr(self, key)}: {rule}")
 
-    def check_run_mode(self, mode: str) -> None:
-        """The rule that a run in `mode` adds: a bwr run (or both) sends
-        reports, which carry eut_enb in 16 bits. runner.run_single checks it
-        too, since it may run a mode other than the config's."""
-        if mode != "baseline" and self.eut_enb > 0xFFFF:
-            raise self._invalid("eut_enb", "a report carries it in a 16-bit field")
-
     def validate(self) -> None:
         """Each setting against its declared type and domain, then the rules
         that read two or more settings and the dry runs."""
@@ -242,7 +237,6 @@ class SimConfig:
             raise self._invalid("warmup_us", "must be shorter than the run")
         if not 1 <= self.eut_enb <= self.enb_count:
             raise self._invalid("eut_enb", f"outside 1..{self.enb_count}")
-        self.check_run_mode(self.mode)
         if self.ugs_period_us > self.bwr_period_us:
             raise self._invalid("ugs_period_us", "must not exceed the report period")
         # The scheduler checks a transmission's HARQ process at grant time,

@@ -10,7 +10,6 @@ import random
 from heapq import heappop, heappush
 from typing import Callable
 
-US = 1
 MS = 1_000
 SEC = 1_000_000
 

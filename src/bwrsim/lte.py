@@ -34,19 +34,17 @@ HARQ_PROCESSES = 8
 HARQ_RTT_US = 8 * MS
 SUBFRAME_US = MS
 
-# MCS -> transport block bytes per subframe: linear 150 B per index.
-DEFAULT_TBS_TABLE = {mcs: 150 * mcs for mcs in range(MCS_MIN, MCS_MAX + 1)}
-
 
 class LteError(Exception):
     pass
 
 
 def tbs_bytes(mcs: int) -> int:
-    """Transport block capacity in bytes for one subframe at the given MCS."""
-    if mcs not in DEFAULT_TBS_TABLE:
+    """Transport block capacity in bytes for one subframe at the given MCS:
+    linear, 150 B per index."""
+    if not MCS_MIN <= mcs <= MCS_MAX:
         raise LteError(f"mcs {mcs} outside supported range [{MCS_MIN}, {MCS_MAX}]")
-    return DEFAULT_TBS_TABLE[mcs]
+    return 150 * mcs
 
 
 def harq_grant_utilization(n_max: int, bler: float) -> float:

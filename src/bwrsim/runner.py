@@ -7,7 +7,7 @@ import functools
 import os
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from operator import sub
 from typing import Optional
 
@@ -18,7 +18,7 @@ from .core import PRIO_CONTROL, PRIO_SCHED, RngStreams, Simulator, derive_seed
 from .docsis import Cm, Cmts, ServiceFlow
 from .lte import Enb, SUBFRAME_US, SubframeTick, Ue
 from .metrics import Collector
-from .traffic import PacketFactory, Trace, TraceSource, read_trace, synth_video
+from .traffic import Trace, TraceSource, read_trace, synth_video
 
 
 @dataclass
@@ -67,13 +67,12 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     """Build, wire, and run one instance to cfg.duration_us."""
     if mode not in ("baseline", "bwr"):
         raise ValueError(f"run mode must be baseline or bwr, got {mode!r}")
-    cfg.check_run_mode(mode)
     sim = Simulator()
     streams = RngStreams(cfg.seed)
     collector = Collector(mode, cfg.warmup_us)
     cmts = Cmts(sim, cfg, collector, mode == "bwr")
     cm = Cm(sim, cmts, cfg, collector, streams.stream("contention"))
-    factory = PacketFactory()
+    packet_ids = count()
 
     trace = build_trace(cfg)
     # a VoIP packet never splits
@@ -106,7 +105,7 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
             # trace offset it starts from
             draw = phases.randbelow(trace.duration)
             start = -draw % trace.duration if voip else draw
-            sources.append(TraceSource(sim, factory, ue, trace, start, mtu))
+            sources.append(TraceSource(sim, packet_ids, ue, trace, start, mtu))
 
     for source in sources:
         source.start()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import MS, PRIO_DATA, Rng, Simulator
@@ -119,26 +120,15 @@ def packetize(nbytes: int, mtu: int) -> list[int]:
     return [mtu] * full + ([rest] if rest else [])
 
 
-class PacketFactory:
-    """Deterministic packet identity shared by all sources of one run."""
-
-    def __init__(self):
-        self.next_id = 0
-
-    def make(self, ue_id: int, enb_id: int, size: int) -> Packet:
-        pkt = Packet(self.next_id, ue_id, enb_id, size)
-        self.next_id += 1
-        return pkt
-
-
 class TraceSource:
     """Replays a trace from a start offset, looping forever; each frame is
-    split into packets of the MTU."""
+    split into packets of the MTU. `ids` numbers the packets of every
+    source of one run (an itertools.count)."""
 
-    def __init__(self, sim: Simulator, factory: PacketFactory, ue,
+    def __init__(self, sim: Simulator, ids: Iterator[int], ue,
                  trace: Trace, start_offset: int, mtu: int):
         self.sim = sim
-        self.factory = factory
+        self.ids = ids
         self.ue = ue
         self.trace = trace
         self.mtu = mtu
@@ -157,9 +147,9 @@ class TraceSource:
 
     def _emit(self) -> None:
         records = self.trace.records
-        ue = self.ue
+        ue, ids = self.ue, self.ids
         for size in packetize(records[self._idx][1], self.mtu):
-            ue.on_arrival(self.factory.make(ue.ue_id, ue.enb.enb_id, size))
+            ue.on_arrival(Packet(next(ids), ue.ue_id, ue.enb.enb_id, size))
         self._idx += 1
         if self._idx == len(records):
             self._idx = 0

@@ -251,6 +251,25 @@ def test_a_retransmission_beyond_the_horizon_builds_as_filtering_does(per_lcg):
 
 
 @pytest.mark.parametrize("emitter", [make_emitter, filtering_emitter])
+def test_a_build_takes_the_entries_due_by_its_horizon(emitter):
+    # with a lead beyond the 8 ms HARQ round trip (12 ms here), a
+    # retransmission is announced with an egress before that of a fresh grant
+    # already queued; the entries stay in egress order, and a build takes
+    # those with egress at most t + 12 ms, the one on that horizon included
+    out = []
+    em = emitter(out, lead=12 * MS)
+    for nbytes, egress in [(100, 21 * MS), (70, 20 * MS), (30, 26 * MS), (40, 22 * MS)]:
+        em.note_grant(nbytes, egress)
+        assert em.entries == sorted(em.entries)
+    em.on_subframe(10 * MS)
+    assert em.entries == [(26 * MS, 30)]
+    em.on_subframe(12 * MS)
+    em.on_subframe(14 * MS)
+    assert em.entries == []
+    assert [(r.egress_time, r.total_bytes()) for r in out] == [(22 * MS, 210), (26 * MS, 30)]
+
+
+@pytest.mark.parametrize("emitter", [make_emitter, filtering_emitter])
 @pytest.mark.parametrize("later", [None, 30 * MS])
 def test_a_build_raises_on_an_entry_not_in_the_future(emitter, later):
     # taken with every entry, or filtered out beside a later one

@@ -294,7 +294,7 @@ def test_every_field_declares_one_file_key():
 
 # Only the rules between settings in validate() check these, or no rule does.
 NO_DOMAIN = {"seed", "harq_enabled", "bwr_per_lcg", "ugs_phase_us", "trace_path",
-             "backoff_max", "eut_enb", "trace_duration_us"}
+             "backoff_max", "trace_duration_us"}
 
 
 def test_every_setting_declares_its_domain():
@@ -320,6 +320,35 @@ def test_every_setting_is_read_outside_validate():
                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
                  and id(node) not in in_validate}
     assert {f.name for f in fields(SimConfig)} - read == VALIDATED_ONLY
+
+
+def test_every_module_level_name_is_read():
+    # a name that src/, tests/ and bench/ never read is dead code; a name
+    # that a module's __all__ exports is read by the package's users
+    package = Path(bwrsim.__file__).parent
+    read, defined = set(), {}
+    for folder in (package, Path(__file__).parent, package.parents[1] / "bench"):
+        for path in folder.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id if isinstance(node, ast.Name) else node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    read.update(alias.name for alias in node.names)
+    for path in package.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name)]
+            else:
+                continue
+            if names == ["__all__"]:
+                read.update(ast.literal_eval(node.value))
+            else:
+                defined.update(dict.fromkeys(names, path.stem))
+    assert {f"{module}.{name}" for name, module in defined.items() if name not in read} == set()
 
 
 def test_ugs_phase_default_is_half_period():
@@ -637,25 +666,15 @@ def test_presets_offer_less_than_the_upstream_at_any_length(name, duration_us):
     SimConfig(**PRESETS[name], duration_us=duration_us, warmup_us=0)
 
 
-@pytest.mark.parametrize("mode", ["bwr", "both"])
+@pytest.mark.parametrize("mode", ["baseline", "bwr", "both"])
 def test_report_mode_rejects_an_eut_a_report_cannot_carry(mode):
     # a report carries eut_enb in 16 bits: this used to fail at the eut's
-    # first report with "enb_id 65536 unencodable"
+    # first report with "enb_id 65536 unencodable". run_single may run bwr on
+    # a config of any mode, so every mode rejects it.
     settings = dict(enb_count=65_536, ues_per_enb=1, duration_us=60 * MS, warmup_us=0)
     SimConfig(**settings, eut_enb=65_535, mode=mode)
-    SimConfig(**settings, eut_enb=65_536, mode="baseline")
     with pytest.raises(ConfigError, match="^eut_enb = 65536: .*16-bit"):
         SimConfig(**settings, eut_enb=65_536, mode=mode)
-
-
-def test_bwr_run_of_a_baseline_config_rejects_an_eut_a_report_cannot_carry(monkeypatch):
-    # run_single may run bwr on a config whose mode is baseline: this used to
-    # build 65,536 eNBs and end in "enb_id 65536 unencodable" after 13 s
-    cfg = SimConfig(enb_count=65_536, ues_per_enb=1, duration_us=60 * MS, warmup_us=0,
-                    eut_enb=65_536, mode="baseline")
-    monkeypatch.setattr(runner, "Enb", lambda *args: pytest.fail("eNB built"))
-    with pytest.raises(ConfigError, match="^eut_enb = 65536: .*16-bit"):
-        run_single(cfg, "bwr")
 
 
 def test_cli_print_config_rejects_an_mtu_beyond_a_float(tmp_path, capsys):
@@ -683,7 +702,7 @@ def test_cli_print_config_rejects_an_mtu_beyond_a_float(tmp_path, capsys):
 ], ids=["trace_duration", "video_rate", "trace_path", "backlog"])
 def test_cli_trace_too_large_to_build_exit_code(tmp_path, capsys, monkeypatch, lines, key):
     # each used to pass validate() and end in a MemoryError mid-run, in
-    # traffic.synth_video, traffic.packetize or PacketFactory.make
+    # traffic.synth_video, traffic.packetize or TraceSource._emit
     monkeypatch.setattr(runner, "build_trace", lambda cfg: pytest.fail("trace built"))
     f = tmp_path / "large.cfg"
     f.write_text("[traffic]\n" + lines.format(trace=trace_file(tmp_path, [10 ** 15])))
@@ -704,6 +723,26 @@ def test_cli_malformed_trace_file_exit_code(tmp_path, capsys):
                  "--duration-ms", "300", "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"bwrsim: error: trace_path = {trace}: ")
+    assert err.count("\n") == 1
+
+
+def test_cli_trace_file_gone_after_validate_exit_code(tmp_path, capsys, monkeypatch):
+    # validate() reads the trace file, and each mode's build reads it again:
+    # a file gone in between ends in one error line, not in a traceback
+    trace = trace_file(tmp_path, [1000, 1000])
+    f = tmp_path / "gone.cfg"
+    f.write_text(f"[traffic]\ncase = video\ntrace_path = {trace}\n")
+    build_trace = runner.build_trace
+
+    def remove_then_build(cfg):
+        Path(trace).unlink(missing_ok=True)
+        return build_trace(cfg)
+
+    monkeypatch.setattr(runner, "build_trace", remove_then_build)
+    assert main(["run", "--preset", "scenario2", "--config", str(f),
+                 "--duration-ms", "300", "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bwrsim: error: [Errno 2] No such file or directory: '{trace}'")
     assert err.count("\n") == 1
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -7,8 +8,8 @@ from bwrsim.config import SimConfig
 from bwrsim.core import MS, SEC, RngStreams, Simulator
 from bwrsim.lte import Ue
 from bwrsim.runner import run_single
-from bwrsim.traffic import (PacketFactory, Trace, TraceSource, TrafficError,
-                            packetize, read_trace, synth_video, write_trace)
+from bwrsim.traffic import (Trace, TraceSource, TrafficError, packetize, read_trace,
+                            synth_video, write_trace)
 
 
 class SinkUe:
@@ -34,7 +35,7 @@ def test_voip_count_over_run():
     sim = Simulator()
     ue = SinkUe()
     # start 13 ms into the 20 ms loop: the first packet comes at 7 ms
-    TraceSource(sim, PacketFactory(), ue, VOIP, start_offset=13 * MS,
+    TraceSource(sim, itertools.count(), ue, VOIP, start_offset=13 * MS,
                 mtu=60).start()
     sim.run_until(7 * MS - 1)
     assert not ue.packets
@@ -47,7 +48,7 @@ def test_voip_six_sources_total():
     sim = Simulator()
     ues = [SinkUe(i) for i in range(6)]
     for i, ue in enumerate(ues):
-        TraceSource(sim, PacketFactory(), ue, VOIP,
+        TraceSource(sim, itertools.count(), ue, VOIP,
                     start_offset=-i * 3 * MS % VOIP.duration, mtu=60).start()
     sim.run_until(2 * SEC - 1)
     assert sum(len(u.packets) for u in ues) == 600
@@ -99,7 +100,7 @@ def test_degenerate_trace_loops():
     sim = Simulator()
     ue = SinkUe()
     trace = Trace([(0, 1000)], 100 * MS)
-    TraceSource(sim, PacketFactory(), ue, trace, start_offset=0,
+    TraceSource(sim, itertools.count(), ue, trace, start_offset=0,
                 mtu=1400).start()
     sim.run_until(1 * SEC - 1)
     assert len(ue.packets) == 10                 # 1000 B every 100 ms
@@ -110,7 +111,7 @@ def test_trace_full_loops_byte_exact():
     sim = Simulator()
     ue = SinkUe()
     trace = Trace([(0, 500), (40 * MS, 700), (70 * MS, 300)], 100 * MS)
-    TraceSource(sim, PacketFactory(), ue, trace, start_offset=40 * MS,
+    TraceSource(sim, itertools.count(), ue, trace, start_offset=40 * MS,
                 mtu=1400).start()
     sim.run_until(2 * SEC - 1)                   # 20 full loops
     assert sum(p.size_bytes for p in ue.packets) == 20 * trace.total_bytes()
@@ -120,7 +121,7 @@ def test_trace_start_offset_rotates_order():
     sim = Simulator()
     ue = SinkUe()
     trace = Trace([(0, 100), (50 * MS, 200)], 100 * MS)
-    TraceSource(sim, PacketFactory(), ue, trace, start_offset=50 * MS,
+    TraceSource(sim, itertools.count(), ue, trace, start_offset=50 * MS,
                 mtu=1400).start()
     sim.run_until(120 * MS)
     assert [p.size_bytes for p in ue.packets[:3]] == [200, 100, 200]
@@ -136,7 +137,7 @@ def test_trace_emission_packetizes():
     sim = Simulator()
     ue = SinkUe()
     trace = Trace([(0, 3000)], 50 * MS)
-    TraceSource(sim, PacketFactory(), ue, trace, 0, mtu=1400).start()
+    TraceSource(sim, itertools.count(), ue, trace, 0, mtu=1400).start()
     sim.run_until(10 * MS)
     assert [p.size_bytes for p in ue.packets] == [1400, 1400, 200]
 
