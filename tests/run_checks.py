@@ -351,8 +351,8 @@ def scan_every_ue(enb) -> None:
 
 
 def filter_every_entry(emitter, t: int):
-    """`BwrEmitter.build` without the earliest and latest egress: every build
-    filters every entry, twice, and takes the due ones' extremes afresh."""
+    """`BwrEmitter.build` without the egress order: every build filters every
+    entry, twice, and takes the due ones' extremes afresh."""
     due = [e for e in emitter.entries if e[0] <= t + emitter.report_lead]
     if not due:
         return None

@@ -12,8 +12,8 @@ yet built, a frame queued at or in flight to the CMTS, or report demand.
 The reference run patches each fast path back to its slow twin: a tick every
 subframe instead of the sleeping tick, a round-robin walk that sums every
 UE's demand instead of one that tests the eNB's ready set (scan_every_ue), a
-report build that filters every entry instead of one that takes them all at
-once when the latest is due (filter_every_entry), a MAP cycle every MAP
+report build that filters every entry instead of one that takes the due
+prefix of its egress-ordered entries (filter_every_entry), a MAP cycle every MAP
 interval instead of one that sleeps while nothing is pending, every UGS
 grant of every MAP an event instead of the ones the modem books to carry a
 report (EVENTED_UGS), a resolve_region event for every MAP window instead of
