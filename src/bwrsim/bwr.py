@@ -33,7 +33,9 @@ _BODY = struct.calcsize(_FIELDS)
 _ZEROS = bytes(BWR_FRAME_BYTES - _BODY)
 # The padding packs as zeros and unpacks unread; decode_bwr checks it.
 _FRAME = struct.Struct(f"{_FIELDS}{len(_ZEROS)}x")
+_MODES = (BWR_MODE_BULK, BWR_MODE_PER_LCG)
 _EGRESS = itemgetter(0)               # an emitter entry's egress
+_BYTES = itemgetter(1)                # the bytes of an entry or a block
 
 
 class BwrCodecError(ValueError):
@@ -52,45 +54,65 @@ class BandwidthReport(NamedTuple):
     mode: int = BWR_MODE_BULK
 
     def total_bytes(self) -> int:
-        return sum(nbytes for _, nbytes in self.blocks)
+        return sum(map(_BYTES, self.blocks))
 
 
 def encode_bwr(report: BandwidthReport) -> bytes:
-    if len(report.blocks) != 4:
-        raise BwrCodecError(f"blocks: expected 4 entries, got {len(report.blocks)}")
+    """Pack the report. `struct` bounds every field but the block count and
+    the mode, so only those are checked on the way; when it refuses a value,
+    the first field the frame cannot carry is named instead."""
+    blocks = report.blocks
+    if len(blocks) != 4:
+        raise BwrCodecError(f"blocks: expected 4 entries, got {len(blocks)}")
+    try:
+        frame = _FRAME.pack(BWR_MAGIC, BWR_VERSION, report.enb_id, report.sequence,
+                            report.egress_time, report.mode, *chain(*blocks))
+    except struct.error:
+        error = _field_error(report)
+        if error is None:
+            raise                     # a value of a type struct refuses
+        raise error from None
+    if report.mode not in _MODES:
+        raise _field_error(report)
+    return frame
+
+
+def _field_error(report: BandwidthReport) -> BwrCodecError | None:
+    """The error naming the first field of the report that the frame cannot
+    carry, in the order the fields are checked; None when each fits."""
     for lcg_id, nbytes in report.blocks:
         if not 0 <= lcg_id <= 0xFF:
-            raise BwrCodecError(f"lcg_id {lcg_id} unencodable")
+            return BwrCodecError(f"lcg_id {lcg_id} unencodable")
         if not 0 <= nbytes <= 0xFFFFFFFF:
-            raise BwrCodecError(f"block bytes {nbytes} unencodable")
+            return BwrCodecError(f"block bytes {nbytes} unencodable")
     if not 0 <= report.enb_id <= 0xFFFF:
-        raise BwrCodecError(f"enb_id {report.enb_id} unencodable")
+        return BwrCodecError(f"enb_id {report.enb_id} unencodable")
     if not 0 <= report.sequence <= 0xFFFF:
-        raise BwrCodecError(f"sequence {report.sequence} unencodable")
+        return BwrCodecError(f"sequence {report.sequence} unencodable")
     if not 0 <= report.egress_time <= 0xFFFFFFFFFFFFFFFF:
-        raise BwrCodecError(f"egress_time {report.egress_time} unencodable")
-    if report.mode not in (BWR_MODE_BULK, BWR_MODE_PER_LCG):
-        raise BwrCodecError(f"mode {report.mode} unknown")
-    return _FRAME.pack(BWR_MAGIC, BWR_VERSION, report.enb_id, report.sequence,
-                       report.egress_time, report.mode, *chain(*report.blocks))
+        return BwrCodecError(f"egress_time {report.egress_time} unencodable")
+    if report.mode not in _MODES:
+        return BwrCodecError(f"mode {report.mode} unknown")
+    return None
 
 
 def decode_bwr(frame: bytes) -> BandwidthReport:
     if len(frame) != BWR_FRAME_BYTES:
         raise BwrCodecError(f"length: expected {BWR_FRAME_BYTES} bytes, got {len(frame)}")
-    fields = _FRAME.unpack(frame)
-    magic, version, enb_id, sequence, egress_time, mode = fields[:6]
+    (magic, version, enb_id, sequence, egress_time, mode,
+     lcg0, bytes0, lcg1, bytes1, lcg2, bytes2, lcg3, bytes3) = _FRAME.unpack(frame)
     if magic != BWR_MAGIC:
         raise BwrCodecError(f"magic: expected {BWR_MAGIC!r}, got {magic!r}")
     if version != BWR_VERSION:
         raise BwrCodecError(f"version: {version} unsupported")
-    if mode not in (BWR_MODE_BULK, BWR_MODE_PER_LCG):
+    if mode not in _MODES:
         raise BwrCodecError(f"mode: {mode} unknown")
-    if frame[_BODY:] != _ZEROS:
+    if not frame.endswith(_ZEROS):    # the length is checked: this is the padding
         raise BwrCodecError("padding: trailing bytes must be zero")
     # struct bounds every field, so the record needs no further check
     return BandwidthReport(enb_id, sequence, egress_time,
-                           tuple(zip(fields[6::2], fields[7::2])), mode)
+                           ((lcg0, bytes0), (lcg1, bytes1), (lcg2, bytes2), (lcg3, bytes3)),
+                           mode)
 
 
 class BwrEmitter:
@@ -121,6 +143,7 @@ class BwrEmitter:
         self.period = period
         self.report_lead = report_lead
         self.block = lcg if per_lcg else 0    # the block that carries the bytes
+        self._zero_blocks = [(g, 0) for g in range(4)]   # each build copies it
         self.mode = BWR_MODE_PER_LCG if per_lcg else BWR_MODE_BULK
         self.forward = forward        # fn(report) -> None; CM-side handoff
         self.collector = collector
@@ -143,11 +166,11 @@ class BwrEmitter:
         del self.entries[:end]
         if due[0][0] <= t:
             raise BwrCodecError(f"egress_time {due[0][0]} not in the future at {t}")
-        nbytes = sum(n for _, n in due)
-        blocks = tuple((g, nbytes if g == self.block else 0) for g in range(4))
+        blocks = self._zero_blocks.copy()
+        blocks[self.block] = (self.block, sum(map(_BYTES, due)))
         # The latest egress: the report's grant waits for every byte it covers.
         report = BandwidthReport(self.enb_id, self.sequence, due[-1][0],
-                                 blocks, self.mode)
+                                 tuple(blocks), self.mode)
         self.sequence = (self.sequence + 1) & 0xFFFF
         self.collector.counters.bwr_reports_built += 1
         self.forward(report)

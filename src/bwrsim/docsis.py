@@ -53,6 +53,7 @@ if TYPE_CHECKING:
 BE = "be"
 UGS = "ugs"
 _REQ_RANK = 0x100           # above every LCG id a report block can encode
+_RANK = itemgetter(1)       # a demand entry's rank
 
 
 class DocsisError(Exception):
@@ -258,12 +259,17 @@ class Cmts:
         if data_flow is None:
             raise DocsisError(f"report from enb {report.enb_id} with no data flow")
         # One demand entry per nonzero block (a bulk report has one, LCG 0),
-        # ranked by LCG id behind that LCG's queued entries, not before egress.
-        for lcg_id, nbytes in sorted(report.blocks):
-            if nbytes > 0:
-                insort(self.demand, [self.sim.now, lcg_id, data_flow,
-                                     report.egress_time, nbytes, "bwr"],
-                       key=itemgetter(1))
+        # ranked by LCG id behind that LCG's queued entries, not before egress;
+        # the blocks in sorted() order.
+        blocks = []
+        for block in report.blocks:
+            if block[1]:
+                blocks.append(block)
+        if len(blocks) > 1:
+            blocks.sort()
+        now, egress = self.sim.now, report.egress_time
+        for lcg_id, nbytes in blocks:
+            insort(self.demand, [now, lcg_id, data_flow, egress, nbytes, "bwr"], key=_RANK)
         if self._asleep:
             self._wake()
 
@@ -346,8 +352,15 @@ class Cmts:
         layouts = self._layouts
         gaps, ugs_starts = layouts[(start - self._lead) // mi % len(layouts)]
         dur, size = self._ugs_duration, self.cfg.ugs_grant_bytes
-        return ([(start + s, start + e) for s, e in gaps],
-                [Grant(None, start + s, dur, size, UGS) for s in ugs_starts])
+        # Plain loops: a window holds a few gaps and grants, too few to pay
+        # for a comprehension's frame.
+        shifted = []
+        for s, e in gaps:
+            shifted.append((start + s, start + e))
+        grants = []
+        for s in ugs_starts:
+            grants.append(Grant(None, start + s, dur, size, UGS))
+        return shifted, grants
 
     def _emit_grant(self, msg: MapMessage, grant: Grant) -> None:
         """List a grant in its MAP, and schedule it unless it is a UGS grant:

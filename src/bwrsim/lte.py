@@ -401,9 +401,11 @@ class SubframeTick:
             self.sim.schedule_at(t, PRIO_SCHED, self.tick)
 
     def tick(self) -> None:
-        for enb in self.enbs:
+        enbs = self.enbs
+        for enb in enbs:
             enb.on_subframe()
-        if any(enb.busy() for enb in self.enbs):
-            self.sim.schedule_in(SUBFRAME_US, PRIO_SCHED, self.tick)
-        else:
-            self.asleep = True
+        for enb in enbs:              # a plain loop: no generator frame per tick
+            if enb.busy():
+                self.sim.schedule_in(SUBFRAME_US, PRIO_SCHED, self.tick)
+                return
+        self.asleep = True

@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +70,14 @@ def test_decode_padding_error():
         decode_bwr(bytes(frame))
 
 
+@pytest.mark.parametrize("offset", range(36, BWR_FRAME_BYTES))
+def test_a_nonzero_byte_anywhere_in_the_padding_is_refused(offset):
+    frame = bytearray(encode_bwr(report()))
+    frame[offset] = 1
+    with pytest.raises(BwrCodecError, match="padding"):
+        decode_bwr(bytes(frame))
+
+
 def test_decode_mode_error():
     frame = bytearray(encode_bwr(report()))
     frame[15] = 2
@@ -112,6 +122,44 @@ def test_report_field_validation():
         encode_bwr(BandwidthReport(1, 0, 1000, ((0, 1 << 32), (1, 0), (2, 0), (3, 0))))
     with pytest.raises(BwrCodecError, match="sequence"):
         encode_bwr(BandwidthReport(1, 1 << 16, 1000, ((0, 1), (1, 0), (2, 0), (3, 0))))
+
+
+def out_of_range(field, value):
+    """report() with one field, or block 1's lcg_id or bytes, set to value."""
+    if field in ("lcg_id", "bytes"):
+        blocks = [(0, 300), (1, 0), (2, 0), (3, 0)]
+        blocks[1] = (value, 0) if field == "lcg_id" else (1, value)
+        return report(blocks=blocks)
+    if field == "blocks":
+        return report(blocks=[(g, 0) for g in range(value)])
+    return report()._replace(**{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("enb_id", -1, "enb_id -1 unencodable"),
+    ("enb_id", 0x10000, "enb_id 65536 unencodable"),
+    ("sequence", -1, "sequence -1 unencodable"),
+    ("sequence", 0x10000, "sequence 65536 unencodable"),
+    ("egress_time", -1, "egress_time -1 unencodable"),
+    ("egress_time", 2 ** 64, "egress_time 18446744073709551616 unencodable"),
+    ("lcg_id", -1, "lcg_id -1 unencodable"),
+    ("lcg_id", 0x100, "lcg_id 256 unencodable"),
+    ("bytes", -1, "block bytes -1 unencodable"),
+    ("bytes", 2 ** 32, "block bytes 4294967296 unencodable"),
+    ("mode", 2, "mode 2 unknown"),
+    ("blocks", 3, "blocks: expected 4 entries, got 3"),
+    ("blocks", 5, "blocks: expected 4 entries, got 5"),
+])
+def test_an_unencodable_field_is_named(field, value, message):
+    with pytest.raises(BwrCodecError) as info:
+        encode_bwr(out_of_range(field, value))
+    assert str(info.value) == message
+
+
+def test_a_value_of_a_type_struct_refuses_raises_its_error():
+    # a float is in range, so no check names it: struct refuses it
+    with pytest.raises(struct.error):
+        encode_bwr(report(enb=1.0))
 
 
 @settings(max_examples=300, deadline=None)

@@ -445,6 +445,25 @@ def test_lcg_differentiation_orders_blocks():
     assert bwr_grants[0].start < bwr_grants[1].start
 
 
+@pytest.mark.parametrize("mode, blocks, queued", [
+    # out of LCG order on the wire, zero blocks between: the intake queues
+    # the nonzero ones by LCG id, and two blocks of one LCG by their bytes
+    # (the order sorted() gives the blocks; the queue's rank alone keeps
+    # the wire order of equal LCG ids)
+    ("per_lcg", ((3, 700), (0, 0), (1, 500), (2, 0)), [(1, 500), (3, 700)]),
+    ("per_lcg", ((2, 700), (0, 0), (2, 500), (1, 0)), [(2, 500), (2, 700)]),
+    ("bulk", ((0, 900), (1, 0), (2, 0), (3, 0)), [(0, 900)]),
+])
+def test_the_intake_queues_each_nonzero_block_by_lcg(mode, blocks, queued):
+    from bwrsim.bwr import BWR_MODE_BULK, BWR_MODE_PER_LCG, BandwidthReport, encode_bwr
+    flag = BWR_MODE_PER_LCG if mode == "per_lcg" else BWR_MODE_BULK
+    sim, cmts, cm, collector, maps = build()
+    sim.run_until(25 * MS)
+    cmts.on_bwr_frame(encode_bwr(BandwidthReport(1, 0, 30 * MS, blocks, flag)))
+    assert [(e[1], e[4]) for e in cmts.demand] == queued
+    assert all(e[3] == 30 * MS and e[5] == "bwr" for e in cmts.demand)
+
+
 def test_one_map_serves_reports_by_lcg_then_requests():
     # An LCG-2 report, then an LCG-1 report, then a REQ, delivered apart; the
     # reports wait for their egress at 30 ms, so the MAP generated at 28 ms
