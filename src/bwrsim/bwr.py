@@ -13,6 +13,9 @@ Wire layout (big-endian multi-byte fields):
     16      20    4 blocks of { lcg_id (1), bytes (4) }
     36      44    zero padding
     total   80
+
+The emitter builds bulk reports. A per-LCG frame still decodes, and the CMTS
+takes the total of its blocks.
 """
 
 from __future__ import annotations
@@ -132,19 +135,16 @@ class BwrEmitter:
     The entries are kept in egress order, so a build's due entries are a
     prefix: the first holds their earliest egress, the last their latest.
 
-    Every byte of a run belongs to the run's one LCG (`lcg`), so an entry is
-    (egress, bytes). A per-LCG report puts the total in block `lcg`, a bulk
-    report in block 0; the other blocks carry 0.
+    Every byte of a run belongs to the run's one LCG, so an entry is
+    (egress, bytes), and a report is bulk: its total in block 0, the other
+    blocks 0.
     """
 
     def __init__(self, enb_id: int, period: int, report_lead: int, *,
-                 lcg: int, per_lcg: bool, forward, collector):
+                 forward, collector):
         self.enb_id = enb_id
         self.period = period
         self.report_lead = report_lead
-        self.block = lcg if per_lcg else 0    # the block that carries the bytes
-        self._zero_blocks = [(g, 0) for g in range(4)]   # each build copies it
-        self.mode = BWR_MODE_PER_LCG if per_lcg else BWR_MODE_BULK
         self.forward = forward        # fn(report) -> None; CM-side handoff
         self.collector = collector
         self.sequence = 0
@@ -166,11 +166,9 @@ class BwrEmitter:
         del self.entries[:end]
         if due[0][0] <= t:
             raise BwrCodecError(f"egress_time {due[0][0]} not in the future at {t}")
-        blocks = self._zero_blocks.copy()
-        blocks[self.block] = (self.block, sum(map(_BYTES, due)))
         # The latest egress: the report's grant waits for every byte it covers.
         report = BandwidthReport(self.enb_id, self.sequence, due[-1][0],
-                                 tuple(blocks), self.mode)
+                                 ((0, sum(map(_BYTES, due))), (1, 0), (2, 0), (3, 0)))
         self.sequence = (self.sequence + 1) & 0xFFFF
         self.collector.counters.bwr_reports_built += 1
         self.forward(report)

@@ -13,7 +13,7 @@ m. Every window opens with a contention region. In a bwr run the CMTS also
 schedules unsolicited grants, which carry the bandwidth reports and belong to
 no service flow; they sit at their phase-locked instants, or right after the
 reservation before them. Each eNB's data has one best-effort flow. REQs
-and reports wait in one demand queue, where report blocks rank before REQs.
+and reports wait in one demand queue, where reports rank before REQs.
 A request delivered at r therefore reaches a usable grant no earlier than
 r + (1 + maps_in_advance) * map_interval_us. The CM requests no byte that a
 forwarded report describes, and holds the report's credit until its egress,
@@ -52,8 +52,8 @@ if TYPE_CHECKING:
 
 BE = "be"
 UGS = "ugs"
-_REQ_RANK = 0x100           # above every LCG id a report block can encode
-_RANK = itemgetter(1)       # a demand entry's rank
+_REPORT_RANK, _REQ_RANK = 0, 1   # a demand entry's rank: reports before REQs
+_RANK = itemgetter(1)
 
 
 class DocsisError(Exception):
@@ -226,8 +226,8 @@ class Cmts:
         self.ugs = ugs
         self.grants_emitted = 0     # data grants scheduled
         self.cm: Optional["Cm"] = None
-        # REQs and report blocks not yet granted, in service order (by rank,
-        # then arrival): [arrival, rank, flow, not_before, bytes, kind]
+        # REQs and reports not yet granted, in service order (by rank, then
+        # arrival): [arrival, rank, flow, not_before, bytes, kind]
         self.demand: list[list] = []
         mi = cfg.map_interval_us
         self._lead = cfg.maps_in_advance * mi
@@ -244,7 +244,7 @@ class Cmts:
         self._asleep = False        # whoever builds the CMTS queues its first cycle
 
     def on_req_delivered(self, flow: ServiceFlow, nbytes: int, delivered_at: int) -> None:
-        """A REQ ranks after every report block and may fill any window."""
+        """A REQ ranks after every report and may fill any window."""
         self.demand.append([delivered_at, _REQ_RANK, flow, delivered_at, nbytes, BE])
         if self._asleep:
             self._wake()
@@ -253,23 +253,16 @@ class Cmts:
         """A bandwidth report reached the CMTS in an unsolicited grant."""
         report = decode_bwr(frame)
         self.collector.counters.bwr_frames_received += 1
-        if report.total_bytes() == 0:
+        nbytes = report.total_bytes()     # a per-LCG frame's blocks, summed
+        if nbytes == 0:
             return
         data_flow = self.cm.flows.get(report.enb_id)
         if data_flow is None:
             raise DocsisError(f"report from enb {report.enb_id} with no data flow")
-        # One demand entry per nonzero block (a bulk report has one, LCG 0),
-        # ranked by LCG id behind that LCG's queued entries, not before egress;
-        # the blocks in sorted() order.
-        blocks = []
-        for block in report.blocks:
-            if block[1]:
-                blocks.append(block)
-        if len(blocks) > 1:
-            blocks.sort()
-        now, egress = self.sim.now, report.egress_time
-        for lcg_id, nbytes in blocks:
-            insort(self.demand, [now, lcg_id, data_flow, egress, nbytes, "bwr"], key=_RANK)
+        # One demand entry, behind the queued reports and ahead of every REQ,
+        # not placed before the report's egress.
+        insort(self.demand, [self.sim.now, _REPORT_RANK, data_flow, report.egress_time,
+                             nbytes, "bwr"], key=_RANK)
         if self._asleep:
             self._wake()
 
@@ -300,9 +293,9 @@ class Cmts:
         for grant in ugs_grants:
             self._emit_grant(msg, grant)
 
-        # One walk in service order: report blocks by LCG id, each LCG in
-        # report order, then REQs in delivery order. An entry delivered by the
-        # cutoff is placed at or after its not_before, if that is in the window.
+        # One walk in service order: reports, then REQs, each in delivery
+        # order. An entry delivered by the cutoff is placed at or after its
+        # not_before, if that is in the window.
         if self.demand:
             bps = cfg.upstream_bps
             pending = []

@@ -77,7 +77,7 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     trace = build_trace(cfg)
     # a VoIP packet never splits
     voip = cfg.traffic_case == "voip"
-    lcg, mtu = (cfg.lcg_voip, cfg.voip_bytes) if voip else (cfg.lcg_video, cfg.packet_mtu)
+    mtu = cfg.voip_bytes if voip else cfg.packet_mtu
     enbs: list[Enb] = []
     ues: list[Ue] = []
     sources = []
@@ -92,7 +92,6 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
         if mode == "bwr" and enb_id == cfg.eut_enb:
             enb.bwr_emitter = BwrEmitter(
                 enb_id, cfg.bwr_period_us, cfg.grant_to_data_us + cfg.enb_decode_us,
-                lcg=lcg, per_lcg=cfg.bwr_per_lcg,
                 forward=functools.partial(cm.forward_report, flow), collector=collector)
         enbs.append(enb)
         for _ in range(cfg.ues_per_enb):

@@ -360,10 +360,8 @@ def filter_every_entry(emitter, t: int):
     first, egress = min(e for e, _ in due), max(e for e, _ in due)
     if first <= t:
         raise BwrCodecError(f"egress_time {first} not in the future at {t}")
-    blocks = [(g, 0) for g in range(4)]
-    blocks[emitter.block] = (emitter.block, sum(nbytes for _, nbytes in due))
-    report = BandwidthReport(emitter.enb_id, emitter.sequence, egress, tuple(blocks),
-                             emitter.mode)
+    blocks = tuple((g, sum(nbytes for _, nbytes in due) if g == 0 else 0) for g in range(4))
+    report = BandwidthReport(emitter.enb_id, emitter.sequence, egress, blocks)
     emitter.sequence = (emitter.sequence + 1) & 0xFFFF
     emitter.collector.counters.bwr_reports_built += 1
     emitter.forward(report)

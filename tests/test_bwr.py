@@ -175,9 +175,8 @@ def test_round_trip_fuzz(enb, seq, egress, mode, sizes):
 
 # -- emitter -----------------------------------------------------------------
 
-def make_emitter(out, period=2 * MS, lead=6 * MS, lcg=1, per_lcg=False):
-    return BwrEmitter(1, period, lead, lcg=lcg, per_lcg=per_lcg,
-                      forward=out.append, collector=Collector("bwr"))
+def make_emitter(out, period=2 * MS, lead=6 * MS):
+    return BwrEmitter(1, period, lead, forward=out.append, collector=Collector("bwr"))
 
 
 def test_emitter_ladder_egress_time():
@@ -187,7 +186,7 @@ def test_emitter_ladder_egress_time():
     em.note_grant(60, 13 * MS + 4 * MS + 2 * MS)
     em.on_subframe(14 * MS)
     assert out[0].egress_time == 19 * MS
-    assert out[0].blocks == ((0, 60), (1, 0), (2, 0), (3, 0))
+    assert (out[0].mode, out[0].blocks) == (BWR_MODE_BULK, ((0, 60), (1, 0), (2, 0), (3, 0)))
 
 
 def test_emitter_aggregates_same_window():
@@ -237,20 +236,6 @@ def test_emitter_sequence_increments():
     assert [r.sequence for r in out] == [0, 1, 2]
 
 
-def test_emitter_per_lcg_blocks():
-    # every byte of a run is of the run's LCG: a per-LCG report carries the
-    # total in that LCG's block, a bulk report in block 0
-    for per_lcg, mode, blocks in [
-            (True, BWR_MODE_PER_LCG, ((0, 0), (1, 0), (2, 150), (3, 0))),
-            (False, BWR_MODE_BULK, ((0, 150), (1, 0), (2, 0), (3, 0)))]:
-        out = []
-        em = make_emitter(out, lcg=2, per_lcg=per_lcg)
-        em.note_grant(100, 19 * MS)
-        em.note_grant(50, 19 * MS)
-        em.on_subframe(14 * MS)
-        assert (out[0].mode, out[0].blocks) == (mode, blocks)
-
-
 def test_emitter_reports_the_latest_egress_of_its_entries():
     # the grant goes at or after the report's egress, so that egress is the
     # one of its last bytes: an earlier one can grant bytes not yet there
@@ -286,12 +271,11 @@ def announce_and_build(em):
     em.on_subframe(20 * MS)
 
 
-@pytest.mark.parametrize("per_lcg", [False, True])
-def test_a_retransmission_beyond_the_horizon_builds_as_filtering_does(per_lcg):
+def test_a_retransmission_beyond_the_horizon_builds_as_filtering_does():
     fast, slow = [], []
-    em = make_emitter(fast, lcg=3, per_lcg=per_lcg)
+    em = make_emitter(fast)
     announce_and_build(em)
-    announce_and_build(filtering_emitter(slow, lcg=3, per_lcg=per_lcg))
+    announce_and_build(filtering_emitter(slow))
     assert fast == slow
     assert [(r.egress_time, r.total_bytes()) for r in fast] == [
         (20 * MS, 180), (22 * MS, 240), (24 * MS, 160)]
@@ -318,9 +302,11 @@ def test_a_build_takes_the_entries_due_by_its_horizon(emitter):
 
 
 @pytest.mark.parametrize("emitter", [make_emitter, filtering_emitter])
-@pytest.mark.parametrize("later", [None, 30 * MS])
+@pytest.mark.parametrize("later", [None, 19 * MS, 30 * MS])
 def test_a_build_raises_on_an_entry_not_in_the_future(emitter, later):
-    # taken with every entry, or filtered out beside a later one
+    # taken alone, or beside a later entry that is due too (the check reads
+    # the earliest due egress, not the report's), or filtered out beside a
+    # later one beyond the horizon
     em = emitter([])
     em.note_grant(60, 14 * MS)
     if later is not None:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from bwrsim import docsis
+from bwrsim.bwr import BWR_MODE_BULK, BWR_MODE_PER_LCG, BandwidthReport, encode_bwr
 from bwrsim.config import SimConfig, preset
 from bwrsim.core import MS, PRIO_SCHED, SEC, Rng, Simulator
 from bwrsim.docsis import (UGS, Cm, Cmts, DocsisError, Grant,
@@ -352,7 +353,6 @@ def test_only_regions_holding_a_request_are_resolved(monkeypatch):
 def test_idle_cmts_sleeps_until_a_request_or_report_arrives():
     # Without UGS grants, a MAP with nothing to place is not sent: the cycle
     # sleeps after the MAP at 0, and a delivery wakes it at the next boundary.
-    from bwrsim.bwr import BandwidthReport, encode_bwr
     sim, cmts, cm, collector, maps = build()
     sim.run_until(19 * MS)
     assert [m.window_start for m in maps] == [2 * MS]
@@ -428,69 +428,72 @@ def test_contention_throughput_matches_enumeration():
     assert mean == pytest.approx(expected, abs=0.1)
 
 
-# -- per-LCG differentiation -------------------------------------------------------
+# -- service order and cutoff ------------------------------------------------
 
-def test_lcg_differentiation_orders_blocks():
-    from bwrsim.bwr import BWR_MODE_PER_LCG, BandwidthReport, encode_bwr
-    sim, cmts, cm, collector, maps = build()
-    report = BandwidthReport(1, 0, 30 * MS,
-                             ((0, 0), (1, 500), (2, 1500), (3, 0)),
-                             BWR_MODE_PER_LCG)
-    sim.run_until(25 * MS)
-    cmts.on_bwr_frame(encode_bwr(report))
-    assert [(e[1], e[4]) for e in cmts.demand] == [(1, 500), (2, 1500)]
-    sim.run_until(36 * MS)
-    bwr_grants = grants_of(maps, "bwr")
-    assert [g.nbytes for g in bwr_grants] == [500, 1500]   # low LCG placed first
-    assert bwr_grants[0].start < bwr_grants[1].start
-
-
-@pytest.mark.parametrize("mode, blocks, queued", [
-    # out of LCG order on the wire, zero blocks between: the intake queues
-    # the nonzero ones by LCG id, and two blocks of one LCG by their bytes
-    # (the order sorted() gives the blocks; the queue's rank alone keeps
-    # the wire order of equal LCG ids)
-    ("per_lcg", ((3, 700), (0, 0), (1, 500), (2, 0)), [(1, 500), (3, 700)]),
-    ("per_lcg", ((2, 700), (0, 0), (2, 500), (1, 0)), [(2, 500), (2, 700)]),
-    ("bulk", ((0, 900), (1, 0), (2, 0), (3, 0)), [(0, 900)]),
-])
-def test_the_intake_queues_each_nonzero_block_by_lcg(mode, blocks, queued):
-    from bwrsim.bwr import BWR_MODE_BULK, BWR_MODE_PER_LCG, BandwidthReport, encode_bwr
-    flag = BWR_MODE_PER_LCG if mode == "per_lcg" else BWR_MODE_BULK
+@pytest.mark.parametrize("mode, blocks", [
+    (BWR_MODE_BULK, ((0, 1200), (1, 0), (2, 0), (3, 0))),
+    # out of LCG order on the wire, zero blocks between, and one LCG id twice
+    (BWR_MODE_PER_LCG, ((3, 700), (0, 0), (1, 500), (2, 0))),
+    (BWR_MODE_PER_LCG, ((2, 700), (0, 0), (2, 500), (1, 0))),
+], ids=["bulk", "per_lcg", "per_lcg-repeated-id"])
+def test_the_intake_queues_one_entry_of_each_reports_total(mode, blocks):
     sim, cmts, cm, collector, maps = build()
     sim.run_until(25 * MS)
-    cmts.on_bwr_frame(encode_bwr(BandwidthReport(1, 0, 30 * MS, blocks, flag)))
-    assert [(e[1], e[4]) for e in cmts.demand] == queued
-    assert all(e[3] == 30 * MS and e[5] == "bwr" for e in cmts.demand)
+    cmts.on_bwr_frame(encode_bwr(BandwidthReport(1, 0, 30 * MS, blocks, mode)))
+    assert [(e[0], e[2], e[3], e[4], e[5]) for e in cmts.demand] \
+        == [(25 * MS, cm.flows[1], 30 * MS, 1200, "bwr")]
 
 
-def test_one_map_serves_reports_by_lcg_then_requests():
-    # An LCG-2 report, then an LCG-1 report, then a REQ, delivered apart; the
-    # reports wait for their egress at 30 ms, so the MAP generated at 28 ms
-    # places all three: LCG 1 first, then LCG 2, then the REQ.
-    from bwrsim.bwr import BWR_MODE_PER_LCG, BandwidthReport, encode_bwr
+def test_one_map_serves_a_report_before_an_earlier_request():
+    # A 6000-byte REQ at 26 ms, then a 6000-byte report at 27 ms whose egress
+    # opens the window [30, 32) ms: both miss the MAP at 26 ms and reach the
+    # one at 28 ms, whose window has room for 9594 B after its contention
+    # region. The report ranks first and is placed whole, in 1231 us; the REQ
+    # takes the 737 us left, 3592 B, and its other 2408 B wait for the next
+    # window.
     sim, cmts, cm, collector, maps = build(flows=2)
-    for t, lcg, nbytes in ((21 * MS, 2, 1500), (23 * MS, 1, 500)):
-        sim.run_until(t)
-        blocks = tuple((g, nbytes if g == lcg else 0) for g in range(4))
-        cmts.on_bwr_frame(encode_bwr(BandwidthReport(1, 0, 30 * MS, blocks,
-                                                     BWR_MODE_PER_LCG)))
+    sim.run_until(26 * MS)
+    cmts.on_req_delivered(cm.flows[2], 6000, sim.now)
     sim.run_until(27 * MS)
-    cmts.on_req_delivered(cm.flows[2], 300, sim.now)
-    sim.run_until(29 * MS)
-    assert [(m.window_start, [(g.flow.enb_id, g.kind, g.nbytes) for g in m.grants])
+    cmts.on_bwr_frame(encode_bwr(BandwidthReport(1, 0, 30 * MS, ((0, 6000), (1, 0),
+                                                                 (2, 0), (3, 0)))))
+    sim.run_until(31 * MS)
+    assert [(m.window_start, [(g.flow.enb_id, g.kind, g.start, g.nbytes)
+                              for g in m.grants])
             for m in maps if m.grants] \
-        == [(30 * MS, [(1, "bwr", 500), (1, "bwr", 1500), (2, "be", 300)])]
+        == [(30 * MS, [(1, "bwr", 30 * MS + 32, 6000),
+                       (2, "be", 30 * MS + 32 + 1231, 3592)]),
+            (32 * MS, [(2, "be", 32 * MS + 32, 2408)])]
     assert cmts.demand == []
 
 
+@pytest.mark.parametrize("late_us, window_start", [(0, 22 * MS), (1, 24 * MS)],
+                         ids=["at-the-cutoff", "1us-late"])
+@pytest.mark.parametrize("kind", ["be", "bwr"])
+def test_the_map_at_t_consumes_what_arrives_by_t_minus_cmts_proc_us(kind, late_us,
+                                                                     window_start):
+    # The MAP generated at 20 ms places a REQ or report that reached the CMTS
+    # by 20 ms - cmts_proc_us; one that came 1 us later waits for the MAP at
+    # 22 ms. The report's egress, 22 ms, is in either window.
+    sim, cmts, cm, collector, maps = build()
+    arrival = 20 * MS - cmts.cfg.cmts_proc_us + late_us
+    sim.run_until(arrival)
+    if kind == "be":
+        cmts.on_req_delivered(cm.flows[1], 300, arrival)
+    else:
+        cmts.on_bwr_frame(encode_bwr(BandwidthReport(1, 0, 22 * MS, ((0, 300), (1, 0),
+                                                                     (2, 0), (3, 0)))))
+    sim.run_until(30 * MS)
+    assert [(m.window_start, [(g.kind, g.nbytes) for g in m.grants])
+            for m in maps if m.grants] == [(window_start, [(kind, 300)])]
+
+
 def test_a_request_fills_the_free_time_before_a_mid_window_report_grant():
-    # A report block due at 31 ms, mid-way through the window [30, 32) ms,
-    # ranks before a 6000-byte REQ, so the MAP generated at 28 ms places it
-    # first. The REQ then takes the whole gap from the end of the contention
-    # region (30.032 ms) to the block, 968 us or 4719 B at 39 Mb/s, and its
-    # other 1281 B from the end of the block's 103 us on.
-    from bwrsim.bwr import BWR_MODE_PER_LCG, BandwidthReport, encode_bwr
+    # A report due at 31 ms, mid-way through the window [30, 32) ms, ranks
+    # before a 6000-byte REQ, so the MAP generated at 28 ms places it first.
+    # The REQ then takes the whole gap from the end of the contention region
+    # (30.032 ms) to the report's grant, 968 us or 4719 B at 39 Mb/s, and its
+    # other 1281 B from the end of that grant's 103 us on.
     sim, cmts, cm, collector, maps = build(flows=2)
     sim.run_until(25 * MS)
     cmts.on_bwr_frame(encode_bwr(BandwidthReport(1, 0, 31 * MS,

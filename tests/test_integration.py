@@ -115,35 +115,6 @@ def test_loaded_scenario_rerun_is_identical():
     assert run_once() == run_once()
 
 
-def test_per_lcg_mode_matches_bulk_for_single_class_traffic():
-    # with one traffic class in play, per-block scheduling must not change
-    # any packet's latency relative to bulk reporting
-    cfg = preset("scenario1")
-    bulk = run_single(cfg, "bwr")
-    cfg_lcg = replace(preset("scenario1"), bwr_per_lcg=True)
-    split = run_single(cfg_lcg, "bwr")
-    a = [(s.packet_id, s.docsis_us) for s in bulk.collector.retained()]
-    b = [(s.packet_id, s.docsis_us) for s in split.collector.retained()]
-    assert a == b
-
-
-@pytest.mark.parametrize("name, lcg_field", [("scenario1", "lcg_voip"),
-                                             ("scenario2", "lcg_video")])
-def test_per_lcg_reports_carry_the_run_lcg(monkeypatch, name, lcg_field):
-    # the run's traffic class picks its LCG, and every per-LCG report puts
-    # its bytes in that LCG's block alone
-    cfg = replace(preset(name), duration_us=300 * MS, bwr_per_lcg=True,
-                  lcg_voip=3, lcg_video=0)
-    blocks = []
-    forward_report = Cm.forward_report
-    monkeypatch.setattr(Cm, "forward_report", lambda cm, flow, report: (
-        blocks.append(report.blocks), forward_report(cm, flow, report)))
-    run_single(cfg, "bwr")
-    lcg = getattr(cfg, lcg_field)
-    assert len(blocks) > 10
-    assert {tuple(g for g, nbytes in b if nbytes) for b in blocks} == {(lcg,)}
-
-
 @pytest.mark.parametrize("phase_us, duration_us, grant_at_end", [
     (None, 2 * SEC, False),
     (0, 2 * SEC, False),

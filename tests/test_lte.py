@@ -566,8 +566,8 @@ def test_retransmission_announced_at_a_boundary_wakes_the_next_tick():
     ue = make_ue(sim, enb)
     reports = []
     lead = enb.cfg.grant_to_data_us + enb.cfg.enb_decode_us
-    enb.bwr_emitter = BwrEmitter(1, MS, lead, lcg=1, per_lcg=False,
-                                 forward=reports.append, collector=enb.collector)
+    enb.bwr_emitter = BwrEmitter(1, MS, lead, forward=reports.append,
+                                 collector=enb.collector)
     ticks = start_ticks(sim, enb)
     ue.on_arrival(pkt(0, size=600))
     sim.run_until(60 * MS)
