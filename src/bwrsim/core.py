@@ -82,6 +82,9 @@ class Simulator:
         return len(self._heap)
 
 
+SKIP_CHUNK = 4096   # uniform draws per getrandbits call of Rng.skip
+
+
 class Rng:
     """Seeded pseudo-random stream with a fixed draw count per call.
 
@@ -115,6 +118,18 @@ class Rng:
         if n < 1:
             raise ValueError(f"randbelow n={n} must be >= 1")
         return int(self.uniform(0.0, float(n)))
+
+    def skip(self, n: int) -> None:
+        """Advance the stream past n uniform draws without making them.
+
+        random() takes two 32-bit MT19937 words, and getrandbits(64 * k)
+        takes exactly 2k; the skip goes in chunks of SKIP_CHUNK draws, so
+        that a long one builds no huge int."""
+        getrandbits = self._r.getrandbits
+        while n > SKIP_CHUNK:
+            getrandbits(64 * SKIP_CHUNK)
+            n -= SKIP_CHUNK
+        getrandbits(64 * n)
 
 
 def derive_seed(master_seed: int, label: str) -> int:

@@ -2,6 +2,11 @@
 scheduling, slow-fading MCS evolution, transport-block sizing, and synchronous
 HARQ with fixed 8 ms retransmission spacing.
 
+The MCS is drawn per channel tick, and only when a grant can use it: a
+demand that fits the smallest transport block is granted whole at any MCS,
+so such a grant reads no channel, and a tick that no grant reads is skipped
+in the channel stream without drawing.
+
 Control-plane timing follows a fixed turnaround ladder, read from the run's
 SimConfig:
 
@@ -45,6 +50,17 @@ def tbs_bytes(mcs: int) -> int:
     if not MCS_MIN <= mcs <= MCS_MAX:
         raise LteError(f"mcs {mcs} outside supported range [{MCS_MIN}, {MCS_MAX}]")
     return 150 * mcs
+
+
+# The smallest transport block: a demand up to it fits a block at any MCS.
+TBS_MIN = tbs_bytes(MCS_MIN)
+
+
+def draw_mcs(mean: float, sigma: float, rng: Rng) -> int:
+    """One UE's MCS for one channel tick: a normal draw, none when sigma is 0.
+    Clamped before rounding, so that a huge draw cannot overflow round()."""
+    draw = rng.normal(mean, sigma) if sigma else float(mean)
+    return round(min(MCS_MAX, max(MCS_MIN, draw)))
 
 
 def harq_grant_utilization(n_max: int, bler: float) -> float:
@@ -129,7 +145,7 @@ class Ue:
         self.cfg = enb.cfg
         self.counters = enb.counters
         self.sr_phase = sr_phase
-        self.mcs = 22
+        self.tbs = tbs_bytes(22)      # block size at its MCS in the last tick drawn
         self.buffer = deque()         # [packet, remaining], in arrival order
         self.buffer_bytes = 0
         self.pending_sr = False
@@ -256,16 +272,34 @@ class Ue:
         if report is not None:
             self.enb.on_bsr(self, report)
 
-    # -- channel ----------------------------------------------------------
 
-    def channel_update(self, mean: float, sigma: float, rng: Rng) -> int:
-        if sigma == 0.0:
-            draw = float(mean)
-        else:
-            draw = rng.normal(mean, sigma)
-        # Clamped before rounding, so that a huge draw cannot overflow round().
-        self.mcs = round(min(MCS_MAX, max(MCS_MIN, draw)))
-        return self.mcs
+class Channel:
+    """The slow-fading channel of a run's UEs, drawn on demand. Tick k covers
+    [k, k + 1) * channel_update_us and takes one normal per UE, in the run's
+    UE order, from the channel stream. The first grant that reads a tick
+    draws it whole and sets each UE's tbs; the ticks no grant read are
+    skipped in the stream, so each tick draws what it would if every tick
+    were drawn. With sigma 0 nothing is drawn or skipped."""
+
+    def __init__(self, cfg: SimConfig, rng: Rng, ues: list[Ue]):
+        self.rng = rng
+        self.ues = ues
+        self.mean = cfg.mcs_mean
+        self.sigma = cfg.mcs_sigma
+        self.period = cfg.channel_update_us
+        self.ticks = 0                # ticks the stream has passed
+        self.tick_end = 0             # the end of the tick last drawn
+
+    def draw(self, t: int) -> None:
+        """Draw the tick that holds t, skipping the unread ticks before it."""
+        tick = t // self.period
+        mean, sigma, rng = self.mean, self.sigma, self.rng
+        if sigma:
+            rng.skip(2 * len(self.ues) * (tick - self.ticks))
+        for ue in self.ues:
+            ue.tbs = tbs_bytes(draw_mcs(mean, sigma, rng))
+        self.ticks = tick + 1
+        self.tick_end = self.ticks * self.period
 
 
 class Enb:
@@ -273,13 +307,15 @@ class Enb:
     builder."""
 
     def __init__(self, sim: Simulator, enb_id: int, cfg: SimConfig, collector,
-                 harq_rng: Rng):
+                 harq_rng: Rng, channel: Channel | None = None):
         self.sim = sim
         self.enb_id = enb_id
         self.cfg = cfg
         self.collector = collector
         self.counters = collector.counters
         self.harq_rng = harq_rng
+        # the run's channel; unset, it holds no UE, so each keeps MCS 22
+        self.channel = channel if channel is not None else Channel(cfg, Rng(0), [])
         self.ues: list[Ue] = []                   # round-robin order
         self.ready: set[Ue] = set()               # the UEs with nonzero demand
         self.rr_index = -1
@@ -346,7 +382,12 @@ class Enb:
             self.bwr_emitter.on_subframe(t)
 
     def _issue_data_grant(self, ue: Ue, t: int) -> None:
-        budget = min(ue.demand, tbs_bytes(ue.mcs))
+        budget = ue.demand
+        if budget > TBS_MIN:              # a smaller demand fits any block
+            channel = self.channel
+            if t >= channel.tick_end:
+                channel.draw(t)
+            budget = min(budget, ue.tbs)
         ue.demand -= budget
         ue.granted += budget
         if not ue.demand:

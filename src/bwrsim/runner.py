@@ -14,9 +14,9 @@ from typing import Optional
 from . import metrics
 from .bwr import BwrEmitter
 from .config import SimConfig, dump_config
-from .core import PRIO_CONTROL, PRIO_SCHED, RngStreams, Simulator, derive_seed
+from .core import PRIO_SCHED, RngStreams, Simulator, derive_seed
 from .docsis import Cm, Cmts, ServiceFlow
-from .lte import Enb, SUBFRAME_US, SubframeTick, Ue
+from .lte import Channel, Enb, SUBFRAME_US, SubframeTick, Ue
 from .metrics import Collector
 from .traffic import Trace, TraceSource, read_trace, synth_video
 
@@ -80,6 +80,7 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     mtu = cfg.voip_bytes if voip else cfg.packet_mtu
     enbs: list[Enb] = []
     ues: list[Ue] = []
+    channel = Channel(cfg, streams.stream("channel"), ues)   # over ues as they come
     sources = []
     phases = streams.stream("phases")
     next_ue_id = 1
@@ -87,7 +88,7 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
     for enb_id in range(1, cfg.enb_count + 1):
         flow = ServiceFlow(enb_id)
         cm.add_flow(flow)
-        enb = Enb(sim, enb_id, cfg, collector, streams.stream("harq"))
+        enb = Enb(sim, enb_id, cfg, collector, streams.stream("harq"), channel)
         enb.egress_sink = functools.partial(cm.enqueue_chunks, flow)
         if mode == "bwr" and enb_id == cfg.eut_enb:
             enb.bwr_emitter = BwrEmitter(
@@ -110,14 +111,6 @@ def run_single(cfg: SimConfig, mode: str) -> SimRun:
         source.start()
 
     subframes = SubframeTick(sim, enbs)
-    channel = streams.stream("channel")
-
-    def channel_tick():
-        for ue in ues:
-            ue.channel_update(cfg.mcs_mean, cfg.mcs_sigma, channel)
-        sim.schedule_in(cfg.channel_update_us, PRIO_CONTROL, channel_tick)
-
-    sim.schedule_at(0, PRIO_CONTROL, channel_tick)
     subframes.wake(0)
     sim.schedule_at(0, PRIO_SCHED, cmts.map_cycle)
     sim.run_until(cfg.duration_us)

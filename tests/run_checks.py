@@ -11,9 +11,10 @@ that carry a non-UGS grant in comparable form. `report_path_failures` checks tha
 report path conserves the bytes that `record_announced` sees announced.
 `reference_fill` is the slow twin of MAP window placement (`docsis._fill`),
 `scan_every_ue` that of the eNB's ready set (`Enb.on_subframe`),
-`filter_every_entry` that of the report build (`BwrEmitter.build`), and
-`EVENTED_UGS` the patches that restore evented UGS grants and a MAP cycle
-that never sleeps.
+`filter_every_entry` that of the report build (`BwrEmitter.build`),
+`EAGER_CHANNEL` the patches that draw every channel tick and read the channel
+on every grant, and `EVENTED_UGS` the patches that restore evented UGS grants
+and a MAP cycle that never sleeps.
 """
 
 import csv
@@ -22,10 +23,11 @@ import os
 import tempfile
 from operator import attrgetter
 
+from bwrsim import lte
 from bwrsim.bwr import BandwidthReport, BwrCodecError, BwrEmitter, decode_bwr
 from bwrsim.core import PRIO_SERVICE
 from bwrsim.docsis import UGS, Cm, Cmts, serialization_us
-from bwrsim.lte import HARQ_PROCESSES, SUBFRAME_US
+from bwrsim.lte import HARQ_PROCESSES, SUBFRAME_US, Channel, draw_mcs, tbs_bytes
 from bwrsim.metrics import SEGMENTS, Summary, cdf, summarize
 from bwrsim.runner import _table_header, _table_row, write_csvs
 
@@ -323,6 +325,25 @@ def restore_evented_ugs(patch) -> None:
     """Apply EVENTED_UGS with `patch`, a monkeypatch's setattr."""
     for (cls, name), twin in EVENTED_UGS.items():
         patch(cls, name, twin)
+
+
+def draw_every_tick(channel, t: int) -> None:
+    """`Channel.draw` without skipping: each tick from the first not drawn
+    to the one that holds t draws its normals, one UE at a time."""
+    last = t // channel.period
+    for _ in range(channel.ticks, last + 1):
+        for ue in channel.ues:
+            ue.tbs = tbs_bytes(draw_mcs(channel.mean, channel.sigma, channel.rng))
+    channel.ticks = last + 1
+    channel.tick_end = channel.ticks * channel.period
+
+
+# The eager channel: every grant reads it (no demand is at or below a
+# threshold of 0), and every tick up to the one read is drawn.
+EAGER_CHANNEL = {
+    (lte, "TBS_MIN"): 0,
+    (Channel, "draw"): draw_every_tick,
+}
 
 
 def scan_every_ue(enb) -> None:

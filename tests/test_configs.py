@@ -13,10 +13,12 @@ The reference run patches each fast path back to its slow twin: a tick every
 subframe instead of the sleeping tick, a round-robin walk that sums every
 UE's demand instead of one that tests the eNB's ready set (scan_every_ue), a
 report build that filters every entry instead of one that takes the due
-prefix of its egress-ordered entries (filter_every_entry), a MAP cycle every MAP
-interval instead of one that sleeps while nothing is pending, every UGS
-grant of every MAP an event instead of the ones the modem books to carry a
-report (EVENTED_UGS), a resolve_region event for every MAP window instead of
+prefix of its egress-ordered entries (filter_every_entry), a channel that
+draws every tick and is read by every grant instead of one read only by a
+grant whose demand exceeds the smallest transport block and drawn only for
+the ticks read (EAGER_CHANNEL), a MAP cycle every MAP interval instead of
+one that sleeps while nothing is pending, every UGS grant of every MAP an
+event instead of the ones the modem books to carry a report (EVENTED_UGS), a resolve_region event for every MAP window instead of
 one per region that holds a REQ, every MAP window laid out afresh by
 open_window, free gaps included, instead of shifted from a layout made once
 per distinct window, and placement over a window's reserved spans, re-sorted
@@ -27,7 +29,7 @@ sets one key to a value outside its range, which validate() must reject. A
 draw is a set of settings; building the SimConfig from them validates it.
 NOT_DRAWN names each field that no draw changes, with the reason. Besides
 its draws, the gate runs the configs given as examples, which reach paths
-that no draw reaches (FRAMES_QUEUE).
+that no draw reaches (FRAMES_QUEUE, CHANNEL_SKIPS, STEADY_CHANNEL).
 """
 
 import os
@@ -47,8 +49,8 @@ from bwrsim.docsis import Cm, Cmts, open_window
 from bwrsim.lte import Enb
 from bwrsim.runner import run_scenario
 
-from run_checks import (EVENTED_UGS, filter_every_entry, outcome, placing_maps,
-                        record_announced, record_maps, reference_fill,
+from run_checks import (EAGER_CHANNEL, EVENTED_UGS, filter_every_entry, outcome,
+                        placing_maps, record_announced, record_maps, reference_fill,
                         report_failures, report_path_failures, scan_every_ue)
 
 ms = st.integers(1, 9).map(lambda n: n * MS)
@@ -181,6 +183,7 @@ REFERENCE_PATHS = {
     (Cm, "_queue_region"): lambda cm, region_index: None,
     (Cm, "on_map"): resolve_every_region,
     **EVENTED_UGS,
+    **EAGER_CHANNEL,
     (Cmts, "_open_window"): lambda cmts, start: open_window(start, cmts.cfg, cmts.ugs),
     (docsis, "_fill"): reference_fill,
 }
@@ -204,11 +207,24 @@ FRAMES_QUEUE = {**PRESETS["scenario1"], "mode": "both", "warmup_us": 20 * MS,
                 "upstream_bps": 5_000_000, "contention_slots": 16,
                 "ugs_period_us": MS, "bwr_period_us": MS, "ugs_phase_us": 800}
 
+# Scenario1's grants read the channel in no draw (a VoIP packet of at most
+# 300 B fits every block). With 3000 B packets every 40 ms, a tick is read
+# only where a packet's grant falls, so the channel skips ticks, then reads.
+CHANNEL_SKIPS = {**PRESETS["scenario1"], "mode": "both", "warmup_us": 20 * MS,
+                 "duration_us": 300 * MS, "voip_bytes": 3000,
+                 "voip_period_us": 40 * MS}
+
+# A channel with sigma 0 draws nothing: every read tick holds the mean's MCS.
+STEADY_CHANNEL = {**PRESETS["scenario2"], "mode": "both", "warmup_us": 20 * MS,
+                  "duration_us": 300 * MS, "mcs_sigma": 0.0}
+
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(configs())
 @example(FRAMES_QUEUE)
+@example(CHANNEL_SKIPS)
+@example(STEADY_CHANNEL)
 def test_every_accepted_config_runs_clean(drawn):
     try:
         cfg = SimConfig(**drawn)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bwrsim.core import (MS, SEC, PRIO_DATA, Rng, RngStreams,
+from bwrsim.core import (MS, SEC, PRIO_DATA, SKIP_CHUNK, Rng, RngStreams,
                          SchedulingError, Simulator, derive_seed)
 
 
@@ -177,3 +177,14 @@ def test_uniform_point_interval_still_draws():
     a.uniform(2.0, 2.0)
     b.uniform(0.0, 1.0)
     assert a.uniform(0.0, 1.0) == b.uniform(0.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 17, 2 * SKIP_CHUNK + 3])
+def test_skip_passes_exactly_n_draws(n):
+    skipped, drawn = Rng(31), Rng(31)
+    skipped.skip(n)
+    for _ in range(n):
+        drawn.uniform(0.0, 1.0)
+    assert skipped.uniform(0.0, 1.0) == drawn.uniform(0.0, 1.0)
+    # a normal takes two draws, so skipping 2k passes k normals
+    assert skipped.normal(22.0, 2.0) == drawn.normal(22.0, 2.0)

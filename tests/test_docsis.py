@@ -154,6 +154,39 @@ def test_fragmentation_last_byte_rule():
     assert pkt.docsis_egressed == 3000
 
 
+@pytest.mark.parametrize("propagation_us, framing_us", [(0, 1200), (700, 300)])
+def test_a_lone_packets_egress_is_its_grant_start_plus_the_wire_time(propagation_us,
+                                                                     framing_us):
+    # one grant carries the whole packet: its last byte reaches the CMTS the
+    # propagation and framing delays, and its serialisation, after the grant
+    cfg = SimConfig(propagation_us=propagation_us, cm_framing_us=framing_us)
+    sim, cmts, cm, collector, maps = build(cfg)
+    pkt = packet(0, size=500)
+    inject(sim, cm, 1, pkt, 18 * MS)
+    sim.run_until(40 * MS)
+    [grant] = grants_of(maps, "be")
+    assert grant.nbytes == 500
+    assert pkt.cmts_egress == (grant.start + propagation_us + framing_us
+                               + serialization_us(500, cfg.upstream_bps))
+
+
+@pytest.mark.parametrize("advance", [1, 3])
+def test_a_request_is_first_placed_one_interval_plus_the_advance_after_it(advance):
+    # A REQ delivered at r, a MAP instant: the MAP at r consumed only what
+    # came by r - cmts_proc_us, so the MAP at r + map_interval_us places it,
+    # in the window maps_in_advance intervals after that MAP.
+    cfg = SimConfig(maps_in_advance=advance)
+    mi = cfg.map_interval_us
+    assert 0 < cfg.cmts_proc_us < mi
+    sim, cmts, cm, collector, maps = build(cfg)
+    r = 10 * mi
+    sim.run_until(r)
+    cmts.on_req_delivered(cm.flows[1], 300, r)
+    sim.run_until(r + 8 * mi)
+    assert [(m.window_start, [g.nbytes for g in m.grants]) for m in maps if m.grants] \
+        == [(r + (1 + advance) * mi, [300])]
+
+
 def test_duplicate_egress_rejected():
     sim, cmts, cm, collector, maps = build()
     pkt = packet(0)

@@ -7,7 +7,7 @@ import pytest
 from bwrsim.config import SimConfig, preset
 from bwrsim.core import MS, SEC
 from bwrsim.docsis import Cm, Cmts
-from bwrsim.lte import Enb
+from bwrsim.lte import MCS_MAX, MCS_MIN, Channel, Enb, tbs_bytes
 from bwrsim.runner import paired_deltas, run_single
 
 from run_checks import (cross_mode_failures, lte_pairs, outcome, placing_maps,
@@ -59,12 +59,20 @@ def test_first_packet_per_ue_takes_full_ladder():
     assert any(s.lte_us < 18_000 for s in followups)   # piggyback path exists
 
 
-def test_mcs_actually_evolves():
+def test_mcs_actually_evolves(monkeypatch):
+    # the block sizes of every tick the run's grants read
     cfg = replace(preset("scenario2"), duration_us=500 * MS)
-    run = run_single(cfg, "baseline")
-    seen = {ue.mcs for ue in run.ues}
+    ticks, draw = [], Channel.draw
+    def recording_draw(channel, t):
+        draw(channel, t)
+        ticks.append([ue.tbs for ue in channel.ues])
+    monkeypatch.setattr(Channel, "draw", recording_draw)
+    run_single(cfg, "baseline")
+    assert len(ticks) > 1
+    assert len({tuple(tick) for tick in ticks}) > 1
+    seen = {tbs for tick in ticks for tbs in tick}
     assert len(seen) > 1
-    assert all(18 <= m <= 26 for m in seen)
+    assert seen <= {tbs_bytes(m) for m in range(MCS_MIN, MCS_MAX + 1)}
 
 
 def test_harq_off_removes_all_variation():
@@ -232,8 +240,8 @@ def test_eut_unused_grant_bytes_are_the_wasted_report_grant_bytes(seed):
 @pytest.mark.parametrize("overrides", [
     {},
     {"map_interval_us": 1 * MS},          # every subframe is a MAP instant
-    {"harq_bler": 0.5, "bwr_per_lcg": True, "bwr_period_us": 4 * MS},
-], ids=["preset", "map-1ms", "bler-per-lcg-4ms"])
+    {"harq_bler": 0.5, "bwr_period_us": 4 * MS},
+], ids=["preset", "map-1ms", "bler-4ms"])
 @pytest.mark.parametrize("name", ["scenario1", "scenario2"])
 def test_sleeping_subframe_tick_matches_ticking_every_subframe(monkeypatch, name,
                                                               overrides):

@@ -3,8 +3,8 @@ import pytest
 from bwrsim.bwr import BwrEmitter
 from bwrsim.config import ConfigError, SimConfig
 from bwrsim.core import MS, Rng, Simulator
-from bwrsim.lte import (Enb, HARQ_RTT_US, LteError, Packet, SubframeTick, Ue,
-                        harq_grant_utilization, tbs_bytes)
+from bwrsim.lte import (Channel, Enb, HARQ_RTT_US, LteError, Packet, SubframeTick,
+                        TBS_MIN, Ue, draw_mcs, harq_grant_utilization, tbs_bytes)
 from bwrsim.metrics import Counters
 
 
@@ -376,14 +376,21 @@ def test_a_stale_report_over_grants_and_the_unused_bytes_are_counted():
     assert (ue.buffer_bytes, ue.demand, ue.granted) == (0, 0, 0)
 
 
-# -- channel updates ---------------------------------------------------------------
+# -- channel ---------------------------------------------------------------------
 
 def test_channel_sigma_zero_constant():
-    sim = Simulator()
-    enb = make_enb(sim)
-    ue = make_ue(sim, enb)
     for _ in range(10):
-        assert ue.channel_update(22.0, 0.0, Rng(1)) == 22
+        assert draw_mcs(22.0, 0.0, Rng(1)) == 22
+    # a channel with sigma 0 takes nothing from its stream
+    sim = Simulator()
+    ue = make_ue(sim, make_enb(sim))
+    rng = Rng(1)
+    state = rng._r.getstate()
+    channel = Channel(SimConfig(mcs_mean=24.0, mcs_sigma=0.0), rng, [ue])
+    for t in (0, 35 * MS, 900 * MS):
+        channel.draw(t)
+        assert ue.tbs == tbs_bytes(24)
+    assert rng._r.getstate() == state
 
 
 def test_channel_clamp():
@@ -392,29 +399,84 @@ def test_channel_clamp():
             self.v = v
         def normal(self, mean, sigma):
             return self.v
-    sim = Simulator()
-    enb = make_enb(sim)
-    ue = make_ue(sim, enb)
-    assert ue.channel_update(22.0, 2.0, FixedRng(27.4)) == 26
-    assert ue.channel_update(22.0, 2.0, FixedRng(11.0)) == 18
+    assert draw_mcs(22.0, 2.0, FixedRng(27.4)) == 26
+    assert draw_mcs(22.0, 2.0, FixedRng(11.0)) == 18
     # .5 ties round to even
-    assert [ue.channel_update(22.0, 2.0, FixedRng(v)) for v in (18.5, 19.5, 25.5)] \
+    assert [draw_mcs(22.0, 2.0, FixedRng(v)) for v in (18.5, 19.5, 25.5)] \
         == [18, 20, 26]
     # clamped before rounding: a draw round() cannot take ends at a bound
-    assert ue.channel_update(22.0, 1e308, FixedRng(float("inf"))) == 26
-    assert ue.channel_update(22.0, 1e308, FixedRng(-1e308)) == 18
-    assert type(ue.mcs) is int
+    assert draw_mcs(22.0, 1e308, FixedRng(float("inf"))) == 26
+    assert draw_mcs(22.0, 1e308, FixedRng(-1e308)) == 18
+    assert type(draw_mcs(22.0, 2.0, FixedRng(21.7))) is int
 
 
 def test_channel_distribution():
-    sim = Simulator()
-    enb = make_enb(sim)
-    ue = make_ue(sim, enb)
     rng = Rng(4)
-    draws = [ue.channel_update(22.0, 2.0, rng) for _ in range(100_000)]
+    draws = [draw_mcs(22.0, 2.0, rng) for _ in range(100_000)]
     mean = sum(draws) / len(draws)
     assert 21.7 <= mean <= 22.3
     assert all(18 <= d <= 26 for d in draws)
+
+
+def eager_mcs(seed, n_ues, tick):
+    """Each UE's MCS in the given tick of a fresh stream that draws every
+    tick, one normal per UE."""
+    rng = Rng(seed)
+    for _ in range(tick):
+        for _ in range(n_ues):
+            draw_mcs(22.0, 2.0, rng)
+    return [draw_mcs(22.0, 2.0, rng) for _ in range(n_ues)]
+
+
+def channel_enb(sim, seed, n_ues=2):
+    """An eNB whose UEs share a channel on the stream Rng(seed)."""
+    cfg = SimConfig(mcs_mean=22.0, mcs_sigma=2.0, channel_update_us=10 * MS)
+    ues = []
+    enb = Enb(sim, 1, cfg, StubCollector(), Rng(1), Channel(cfg, Rng(seed), ues))
+    for ue_id in range(1, n_ues + 1):
+        ues.append(make_ue(sim, enb, ue_id))
+    return enb, ues
+
+
+def test_a_grant_above_the_smallest_block_takes_its_ticks_block():
+    # The first grant, at 25 ms, is in tick 2: the second UE's block is its
+    # MCS in that tick, as if ticks 0 and 1 had been drawn as well. On this
+    # stream it differs from the ticks around it, from the first UE's and
+    # from the MCS of a UE no tick has set.
+    sim = Simulator()
+    enb, (first, second) = channel_enb(sim, seed=1)
+    mcs = eager_mcs(1, 2, tick=2)
+    assert mcs[1] not in {eager_mcs(1, 2, 1)[1], eager_mcs(1, 2, 3)[1], mcs[0], 22}
+    sim.run_until(25 * MS)
+    enb._apply_demand(second, 5000)
+    enb.on_subframe()
+    assert second.granted == tbs_bytes(mcs[1])
+    assert first.tbs == tbs_bytes(mcs[0])
+
+
+def test_a_demand_that_fits_the_smallest_block_reads_no_channel():
+    sim = Simulator()
+    enb, (ue, _) = channel_enb(sim, seed=9)
+    sim.run_until(25 * MS)
+    enb._apply_demand(ue, TBS_MIN)
+    enb.on_subframe()
+    assert ue.granted == TBS_MIN == 2700
+    assert enb.channel.ticks == 0
+
+
+def test_an_enb_without_a_channel_keeps_mcs_22():
+    sim = Simulator()
+    enb = make_enb(sim)
+    ue = make_ue(sim, enb)
+    grants = []
+    for t in range(0, 40 * MS, MS):
+        sim.run_until(t)
+        enb._apply_demand(ue, 5000)
+        before = ue.granted
+        enb.on_subframe()
+        grants.append(ue.granted - before)
+        ue.granted = 0
+    assert grants == [tbs_bytes(22)] * 40
 
 
 # -- HARQ ---------------------------------------------------------------------------
